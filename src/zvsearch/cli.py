@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from . import solver as solver_mod
 from .errors import InputError, ResourceLimitError
 from .game import (
     check_aligned_search,
@@ -25,6 +24,7 @@ from .game import (
 from .graphs import format_edge_list, generate, parse_edge_list
 from .gsp import classify_topological_3
 from .solver import (
+    _MASK_CAP,
     boundary_gap_certificate,
     boundary_profile,
     inspection_number,
@@ -50,10 +50,10 @@ def _default_state_budget():
     return val
 
 
-def _apply_subset_budget():
+def _subset_budget():
     raw = os.environ.get(SUBSET_BUDGET_VAR)
     if raw is None:
-        return
+        return _MASK_CAP
     try:
         val = int(raw)
     except ValueError:
@@ -61,7 +61,7 @@ def _apply_subset_budget():
     if val <= 0:
         raise InputError(f"{SUBSET_BUDGET_VAR} must be positive")
     # the cap guards the 2^n numpy tables in the solver
-    solver_mod._MASK_CAP = val
+    return val
 
 
 def _read(path):
@@ -97,14 +97,6 @@ def _emit(doc):
     sys.stdout.write("\n")
 
 
-def _workers(args):
-    if getattr(args, "workers", 1) > 1:
-        print(
-            f"note: solver runs single-threaded; ignoring --workers {args.workers}",
-            file=sys.stderr,
-        )
-
-
 def cmd_gen(args):
     g = generate(args.spec)
     sys.stdout.write(format_edge_list(g))
@@ -112,20 +104,21 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     g, _ = _load_graph(args.graph)
-    _workers(args)
-    res = inspection_number(g, k_max=args.k_max, state_budget=args.budget)
+    res = inspection_number(
+        g, k_max=args.k_max, state_budget=args.budget, mask_cap=args.mask_cap
+    )
     _emit(res.to_record())
 
 
 def cmd_pathwidth(args):
     g, _ = _load_graph(args.graph)
-    width, decomp = pathwidth(g)
+    width, decomp = pathwidth(g, mask_cap=args.mask_cap)
     _emit({"value": width, "bags": [sorted(b) for b in decomp.bags]})
 
 
 def cmd_mono(args):
     g, _ = _load_graph(args.graph)
-    res = monotonic_inspection_number(g)
+    res = monotonic_inspection_number(g, mask_cap=args.mask_cap)
     _emit(res.to_record())
 
 
@@ -209,10 +202,10 @@ def cmd_synth(args):
 
 def cmd_lowerbound(args):
     g, _ = _load_graph(args.graph)
-    cert = boundary_gap_certificate(g, args.k)
+    cert = boundary_gap_certificate(g, args.k, mask_cap=args.mask_cap)
     doc = {
         "k": args.k,
-        "profile": sorted(boundary_profile(g, args.k)),
+        "profile": sorted(boundary_profile(g, args.k, mask_cap=args.mask_cap)),
         "certificate": cert.to_record() if cert is not None else None,
     }
     _emit(doc)
@@ -233,7 +226,6 @@ def build_parser():
     p.add_argument("graph", help="edge-list file or generator spec")
     p.add_argument("--k-max", type=int, default=None, help="stop after this width")
     p.add_argument("--budget", type=int, default=None, help="state budget")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("pathwidth", help="exact pathwidth with a decomposition")
@@ -277,15 +269,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        _apply_subset_budget()
+        args.mask_cap = _subset_budget()
         if getattr(args, "budget", None) is None and args.verb in ("solve",):
             args.budget = _default_state_budget()
         if getattr(args, "k_max", None) is not None and args.k_max < 1:
             raise InputError("--k-max must be >= 1")
         if getattr(args, "budget", None) is not None and args.budget <= 0:
             raise InputError("--budget must be positive")
-        if getattr(args, "workers", 1) < 1:
-            raise InputError("--workers must be >= 1")
         if getattr(args, "k", None) is not None and args.k < 0:
             raise InputError("-k must be >= 0")
         args.fn(args)

@@ -449,9 +449,12 @@ class SubdividedGraph:
     """A base graph with each edge replaced by a path of `count` new
     interior vertices. Interior labels are "(u,v)#i" with (u, v) the sorted
     base edge and i counting from the lexicographically smaller endpoint.
+
+    The derived graph is built on first access to `derived`; size and
+    membership questions are answered from the labels alone.
     """
 
-    __slots__ = ("base", "counts", "derived")
+    __slots__ = ("base", "counts", "_tops", "_derived")
 
     def __init__(self, base, counts):
         norm = {}
@@ -466,15 +469,59 @@ class SubdividedGraph:
                 norm[e] = int(c)
         self.base = base
         self.counts = norm
-        edges = []
-        for e in base.edges():
-            chain = self.chain(e)
-            edges.extend(zip(chain, chain[1:]))
-        for e in norm:
-            for i in range(1, norm[e] + 1):
-                if subdivision_label(e, i) in base:
-                    raise InputError(f"label collision: {subdivision_label(e, i)!r}")
-        self.derived = Graph.from_edges(edges, vertices=base.vertices)
+        # label prefix "(u,v)" -> highest index in use
+        self._tops = {}
+        for (u, v), c in norm.items():
+            head = f"({u},{v})"
+            self._tops[head] = max(self._tops.get(head, 0), c)
+        for x in base.vertices:
+            if self._is_interior(x):
+                raise InputError(f"label collision: {x!r}")
+        self._derived = None
+
+    @property
+    def derived(self):
+        """The subdivided graph itself."""
+        if self._derived is None:
+            # written straight into one adjacency dict: hosts run to tens
+            # of thousands of vertices, and an edge list plus mutable sets
+            # would hold several times the memory of the finished graph
+            adj = {v: [] for v in self.base.vertices}
+            for e in self.base.edges():
+                chain = self.chain(e)
+                adj[chain[0]].append(chain[1])
+                adj[chain[-1]].append(chain[-2])
+                for i in range(1, len(chain) - 1):
+                    adj[chain[i]] = frozenset((chain[i - 1], chain[i + 1]))
+            for v in self.base.vertices:
+                adj[v] = frozenset(adj[v])
+            self._derived = Graph(adj)
+        return self._derived
+
+    @property
+    def n(self):
+        """Vertex count of the derived graph."""
+        return self.base.n + sum(self.counts.values())
+
+    def _is_interior(self, x):
+        if not isinstance(x, str):
+            return False
+        head, _, i = x.rpartition("#")
+        top = self._tops.get(head, 0)
+        return i.isdecimal() and i == str(int(i)) and 0 < int(i) <= top
+
+    def __contains__(self, x):
+        """Whether x is a vertex of the derived graph."""
+        return x in self.base or self._is_interior(x)
+
+    def shared_vertices(self, other):
+        """Vertices the derived graphs of two subdivisions have in common."""
+        got = {x for x in self.base.vertices if x in other}
+        got.update(x for x in other.base.vertices if x in self)
+        for head in self._tops.keys() & other._tops.keys():
+            top = min(self._tops[head], other._tops[head])
+            got.update(f"{head}#{i}" for i in range(1, top + 1))
+        return got
 
     def count(self, u, v=None):
         e = edge_key(u, v) if v is not None else edge_key(*u)
@@ -497,7 +544,7 @@ class SubdividedGraph:
         raise InputError(f"{end!r} is not an endpoint of {edge}")
 
     def __repr__(self):
-        return f"SubdividedGraph(base_n={self.base.n}, derived_n={self.derived.n})"
+        return f"SubdividedGraph(base_n={self.base.n}, derived_n={self.n})"
 
 
 def subdivide(g, counts):

@@ -24,6 +24,8 @@ from .errors import InputError
 from .forbidden import (
     Bipath,
     ForbiddenWitness,
+    _witness_f2,
+    _witness_f3,
     bipath_problems,
     embedded,
     pattern_check,
@@ -751,7 +753,7 @@ def _witness_pair(g, n0, n1):
     t0 = {n0.a, n0.b}
     t1 = {n1.a, n1.b}
     if t0 == t1:
-        return _pack_f2([bips0[0], bips0[1], bips1[0]])
+        return _witness_f2([bips0[0], bips0[1], bips1[0]])
     interiors = (set(n0.graph.vertices) - t0) | (set(n1.graph.vertices) - t1)
     pq = two_disjoint_paths(g.without_vertices(interiors), t0, t1)
     assert pq is not None, "connector paths missing between complex cores"
@@ -764,50 +766,13 @@ def _witness_pair(g, n0, n1):
     )
 
 
-def _pack_f2(bips):
-    a, b = sorted(bips[0].endpoints)
-    verts = set()
-    edges = set()
-    for bp in bips:
-        verts |= bp.vertex_set()
-        edges |= bp.edge_set()
-    w = ForbiddenWitness(
-        "F2",
-        Graph.from_edges(edges, vertices=verts),
-        {"endpoints": [a, b], "bipaths": [bp.to_record() for bp in bips]},
-    )
-    assert pattern_check(w), pattern_problems(w)
-    return w
-
-
 def _pack_f3(pair1, pair2, bips, conns):
     # bips[0], bips[1] run over pair1; conns[i] joins pair1[i] to pair2[i]
-    ordered = []
     for pair, members in ((pair1, bips[:2]), (pair2, bips[2:])):
         for bp in members:
-            if bp.endpoints == pair or bp.endpoints == tuple(reversed(pair)):
-                ordered.append(bp)
-            else:
+            if bp.endpoints != pair and bp.endpoints != tuple(reversed(pair)):
                 raise AssertionError("bipath endpoints disagree with the pair")
-    verts = set()
-    edges = set()
-    for bp in ordered:
-        verts |= bp.vertex_set()
-        edges |= bp.edge_set()
-    for conn in conns:
-        verts.update(conn)
-        edges.update(edge_key(u, v) for u, v in zip(conn, conn[1:]))
-    w = ForbiddenWitness(
-        "F3",
-        Graph.from_edges(edges, vertices=verts),
-        {
-            "shared_pairs": [list(pair1), list(pair2)],
-            "bipaths": [bp.to_record() for bp in ordered],
-            "connectors": [list(c) for c in conns],
-        },
-    )
-    assert pattern_check(w), pattern_problems(w)
-    return w
+    return _witness_f3(pair1, pair2, bips, conns)
 
 
 def _witness_cross_block(g, blk_h, cut_h, m_h, blk_k, cut_k, m_k):
@@ -882,7 +847,7 @@ def _rebuild_block(g, tree, target):
             continue
         assert not piece_edges & m_edges, "piece straddles the complex core"
         if _node_complexity(piece) >= 1:
-            return _pack_f2(
+            return _witness_f2(
                 [_extract(m.children[0])[0], _extract(m.children[1])[0],
                  _extract(piece)[0]]
             )

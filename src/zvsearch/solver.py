@@ -184,14 +184,17 @@ def exists_successful_search(g, k, clean_start=(), state_budget=200_000,
     return steps
 
 
-def inspection_number(g, k_max=None, clean_start=(), state_budget=200_000):
+def inspection_number(
+    g, k_max=None, clean_start=(), state_budget=200_000, mask_cap=_MASK_CAP
+):
     """Smallest width admitting a successful search, as a SolveResult.
 
-    The scan is capped at pathwidth+1 whenever the graph is small enough
-    for the DP, since a bag sweep of an optimal decomposition always
-    succeeds at that width. Disconnected graphs decompose: the searchers
-    finish one component, move on, and nothing recontaminates behind
-    them, so the answer is the max over components.
+    The scan is capped at pathwidth+1 whenever the graph has at most
+    mask_cap vertices, few enough for the DP, since a bag sweep of an
+    optimal decomposition always succeeds at that width. Disconnected
+    graphs decompose: the searchers finish one component, move on, and
+    nothing recontaminates behind them, so the answer is the max over
+    components.
     """
     if g.n == 0:
         raise InputError("empty graph")
@@ -207,7 +210,8 @@ def inspection_number(g, k_max=None, clean_start=(), state_budget=200_000):
             sub = g.induced(comp)
             res = inspection_number(sub, k_max=k_max,
                                     clean_start=start & comp,
-                                    state_budget=state_budget)
+                                    state_budget=state_budget,
+                                    mask_cap=mask_cap)
             states += res.explored_states
             if res.value is None:
                 return SolveResult(None, None, states, res.method)
@@ -218,8 +222,8 @@ def inspection_number(g, k_max=None, clean_start=(), state_budget=200_000):
 
     cap = g.n
     method = "clean-set closure"
-    if g.n <= _MASK_CAP:
-        width, _ = pathwidth(g)
+    if g.n <= mask_cap:
+        width, _ = pathwidth(g, mask_cap=mask_cap)
         cap = width + 1
         method = "clean-set closure, capped at pathwidth+1"
     if k_max is not None:
@@ -253,13 +257,14 @@ def exists_monotonic_search(g, k, clean_start=(), state_budget=400_000):
 # pathwidth via vertex separation
 
 
-def _mask_tables(g):
-    """(popcount, boundary size) for every subset of a small graph."""
+def _mask_tables(g, mask_cap):
+    """(popcount, boundary size) for every subset of a graph with at
+    most mask_cap vertices."""
     n = g.n
-    if n > _MASK_CAP:
+    if n > mask_cap:
         raise ResourceLimitError(
-            f"subset tables need n <= {_MASK_CAP}, got {n}",
-            budget=_MASK_CAP,
+            f"subset tables need n <= {mask_cap}, got {n}",
+            budget=mask_cap,
             used=n,
         )
     _, nbr, _ = g.masks()
@@ -275,12 +280,12 @@ def _mask_tables(g):
     return masks, pc, bnd
 
 
-def _vertex_separation(g):
+def _vertex_separation(g, mask_cap):
     """(separation number, layout) of a connected small graph."""
     n = g.n
     if n == 1:
         return 0, [g.vertices[0]]
-    masks, pc, bnd = _mask_tables(g)
+    masks, pc, bnd = _mask_tables(g, mask_cap)
     f = np.zeros(1 << n, dtype=np.uint8)
     for layer in range(1, n + 1):
         sel = np.nonzero(pc == layer)[0]
@@ -309,11 +314,12 @@ def _vertex_separation(g):
     return int(f[(1 << n) - 1]), layout
 
 
-def pathwidth(g):
+def pathwidth(g, mask_cap=_MASK_CAP):
     """(pathwidth, PathDecomposition): exact, via vertex separation.
 
     Bag i is the boundary of the first i-1 layout vertices plus the i-th
-    vertex itself. Components are laid out one after another.
+    vertex itself. Components are laid out one after another. A
+    component of more than mask_cap vertices raises ResourceLimitError.
     """
     if g.n == 0:
         raise InputError("empty graph")
@@ -321,7 +327,7 @@ def pathwidth(g):
     bags = []
     for comp in g.components():
         sub = g.induced(comp)
-        vs, order = _vertex_separation(sub)
+        vs, order = _vertex_separation(sub, mask_cap)
         width = max(width, vs)
         prefix = set()
         for v in order:
@@ -346,14 +352,14 @@ def is_path_decomposition(g, bags):
     return True
 
 
-def monotonic_inspection_number(g):
+def monotonic_inspection_number(g, mask_cap=_MASK_CAP):
     """Monotonic inspection number as a SolveResult.
 
     Equals pathwidth + 1; the bag sequence of an optimal decomposition,
     searched in order, is a monotonic search of that width. The witness
     is simulated before returning, as a cheap self-check.
     """
-    width, decomp = pathwidth(g)
+    width, decomp = pathwidth(g, mask_cap=mask_cap)
     steps = tuple(decomp.bags)
     trace = simulate(g, steps)
     assert is_successful(trace) and is_monotonic(trace), "bag sweep failed"
@@ -364,18 +370,18 @@ def monotonic_inspection_number(g):
 # boundary profiles and the gap certificate
 
 
-def boundary_profile(g, k):
+def boundary_profile(g, k, mask_cap=_MASK_CAP):
     """Set of sizes |C| over all vertex sets C with boundary below k."""
     if g.n == 0:
         raise InputError("empty graph")
     if k < 0:
         raise InputError("k must be >= 0")
-    _, pc, bnd = _mask_tables(g)
+    _, pc, bnd = _mask_tables(g, mask_cap)
     hit = bnd < k
     return frozenset(int(i) for i in np.unique(pc[hit]))
 
 
-def boundary_gap_certificate(g, k):
+def boundary_gap_certificate(g, k, mask_cap=_MASK_CAP):
     """Smallest size i in [1, n] with no profile member strictly between
     i-k and i, or None.
 
@@ -384,7 +390,7 @@ def boundary_gap_certificate(g, k):
     consecutive missing sizes under i is therefore unreachable. None
     means every i is witnessed, which proves nothing about in(G).
     """
-    profile = boundary_profile(g, k)
+    profile = boundary_profile(g, k, mask_cap=mask_cap)
     for i in range(1, g.n + 1):
         if not any(i - k < c < i for c in profile):
             return BoundaryGapCertificate(k, i, profile)

@@ -3,9 +3,12 @@
 The builders here realize width-3 searches by recursion over a simple
 GSP decomposition: sweeps that clear a ball around a pinned vertex, one
 amalgamation per composition operation, and a splitter that cuts a
-bridged side into two halves joined through a long connector path. Every
-bundle is re-simulated before it is returned; nothing is trusted on
-paper alone.
+bridged side into two halves joined through a long connector path.
+
+The amalgamations are unchecked building blocks: they validate their
+inputs but trust the searches they are handed. `synthesize` re-simulates
+the final bundle once, on the one derived host it builds, and checks its
+floors; nothing it returns is trusted on paper alone.
 """
 
 from dataclasses import dataclass, field
@@ -104,18 +107,8 @@ def _attained(host):
     return {e: host.count(e) for e in host.base.edges()}
 
 
-def _verified(bundle, floors=None):
-    ok, why = check_aligned_search(
-        bundle.host.derived, bundle.search, *bundle.alignment, width=3
-    )
-    assert ok, f"bundle failed verification: {why}"
-    for e, need in (floors or {}).items():
-        assert bundle.host.count(e) >= need, f"floor {need} unmet on {e}"
-    return bundle
-
-
 def _require_overlap(h0, h1, shared, op):
-    got = set(h0.derived.vertices) & set(h1.derived.vertices)
+    got = h0.shared_vertices(h1)
     if got != set(shared):
         raise InputError(
             f"{op} amalgamation needs hosts overlapping exactly at "
@@ -222,14 +215,8 @@ def amalgamate_series(b0, b1):
     _require_overlap(b0.host, b1.host, {c}, "series")
     host = _merge_hosts(b0.host, b1.host)
     search = tuple(b0.search) + tuple(b1.search)
-    stats = {
-        "op": "series",
-        "host_vertices": host.derived.n,
-        "search_length": len(search),
-    }
-    return _verified(
-        AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
-    )
+    stats = {"op": "series", "host_vertices": host.n, "search_length": len(search)}
+    return AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
 
 
 def amalgamate_branch(task0, b1):
@@ -260,13 +247,11 @@ def amalgamate_branch(task0, b1):
     search = clear_ball_outward(b0.host, a, b, r) + tuple(b1.search) + tuple(b0.search)
     stats = {
         "op": "branch",
-        "host_vertices": host.derived.n,
+        "host_vertices": host.n,
         "search_length": len(search),
         "ball_radius": r,
     }
-    return _verified(
-        AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
-    )
+    return AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
 
 
 def amalgamate_branch_prime(task0, b1):
@@ -300,13 +285,11 @@ def amalgamate_branch_prime(task0, b1):
     search = trimmed + tuple(b1.search) + clear_ball_inward(b0.host, b, a, r)
     stats = {
         "op": "branch_prime",
-        "host_vertices": host.derived.n,
+        "host_vertices": host.n,
         "search_length": len(search),
         "ball_radius": r,
     }
-    return _verified(
-        AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
-    )
+    return AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
 
 
 def amalgamate_parallel(task0, b1, b2):
@@ -336,7 +319,7 @@ def amalgamate_parallel(task0, b1, b2):
         raise InputError("parallel amalgamation: second pendant may share only b")
     if set(b1.host.base.vertices) & set(b2.host.base.vertices):
         raise InputError("parallel amalgamation: pendants must be disjoint")
-    if set(b2.host.derived.neighbors(b)) == {d}:
+    if set(b2.host.base.neighbors(b)) == {d} and not b2.host.count(b, d):
         # the window sealing the connector at d pins b, and with no other
         # neighbor left dirty b would come clean right there, well before
         # the closing sweep
@@ -394,7 +377,7 @@ def amalgamate_parallel(task0, b1, b2):
     )
     stats = {
         "op": "parallel",
-        "host_vertices": host.derived.n,
+        "host_vertices": host.n,
         "search_length": len(search),
         "connector_count": length + 4,
         "checkpoint_step": len(s_a) + len(b1.search) + len(s_pa) + length + len(s_pb) + 1,
@@ -403,9 +386,7 @@ def amalgamate_parallel(task0, b1, b2):
         stats["floor_sum_edges"] = sorted(sum_edges)
     if b0.stats.get("padded_steps"):
         stats["padded_steps"] = b0.stats["padded_steps"]
-    return _verified(
-        AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
-    )
+    return AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +504,8 @@ def _padded(bundle, extra):
     search = (frozenset({a}),) * extra + tuple(bundle.search)
     stats = dict(bundle.stats)
     stats["padded_steps"] = stats.get("padded_steps", 0) + extra
-    return _verified(
-        AlignedSearchBundle(
-            bundle.host, search, bundle.alignment, bundle.floors_satisfied, stats
-        )
+    return AlignedSearchBundle(
+        bundle.host, search, bundle.alignment, bundle.floors_satisfied, stats
     )
 
 
@@ -561,14 +540,14 @@ def _parallel(tree, floors):
     rest = [p for p in pieces if p is not chosen]
     core = rest[0] if len(rest) == 1 else _fold("parallel", rest)
 
-    left, _, right, origin = _split_impl(chosen)
+    left, (c, d), right, origin = _split_impl(chosen)
     b1 = _synth(left, _restrict(floors, left))
-    d0, b = right.terminals
+    b = right.terminals[1]
     rf = _restrict(floors, right)
-    if right.graph.degree(b) == 1 and right.graph.has_edge(d0, b):
+    if right.graph.degree(b) == 1 and right.graph.has_edge(d, b):
         # keep d away from b in the right half's host, as the parallel
         # amalgamation requires
-        e = edge_key(d0, b)
+        e = edge_key(d, b)
         rf[e] = max(rf.get(e, 0), 1)
     b2 = _synth(right, rf)
 
@@ -583,49 +562,25 @@ def _parallel(tree, floors):
 
     raw = amalgamate_parallel(SynthTask(inner.base, run), b1, b2)
 
-    host, remap = _rebase(tree.graph, raw.host.derived)
-    search = tuple(frozenset(remap.get(x, x) for x in step) for step in raw.search)
-    stats = dict(raw.stats)
-    stats["host_vertices"] = host.derived.n
-    stats["split_edge"] = list(origin)
-    return _verified(
-        AlignedSearchBundle(host, search, tree.terminals, _attained(host), stats)
+    # Rename the origin chain x .. c .. d .. y to canonical labels of the
+    # split edge; every other base edge already carries its own labels.
+    x, y = origin if c == subdivision_label(origin, 1) else origin[::-1]
+    path = (
+        b1.host.chain_from((x, c), x)
+        + raw.host.chain_from((c, d), c)[1:]
+        + b2.host.chain_from((d, y), d)[1:]
     )
-
-
-def _chain_walk(derived, base_vs, u, v):
-    found = None
-    for start in derived.sorted_neighbors(u):
-        path = [u, start]
-        while path[-1] not in base_vs:
-            nxt = [x for x in derived.neighbors(path[-1]) if x != path[-2]]
-            if len(nxt) != 1:
-                break
-            path.append(nxt[0])
-        if path[-1] == v and all(x not in base_vs for x in path[1:-1]):
-            assert found is None, f"two parallel chains between {u!r} and {v!r}"
-            found = path
-    assert found is not None, f"no chain between {u!r} and {v!r}"
-    return found
-
-
-def _rebase(base, derived):
-    """Express `derived` as a subdivision of `base`, renaming interior
-    vertices to canonical chain labels. Returns the host and the rename
-    map to apply to searches."""
-    base_vs = set(base.vertices)
-    counts = {}
-    remap = {}
-    placed = set(base_vs)
-    for u, v in base.edges():
-        path = _chain_walk(derived, base_vs, u, v)
-        counts[(u, v)] = len(path) - 2
-        for i, x in enumerate(path[1:-1], start=1):
-            remap[x] = subdivision_label((u, v), i)
-        placed.update(path[1:-1])
-    stray = set(derived.vertices) - placed
-    assert not stray, f"vertices outside every base chain: {sorted(map(str, stray))}"
-    return SubdividedGraph(base, counts), remap
+    if x != origin[0]:
+        path.reverse()
+    remap = {v: subdivision_label(origin, i) for i, v in enumerate(path[1:-1], 1)}
+    counts = {e: n for e, n in raw.host.counts.items() if tree.graph.has_edge(*e)}
+    counts[origin] = len(path) - 2
+    host = SubdividedGraph(tree.graph, counts)
+    search = tuple(frozenset(remap.get(v, v) for v in step) for step in raw.search)
+    stats = dict(raw.stats)
+    stats["host_vertices"] = host.n
+    stats["split_edge"] = list(origin)
+    return AlignedSearchBundle(host, search, tree.terminals, _attained(host), stats)
 
 
 def _synth(tree, floors):
@@ -641,10 +596,8 @@ def _synth(tree, floors):
             search = tuple(
                 frozenset({a, q[t], q[t + 1]}) for t in range(1, count + 1)
             )
-        stats = {"op": "leaf", "host_vertices": host.derived.n, "search_length": len(search)}
-        return _verified(
-            AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
-        )
+        stats = {"op": "leaf", "host_vertices": host.n, "search_length": len(search)}
+        return AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
     t0, t1 = tree.children
     if tree.op == "series":
         return amalgamate_series(
@@ -664,6 +617,9 @@ def synthesize(tg, tree, floors=None):
     `tree` must be a simple decomposition of tg; `floors` optionally
     demands minimum interior counts per base edge, which the returned
     host is guaranteed to meet (children may always over-subdivide).
+    This is the one place a bundle is checked: the search is re-simulated
+    on the derived host, and a bundle that fails the check or its floors
+    raises AssertionError, an internal error, also under `python -O`.
     """
     if not isinstance(tree, GspTree):
         raise InputError("synthesis needs a decomposition tree")
@@ -672,7 +628,19 @@ def synthesize(tg, tree, floors=None):
     if tree.graph != tg.graph or tree.terminals != tg.terminals:
         raise InputError("decomposition does not describe the terminal graph")
     checked = _check_floors(floors or {}, tg.graph)
-    return _verified(_synth(tree, checked), checked)
+    bundle = _synth(tree, checked)
+    try:
+        ok, why = check_aligned_search(
+            bundle.host.derived, bundle.search, *bundle.alignment, width=3
+        )
+    except InputError as ex:
+        ok, why = False, str(ex)
+    if not ok:
+        raise AssertionError(f"bundle failed verification: {why}")
+    for e, need in checked.items():
+        if bundle.host.count(e) < need:
+            raise AssertionError(f"floor {need} unmet on {e}")
+    return bundle
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-import zvsearch.solver as solver_module
 from zvsearch.cli import main
 from zvsearch.graphs import cycle_graph, parse_edge_list, path_graph
 from zvsearch.solver import is_path_decomposition
@@ -69,13 +68,6 @@ def test_solve_reads_files(capsys, tmp_path):
 def test_solve_unknown_source(capsys):
     code, _, err = run(capsys, "solve", "nosuchfile.txt")
     assert code == 1 and "neither a file nor a generator spec" in err
-
-
-def test_solve_workers_note(capsys):
-    code, out, err = run(capsys, "solve", "path:3", "--workers", "2")
-    assert code == 0
-    assert "single-threaded" in err
-    assert json.loads(out)["value"] == 2
 
 
 def test_pathwidth_grid(capsys):
@@ -181,10 +173,18 @@ def test_state_budget_env(capsys, monkeypatch):
 
 
 def test_subset_budget_env(capsys, monkeypatch):
-    monkeypatch.setattr(solver_module, "_MASK_CAP", solver_module._MASK_CAP)
     monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "3")
     code, _, err = run(capsys, "lowerbound", "cycle:6", "-k", "2")
     assert code == 2 and "subset tables" in err
+
+
+def test_subset_budget_ends_with_its_call(capsys, monkeypatch):
+    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "3")
+    code, _, _ = run(capsys, "lowerbound", "cycle:6", "-k", "2")
+    assert code == 2
+    monkeypatch.delenv("ZVSEARCH_SUBSET_BUDGET")
+    doc = run_json(capsys, "lowerbound", "cycle:6", "-k", "2")
+    assert doc["certificate"] == {"k": 2, "i": 3, "profile": [0, 1, 6]}
 
 
 def test_flag_validation(capsys):

@@ -169,6 +169,28 @@ def test_subdivision_labels_and_chains():
         sub.chain_from(("0", "1"), "2")
 
 
+def test_subdivision_answers_from_labels_match_derived():
+    # size, membership and overlap are read off the labels without
+    # building the derived graph; the derived graph is the reference
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("x", "(a,b)#7")])
+    subs = [
+        subdivide(g, {("a", "b"): 3, ("c", "d"): 1}),
+        subdivide(g, {("a", "b"): 2, ("b", "c"): 4}),
+        subdivide(Graph.from_edges([("a", "b"), ("b", "z")]), {("a", "b"): 5}),
+        subdivide(Graph.from_edges([("d", "e")]), {("d", "e"): 2}),
+    ]
+    for sub in subs:
+        vs = set(sub.derived.vertices)
+        assert sub.n == len(vs)
+        assert all(v in sub for v in vs)
+        for v in ("(a,b)#0", "(a,b)#01", "(a,b)#9", "(a,b)#", "(b,a)#1", "q"):
+            assert (v in sub) == (v in vs)
+        for other in subs:
+            assert sub.shared_vertices(other) == vs & set(other.derived.vertices)
+    with pytest.raises(InputError, match="label collision"):
+        subdivide(g, {("a", "b"): 7})
+
+
 def test_subdivision_zero_counts_dropped():
     sub = subdivide(path_graph(2), {("0", "1"): 0})
     assert sub.counts == {}

@@ -1,7 +1,13 @@
 """Synthesis of aligned searches on subdivisions."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import zvsearch
+import zvsearch.synth as synth_module
 from zvsearch.errors import InputError
 from zvsearch.game import check_aligned_search, is_aligned, is_successful, simulate
 from zvsearch.graphs import (
@@ -11,6 +17,7 @@ from zvsearch.graphs import (
     complete_graph,
     cycle_graph,
     edge_key,
+    generate,
     grid_graph,
     path_graph,
     subdivision_label,
@@ -117,6 +124,7 @@ def test_series_amalgamation_concatenates():
     assert out.search == tuple(b0.search) + tuple(b1.search)
     assert out.stats["op"] == "series"
     assert out.floors_satisfied[edge_key("a", "c")] == 1
+    assert_sound(out)
 
 
 def test_series_amalgamation_needs_chained_alignment():
@@ -268,6 +276,79 @@ def test_synthesize_honors_floors_on_cycle():
     bundle = synthesize(c.tree.terminal_graph(), c.tree, {e: 9})
     assert bundle.host.count(e) >= 9
     assert_sound(bundle)
+
+
+@pytest.mark.parametrize("spec", ["path:8", "cycle:5"])
+def test_synthesize_checks_once(monkeypatch, spec):
+    c = classify_topological_3(generate(spec))
+    checked = []
+    built = {}
+    real_derived = SubdividedGraph.derived.fget
+
+    def counting_check(g, *args, **kwargs):
+        checked.append(g)
+        return check_aligned_search(g, *args, **kwargs)
+
+    def counting_derived(host):
+        g = real_derived(host)
+        built[id(g)] = g
+        return g
+
+    monkeypatch.setattr(synth_module, "check_aligned_search", counting_check)
+    monkeypatch.setattr(SubdividedGraph, "derived", property(counting_derived))
+    bundle = synthesize(c.tree.terminal_graph(), c.tree)
+    assert len(checked) == 1 and len(built) == 1
+    assert checked[0] is bundle.host.derived
+
+
+# Run under python -O, where asserts are stripped: a broken amalgamation
+# must still be caught by the final check. "drop" loses the last step of
+# every inward ball sweep; "stray" adds a vertex the host does not have,
+# which the checker rejects with an InputError that must surface as the
+# internal error, not as a bad-input answer.
+SABOTAGE = """
+import sys
+
+import zvsearch.synth as synth
+from zvsearch.graphs import generate
+from zvsearch.gsp import classify_topological_3
+
+spec, how = sys.argv[1:]
+real = synth.clear_ball_inward
+
+
+def clear_ball_inward(*args):
+    steps = real(*args)
+    if how == "drop":
+        return steps[:-1]
+    return (steps[0] | {"stray"},) + steps[1:]
+
+
+synth.clear_ball_inward = clear_ball_inward
+c = classify_topological_3(generate(spec))
+try:
+    synth.synthesize(c.tree.terminal_graph(), c.tree)
+except AssertionError as ex:
+    print("refused:", ex)
+else:
+    print("accepted")
+"""
+
+
+@pytest.mark.parametrize("spec", ["path:6", "cycle:5"])
+@pytest.mark.parametrize("how", ["drop", "stray"])
+def test_sabotaged_synthesis_is_refused_under_O(spec, how):
+    root = os.path.dirname(os.path.dirname(zvsearch.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SABOTAGE, spec, how],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: bundle failed verification"), proc.stdout
 
 
 def test_bundle_record_round_trip():
