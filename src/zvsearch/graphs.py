@@ -10,7 +10,6 @@ Edges are stored as sorted 2-tuples (u, v) with u < v.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -437,9 +436,6 @@ def separating_bridges(g, a, b):
 # subdivisions
 
 
-_SUBDIV_RE = re.compile(r"^\((.+),(.+)\)#(\d+)$")
-
-
 def subdivision_label(edge, i):
     u, v = edge
     return f"({u},{v})#{i}"
@@ -469,11 +465,15 @@ class SubdividedGraph:
                 norm[e] = int(c)
         self.base = base
         self.counts = norm
-        # label prefix "(u,v)" -> highest index in use
+        # label prefix "(u,v)" -> highest index in use; commas inside
+        # vertex names can give two edges one prefix, ("x,y","z") and
+        # ("x","y,z") both "(x,y,z)", and their chains would fuse
         self._tops = {}
         for (u, v), c in norm.items():
             head = f"({u},{v})"
-            self._tops[head] = max(self._tops.get(head, 0), c)
+            if head in self._tops:
+                raise InputError(f"label collision: {head!r}")
+            self._tops[head] = c
         for x in base.vertices:
             if self._is_interior(x):
                 raise InputError(f"label collision: {x!r}")

@@ -11,6 +11,15 @@ Three engines live here:
   * a subset DP for vertex separation, which equals pathwidth and hands
     us monotonic inspection numbers with a bag-sequence witness.
 
+The first two are one breadth-first closure (_closure) over one batched
+round map. A state's picks are enumerated in itertools.combinations
+order and mapped a fixed-size chunk at a time as numpy mask arrays:
+N(outside) comes from per-byte neighbourhood tables, one gather per
+byte of the mask instead of a loop over vertices, and each chunk's
+distinct clean sets are handled in the order of their first picks. That
+keeps the BFS order, the witnesses and the explored-state counts of the
+pick-by-pick loop, which the tests keep as the reference.
+
 Plus the boundary-gap certificate: a size i such that no set of size
 strictly between i-k and i has boundary below k. No width-k search can
 grow its protected set past that gap, so finding one proves the
@@ -26,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -35,6 +44,11 @@ from .game import is_monotonic, is_successful, simulate
 from .graphs import boundary
 
 _MASK_CAP = 22  # 2^22 numpy table is ~4M entries; beyond that, refuse
+
+# Picks per batch of the round map: enough rows to amortise numpy's
+# per-call cost, few enough that a state's temporaries stay under a few
+# MB whatever n and k are.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -84,17 +98,29 @@ class BoundaryGapCertificate:
         return {"k": self.k, "i": self.i, "profile": sorted(self.profile)}
 
 
-def _clean_after(nbr, full, protected):
-    """Clean set after one round with the given protected set."""
-    clean = protected
-    outside = full & ~protected
-    rem = protected
-    while rem:
-        low = rem & -rem
-        if nbr[low.bit_length() - 1] & outside:
-            clean &= ~low
-        rem ^= low
-    return clean
+def _round_tables(nbr, n, dtype):
+    """Per-byte neighbourhood tables: tables[b][x] is the union of nbr[v]
+    over the vertices v = 8*b + t for the bits t set in x. Each table
+    doubles once per vertex of its byte, so the last one has 2^(n mod 8)
+    entries when n is not a multiple of 8."""
+    tables = []
+    for base in range(0, n, 8):
+        row = np.zeros(1, dtype=dtype)
+        for v in range(base, min(base + 8, n)):
+            row = np.concatenate((row, row | nbr[v]))
+        tables.append(row)
+    return tables
+
+
+def _round_map(protected, full, tables):
+    """Clean sets after one round, one per protected mask: a protected
+    vertex stays clean unless it has a neighbour outside the protected
+    set."""
+    outside = full ^ protected
+    reach = tables[0][(outside & 0xFF).astype(np.intp)]
+    for b in range(1, len(tables)):
+        reach |= tables[b][((outside >> 8 * b) & 0xFF).astype(np.intp)]
+    return protected & ~reach
 
 
 def _replay(parents, state):
@@ -115,6 +141,19 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
     (padding can overshoot into a state with no monotonic continuation)
     and must keep every visited state instead of a maximal antichain.
 
+    A state's picks are taken in itertools.combinations order, _CHUNK at
+    a time, as rows of a numpy index array, and mapped in one batch: OR
+    the pick bits into the state, then take N(outside) from the byte
+    tables, one gather per byte of the mask. The chunk's distinct clean
+    sets then go through the loop body of a pick-by-pick search (the
+    witness check, then the monotone, parent and antichain checks) in
+    the order of their first rows. A later row with the same clean set
+    is a no-op in that search: the set is already a parent, or it is
+    still dominated, since an archive member only ever leaves for a
+    superset. So the BFS order, the witnesses and the count of expanded
+    states are those of the pick-by-pick search. Masks are uint64 up to
+    64 vertices and Python ints in an object array above that.
+
     Returns (steps or None, states expanded).
     """
     _, nbr, full = g.masks()
@@ -126,6 +165,9 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
     if k >= g.n:
         return [frozenset(g.vertices)], 1
 
+    dtype = np.uint64 if g.n <= 64 else object
+    bits = np.array([1 << i for i in range(g.n)], dtype=dtype)
+    tables = _round_tables(nbr, g.n, dtype)
     vs = g.vertices
     parents = {start: None}
     frontier = deque([start])
@@ -144,25 +186,38 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
         top = min(k, len(dirty))
         sizes = range(1, top + 1) if monotone else (top,)
         for j in sizes:
-            for pick in combinations(dirty, j):
-                protected = state
-                for i in pick:
-                    protected |= 1 << i
-                nxt = _clean_after(nbr, full, protected)
-                if nxt == full:
-                    parents[nxt] = (state, frozenset(vs[i] for i in pick))
-                    return _replay(parents, nxt), expanded
-                if monotone and (nxt & state != state or nxt == state):
-                    continue
-                if nxt in parents:
-                    continue
-                if prune and not monotone:
-                    if any(other | nxt == other for other in archive):
+            combos = combinations(dirty, j)
+            more = True
+            while more:
+                flat = np.fromiter(
+                    chain.from_iterable(islice(combos, _CHUNK)), dtype=np.intp
+                )
+                more = flat.size == _CHUNK * j
+                picks = flat.reshape(-1, j)
+                protected = np.bitwise_or.reduce(bits[picks], axis=1) | state
+                first = {}
+                for row, nxt in enumerate(
+                    _round_map(protected, full, tables).tolist()
+                ):
+                    if nxt not in first:
+                        first[nxt] = row
+                for nxt, row in first.items():
+                    if nxt == full:
+                        pick = picks[row].tolist()
+                        parents[nxt] = (state, frozenset(vs[i] for i in pick))
+                        return _replay(parents, nxt), expanded
+                    if monotone and (nxt & state != state or nxt == state):
                         continue
-                    archive[:] = [o for o in archive if o | nxt != nxt]
-                    archive.append(nxt)
-                parents[nxt] = (state, frozenset(vs[i] for i in pick))
-                frontier.append(nxt)
+                    if nxt in parents:
+                        continue
+                    if prune and not monotone:
+                        if any(other | nxt == other for other in archive):
+                            continue
+                        archive[:] = [o for o in archive if o | nxt != nxt]
+                        archive.append(nxt)
+                    pick = picks[row].tolist()
+                    parents[nxt] = (state, frozenset(vs[i] for i in pick))
+                    frontier.append(nxt)
     return None, expanded
 
 
@@ -357,13 +412,16 @@ def monotonic_inspection_number(g, mask_cap=_MASK_CAP):
 
     Equals pathwidth + 1; the bag sequence of an optimal decomposition,
     searched in order, is a monotonic search of that width. The witness
-    is simulated before returning, as a cheap self-check.
+    is simulated before returning, as a cheap self-check that raises
+    AssertionError, under python -O too. No clean-set state is explored,
+    so explored_states is 0.
     """
     width, decomp = pathwidth(g, mask_cap=mask_cap)
     steps = tuple(decomp.bags)
     trace = simulate(g, steps)
-    assert is_successful(trace) and is_monotonic(trace), "bag sweep failed"
-    return SolveResult(width + 1, steps, 1 << g.n, "pathwidth + 1")
+    if not (is_successful(trace) and is_monotonic(trace)):
+        raise AssertionError("bag sweep failed")
+    return SolveResult(width + 1, steps, 0, "pathwidth + 1")
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,15 @@ def test_subdivision_answers_from_labels_match_derived():
         subdivide(g, {("a", "b"): 7})
 
 
+def test_subdivision_refuses_edges_with_one_label_head():
+    # commas in names: both chains would be labelled "(x,y,z)#i"
+    g = Graph.from_edges([("x,y", "z"), ("x", "y,z")])
+    with pytest.raises(InputError, match=r"label collision: '\(x,y,z\)'"):
+        subdivide(g, {("x,y", "z"): 1, ("x", "y,z"): 1})
+    sub = subdivide(g, {("x,y", "z"): 1, ("x", "y,z"): 0})
+    assert sub.n == sub.derived.n == 5
+
+
 def test_subdivision_zero_counts_dropped():
     sub = subdivide(path_graph(2), {("0", "1"): 0})
     assert sub.counts == {}

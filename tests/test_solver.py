@@ -6,11 +6,18 @@ with nothing.
 """
 
 import itertools
+import math
+import os
+import subprocess
+import sys
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zvsearch
+from zvsearch import solver
 from zvsearch.errors import InputError, ResourceLimitError
 from zvsearch.game import is_monotonic, is_successful, search_width, simulate
 from zvsearch.graphs import (
@@ -23,6 +30,7 @@ from zvsearch.graphs import (
     path_graph,
 )
 from zvsearch.solver import (
+    _closure,
     boundary_gap_certificate,
     boundary_profile,
     exists_monotonic_search,
@@ -45,6 +53,72 @@ def brute_profile(g, k):
             if len(boundary(g, set(combo))) < k:
                 sizes.add(r)
     return frozenset(sizes)
+
+
+def _clean_after(nbr, full, protected):
+    """Clean set after one round with the given protected set."""
+    clean = protected
+    outside = full & ~protected
+    rem = protected
+    while rem:
+        low = rem & -rem
+        if nbr[low.bit_length() - 1] & outside:
+            clean &= ~low
+        rem ^= low
+    return clean
+
+
+def reference_closure(g, k, clean_start, prune, monotone):
+    """The clean-set closure one pick at a time: the oracle for the
+    batched round map in solver._closure. Returns (steps or None,
+    states expanded), with no state budget."""
+    _, nbr, full = g.masks()
+    start = g.to_mask(clean_start)
+    if start == full:
+        return [], 0
+    if k == 0:
+        return None, 0
+    if k >= g.n:
+        return [frozenset(g.vertices)], 1
+    vs = g.vertices
+    parents = {start: None}
+    frontier = deque([start])
+    archive = [start]
+    expanded = 0
+    while frontier:
+        state = frontier.popleft()
+        expanded += 1
+        dirty = [i for i in range(g.n) if not state >> i & 1]
+        top = min(k, len(dirty))
+        sizes = range(1, top + 1) if monotone else (top,)
+        for j in sizes:
+            for pick in itertools.combinations(dirty, j):
+                protected = state
+                for i in pick:
+                    protected |= 1 << i
+                nxt = _clean_after(nbr, full, protected)
+                if nxt == full:
+                    parents[nxt] = (state, frozenset(vs[i] for i in pick))
+                    return solver._replay(parents, nxt), expanded
+                if monotone and (nxt & state != state or nxt == state):
+                    continue
+                if nxt in parents:
+                    continue
+                if prune and not monotone:
+                    if any(other | nxt == other for other in archive):
+                        continue
+                    archive[:] = [o for o in archive if o | nxt != nxt]
+                    archive.append(nxt)
+                parents[nxt] = (state, frozenset(vs[i] for i in pick))
+                frontier.append(nxt)
+    return None, expanded
+
+
+def assert_matches_reference(g, k, clean_start=(), prune=True, monotone=False):
+    got = _closure(g, k, clean_start, 10**9, prune, monotone)
+    assert got == reference_closure(g, k, clean_start, prune, monotone), (
+        sorted(g.edges()), k, sorted(clean_start), prune, monotone)
+    return got
 
 
 def test_single_vertex():
@@ -198,3 +272,105 @@ def test_certificate_sound_on_feasible_pairs(rng):
         val = inspection_number(g).value
         for k in range(val, g.n + 1):
             assert boundary_gap_certificate(g, k) is None, (sorted(g.edges()), k)
+
+
+# ---------------------------------------------------------------------------
+# the batched round map against the pick-by-pick reference
+
+
+@pytest.mark.parametrize("mode", ["prune", "exhaustive", "monotone"])
+def test_closure_matches_reference(rng, mode):
+    """Same witness and same count of expanded states as the reference."""
+    for _ in range(30):
+        g = random_connected(rng.randint(3, 10), rng)
+        for k in range(1, 5):
+            assert_matches_reference(
+                g, k, prune=mode == "prune", monotone=mode == "monotone"
+            )
+
+
+def test_closure_matches_reference_from_clean_start():
+    g = grid_graph(3, 4)
+    start = {g.vertices[0], g.vertices[5], g.vertices[6]}
+    for k in (2, 3, 4):
+        for monotone in (False, True):
+            assert_matches_reference(g, k, start, monotone=monotone)
+
+
+def test_closure_matches_reference_above_64_vertices():
+    """Past 64 vertices the masks are Python ints in object arrays. The
+    clean start leaves the dirty vertices on bits on both sides of 64."""
+    g = path_graph(70)
+    start = {str(i) for i in range(50)}
+    steps, explored = assert_matches_reference(g, 2, start)
+    assert explored == 172
+    assert is_successful(simulate(g, steps, clean_start=start))
+    assert assert_matches_reference(g, 2, start, monotone=True)[1] == 19
+    assert assert_matches_reference(g, 1, start) == (None, 1)
+
+
+def test_closure_matches_reference_across_chunks():
+    """A state with more picks than one chunk holds. {p} is clean after
+    any pick of both p and 9, the last two vertices in label order, so
+    the first chunk finds it and the second one meets it again."""
+    g = complete_graph(20)
+    g = Graph.from_edges(list(g.edges()) + [("9", "p")])
+    assert g.vertices[-2:] == ("9", "p")
+    assert math.comb(g.n, 5) > solver._CHUNK
+    assert assert_matches_reference(g, 5) == (None, 2)
+
+
+def test_small_chunks_match_reference(rng, monkeypatch):
+    """Chunks of a few rows put duplicates and dominated clean sets on
+    every side of a chunk boundary."""
+    monkeypatch.setattr(solver, "_CHUNK", 5)
+    for _ in range(8):
+        g = random_connected(rng.randint(5, 9), rng)
+        for k in (2, 3):
+            for mode in ("prune", "exhaustive", "monotone"):
+                assert_matches_reference(
+                    g, k, prune=mode == "prune", monotone=mode == "monotone"
+                )
+
+
+# Run under python -O, where asserts are stripped: a decomposition that
+# loses its last bag no longer sweeps the graph clean, and the self-check
+# of monotonic_inspection_number must still refuse it.
+SABOTAGE = """
+import zvsearch.solver as solver
+from zvsearch.graphs import cycle_graph
+
+real = solver.pathwidth
+
+
+def pathwidth(g, mask_cap):
+    width, decomp = real(g, mask_cap=mask_cap)
+    return width, solver.PathDecomposition(decomp.bags[:-1])
+
+
+solver.pathwidth = pathwidth
+try:
+    solver.monotonic_inspection_number(cycle_graph(5))
+except AssertionError as ex:
+    print("refused:", ex)
+else:
+    print("accepted")
+"""
+
+
+def test_sabotaged_bag_sweep_is_refused_under_O():
+    root = os.path.dirname(os.path.dirname(zvsearch.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SABOTAGE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: bag sweep failed"), proc.stdout
+
+
+def test_monotonic_inspection_explores_no_states():
+    assert monotonic_inspection_number(grid_graph(3, 3)).explored_states == 0
