@@ -202,10 +202,11 @@ def cmd_synth(args):
 
 def cmd_lowerbound(args):
     g, _ = _load_graph(args.graph)
-    cert = boundary_gap_certificate(g, args.k, mask_cap=args.mask_cap)
+    profile = boundary_profile(g, args.k, mask_cap=args.mask_cap)
+    cert = boundary_gap_certificate(g, args.k, profile=profile)
     doc = {
         "k": args.k,
-        "profile": sorted(boundary_profile(g, args.k, mask_cap=args.mask_cap)),
+        "profile": sorted(profile),
         "certificate": cert.to_record() if cert is not None else None,
     }
     _emit(doc)

@@ -20,6 +20,12 @@ distinct clean sets are handled in the order of their first picks. That
 keeps the BFS order, the witnesses and the explored-state counts of the
 pick-by-pick loop, which the tests keep as the reference.
 
+The subset DP reads two uint8 tables over all 2^n vertex sets: the
+popcount and the boundary size, which is the popcount less that of the
+set's clean part after one round with the set protected. So the tables
+come from the same per-byte neighbourhood tables and the same round map
+as the closure, filled one block of masks at a time.
+
 Plus the boundary-gap certificate: a size i such that no set of size
 strictly between i-k and i has boundary below k. No width-k search can
 grow its protected set past that gap, so finding one proves the
@@ -43,12 +49,18 @@ from .errors import InputError, ResourceLimitError
 from .game import is_monotonic, is_successful, simulate
 from .graphs import boundary
 
-_MASK_CAP = 22  # 2^22 numpy table is ~4M entries; beyond that, refuse
+# Largest n for the subset tables: three uint8 arrays of 2^n entries,
+# 3 bytes per subset, about 12 MB at n = 22; beyond that, refuse.
+_MASK_CAP = 22
 
 # Picks per batch of the round map: enough rows to amortise numpy's
 # per-call cost, few enough that a state's temporaries stay under a few
 # MB whatever n and k are.
 _CHUNK = 1 << 14
+
+# Masks per block of the subset tables: their uint32/intp temporaries
+# stay around a MB, whatever n is.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -312,9 +324,28 @@ def exists_monotonic_search(g, k, clean_start=(), state_budget=400_000):
 # pathwidth via vertex separation
 
 
+def _subset_array(n, fill):
+    """One uint8 entry per subset of n vertices, all set to fill. numpy
+    refuses a size past its limits, or one the host cannot map, before
+    it writes anything: that is a blown budget, not a crash."""
+    try:
+        return np.full(1 << n, fill, dtype=np.uint8)
+    except (MemoryError, ValueError) as ex:
+        raise ResourceLimitError(
+            f"subset tables for n = {n} do not fit in memory "
+            f"(2^{n} bytes each: {ex})",
+            used=n,
+        ) from None
+
+
 def _mask_tables(g, mask_cap):
     """(popcount, boundary size) for every subset of a graph with at
-    most mask_cap vertices."""
+    most mask_cap vertices, as two uint8 arrays indexed by mask.
+
+    The boundary of a set is the part of it with a neighbour outside, so
+    it is the popcount minus that of the set's clean part after one round
+    with the set protected: the round map of the closure, on the same
+    byte tables, filled _BLOCK masks at a time."""
     n = g.n
     if n > mask_cap:
         raise ResourceLimitError(
@@ -322,35 +353,38 @@ def _mask_tables(g, mask_cap):
             budget=mask_cap,
             used=n,
         )
-    _, nbr, _ = g.masks()
-    masks = np.arange(1 << n, dtype=np.int64)
-    pc = np.zeros(1 << n, dtype=np.uint8)
-    bnd = np.zeros(1 << n, dtype=np.uint8)
-    for v in range(n):
-        inm = ((masks >> v) & 1).astype(bool)
-        pc += inm
-        if nbr[v]:
-            hasout = (masks | nbr[v]) != masks
-            bnd += inm & hasout
-    return masks, pc, bnd
+    _, nbr, full = g.masks()
+    pc = _subset_array(n, 0)
+    bnd = _subset_array(n, 0)
+    dtype = np.uint32 if n <= 32 else np.uint64
+    tables = _round_tables(nbr, n, dtype)
+    for lo in range(0, 1 << n, _BLOCK):
+        hi = min(lo + _BLOCK, 1 << n)
+        masks = np.arange(lo, hi, dtype=dtype)
+        count = np.bitwise_count(masks)
+        pc[lo:hi] = count
+        bnd[lo:hi] = count - np.bitwise_count(_round_map(masks, full, tables))
+    return pc, bnd
 
 
 def _vertex_separation(g, mask_cap):
-    """(separation number, layout) of a connected small graph."""
+    """(separation number, layout) of a connected small graph.
+
+    f[S] is the best separation of an ordering of S, filled one layer
+    of |S| at a time. f starts at 255, above any boundary, so the min
+    over v of f[S ^ (1 << v)] can take every v: for v outside S that is
+    a set of the next layer, which still holds 255."""
     n = g.n
     if n == 1:
         return 0, [g.vertices[0]]
-    masks, pc, bnd = _mask_tables(g, mask_cap)
-    f = np.zeros(1 << n, dtype=np.uint8)
+    pc, bnd = _mask_tables(g, mask_cap)
+    f = _subset_array(n, 255)
+    f[0] = 0
     for layer in range(1, n + 1):
         sel = np.nonzero(pc == layer)[0]
-        best = np.full(len(sel), 255, dtype=np.uint8)
-        for v in range(n):
-            has = ((sel >> v) & 1).astype(bool)
-            if not has.any():
-                continue
-            cand = f[sel[has] ^ (1 << v)]
-            best[has] = np.minimum(best[has], cand)
+        best = f[sel ^ 1]
+        for v in range(1, n):
+            np.minimum(best, f[sel ^ (1 << v)], out=best)
         f[sel] = np.maximum(best, bnd[sel])
 
     # rebuild a layout: peel the last vertex of an optimal ordering
@@ -434,12 +468,12 @@ def boundary_profile(g, k, mask_cap=_MASK_CAP):
         raise InputError("empty graph")
     if k < 0:
         raise InputError("k must be >= 0")
-    _, pc, bnd = _mask_tables(g, mask_cap)
+    pc, bnd = _mask_tables(g, mask_cap)
     hit = bnd < k
     return frozenset(int(i) for i in np.unique(pc[hit]))
 
 
-def boundary_gap_certificate(g, k, mask_cap=_MASK_CAP):
+def boundary_gap_certificate(g, k, mask_cap=_MASK_CAP, profile=None):
     """Smallest size i in [1, n] with no profile member strictly between
     i-k and i, or None.
 
@@ -447,8 +481,11 @@ def boundary_gap_certificate(g, k, mask_cap=_MASK_CAP):
     every intermediate clean set must keep boundary below k; a gap of k
     consecutive missing sizes under i is therefore unreachable. None
     means every i is witnessed, which proves nothing about in(G).
+    A caller that has boundary_profile(g, k) already passes it as
+    profile, and no subset table is built.
     """
-    profile = boundary_profile(g, k, mask_cap=mask_cap)
+    if profile is None:
+        profile = boundary_profile(g, k, mask_cap=mask_cap)
     for i in range(1, g.n + 1):
         if not any(i - k < c < i for c in profile):
             return BoundaryGapCertificate(k, i, profile)

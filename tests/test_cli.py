@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from zvsearch import solver
 from zvsearch.cli import main
 from zvsearch.graphs import cycle_graph, parse_edge_list, path_graph
 from zvsearch.solver import is_path_decomposition
@@ -185,6 +186,32 @@ def test_subset_budget_ends_with_its_call(capsys, monkeypatch):
     monkeypatch.delenv("ZVSEARCH_SUBSET_BUDGET")
     doc = run_json(capsys, "lowerbound", "cycle:6", "-k", "2")
     assert doc["certificate"] == {"k": 2, "i": 3, "profile": [0, 1, 6]}
+
+
+def test_subset_budget_past_numpy_limits(capsys, monkeypatch):
+    """2^70 entries is past what numpy can index: it refuses before it
+    allocates, and the run ends on a budget, not a traceback."""
+    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "100")
+    code, out, err = run(capsys, "lowerbound", "path:70", "-k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("resource limit: subset tables for n = 70")
+
+
+@pytest.mark.parametrize(
+    "spec, certified", [("cycle:6", True), ("path:4", False)]
+)
+def test_lowerbound_builds_tables_once(capsys, monkeypatch, spec, certified):
+    builds = []
+    real = solver._mask_tables
+
+    def counted(g, mask_cap):
+        builds.append(g.n)
+        return real(g, mask_cap)
+
+    monkeypatch.setattr(solver, "_mask_tables", counted)
+    doc = run_json(capsys, "lowerbound", spec, "-k", "2")
+    assert (doc["certificate"] is not None) == certified
+    assert builds == [int(spec.split(":")[1])]
 
 
 def test_flag_validation(capsys):

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,8 @@ from zvsearch.graphs import (
 )
 from zvsearch.solver import (
     _closure,
+    _mask_tables,
+    _vertex_separation,
     boundary_gap_certificate,
     boundary_profile,
     exists_monotonic_search,
@@ -374,3 +377,139 @@ def test_sabotaged_bag_sweep_is_refused_under_O():
 
 def test_monotonic_inspection_explores_no_states():
     assert monotonic_inspection_number(grid_graph(3, 3)).explored_states == 0
+
+
+# ---------------------------------------------------------------------------
+# the subset tables and the vertex-separation DP against the loops they
+# replaced
+
+
+def reference_mask_tables(g):
+    """(popcount, boundary size) of every subset, one int64 pass over all
+    masks per vertex: the oracle for solver._mask_tables."""
+    n = g.n
+    _, nbr, _ = g.masks()
+    masks = np.arange(1 << n, dtype=np.int64)
+    pc = np.zeros(1 << n, dtype=np.uint8)
+    bnd = np.zeros(1 << n, dtype=np.uint8)
+    for v in range(n):
+        inm = ((masks >> v) & 1).astype(bool)
+        pc += inm
+        if nbr[v]:
+            hasout = (masks | nbr[v]) != masks
+            bnd += inm & hasout
+    return pc, bnd
+
+
+def reference_vertex_separation(g):
+    """The DP that picks each layer's sets holding v with boolean masks:
+    the oracle for solver._vertex_separation."""
+    n = g.n
+    if n == 1:
+        return 0, [g.vertices[0]]
+    pc, bnd = reference_mask_tables(g)
+    f = np.zeros(1 << n, dtype=np.uint8)
+    for layer in range(1, n + 1):
+        sel = np.nonzero(pc == layer)[0]
+        best = np.full(len(sel), 255, dtype=np.uint8)
+        for v in range(n):
+            has = ((sel >> v) & 1).astype(bool)
+            if not has.any():
+                continue
+            cand = f[sel[has] ^ (1 << v)]
+            best[has] = np.minimum(best[has], cand)
+        f[sel] = np.maximum(best, bnd[sel])
+    layout = []
+    mask = (1 << n) - 1
+    while mask:
+        target = f[mask]
+        for v in range(n):
+            if mask >> v & 1 and f[mask ^ (1 << v)] <= target:
+                layout.append(g.vertices[v])
+                mask ^= 1 << v
+                break
+        else:
+            raise AssertionError("DP table is inconsistent")
+    layout.reverse()
+    return int(f[(1 << n) - 1]), layout
+
+
+def layout_separation(g, layout):
+    """Largest boundary over the prefixes of a vertex order."""
+    return max(len(boundary(g, set(layout[:i]))) for i in range(len(layout) + 1))
+
+
+def brute_vertex_separation(g):
+    """Min over all vertex orders of the max prefix boundary, n <= 7."""
+    return min(layout_separation(g, p) for p in itertools.permutations(g.vertices))
+
+
+def random_graph(n, rng):
+    """A graph on v0..v{n-1}, often disconnected, with isolated vertices."""
+    vs = [f"v{i}" for i in range(n)]
+    p = rng.uniform(0.5, 3.0) / n
+    edges = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1:] if rng.random() < p]
+    return Graph.from_edges(edges, vertices=vs)
+
+
+def assert_tables_match(g):
+    pc, bnd = _mask_tables(g, 22)
+    want_pc, want_bnd = reference_mask_tables(g)
+    assert pc.dtype == bnd.dtype == np.uint8
+    assert np.array_equal(pc, want_pc), sorted(g.edges())
+    assert np.array_equal(bnd, want_bnd), sorted(g.edges())
+
+
+def test_mask_tables_match_reference(rng):
+    """n 1-20: a last byte table that is not full for most n, and from
+    n = 17 on more than one block of masks."""
+    assert 1 << 17 > solver._BLOCK
+    for n in range(1, 21):
+        for _ in range(3 if n <= 12 else 1):
+            assert_tables_match(random_graph(n, rng))
+    assert_tables_match(complete_graph(12))
+    assert_tables_match(grid_graph(4, 5))
+
+
+def test_small_blocks_match_reference(rng, monkeypatch):
+    """Blocks of 3 masks end every table on a partial block."""
+    monkeypatch.setattr(solver, "_BLOCK", 3)
+    for n in range(1, 11):
+        assert_tables_match(random_graph(n, rng))
+
+
+def test_vertex_separation_matches_reference(rng):
+    for n in range(1, 21):
+        for _ in range(3 if n <= 12 else 1):
+            g = random_connected(n, rng) if n > 1 else path_graph(1)
+            assert _vertex_separation(g, 22) == reference_vertex_separation(g), (
+                sorted(g.edges()))
+    g = grid_graph(4, 5)
+    assert _vertex_separation(g, 22) == reference_vertex_separation(g)
+
+
+def test_pathwidth_matches_reference_on_disconnected(rng, monkeypatch):
+    """pathwidth lays out the components one after another; the bags of
+    the reference DP and of the new one must be the same."""
+    graphs = [random_graph(n, rng) for n in range(2, 19)]
+    graphs.append(Graph.from_edges(
+        list(cycle_graph(7).edges()) + [("a", "b"), ("b", "c")], vertices=["z"]))
+    assert sum(len(g.components()) > 1 for g in graphs) > len(graphs) // 2
+    got = [pathwidth(g) for g in graphs]
+    monkeypatch.setattr(
+        solver, "_vertex_separation", lambda g, cap: reference_vertex_separation(g)
+    )
+    for g, result in zip(graphs, got):
+        assert result == pathwidth(g), sorted(g.edges())
+
+
+def test_vertex_separation_matches_brute_force(rng):
+    graphs = [path_graph(1), cycle_graph(7), complete_graph(6), k4_subdivision_example()]
+    graphs += [random_connected(rng.randint(2, 7), rng) for _ in range(20)]
+    for g in graphs:
+        if g.n > 7:
+            continue
+        value, layout = _vertex_separation(g, 22)
+        assert value == brute_vertex_separation(g), sorted(g.edges())
+        assert sorted(layout) == list(g.vertices)
+        assert layout_separation(g, layout) == value
