@@ -58,8 +58,8 @@ _MASK_CAP = 22
 # MB whatever n and k are.
 _CHUNK = 1 << 14
 
-# Masks per block of the subset tables: their uint32/intp temporaries
-# stay around a MB, whatever n is.
+# Masks per block of the subset tables: their uint64/intp temporaries
+# stay around half a MB, whatever n is.
 _BLOCK = 1 << 16
 
 
@@ -324,12 +324,12 @@ def exists_monotonic_search(g, k, clean_start=(), state_budget=400_000):
 # pathwidth via vertex separation
 
 
-def _subset_array(n, fill):
-    """One uint8 entry per subset of n vertices, all set to fill. numpy
-    refuses a size past its limits, or one the host cannot map, before
-    it writes anything: that is a blown budget, not a crash."""
+def _subset_array(n):
+    """One uninitialised uint8 entry per subset of n vertices. A size
+    numpy refuses up front, past its limits or more than the host will
+    map, is a blown budget, not a crash."""
     try:
-        return np.full(1 << n, fill, dtype=np.uint8)
+        return np.empty(1 << n, dtype=np.uint8)
     except (MemoryError, ValueError) as ex:
         raise ResourceLimitError(
             f"subset tables for n = {n} do not fit in memory "
@@ -354,13 +354,12 @@ def _mask_tables(g, mask_cap):
             used=n,
         )
     _, nbr, full = g.masks()
-    pc = _subset_array(n, 0)
-    bnd = _subset_array(n, 0)
-    dtype = np.uint32 if n <= 32 else np.uint64
-    tables = _round_tables(nbr, n, dtype)
+    pc = _subset_array(n)
+    bnd = _subset_array(n)
+    tables = _round_tables(nbr, n, np.uint64)
     for lo in range(0, 1 << n, _BLOCK):
         hi = min(lo + _BLOCK, 1 << n)
-        masks = np.arange(lo, hi, dtype=dtype)
+        masks = np.arange(lo, hi, dtype=np.uint64)
         count = np.bitwise_count(masks)
         pc[lo:hi] = count
         bnd[lo:hi] = count - np.bitwise_count(_round_map(masks, full, tables))
@@ -378,7 +377,8 @@ def _vertex_separation(g, mask_cap):
     if n == 1:
         return 0, [g.vertices[0]]
     pc, bnd = _mask_tables(g, mask_cap)
-    f = _subset_array(n, 255)
+    f = _subset_array(n)
+    f.fill(255)
     f[0] = 0
     for layer in range(1, n + 1):
         sel = np.nonzero(pc == layer)[0]
