@@ -92,8 +92,45 @@ def _load_steps(text):
     return tuple(steps)
 
 
+_NESTED = (dict, list, tuple)
+_scalar = json.JSONEncoder().encode
+
+
 def _emit(doc):
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+    """Print doc as json.dump(doc, indent=2, sort_keys=True) would.
+
+    The document is walked on an explicit stack: a decomposition tree
+    nests as deep as its graph is long, past the recursion limit that
+    json's own encoder runs into. A list of scalars, such as one step
+    of a search, is written in one piece.
+    """
+    stack = [(doc, "\n")]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            sys.stdout.write(top)
+            continue
+        value, pad = top
+        if not isinstance(value, _NESTED) or not value:
+            sys.stdout.write(_scalar(value))
+            continue
+        ends, heads = "[]", [""] * len(value)
+        if isinstance(value, dict):
+            ends, heads = "{}", [_scalar(k) + ": " for k in sorted(value)]
+            value = [value[k] for k in sorted(value)]
+        inner = pad + "  "
+        parts = [ends[0]]
+        for i, (head, v) in enumerate(zip(heads, value)):
+            parts.append(("," if i else "") + inner + head)
+            if isinstance(v, (list, tuple)) and v and not any(
+                isinstance(x, _NESTED) for x in v
+            ):
+                deeper = inner + "  "
+                body = ("," + deeper).join(map(_scalar, v))
+                parts.append("[" + deeper + body + inner + "]")
+            else:
+                parts.append((v, inner))
+        stack.extend(reversed(parts + [pad + ends[1]]))
     sys.stdout.write("\n")
 
 

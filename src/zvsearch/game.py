@@ -211,12 +211,6 @@ def core_classes(eq, xs):
     return frozenset(eq.label(c) for c in eq.classes if c <= xs)
 
 
-def hull_classes(eq, xs):
-    """Labels of the classes meeting xs (quotient-side invariant_hull)."""
-    xs = frozenset(xs)
-    return frozenset(eq.label(c) for c in eq.classes if c & xs)
-
-
 def push_search(steps, eq):
     """Image of a search in the quotient: step t maps to the classes it
     meets. Total on arbitrary searches; for invariant ones this is the

@@ -10,15 +10,18 @@ that do can be searched with three pursuers after subdivision, and
 graphs that cannot embed one of the forbidden patterns in
 `zvsearch.forbidden`, which the classifier extracts as a witness.
 
-Complexity of a subtree counts its terminal-to-terminal bipaths:
-bridged series nodes and single edges contribute nothing, a parallel
-node adds up its children, and a branch node inherits from the child
-that keeps both terminals. "Simple" means every subtree has complexity
-at most one.
+A tree stores no graphs: node() checks only terminals, and `recompose`
+derives a subtree's graph on demand, checking the overlap rule.
+Complexity counts a subtree's terminal-to-terminal bipaths and is set
+from the children when a node is built: a leaf is bridged (a bridge
+separates its terminals) and counts 0, a series node is bridged when
+either child is and counts 0 if so and 1 if not, a parallel node is
+never bridged and adds up its children, and a branch node copies the
+child that keeps both terminals. "Simple" means every subtree has
+complexity at most one.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InputError
 from .forbidden import (
@@ -36,7 +39,6 @@ from .graphs import (
     block_cut_forest,
     edge_key,
     internally_disjoint_paths,
-    is_bridged as _bridged_between,
     subdivision_label,
     two_disjoint_paths,
 )
@@ -67,8 +69,28 @@ class TerminalGraph:
     def terminals(self):
         return (self.a, self.b)
 
-    def swapped(self):
-        return TerminalGraph(self.graph, self.b, self.a)
+
+def _glue(op, first, second):
+    """The terminal rule of composition, on terminal pairs alone.
+
+    Returns the terminals of the result and the set of vertices the two
+    parts must share, which _union checks wherever graphs are glued.
+    """
+    if op not in OPS:
+        raise InputError(f"unknown composition {op!r} (have {OPS})")
+    if op == "parallel":
+        if first != second:
+            raise InputError(
+                "parallel composition needs identical ordered terminals "
+                f"(got {first} and {second})"
+            )
+        return first, set(first)
+    glue = first[0] if op == "branch" else first[1]
+    if second[0] != glue:
+        raise InputError(
+            f"{op} composition needs second.a == {glue!r} (got {second[0]!r})"
+        )
+    return ((first[0], second[1]) if op == "series" else first), {glue}
 
 
 def compose(op, first, second):
@@ -82,58 +104,64 @@ def compose(op, first, second):
     The graphs may only share the glued vertices; anything else is an
     InputError naming the violated clause.
     """
-    if op not in OPS:
-        raise InputError(f"unknown composition {op!r} (have {OPS})")
-    shared = set(first.graph.vertices) & set(second.graph.vertices)
-    if op == "series":
-        if first.b != second.a:
-            raise InputError(
-                "series composition needs first.b == second.a "
-                f"(got {first.b!r} and {second.a!r})"
-            )
-        if shared != {first.b}:
-            raise InputError(
-                "series composition allows overlap only at the glued terminal"
-            )
-        return TerminalGraph(first.graph.union(second.graph), first.a, second.b)
-    if op == "parallel":
-        if first.terminals != second.terminals:
-            raise InputError(
-                "parallel composition needs identical ordered terminals "
-                f"(got {first.terminals} and {second.terminals})"
-            )
-        if shared != {first.a, first.b}:
-            raise InputError(
-                "parallel composition allows overlap only at the terminals"
-            )
-        return TerminalGraph(first.graph.union(second.graph), first.a, first.b)
-    glue = first.a if op == "branch" else first.b
-    if second.a != glue:
-        raise InputError(
-            f"{op} composition needs second.a == {glue!r} (got {second.a!r})"
-        )
-    if shared != {glue}:
-        raise InputError(f"{op} composition allows overlap only at {glue!r}")
-    return TerminalGraph(first.graph.union(second.graph), first.a, first.b)
+    terminals, glued = _glue(op, first.terminals, second.terminals)
+    adj = _union(op, glued, _thaw(first.graph), _thaw(second.graph))
+    return TerminalGraph(_freeze(adj), *terminals)
+
+
+def _union(op, glued, first, second):
+    # The overlap rule of composition, on adjacency maps (vertex -> set of
+    # neighbours) that may share only the glued vertices. The larger map
+    # absorbs the smaller, so folding a whole tree costs O(n log n).
+    small, big = sorted((first, second), key=len)
+    if {v for v in small if v in big} != glued:
+        raise InputError(f"{op} composition allows overlap only at {sorted(glued)}")
+    for v, ns in small.items():
+        big.setdefault(v, set()).update(ns)
+    return big
+
+
+def _thaw(g):
+    return {v: set(g.neighbors(v)) for v in g.vertices}
+
+
+def _freeze(adj):
+    return Graph({v: frozenset(ns) for v, ns in adj.items()})
 
 
 # ---------------------------------------------------------------------------
 # decomposition trees
 
 
-@dataclass(frozen=True)
 class GspTree:
     """One node of a decomposition: an operator or a single-edge leaf.
 
-    The stored graph is always the recomposition of the subtree, which
-    node() guarantees by construction and recompose() re-checks.
+    A node stores its operator, terminals and children. `bridged`,
+    `complexity` and `simple` follow from the children's in O(1) when
+    the node is built; `graph`, the recomposition of the subtree, is
+    derived on first access.
     """
 
-    op: str
-    graph: Graph
-    a: str
-    b: str
-    children: tuple = ()
+    __slots__ = ("op", "a", "b", "children", "bridged", "complexity", "simple",
+                 "_graph")
+
+    def __init__(self, op, a, b, children=()):
+        if a == b:
+            raise InputError("terminals must be distinct")
+        self.op, self.a, self.b, self.children = op, a, b, tuple(children)
+        self._graph = None
+        if op == "leaf":
+            self.bridged, self.complexity, self.simple = True, 0, True
+            return
+        c0, c1 = children
+        if op == "series":
+            self.bridged = c0.bridged or c1.bridged
+            self.complexity = 0 if self.bridged else 1
+        elif op == "parallel":
+            self.bridged, self.complexity = False, c0.complexity + c1.complexity
+        else:
+            self.bridged, self.complexity = c0.bridged, c0.complexity
+        self.simple = self.complexity <= 1 and c0.simple and c1.simple
 
     @property
     def terminals(self):
@@ -143,73 +171,100 @@ class GspTree:
     def is_leaf(self):
         return self.op == "leaf"
 
+    @property
+    def graph(self):
+        """The recomposed graph of the subtree, derived on first access."""
+        return recompose(self) if self._graph is None else self._graph
+
     def terminal_graph(self):
         return TerminalGraph(self.graph, self.a, self.b)
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            yield t
+            stack.extend(reversed(t.children))
 
 
 def leaf(u, v):
-    if u == v:
-        raise InputError("a leaf joins two distinct vertices")
-    return GspTree("leaf", Graph.from_edges([(u, v)]), u, v)
+    return GspTree("leaf", u, v)
 
 
 def node(op, child0, child1):
-    tg = compose(op, child0.terminal_graph(), child1.terminal_graph())
-    return GspTree(op, tg.graph, tg.a, tg.b, (child0, child1))
+    terminals, _ = _glue(op, child0.terminals, child1.terminals)
+    return GspTree(op, *terminals, (child0, child1))
+
+
+def _bottom_up(root, kids, combine):
+    # Post-order evaluation without recursion, for trees that nest as
+    # deep as a graph is long: combine(t, values) gets the values of
+    # kids(t), in order. Reversed, this preorder finishes each child's
+    # subtree before the next child's, so the values form a stack.
+    order, stack = [], [root]
+    while stack:
+        order.append(stack.pop())
+        stack.extend(kids(order[-1]))
+    values = []
+    for t in reversed(order):
+        cut = len(values) - len(kids(t))
+        values[cut:] = [combine(t, values[cut:])]
+    return values[0]
 
 
 def recompose(tree):
-    """Fold the tree bottom-up and confirm every stored graph agrees.
+    """Fold the tree bottom-up into its graph, which it returns and keeps.
 
-    Returns the root graph. Hand-built trees with inconsistent stored
-    graphs raise InputError; anything produced by node() passes.
+    This is where the overlap rule is checked: children that share more
+    than their glued vertices raise InputError.
     """
-    if tree.is_leaf:
-        want = Graph.from_edges([(tree.a, tree.b)])
-        if tree.graph != want:
-            raise InputError("leaf graph is not the single terminal edge")
-        return tree.graph
-    parts = [
-        TerminalGraph(recompose(c), c.a, c.b) for c in tree.children
-    ]
-    tg = compose(tree.op, *parts)
-    if tg.graph != tree.graph or tg.terminals != tree.terminals:
-        raise InputError(f"stored graph disagrees with recomposition at {tree.op}")
-    return tree.graph
+
+    def combine(t, parts):
+        if t.is_leaf:
+            return {t.a: {t.b}, t.b: {t.a}}
+        _, glued = _glue(t.op, *(c.terminals for c in t.children))
+        return _union(t.op, glued, *parts)
+
+    tree._graph = _freeze(_bottom_up(tree, lambda t: t.children, combine))
+    return tree._graph
 
 
 def tree_to_record(tree):
-    if tree.is_leaf:
-        return {"op": "leaf", "terminals": list(tree.terminals)}
-    return {
-        "op": tree.op,
-        "terminals": list(tree.terminals),
-        "children": [tree_to_record(c) for c in tree.children],
-    }
+    def combine(t, kids):
+        rec = {"op": t.op, "terminals": list(t.terminals)}
+        if kids:
+            rec["children"] = kids
+        return rec
+
+    return _bottom_up(tree, lambda t: t.children, combine)
 
 
 def tree_from_record(record):
-    try:
-        op = record["op"]
-        terminals = tuple(record["terminals"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed tree record: {exc}") from None
-    if op == "leaf":
-        return leaf(*terminals)
-    kids = record.get("children")
-    if not isinstance(kids, list) or len(kids) != 2:
-        raise InputError("an operator node needs exactly two children")
-    out = node(op, tree_from_record(kids[0]), tree_from_record(kids[1]))
-    if out.terminals != terminals:
-        raise InputError(
-            f"recorded terminals {terminals} disagree with recomposition "
-            f"{out.terminals}"
-        )
+    """Rebuild a tree from its record: terminals are checked at every
+    node, and the overlap rule by deriving the graph once."""
+
+    def parts(rec):
+        try:
+            op, (a, b) = rec["op"], rec["terminals"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed tree record: {exc}") from None
+        kids = () if op == "leaf" else rec.get("children")
+        if op != "leaf" and (not isinstance(kids, list) or len(kids) != 2):
+            raise InputError("an operator node needs exactly two children")
+        return op, (a, b), kids
+
+    def combine(rec, kids):
+        op, terminals, _ = parts(rec)
+        out = leaf(*terminals) if op == "leaf" else node(op, *kids)
+        if out.terminals != terminals:
+            raise InputError(
+                f"recorded terminals {terminals} disagree with recomposition "
+                f"{out.terminals}"
+            )
+        return out
+
+    out = _bottom_up(record, lambda rec: parts(rec)[2], combine)
+    recompose(out)
     return out
 
 
@@ -217,22 +272,8 @@ def tree_from_record(record):
 # complexity
 
 
-def is_bridged(tg):
-    """Whether every terminal-to-terminal route crosses some bridge."""
-    return _bridged_between(tg.graph, tg.a, tg.b)
-
-
-@lru_cache(maxsize=16384)
-def _node_complexity(tree):
-    if tree.op in ("leaf", "series"):
-        return 0 if _bridged_between(tree.graph, tree.a, tree.b) else 1
-    if tree.op == "parallel":
-        return sum(_node_complexity(c) for c in tree.children)
-    return _node_complexity(tree.children[0])
-
-
 def is_simple(tree):
-    return all(_node_complexity(s) <= 1 for s in tree.walk())
+    return tree.simple
 
 
 @dataclass(frozen=True)
@@ -246,38 +287,38 @@ class ComplexityReport:
 
 def complexity(tree):
     rows = []
-    simple = True
     stack = [((), tree)]
     while stack:
         path, t = stack.pop()
-        value = _node_complexity(t)
-        simple = simple and value <= 1
-        rows.append((path, t.op, value, _bridged_between(t.graph, t.a, t.b)))
-        for i, c in enumerate(reversed(t.children)):
-            stack.append((path + (len(t.children) - 1 - i,), c))
+        rows.append((path, t.op, t.complexity, t.bridged))
+        stack.extend((path + (i,), c) for i, c in enumerate(t.children))
     rows.sort(key=lambda r: r[0])
-    return ComplexityReport(_node_complexity(tree), simple, tuple(rows))
+    return ComplexityReport(tree.complexity, tree.simple, tuple(rows))
 
 
 def _invert(tree):
     # Total inversion, used internally on trees of any complexity. The
     # branch tags swap because the hanging child keeps its orientation
     # while the spine's terminals reverse.
-    if tree.is_leaf:
-        return GspTree("leaf", tree.graph, tree.b, tree.a)
-    c0, c1 = tree.children
-    if tree.op == "series":
-        return node("series", _invert(c1), _invert(c0))
-    if tree.op == "parallel":
-        return node("parallel", _invert(c0), _invert(c1))
-    if tree.op == "branch":
-        return node("branch_alt", _invert(c0), c1)
-    return node("branch", _invert(c0), c1)
+    def kids(t):
+        return t.children if t.op in ("series", "parallel") else t.children[:1]
+
+    def combine(t, inv):
+        if t.is_leaf:
+            return leaf(t.b, t.a)
+        if t.op == "series":
+            return node("series", inv[1], inv[0])
+        if t.op == "parallel":
+            return node("parallel", *inv)
+        swapped = "branch_alt" if t.op == "branch" else "branch"
+        return node(swapped, inv[0], t.children[1])
+
+    return _bottom_up(tree, kids, combine)
 
 
 def invert(tree):
     """The same decomposition read from the other terminal."""
-    if not is_simple(tree):
+    if not tree.simple:
         raise InputError("inversion is defined for simple decompositions")
     return _invert(tree)
 
@@ -299,23 +340,20 @@ def subdivide_decomposition(tree, counts):
         if c:
             norm[k] = int(c)
 
-    def rebuild(t):
-        if t.is_leaf:
-            e = edge_key(t.a, t.b)
-            c = norm.get(e, 0)
-            if not c:
-                return t
-            inner = [subdivision_label(e, i) for i in range(1, c + 1)]
-            if t.a != e[0]:
-                inner.reverse()
-            seq = [t.a] + inner + [t.b]
-            out = leaf(seq[0], seq[1])
-            for u, v in zip(seq[1:], seq[2:]):
-                out = node("series", out, leaf(u, v))
-            return out
-        return node(t.op, rebuild(t.children[0]), rebuild(t.children[1]))
+    def rebuild(t, kids):
+        if not t.is_leaf:
+            return node(t.op, *kids)
+        e = edge_key(t.a, t.b)
+        c = norm.get(e, 0)
+        if not c:
+            return t
+        inner = [subdivision_label(e, i) for i in range(1, c + 1)]
+        if t.a != e[0]:
+            inner.reverse()
+        seq = [t.a] + inner + [t.b]
+        return _fold("series", [leaf(u, v) for u, v in zip(seq, seq[1:])])
 
-    return rebuild(tree)
+    return _bottom_up(tree, lambda t: t.children, rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -502,40 +540,32 @@ def _check_terminals(g, a, b):
 
 
 def _gsp(g, a, b):
-    """GSP tree for a connected K_4-free (g, a, b); None on obstruction."""
-    bcf = block_cut_forest(g)
-    if len(bcf.blocks) == 1:
-        return _sp(g, a, b)
-    blocks = None
-    try:
-        blocks, cuts = bcf.block_path(a, b)
-    except InputError:
-        pass
-    if blocks is not None and len(blocks) == len(bcf.blocks):
-        stops = [a] + cuts + [b]
-        parts = []
-        for blk, u, v in zip(blocks, stops, stops[1:]):
-            t = _sp(g.induced(blk), u, v)
-            if t is None:
-                return None
-            parts.append(t)
-        return _fold("series", parts)
-    # peel a pendant block whose interior holds neither terminal
-    for blk, cut in sorted(bcf.leaf_blocks(), key=lambda bc: min(bc[0])):
-        if cut is None:
+    """GSP tree for a connected K_4-free (g, a, b); None on obstruction.
+
+    Pendant blocks whose interior holds neither terminal are peeled off,
+    each decomposed from its cut vertex, until the a-b block path runs
+    through every block; they are grafted back onto that chain in
+    reverse order.
+    """
+    peeled = []
+    while True:
+        bcf = block_cut_forest(g)
+        if len(bcf.block_path(a, b)[0]) == len(bcf.blocks):
+            break
+        for blk, cut in sorted(bcf.leaf_blocks(), key=lambda bc: min(bc[0])):
+            if cut is not None and not {a, b} & (set(blk) - {cut}):
+                break
+        else:
             return None
-        interior = set(blk) - {cut}
-        if a in interior or b in interior:
-            continue
         sub = g.induced(blk)
-        t_blk = _sp(sub, cut, min(sub.sorted_neighbors(cut)))
-        if t_blk is None:
+        peeled.append((cut, _sp(sub, cut, min(sub.sorted_neighbors(cut)))))
+        g = g.without_vertices(set(blk) - {cut})
+    out = _sp_chain(g, a, b)
+    for cut, tree in reversed(peeled):
+        if out is None or tree is None:
             return None
-        rest = _gsp(g.without_vertices(interior), a, b)
-        if rest is None:
-            return None
-        return _merge(rest, t_blk, cut)
-    return None
+        out = _merge(out, tree, cut)
+    return out
 
 
 def gsp_decompose(g, a, b):
@@ -571,17 +601,21 @@ def gsp_decompose(g, a, b):
 
 
 def _merge(tree, pendant, c):
-    # pendant.a == c; descend to a node with c as a terminal and hang the
-    # pendant there. Every rebuilt ancestor keeps its operator, so no
-    # complexity changes along the way.
-    if tree.a == c:
-        return node("branch", tree, pendant)
-    if tree.b == c:
-        return node("branch_alt", tree, pendant)
-    c0, c1 = tree.children
-    if c in c0.graph:
-        return node(tree.op, _merge(c0, pendant, c), c1)
-    return node(tree.op, c0, _merge(c1, pendant, c))
+    # pendant.a == c; descend to a node with c as a terminal, each time
+    # into the first child with a leaf at c, and hang the pendant there.
+    # Every rebuilt ancestor keeps its operator, so no complexity changes
+    # along the way.
+    trail = []
+    while c not in tree.terminals:
+        i = 0 if any(c in s.terminals for s in tree.children[0].walk()) else 1
+        trail.append((tree, i))
+        tree = tree.children[i]
+    out = node("branch" if tree.a == c else "branch_alt", tree, pendant)
+    for t, i in reversed(trail):
+        kids = list(t.children)
+        kids[i] = out
+        out = node(t.op, *kids)
+    return out
 
 
 def merge_block(tree, pendant, c):
@@ -604,10 +638,17 @@ def merge_block(tree, pendant, c):
 # rotation: re-anchoring a parallel join at one terminal
 
 
-def _series_factors(tree):
-    if tree.op != "series":
-        return [tree]
-    return _series_factors(tree.children[0]) + _series_factors(tree.children[1])
+def _flatten(tree, op):
+    # the maximal subtrees below a run of op nodes, left to right
+    out = []
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if t.op == op:
+            stack.extend(reversed(t.children))
+        else:
+            out.append(t)
+    return out
 
 
 def _size(tree):
@@ -627,9 +668,9 @@ def _rotate(th, tk):
         return node("parallel", th, tk)
     if th.op == "parallel":
         c0, c1 = th.children
-        extra, rest = (c1, c0) if _node_complexity(c1) == 0 else (c0, c1)
+        extra, rest = (c1, c0) if c1.complexity == 0 else (c0, c1)
         return _rotate(rest, node("parallel", extra, tk))
-    factors = _series_factors(th)
+    factors = _flatten(th, "series")
     bracket = tk
     for f in reversed(factors[1:]):
         bracket = node("series", bracket, _invert(f))
@@ -648,15 +689,15 @@ def rotate_parallel(th, tk):
     for t in (th, tk):
         if any(s.op in ("branch", "branch_alt") for s in t.walk()):
             raise InputError("rotation takes series-parallel trees only")
-        if not is_simple(t):
+        if not t.simple:
             raise InputError("rotation takes simple trees only")
     if th.terminals != tk.terminals:
         raise InputError("the trees must share their ordered terminals")
-    compose("parallel", th.terminal_graph(), tk.terminal_graph())
-    if not _two_connected(th.graph.union(tk.graph)):
+    joined = compose("parallel", th.terminal_graph(), tk.terminal_graph())
+    if not _two_connected(joined.graph):
         raise InputError("the joined graph must be biconnected")
     out = _rotate(th, tk)
-    assert is_simple(out) and out.a == th.a
+    assert out.simple and out.a == th.a
     return out
 
 
@@ -678,14 +719,12 @@ def extract_bipaths(tree):
 
 
 def _extract(tree):
-    if tree.is_leaf:
+    if tree.is_leaf or tree.bridged:
         return []
     if tree.op == "parallel":
         return _extract(tree.children[0]) + _extract(tree.children[1])
     if tree.op in ("branch", "branch_alt"):
         return _extract(tree.children[0])
-    if _bridged_between(tree.graph, tree.a, tree.b):
-        return []
     # a non-bridged series node: walk its block chain, taking a pair of
     # internally disjoint routes through every block
     bcf = block_cut_forest(tree.graph)
@@ -706,35 +745,13 @@ def _extract(tree):
 # minimal complex nodes and witness extraction
 
 
-@dataclass(frozen=True)
-class McdResult:
-    """Either the unique minimal complex node or a conflicting pair."""
-
-    node: object = None
-    conflict: tuple = ()
-
-
 def _minimal_complex_nodes(tree):
-    hits = []
-    for c in tree.children:
-        hits.extend(_minimal_complex_nodes(c))
-    if hits:
-        return hits
-    return [tree] if _node_complexity(tree) >= 2 else []
-
-
-def minimal_complex_descendant(tree):
-    """Deepest subtree of complexity two or more.
-
-    A unique one comes back as .node; two incomparable ones (which will
-    turn into a four-bipath witness) come back as .conflict.
-    """
-    hits = _minimal_complex_nodes(tree)
-    if not hits:
-        raise InputError("the tree is simple; no complex descendant")
-    if len(hits) == 1:
-        return McdResult(node=hits[0])
-    return McdResult(conflict=(hits[0], hits[1]))
+    # subtrees of complexity two or more with none below them, left to
+    # right: the non-simple nodes whose children are all simple
+    return [
+        t for t in tree.walk()
+        if not t.simple and all(c.simple for c in t.children)
+    ]
 
 
 def _witness_pair(g, n0, n1):
@@ -814,12 +831,6 @@ def _witness_cross_block(g, blk_h, cut_h, m_h, blk_k, cut_k, m_k):
 # re-anchoring a complex block tree (or refuting it)
 
 
-def _parallel_pieces(tree):
-    if tree.op != "parallel":
-        return [tree]
-    return _parallel_pieces(tree.children[0]) + _parallel_pieces(tree.children[1])
-
-
 def _rebuild_block(g, tree, target):
     """Turn a complex SP tree of a biconnected graph into a simple one
     with `target` as first terminal, or extract a forbidden pattern.
@@ -841,12 +852,12 @@ def _rebuild_block(g, tree, target):
     assert fresh is not None
     m_edges = set(m.graph.edges())
     outside = []
-    for piece in _parallel_pieces(fresh):
+    for piece in _flatten(fresh, "parallel"):
         piece_edges = set(piece.graph.edges())
         if piece_edges <= m_edges:
             continue
         assert not piece_edges & m_edges, "piece straddles the complex core"
-        if _node_complexity(piece) >= 1:
+        if piece.complexity >= 1:
             return _witness_f2(
                 [_extract(m.children[0])[0], _extract(m.children[1])[0],
                  _extract(piece)[0]]
@@ -861,7 +872,7 @@ def _rebuild_block(g, tree, target):
         out = _rotate(left, right)
     else:
         out = _rotate(_invert(left), _invert(right))
-    assert out.a == target and out.graph == g and is_simple(out)
+    assert out.a == target and out.simple
     return out
 
 
@@ -869,18 +880,9 @@ def _rebuild_block(g, tree, target):
 # the classifier
 
 
-def _build(g):
-    bcf = block_cut_forest(g)
-    if len(bcf.blocks) == 1:
-        e = g.edges()[0]
-        tree = _sp(g, *e)
-        assert tree is not None
-        if is_simple(tree):
-            return tree
-        hits = _minimal_complex_nodes(tree)
-        if len(hits) >= 2:
-            return _witness_pair(g, hits[0], hits[1])
-        return _rebuild_block(g, tree, hits[0].a)
+def _pendant(g, bcf):
+    """A pendant block of g to peel, as (block, cut, simple tree of the
+    block with the cut as first terminal), or the pattern refuting g."""
     pendants = sorted(bcf.leaf_blocks(), key=lambda bc: min(bc[0]))[:2]
     built = []
     for blk, cut in pendants:
@@ -890,37 +892,49 @@ def _build(g):
         assert tree is not None
         built.append((blk, cut, tree))
     for blk, cut, tree in built:
-        if is_simple(tree):
-            return _peel(g, blk, cut, tree)
-    for blk, cut, tree in built:
-        hits = _minimal_complex_nodes(tree)
+        if tree.simple:
+            return blk, cut, tree
+    cores = [_minimal_complex_nodes(tree) for _, _, tree in built]
+    for (blk, _, _), hits in zip(built, cores):
         if len(hits) >= 2:
             return _witness_pair(g.induced(blk), hits[0], hits[1])
-    (blk_h, cut_h, tree_h), (blk_k, cut_k, tree_k) = built
-    m_h = _minimal_complex_nodes(tree_h)[0]
-    m_k = _minimal_complex_nodes(tree_k)[0]
-    for blk, cut, tree, m in (
-        (blk_h, cut_h, tree_h, m_h),
-        (blk_k, cut_k, tree_k, m_k),
-    ):
-        if cut in m.graph:
-            # the cut is a root terminal of the block tree, and root
-            # terminals stay terminals all the way down
-            assert cut in m.terminals
+    for (blk, cut, tree), (m,) in zip(built, cores):
+        # the cut is a root terminal of the block tree, and root
+        # terminals stay terminals all the way down, so the cut touches
+        # the complex core exactly when it is one of the core's terminals
+        if cut in m.terminals:
             redone = _rebuild_block(g.induced(blk), tree, cut)
             if isinstance(redone, ForbiddenWitness):
                 return redone
-            return _peel(g, blk, cut, redone)
-    return _witness_cross_block(g, blk_h, cut_h, m_h, blk_k, cut_k, m_k)
+            return blk, cut, redone
+    (blk_h, cut_h, _), (blk_k, cut_k, _) = built
+    return _witness_cross_block(
+        g, blk_h, cut_h, cores[0][0], blk_k, cut_k, cores[1][0]
+    )
 
 
-def _peel(g, blk, cut, tree_blk):
-    rest = _build(g.without_vertices(set(blk) - {cut}))
-    if isinstance(rest, ForbiddenWitness):
-        return rest
-    if tree_blk.a != cut:
-        tree_blk = _invert(tree_blk)
-    return _merge(rest, tree_blk, cut)
+def _build(g):
+    # Peel pendant blocks off until one block is left, then graft them
+    # back on in reverse order, each at its cut vertex.
+    peeled = []
+    bcf = block_cut_forest(g)
+    while len(bcf.blocks) > 1:
+        got = _pendant(g, bcf)
+        if isinstance(got, ForbiddenWitness):
+            return got
+        blk, cut, tree = got
+        peeled.append((cut, tree))
+        g = g.without_vertices(set(blk) - {cut})
+        bcf = block_cut_forest(g)
+    out = _sp(g, *g.edges()[0])
+    assert out is not None
+    if not out.simple:
+        out = _rebuild_block(g, out, _minimal_complex_nodes(out)[0].a)
+        if isinstance(out, ForbiddenWitness):
+            return out
+    for cut, tree in reversed(peeled):
+        out = _merge(out, tree, cut)
+    return out
 
 
 def build_simple_gsp(g):
@@ -931,7 +945,9 @@ def build_simple_gsp(g):
     when simple; a complex pendant tree either re-anchors at its cut
     (when the cut touches the complex core) or certifies a pattern. At
     most two pendant blocks ever need attention: two complex ones
-    already refute the graph.
+    already refute the graph. The answer is checked here, once, and a
+    wrong one raises AssertionError, an internal error, also under
+    `python -O`.
     """
     if g.n < 2:
         raise InputError("classification needs at least two vertices")
@@ -942,9 +958,14 @@ def build_simple_gsp(g):
         return w
     out = _build(g)
     if isinstance(out, GspTree):
-        assert out.graph == g and is_simple(out)
-    else:
-        assert pattern_check(out) and embedded(out, g)
+        try:
+            ok = recompose(out) == g and out.simple
+        except InputError:
+            ok = False
+        if not ok:
+            raise AssertionError("the decomposition is not a simple tree of the graph")
+    elif not (pattern_check(out) and embedded(out, g)):
+        raise AssertionError(f"the witness is not an {out.family} pattern of the graph")
     return out
 
 

@@ -290,9 +290,15 @@ def inspection_number(
     cap = g.n
     method = "clean-set closure"
     if g.n <= mask_cap:
-        width, _ = pathwidth(g, mask_cap=mask_cap)
-        cap = width + 1
-        method = "clean-set closure, capped at pathwidth+1"
+        try:
+            width, _ = pathwidth(g, mask_cap=mask_cap)
+        except ResourceLimitError:
+            # numpy refused the subset tables; the cap only saves time,
+            # so the scan runs uncapped instead of failing
+            pass
+        else:
+            cap = width + 1
+            method = "clean-set closure, capped at pathwidth+1"
     if k_max is not None:
         cap = min(cap, k_max)
     states = 0

@@ -28,7 +28,6 @@ from .gsp import (
     TerminalGraph,
     _fold,
     invert,
-    is_bridged,
     is_simple,
     node,
     subdivide_decomposition,
@@ -532,7 +531,7 @@ def _piece_key(piece):
 
 def _parallel(tree, floors):
     pieces = _pieces(tree)
-    bridged = [p for p in pieces if is_bridged(p.terminal_graph())]
+    bridged = [p for p in pieces if p.bridged]
     # a simple tree allows at most one piece of complexity 1, and every
     # complexity-0 piece is bridged, so there is always a candidate
     assert bridged, "no bridged piece in a simple parallel composition"

@@ -1,12 +1,14 @@
 """Command-line round trips, exit codes, environment knobs."""
 
 import json
+import sys
 
 import pytest
 
 from zvsearch import solver
 from zvsearch.cli import main
-from zvsearch.graphs import cycle_graph, parse_edge_list, path_graph
+from zvsearch.graphs import cycle_graph, generate, parse_edge_list, path_graph
+from zvsearch.gsp import tree_from_record
 from zvsearch.solver import is_path_decomposition
 
 GOLDEN_STEPS = """\
@@ -96,6 +98,25 @@ def test_classify_no(capsys):
     assert doc["verdict"] == "NO"
     assert doc["family"] == "F1"
     assert doc["witness"]["family"] == "F1"
+
+
+@pytest.mark.parametrize("spec", ["cycle:1500", "path:600"])
+def test_classify_long_chains(capsys, spec):
+    """Trees of long chains nest far deeper than the recursion limit, in
+    the classifier, in the record and in the printed JSON."""
+    code, out, err = run(capsys, "classify", spec)
+    assert code == 0, err[-2000:]
+    # json's C decoder counts one call per nesting level against the
+    # recursion limit, and this document nests thousands of levels deep
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        doc = json.loads(out)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert doc["verdict"] == "YES"
+    tree = tree_from_record(doc["tree"])
+    assert tree.graph == generate(spec) and tree.simple
 
 
 def test_verify_search_file(capsys, tmp_path):
@@ -195,6 +216,19 @@ def test_subset_budget_past_numpy_limits(capsys, monkeypatch):
     code, out, err = run(capsys, "lowerbound", "path:70", "-k", "2")
     assert code == 2 and out == ""
     assert err.startswith("resource limit: subset tables for n = 70")
+
+
+def test_solve_runs_uncapped_when_tables_do_not_fit(capsys, monkeypatch):
+    """The pathwidth cap only saves time: subset tables numpy refuses
+    leave the scan uncapped, while a blown state budget still ends it.
+    2^70 bytes is past what numpy can index, so it refuses on any host."""
+    default = run(capsys, "solve", "path:70")
+    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "100")
+    assert run(capsys, "solve", "path:70") == default
+    assert default[0] == 0 and json.loads(default[1])["value"] == 2
+    monkeypatch.setenv("ZVSEARCH_STATE_BUDGET", "5")
+    code, out, err = run(capsys, "solve", "path:70")
+    assert code == 2 and out == "" and "state budget" in err
 
 
 @pytest.mark.parametrize(

@@ -1,21 +1,31 @@
 """Decomposition trees: composition, complexity, classification."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import zvsearch
+import zvsearch.gsp as gsp_module
 from zvsearch.errors import InputError
 from zvsearch.forbidden import embedded, pattern_check
 from zvsearch.graphs import (
     Graph,
     SubdividedGraph,
+    block_cut_forest,
     complete_graph,
     cycle_graph,
     family_f2,
     family_f3,
+    generate,
+    is_bridged,
     k4_subdivision_example,
     path_graph,
 )
 from zvsearch.gsp import (
-    GspTree,
+    _sp,
+    _sp_reducible,
     classify_topological_3,
     complexity,
     compose,
@@ -34,6 +44,8 @@ from zvsearch.gsp import (
     tree_from_record,
     tree_to_record,
 )
+
+from conftest import random_connected
 
 
 def four_cycle(a, tag, b):
@@ -104,12 +116,23 @@ def test_leaf_needs_two_vertices():
         leaf("a", "a")
 
 
-def test_recompose_checks_stored_graphs():
+def test_recompose_refuses_overlapping_children():
+    # node() checks only terminals, so it accepts children that share a
+    # vertex besides the glued one; deriving the graph refuses them
     t = cycle_chain("a", "m", "c", "12")
     assert recompose(t) == t.graph
-    forged = GspTree("series", path_graph(3), "0", "2", t.children)
-    with pytest.raises(InputError):
-        recompose(forged)
+    clash = node(
+        "series",
+        node("series", leaf("a", "b"), leaf("b", "c")),
+        node("series", leaf("c", "b"), leaf("b", "z")),
+    )
+    assert clash.terminals == ("a", "z")
+    with pytest.raises(InputError, match="overlap"):
+        recompose(clash)
+    with pytest.raises(InputError, match="overlap"):
+        clash.graph
+    with pytest.raises(InputError, match="overlap"):
+        tree_from_record(tree_to_record(clash))
 
 
 def test_tree_record_round_trip():
@@ -151,6 +174,73 @@ def test_complexity_report_rows():
     rep = complexity(node("series", leaf("a", "b"), leaf("b", "c")))
     assert rep.nodes[0] == ((), "series", 0, True)
     assert {row[0] for row in rep.nodes} == {(), (0,), (1,)}
+
+
+def reference_complexity(t):
+    """Complexity read off the recomposed graphs: a leaf or series node
+    counts 0 when a bridge separates its terminals and 1 otherwise, a
+    parallel node adds up its children, a branch node copies its spine."""
+    if t.op in ("leaf", "series"):
+        return 0 if is_bridged(recompose(t), t.a, t.b) else 1
+    if t.op == "parallel":
+        return sum(reference_complexity(c) for c in t.children)
+    return reference_complexity(t.children[0])
+
+
+def check_structural(tree):
+    """bridged, complexity and simple agree with the graph-based
+    reference at every node; returns the number of nodes checked."""
+    nodes = list(tree.walk())
+    for t in reversed(nodes):  # children first, so recompose reuses them
+        assert t.bridged == is_bridged(recompose(t), t.a, t.b), (t.op, t.terminals)
+        assert t.complexity == reference_complexity(t), (t.op, t.terminals)
+        want = all(reference_complexity(s) <= 1 for s in t.walk())
+        assert t.simple == want and is_simple(t) == want
+    return len(nodes)
+
+
+def k4_free_block_trees(g):
+    """The raw SP trees of g's K_4-free blocks, complex ones included,
+    one per block edge as the terminal pair."""
+    for blk in block_cut_forest(g).blocks:
+        sub = g.induced(blk)
+        if len(blk) < 2 or not _sp_reducible(sub):
+            continue
+        for a, b in sub.edges():
+            tree = _sp(sub, a, b)
+            assert tree is not None
+            yield tree
+
+
+ORACLE_SPECS = ["cycle:7", "path:9", "tree:4", "grid:2,6", "f1", "f2", "f3"]
+
+
+def test_structural_complexity_matches_graphs(rng):
+    graphs = [generate(s) for s in ORACLE_SPECS]
+    graphs += [random_connected(rng.randint(4, 15), rng) for _ in range(40)]
+    # a block the classifier must re-anchor, with pendants hanging off it
+    twin = cycle_chain("a", "m", "c", "12").graph.union(
+        cycle_chain("a", "n", "c", "34").graph
+    )
+    for hang in ("a", "m", "1p"):
+        graphs.append(twin.union(four_cycle(hang, "5", "z").graph))
+    # branch nodes whose spine and pendant differ in complexity
+    checked = check_structural(
+        node("branch", cycle_chain("a", "m", "c", "12"), leaf("a", "t"))
+    )
+    checked += check_structural(
+        node("branch_alt", four_cycle("a", "0", "c"), cycle_chain("c", "m", "z", "12"))
+    )
+    complex_trees = 0
+    for g in graphs:
+        c = classify_topological_3(g)
+        if c.verdict == "YES":
+            checked += check_structural(c.tree)
+        for tree in k4_free_block_trees(g):
+            checked += check_structural(tree)
+            complex_trees += not tree.simple
+    # the corpus must reach both sides of the recurrence
+    assert checked > 1000 and complex_trees > 0
 
 
 def test_branch_complexity_follows_spine():
@@ -346,3 +436,67 @@ def test_classify_input_errors():
         classify_topological_3(Graph.from_edges([], vertices=["x"]))
     with pytest.raises(InputError):
         classify_topological_3(Graph.from_edges([("a", "b")], vertices=["a", "b", "z"]))
+
+
+def test_classify_derives_graph_once(monkeypatch):
+    calls = []
+    real = gsp_module.recompose
+
+    def counting(tree):
+        calls.append(tree)
+        return real(tree)
+
+    monkeypatch.setattr(gsp_module, "recompose", counting)
+    for spec in ("path:50", "cycle:50"):
+        calls.clear()
+        c = classify_topological_3(generate(spec))
+        assert c.verdict == "YES"
+        assert calls == [c.tree], spec
+        assert c.tree.graph == generate(spec) and len(calls) == 1
+
+
+# Run under python -O, where asserts are stripped: the classifier's own
+# final check must still refuse a wrong answer. "merge" grafts nothing,
+# so the tree misses every pendant block; "witness" makes every witness
+# look foreign to the graph.
+SABOTAGE = """
+import sys
+
+import zvsearch.gsp as gsp
+from zvsearch.graphs import generate
+
+spec, how = sys.argv[1:]
+if how == "merge":
+    gsp._merge = lambda tree, pendant, c: tree
+else:
+    gsp.embedded = lambda witness, g: False
+try:
+    gsp.classify_topological_3(generate(spec))
+except AssertionError as ex:
+    print("refused:", ex)
+else:
+    print("accepted")
+"""
+
+
+@pytest.mark.parametrize(
+    "spec, how, why",
+    [
+        ("path:6", "merge", "decomposition"),
+        ("tree:2", "merge", "decomposition"),
+        ("f2", "witness", "witness"),
+        ("f3", "witness", "witness"),
+    ],
+)
+def test_sabotaged_classification_is_refused_under_O(spec, how, why):
+    root = os.path.dirname(os.path.dirname(zvsearch.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SABOTAGE, spec, how],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"refused: the {why}"), proc.stdout
