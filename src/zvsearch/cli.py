@@ -4,7 +4,8 @@ One verb per invocation, one structured document on stdout, diagnostics
 on stderr. Graphs are read from edge-list files or built inline from
 generator specs ("cycle:6", "grid:3,4"), so acceptance scripts need no
 temporary files. Exit codes: 0 for definite answers, 1 for bad input,
-2 for blown resource budgets.
+2 for blown resource budgets. A reader that closes stdout early
+(`| head`) ends the run with exit 1 and no message.
 """
 
 import argparse
@@ -317,6 +318,13 @@ def main(argv=None):
         if getattr(args, "k", None) is not None and args.k < 0:
             raise InputError("-k must be >= 0")
         args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`): point stdout at
+        # devnull, so that the flush at exit fails no more, and stop
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except InputError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1

@@ -325,6 +325,17 @@ def pattern_check(witness):
     return not pattern_problems(witness)
 
 
+def _checked(witness):
+    """The witness, once it matches its family pattern. A witness that
+    does not raises AssertionError, under python -O too."""
+    problems = pattern_problems(witness)
+    if problems:
+        raise AssertionError(
+            f"{witness.family} witness fails its pattern: {problems}"
+        )
+    return witness
+
+
 # ---------------------------------------------------------------------------
 # brute-force search (the oracle the classifier is compared against)
 
@@ -402,8 +413,7 @@ def _brute_f1(g, budget):
                     "paths": [list(p) for p in chosen],
                 },
             )
-            assert pattern_check(w), pattern_problems(w)
-            return w
+            return _checked(w)
     return None
 
 
@@ -451,8 +461,7 @@ def _witness_f2(bips):
         Graph.from_edges(edges, vertices=verts),
         {"endpoints": [a, b], "bipaths": [bp.to_record() for bp in bips]},
     )
-    assert pattern_check(w), pattern_problems(w)
-    return w
+    return _checked(w)
 
 
 def _witness_f3(pair1, pair2, bips, conns):
@@ -473,8 +482,7 @@ def _witness_f3(pair1, pair2, bips, conns):
             "connectors": [list(c) for c in conns],
         },
     )
-    assert pattern_check(w), pattern_problems(w)
-    return w
+    return _checked(w)
 
 
 def _brute_f2(g, budget):

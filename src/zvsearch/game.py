@@ -44,10 +44,6 @@ class SearchTrace:
     protected: tuple  # protected[t] is the set right after step t+1 searches
     clean: tuple  # clean[0] is the start set; clean[t] follows step t
 
-    @property
-    def successful_on(self):
-        return self.clean[-1]
-
     def width(self):
         return max((len(s) for s in self.steps), default=0)
 

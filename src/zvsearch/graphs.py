@@ -277,9 +277,6 @@ class BlockCutForest:
     blocks: tuple
     cut_vertices: frozenset
 
-    def blocks_containing(self, v):
-        return [b for b in self.blocks if v in b]
-
     def leaf_blocks(self):
         """Blocks containing at most one cut vertex, with that vertex."""
         out = []

@@ -27,12 +27,12 @@ from .errors import InputError
 from .forbidden import (
     Bipath,
     ForbiddenWitness,
+    _checked,
     _witness_f2,
     _witness_f3,
     bipath_problems,
     embedded,
     pattern_check,
-    pattern_problems,
 )
 from .graphs import (
     Graph,
@@ -437,8 +437,7 @@ def _extract_k4(g):
         h,
         {"branch_vertices": branch, "paths": [list(p) for p in paths]},
     )
-    assert pattern_check(w), pattern_problems(w)
-    return w
+    return _checked(w)
 
 
 def has_k4_subdivision(g):

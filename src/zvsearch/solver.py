@@ -11,14 +11,23 @@ Three engines live here:
   * a subset DP for vertex separation, which equals pathwidth and hands
     us monotonic inspection numbers with a bag-sequence witness.
 
-The first two are one breadth-first closure (_closure) over one batched
-round map. A state's picks are enumerated in itertools.combinations
-order and mapped a fixed-size chunk at a time as numpy mask arrays:
-N(outside) comes from per-byte neighbourhood tables, one gather per
-byte of the mask instead of a loop over vertices, and each chunk's
-distinct clean sets are handled in the order of their first picks. That
-keeps the BFS order, the witnesses and the explored-state counts of the
-pick-by-pick loop, which the tests keep as the reference.
+inspection_number runs the closure only below a cap it already holds:
+the largest bag of a path decomposition, whose bag sweep succeeds at
+that width. The decomposition is an optimal one from the subset DP
+below when the tables fit (cap = pathwidth+1), and a greedy layout's
+otherwise, so every n has a cap. When every width below the cap fails,
+the merged bag sweep, replayed from the clean start, is the witness.
+
+The first two engines are one breadth-first closure (_closure) over one
+batched round map. A state's picks are enumerated in
+itertools.combinations order, gathered through a cached index table
+when one chunk holds them all, and mapped a fixed-size chunk at a time
+as numpy mask arrays: N(outside) comes from per-byte neighbourhood
+tables, one gather per byte of the mask instead of a loop over
+vertices, and each chunk's distinct clean sets are handled in the order
+of their first picks. That keeps the BFS order, the witnesses and the
+explored-state counts of the pick-by-pick loop, which the tests keep as
+the reference.
 
 The subset DP reads two uint8 tables over all 2^n vertex sets: the
 popcount and the boundary size, which is the popcount less that of the
@@ -39,6 +48,7 @@ simulation pass somewhere in the tests.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
@@ -61,6 +71,10 @@ _CHUNK = 1 << 14
 # Masks per block of the subset tables: their uint64/intp temporaries
 # stay around half a MB, whatever n is.
 _BLOCK = 1 << 16
+
+# Start vertices the greedy layout tries when no optimal decomposition
+# caps the closure: each costs one pass over the graph.
+_GREEDY_STARTS = 4
 
 
 @dataclass(frozen=True)
@@ -144,6 +158,32 @@ def _replay(parents, state):
     return steps
 
 
+def _pick_chunks(dirty, j, tables):
+    """The j-subsets of dirty in itertools.combinations order, as index
+    arrays of at most _CHUNK rows. When one chunk holds them all, they
+    are dirty gathered through the table of combinations(range(|dirty|),
+    j), which tables caches per (|dirty|, j) for one closure; a longer
+    stream is built chunk by chunk."""
+    d = dirty.size
+    if math.comb(d, j) <= _CHUNK:
+        table = tables.get((d, j))
+        if table is None:
+            flat = np.fromiter(
+                chain.from_iterable(combinations(range(d), j)), dtype=np.intp
+            )
+            table = tables[d, j] = flat.reshape(-1, j)
+        yield dirty[table]
+        return
+    combos = combinations(dirty.tolist(), j)
+    while True:
+        flat = np.fromiter(
+            chain.from_iterable(islice(combos, _CHUNK)), dtype=np.intp
+        )
+        yield flat.reshape(-1, j)
+        if flat.size < _CHUNK * j:
+            return
+
+
 def _closure(g, k, clean_start, state_budget, prune, monotone):
     """Breadth-first closure over clean-set states.
 
@@ -154,17 +194,18 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
     and must keep every visited state instead of a maximal antichain.
 
     A state's picks are taken in itertools.combinations order, _CHUNK at
-    a time, as rows of a numpy index array, and mapped in one batch: OR
-    the pick bits into the state, then take N(outside) from the byte
-    tables, one gather per byte of the mask. The chunk's distinct clean
-    sets then go through the loop body of a pick-by-pick search (the
-    witness check, then the monotone, parent and antichain checks) in
-    the order of their first rows. A later row with the same clean set
-    is a no-op in that search: the set is already a parent, or it is
-    still dominated, since an archive member only ever leaves for a
-    superset. So the BFS order, the witnesses and the count of expanded
-    states are those of the pick-by-pick search. Masks are uint64 up to
-    64 vertices and Python ints in an object array above that.
+    a time, as rows of a numpy index array (see _pick_chunks), and mapped
+    in one batch: OR the pick bits into the state, then take N(outside)
+    from the byte tables, one gather per byte of the mask. The chunk's
+    distinct clean sets (np.unique, put back in the order of their first
+    rows) then go through the loop body of a pick-by-pick search (the
+    witness check, then the monotone, parent and antichain checks). A
+    later row with the same clean set is a no-op in that search: the set
+    is already a parent, or it is still dominated, since an archive
+    member only ever leaves for a superset. So the BFS order, the
+    witnesses and the count of expanded states are those of the
+    pick-by-pick search. Masks are uint64 up to 64 vertices and Python
+    ints in an object array above that.
 
     Returns (steps or None, states expanded).
     """
@@ -185,6 +226,7 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
     frontier = deque([start])
     archive = [start]
     expanded = 0
+    pick_tables = {}
     while frontier:
         state = frontier.popleft()
         expanded += 1
@@ -194,26 +236,19 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
                 budget=state_budget,
                 used=expanded,
             )
-        dirty = [i for i in range(g.n) if not state >> i & 1]
-        top = min(k, len(dirty))
+        dirty = np.array(
+            [i for i in range(g.n) if not state >> i & 1], dtype=np.intp
+        )
+        top = min(k, dirty.size)
         sizes = range(1, top + 1) if monotone else (top,)
         for j in sizes:
-            combos = combinations(dirty, j)
-            more = True
-            while more:
-                flat = np.fromiter(
-                    chain.from_iterable(islice(combos, _CHUNK)), dtype=np.intp
-                )
-                more = flat.size == _CHUNK * j
-                picks = flat.reshape(-1, j)
+            for picks in _pick_chunks(dirty, j, pick_tables):
                 protected = np.bitwise_or.reduce(bits[picks], axis=1) | state
-                first = {}
-                for row, nxt in enumerate(
-                    _round_map(protected, full, tables).tolist()
-                ):
-                    if nxt not in first:
-                        first[nxt] = row
-                for nxt, row in first.items():
+                nxts, rows = np.unique(
+                    _round_map(protected, full, tables), return_index=True
+                )
+                order = np.argsort(rows)
+                for nxt, row in zip(nxts[order].tolist(), rows[order].tolist()):
                     if nxt == full:
                         pick = picks[row].tolist()
                         parents[nxt] = (state, frozenset(vs[i] for i in pick))
@@ -256,12 +291,16 @@ def inspection_number(
 ):
     """Smallest width admitting a successful search, as a SolveResult.
 
-    The scan is capped at pathwidth+1 whenever the graph has at most
-    mask_cap vertices, few enough for the DP, since a bag sweep of an
-    optimal decomposition always succeeds at that width. Disconnected
-    graphs decompose: the searchers finish one component, move on, and
-    nothing recontaminates behind them, so the answer is the max over
-    components.
+    A path decomposition caps the answer: its bag sweep succeeds at width
+    cap, its largest bag size. The decomposition is an optimal one
+    (cap = pathwidth+1) when the graph has at most mask_cap vertices,
+    few enough for the DP, and a greedy layout's otherwise. The closure
+    runs only for k < cap. If every such k fails, the answer is the cap,
+    and the witness is the bag sweep, merged (see _merge_bags) and
+    replayed from clean_start; explored_states then counts the states of
+    the failing widths alone. Disconnected graphs decompose: the
+    searchers finish one component, move on, and nothing recontaminates
+    behind them, so the answer is the max over components.
     """
     if g.n == 0:
         raise InputError("empty graph")
@@ -287,27 +326,112 @@ def inspection_number(
         return SolveResult(best, tuple(all_steps), states,
                            "clean-set closure per component")
 
-    cap = g.n
-    method = "clean-set closure"
-    if g.n <= mask_cap:
-        try:
-            width, _ = pathwidth(g, mask_cap=mask_cap)
-        except ResourceLimitError:
-            # numpy refused the subset tables; the cap only saves time,
-            # so the scan runs uncapped instead of failing
-            pass
-        else:
-            cap = width + 1
-            method = "clean-set closure, capped at pathwidth+1"
-    if k_max is not None:
-        cap = min(cap, k_max)
+    bags, source = _cap_bags(g, mask_cap)
+    cap = max(len(b) for b in bags)
+    top = cap - 1 if k_max is None else min(cap - 1, k_max)
     states = 0
-    for k in range(1, cap + 1):
+    for k in range(1, top + 1):
         steps, used = _closure(g, k, clean_start, state_budget, True, False)
         states += used
         if steps is not None:
-            return SolveResult(k, tuple(steps), states, method)
-    return SolveResult(None, None, states, method)
+            return SolveResult(
+                k, tuple(steps), states, f"clean-set closure below {source}"
+            )
+    if k_max is not None and k_max < cap:
+        return SolveResult(
+            None, None, states, f"clean-set closure below {source}"
+        )
+    # an explicit raise, so that the replay guards the witness under -O too
+    steps = _merge_bags(bags, cap)
+    if not is_successful(simulate(g, steps, clean_start=clean_start)):
+        raise AssertionError("bag sweep failed")
+    return SolveResult(
+        cap, steps, states, f"bag sweep at {source}, clean-set closure below"
+    )
+
+
+def _cap_bags(g, mask_cap):
+    """(bags, name of their width) of the path decomposition that caps
+    the scan of a connected graph: an optimal one when the subset tables
+    fit, a greedy layout's when n > mask_cap or numpy refuses them."""
+    if g.n <= mask_cap:
+        try:
+            _, decomp = pathwidth(g, mask_cap=mask_cap)
+        except ResourceLimitError:
+            pass
+        else:
+            return decomp.bags, "pathwidth+1"
+    return _greedy_bags(g), "a greedy layout's width+1"
+
+
+def _bits(m):
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _boundary_mask(nbr, m, outside):
+    """The vertices of m with a neighbour in outside."""
+    out = 0
+    for u in _bits(m):
+        if nbr[u] & outside:
+            out |= 1 << u
+    return out
+
+
+def _greedy_bags(g):
+    """Bags of a greedy vertex layout of a connected graph, as pathwidth
+    builds them: bag i is the boundary of the first i-1 vertices plus the
+    i-th.
+
+    From each of _GREEDY_STARTS start vertices of least degree, every
+    step adds the neighbour of the prefix that leaves the prefix's
+    boundary smallest (then the one with the fewest neighbours left
+    outside, then the first in label order). The layout with the
+    smallest largest bag wins."""
+    _, nbr, full = g.masks()
+    starts = sorted(range(g.n), key=lambda v: (nbr[v].bit_count(), v))
+    best = None
+    for v in starts[:_GREEDY_STARTS]:
+        bags = []
+        prefix = bnd = 0
+        while True:
+            bags.append(bnd | 1 << v)
+            prefix |= 1 << v
+            rest = full ^ prefix
+            bnd = _boundary_mask(nbr, bnd | 1 << v, rest)
+            if not rest:
+                break
+            reach = 0
+            for u in _bits(bnd):
+                reach |= nbr[u]
+            v = min(
+                _bits(reach & rest),
+                key=lambda u: (
+                    _boundary_mask(nbr, bnd | 1 << u, rest ^ 1 << u).bit_count(),
+                    (nbr[u] & rest).bit_count(),
+                    u,
+                ),
+            )
+        width = max(b.bit_count() for b in bags)
+        if best is None or width < best[0]:
+            best = width, bags
+    return tuple(g.from_mask(b) for b in best[1])
+
+
+def _merge_bags(bags, cap):
+    """Consecutive bags merged while their union has at most cap
+    vertices. The merged sweep clears whatever the bag sweep clears: the
+    round map R is monotone, and a step S1 from clean set C leaves
+    C1 within C | S1, so R(C | S1 | S2) contains R(C1 | S2)."""
+    steps = []
+    for bag in bags:
+        if steps and len(steps[-1] | bag) <= cap:
+            steps[-1] |= bag
+        else:
+            steps.append(frozenset(bag))
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------

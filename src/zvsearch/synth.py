@@ -666,5 +666,6 @@ def grid_search(n, m):
         for t in range(small * (big - 1))
     )
     trace = simulate(grid_graph(n, m), steps)
-    assert is_successful(trace), "grid sweep failed to clear the grid"
+    if not is_successful(trace):
+        raise AssertionError("grid sweep failed to clear the grid")
     return steps

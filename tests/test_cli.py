@@ -1,10 +1,13 @@
 """Command-line round trips, exit codes, environment knobs."""
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import zvsearch
 from zvsearch import solver
 from zvsearch.cli import main
 from zvsearch.graphs import cycle_graph, generate, parse_edge_list, path_graph
@@ -218,16 +221,20 @@ def test_subset_budget_past_numpy_limits(capsys, monkeypatch):
     assert err.startswith("resource limit: subset tables for n = 70")
 
 
-def test_solve_runs_uncapped_when_tables_do_not_fit(capsys, monkeypatch):
-    """The pathwidth cap only saves time: subset tables numpy refuses
-    leave the scan uncapped, while a blown state budget still ends it.
-    2^70 bytes is past what numpy can index, so it refuses on any host."""
+def test_solve_takes_a_greedy_cap_when_tables_do_not_fit(capsys, monkeypatch):
+    """Subset tables numpy refuses leave the scan capped by a greedy
+    layout, as for any n above the subset budget, while a blown state
+    budget still ends it. 2^70 bytes is past what numpy can index, so it
+    refuses on any host. grid:3,8 has 24 vertices: its greedy cap is 4,
+    and the closure at k = 3 expands 19 states before it fails."""
     default = run(capsys, "solve", "path:70")
     monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "100")
     assert run(capsys, "solve", "path:70") == default
-    assert default[0] == 0 and json.loads(default[1])["value"] == 2
+    doc = json.loads(default[1])
+    assert default[0] == 0 and doc["value"] == 2
+    assert "greedy layout" in doc["method"]
     monkeypatch.setenv("ZVSEARCH_STATE_BUDGET", "5")
-    code, out, err = run(capsys, "solve", "path:70")
+    code, out, err = run(capsys, "solve", "grid:3,8")
     assert code == 2 and out == "" and "state budget" in err
 
 
@@ -262,3 +269,23 @@ def test_output_is_deterministic(capsys, argv):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    """A reader that stops after 100 bytes, as `| head -c 100` does. The
+    document is far larger than a pipe buffer, so the writer is still
+    writing when the pipe closes."""
+    root = os.path.dirname(os.path.dirname(zvsearch.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zvsearch.cli", "synth", "path:12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=root),
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert head.startswith(b"{")
+    assert err == b""

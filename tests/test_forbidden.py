@@ -1,9 +1,13 @@
 """Forbidden-pattern witnesses and the brute-force pattern search."""
 
 import copy
+import os
+import subprocess
+import sys
 
 import pytest
 
+import zvsearch
 from zvsearch.errors import InputError, ResourceLimitError
 from zvsearch.forbidden import (
     Bipath,
@@ -159,3 +163,55 @@ def test_pattern_problems_reject_coinciding_pairs():
     rec["roles"]["shared_pairs"][1] = list(rec["roles"]["shared_pairs"][0])
     bad = ForbiddenWitness.from_record(rec)
     assert any("coincide" in p for p in pattern_problems(bad))
+
+
+# Run under python -O, where asserts are stripped: every witness builder
+# must still refuse a witness that fails its pattern check. The sabotage
+# makes pattern_problems report a defect for one family only, so the
+# refusal comes from the builder of that family: _brute_f1 through the
+# brute-force search, and _witness_f2, _witness_f3 and gsp._extract_k4
+# through the classifier, ahead of its own final check.
+SABOTAGE = """
+import sys
+
+import zvsearch.forbidden as forbidden
+from zvsearch.graphs import generate
+from zvsearch.gsp import classify_topological_3
+
+spec, family, how = sys.argv[1:]
+real = forbidden.pattern_problems
+forbidden.pattern_problems = (
+    lambda w: ["sabotaged"] if w.family == family else real(w)
+)
+find = forbidden.brute_force_forbidden if how == "brute" else classify_topological_3
+try:
+    find(generate(spec))
+except AssertionError as ex:
+    print("refused:", ex)
+else:
+    print("accepted")
+"""
+
+
+@pytest.mark.parametrize(
+    "spec, family, how",
+    [
+        ("f1", "F1", "brute"),
+        ("f2", "F2", "classify"),
+        ("f3", "F3", "classify"),
+        ("complete:4", "F1", "classify"),
+    ],
+)
+def test_sabotaged_witness_is_refused_under_O(spec, family, how):
+    root = os.path.dirname(os.path.dirname(zvsearch.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SABOTAGE, spec, family, how],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = f"refused: {family} witness fails its pattern: ['sabotaged']"
+    assert proc.stdout.startswith(want), proc.stdout

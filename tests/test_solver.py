@@ -6,6 +6,7 @@ with nothing.
 """
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -26,13 +27,17 @@ from zvsearch.graphs import (
     boundary,
     complete_graph,
     cycle_graph,
+    family_f3,
     grid_graph,
     k4_subdivision_example,
     path_graph,
 )
+from zvsearch.cli import main
 from zvsearch.solver import (
     _closure,
+    _greedy_bags,
     _mask_tables,
+    _merge_bags,
     _vertex_separation,
     boundary_gap_certificate,
     boundary_profile,
@@ -377,6 +382,150 @@ def test_sabotaged_bag_sweep_is_refused_under_O():
 
 def test_monotonic_inspection_explores_no_states():
     assert monotonic_inspection_number(grid_graph(3, 3)).explored_states == 0
+
+
+# ---------------------------------------------------------------------------
+# the capped scan against the full one
+
+
+def reference_inspection_number(g, clean_start=()):
+    """The scan inspection_number replaced: the closure at every k up to
+    pathwidth+1, the cap included, on a connected graph. Returns (value,
+    steps, states explored), each width's states counted."""
+    cap = pathwidth(g)[0] + 1
+    states = 0
+    for k in range(1, cap + 1):
+        steps, used = _closure(g, k, clean_start, 10**9, True, False)
+        states += used
+        if steps is not None:
+            return k, tuple(steps), states
+    raise AssertionError("no search at pathwidth+1")
+
+
+def random_clean_start(g, rng):
+    return set(rng.sample(g.vertices, rng.randint(0, g.n // 2)))
+
+
+def assert_matches_full_scan(g, clean_start, mask_cap=22):
+    res = inspection_number(g, clean_start=clean_start, mask_cap=mask_cap)
+    value, steps, states = reference_inspection_number(g, clean_start)
+    where = (sorted(g.edges()), sorted(clean_start))
+    assert res.value == value, where
+    assert search_width(res.witness) <= value, where
+    assert is_successful(simulate(g, res.witness, clean_start=clean_start)), where
+    if res.method.startswith("clean-set closure"):
+        # the value came from the closure: the full scan's witness and count
+        assert (res.witness, res.explored_states) == (steps, states), where
+    else:
+        assert res.method.startswith("bag sweep"), where
+        assert res.explored_states < states or states == 0, where
+    return res
+
+
+def test_inspection_number_matches_full_scan(rng):
+    """Same values as the closure run up to pathwidth+1, and witnesses
+    that replay at that width, with and without a clean start."""
+    swept = 0
+    for _ in range(40):
+        g = random_connected(rng.randint(3, 10), rng)
+        for start in (set(), random_clean_start(g, rng)):
+            res = assert_matches_full_scan(g, start)
+            swept += res.method.startswith("bag sweep")
+    assert swept > 20
+
+
+def test_greedy_cap_matches_full_scan(rng):
+    """mask_cap=0 builds no subset table: the cap is a greedy layout's."""
+    for _ in range(40):
+        g = random_connected(rng.randint(3, 10), rng)
+        for start in (set(), random_clean_start(g, rng)):
+            res = assert_matches_full_scan(g, start, mask_cap=0)
+            assert "greedy layout" in res.method
+
+
+def test_greedy_bags_form_a_path_decomposition(rng):
+    graphs = [path_graph(1), cycle_graph(9), grid_graph(3, 5)]
+    graphs += [k4_subdivision_example(), family_f3()]
+    graphs += [random_connected(rng.randint(2, 12), rng) for _ in range(40)]
+    for g in graphs:
+        bags = _greedy_bags(g)
+        assert is_path_decomposition(g, bags), sorted(g.edges())
+        if g.n <= 22:
+            assert max(len(b) for b in bags) >= pathwidth(g)[0] + 1
+    # f3 has 26 vertices and inspection number 4: its greedy cap is tight
+    assert max(len(b) for b in _greedy_bags(family_f3())) == 4
+
+
+def test_merged_sweep_is_no_longer_and_replays(rng):
+    for _ in range(40):
+        g = random_connected(rng.randint(2, 12), rng)
+        for bags in (pathwidth(g)[1].bags, _greedy_bags(g)):
+            cap = max(len(b) for b in bags)
+            steps = _merge_bags(bags, cap)
+            assert len(steps) <= len(bags)
+            assert search_width(steps) <= cap
+            assert set().union(*steps) == set(g.vertices)
+            assert is_successful(simulate(g, steps)), sorted(g.edges())
+    assert _merge_bags(pathwidth(path_graph(2))[1].bags, 2) == (frozenset("01"),)
+
+
+def test_k_max_below_the_cap_gives_up():
+    """grid:3,3 has value 4 and pathwidth 3: k_max = 3 runs the closure
+    at k = 1, 2, 3 and stops; k_max = 4 answers the cap."""
+    full = inspection_number(grid_graph(3, 3))
+    assert full.value == 4 and full.method.startswith("bag sweep")
+    stopped = inspection_number(grid_graph(3, 3), k_max=3)
+    assert stopped.value is None and stopped.witness is None
+    assert stopped.explored_states == full.explored_states
+    assert inspection_number(grid_graph(3, 3), k_max=4) == full
+
+
+# Run under python -O, where asserts are stripped: a bag sweep that loses
+# its last step no longer clears the graph, and inspection_number must
+# still refuse it rather than return it as the witness at the cap.
+CAP_SABOTAGE = """
+import sys
+
+import zvsearch.solver as solver
+from zvsearch.graphs import generate
+
+real = solver._merge_bags
+solver._merge_bags = lambda bags, cap: real(bags, cap)[:-1]
+try:
+    solver.inspection_number(generate(sys.argv[1]), mask_cap=int(sys.argv[2]))
+except AssertionError as ex:
+    print("refused:", ex)
+else:
+    print("accepted")
+"""
+
+
+@pytest.mark.parametrize(
+    "spec, mask_cap", [("cycle:5", 22), ("cycle:30", 22), ("grid:3,3", 0)]
+)
+def test_sabotaged_cap_sweep_is_refused_under_O(spec, mask_cap):
+    root = os.path.dirname(os.path.dirname(zvsearch.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CAP_SABOTAGE, spec, str(mask_cap)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=root),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: bag sweep failed"), proc.stdout
+
+
+@pytest.mark.parametrize("spec", ["cycle:66", "cycle:200"])
+def test_solve_long_cycles(capsys, spec):
+    """Above the subset budget the greedy layout caps the scan at 3, so
+    only k = 1 and k = 2 run the closure, one state each."""
+    assert main(["solve", spec]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["value"] == 3 and doc["explored_states"] == 2
+    g = cycle_graph(int(spec.split(":")[1]))
+    assert is_successful(simulate(g, doc["witness"]))
+    assert search_width(doc["witness"]) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -388,3 +388,32 @@ def test_grid_search_transpose_agrees():
 def test_grid_search_needs_two_rows():
     with pytest.raises(InputError, match="both sides"):
         grid_search(1, 6)
+
+
+# Under python -O, grid_search must still refuse a sweep that does not
+# clear the grid: here the replay loses the sweep's last step.
+GRID_SABOTAGE = """
+import zvsearch.synth as synth
+
+real = synth.simulate
+synth.simulate = lambda g, steps: real(g, steps[:-1])
+try:
+    synth.grid_search(3, 4)
+except AssertionError as ex:
+    print("refused:", ex)
+else:
+    print("accepted")
+"""
+
+
+def test_sabotaged_grid_sweep_is_refused_under_O():
+    root = os.path.dirname(os.path.dirname(zvsearch.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", GRID_SABOTAGE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=root),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: grid sweep failed"), proc.stdout
