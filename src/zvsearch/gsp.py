@@ -19,8 +19,18 @@ either child is and counts 0 if so and 1 if not, a parallel node is
 never bridged and adds up its children, and a branch node copies the
 child that keeps both terminals. "Simple" means every subtree has
 complexity at most one.
+
+The classifier's trees are series spines. It peels pendant blocks off
+one block-cut forest, then runs each block in series into its largest
+limb, counted in vertices, and hangs only the other limbs on with
+branch nodes (a heavy-path layout). Every series run is folded into a
+balanced tree. How deep limbs hang inside limbs sets the size of a
+synthesized host, each level multiplying the subdivision its ball sweep
+demands; on a tree a limb hangs inside at most log2(n) others, and a
+path is one series run.
 """
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -351,7 +361,7 @@ def subdivide_decomposition(tree, counts):
         if t.a != e[0]:
             inner.reverse()
         seq = [t.a] + inner + [t.b]
-        return _fold("series", [leaf(u, v) for u, v in zip(seq, seq[1:])])
+        return _series([leaf(u, v) for u, v in zip(seq, seq[1:])])
 
     return _bottom_up(tree, lambda t: t.children, rebuild)
 
@@ -459,6 +469,16 @@ def _fold(op, parts):
     return out
 
 
+def _series(parts):
+    """A balanced series tree of a run, in order: joining neighbours
+    pairwise, round after round, keeps it ceil(log2 len) deep, and with
+    it every walk that recurses over the tree."""
+    while len(parts) > 1:
+        pairs = [node("series", *parts[i:i + 2]) for i in range(0, len(parts) - 1, 2)]
+        parts = pairs + parts[len(pairs) * 2:]
+    return parts[0]
+
+
 def _sp(g, a, b):
     """SP tree for a biconnected K_4-free (g, a, b); None on obstruction.
 
@@ -500,7 +520,7 @@ def _sp_chain(h, a, b):
         if t is None:
             return None
         parts.append(t)
-    return _fold("series", parts)
+    return _series(parts)
 
 
 def _two_connected(g):
@@ -879,25 +899,19 @@ def _rebuild_block(g, tree, target):
 # the classifier
 
 
-def _pendant(g, bcf):
-    """A pendant block of g to peel, as (block, cut, simple tree of the
-    block with the cut as first terminal), or the pattern refuting g."""
-    pendants = sorted(bcf.leaf_blocks(), key=lambda bc: min(bc[0]))[:2]
-    built = []
-    for blk, cut in pendants:
-        assert cut is not None
-        sub = g.induced(blk)
-        tree = _sp(sub, cut, min(sub.sorted_neighbors(cut)))
-        assert tree is not None
-        built.append((blk, cut, tree))
-    for blk, cut, tree in built:
+def _pendant(g, built, rest):
+    """Which of the first two pendant blocks to peel, given as (block,
+    cut, SP tree of the block from the cut): (its position, a simple
+    tree of the block with the cut as first terminal), or the pattern
+    refuting g. rest() builds the graph the peel has left."""
+    for i, (_, _, tree) in enumerate(built):
         if tree.simple:
-            return blk, cut, tree
+            return i, tree
     cores = [_minimal_complex_nodes(tree) for _, _, tree in built]
     for (blk, _, _), hits in zip(built, cores):
         if len(hits) >= 2:
             return _witness_pair(g.induced(blk), hits[0], hits[1])
-    for (blk, cut, tree), (m,) in zip(built, cores):
+    for i, ((blk, cut, tree), (m,)) in enumerate(zip(built, cores)):
         # the cut is a root terminal of the block tree, and root
         # terminals stay terminals all the way down, so the cut touches
         # the complex core exactly when it is one of the core's terminals
@@ -905,48 +919,132 @@ def _pendant(g, bcf):
             redone = _rebuild_block(g.induced(blk), tree, cut)
             if isinstance(redone, ForbiddenWitness):
                 return redone
-            return blk, cut, redone
+            return i, redone
     (blk_h, cut_h, _), (blk_k, cut_k, _) = built
     return _witness_cross_block(
-        g, blk_h, cut_h, cores[0][0], blk_k, cut_k, cores[1][0]
+        rest(), blk_h, cut_h, cores[0][0], blk_k, cut_k, cores[1][0]
     )
 
 
-def _build(g):
-    # Peel pendant blocks off until one block is left, then graft them
-    # back on in reverse order, each at its cut vertex.
-    peeled = []
+def _peel(g):
+    """Peel pendant blocks off g until one block is left.
+
+    Returns the peeled blocks in order, as (block, cut, simple tree of
+    the block with the cut as first terminal), and a simple tree of the
+    last block; or the pattern refuting g. One block-cut forest serves
+    the whole loop: peeling a leaf block leaves every other block whole
+    and only retires cut vertices, so the loop keeps the blocks still
+    holding each cut vertex and a heap of leaf blocks. The heap's key,
+    a block's least vertex m and then m's least neighbour inside it,
+    orders the leaves as a fresh forest of the remaining graph sorted by
+    least vertex would: two leaf blocks with the same least vertex both
+    hang from m, and a forest lists them in the order its DFS leaves m.
+    """
     bcf = block_cut_forest(g)
-    while len(bcf.blocks) > 1:
-        got = _pendant(g, bcf)
+    blocks = bcf.blocks
+    holders = {v: set() for v in bcf.cut_vertices}
+    for i, blk in enumerate(blocks):
+        for v in blk & bcf.cut_vertices:
+            holders[v].add(i)
+    alive = set(range(len(blocks)))
+    heap = []
+
+    def push_if_leaf(i):
+        cuts = [v for v in blocks[i] if len(holders.get(v, ())) > 1]
+        if len(cuts) == 1:
+            m = min(blocks[i])
+            heapq.heappush(heap, (m, min(g.neighbors(m) & blocks[i]), i, cuts[0]))
+
+    for i in alive:
+        push_if_leaf(i)
+    trees = {}
+    peeled = []
+    while len(alive) > 1:
+        pair = [heapq.heappop(heap) for _ in range(2)]
+        built = []
+        for _, _, i, cut in pair:
+            if i not in trees:
+                sub = g.induced(blocks[i])
+                trees[i] = _sp(sub, cut, min(sub.neighbors(cut)))
+                assert trees[i] is not None
+            built.append((blocks[i], cut, trees[i]))
+        got = _pendant(
+            g, built, lambda: g.induced(set().union(*(blocks[i] for i in alive)))
+        )
         if isinstance(got, ForbiddenWitness):
             return got
-        blk, cut, tree = got
-        peeled.append((cut, tree))
-        g = g.without_vertices(set(blk) - {cut})
-        bcf = block_cut_forest(g)
-    out = _sp(g, *g.edges()[0])
-    assert out is not None
-    if not out.simple:
-        out = _rebuild_block(g, out, _minimal_complex_nodes(out)[0].a)
-        if isinstance(out, ForbiddenWitness):
-            return out
-    for cut, tree in reversed(peeled):
-        out = _merge(out, tree, cut)
-    return out
+        k, tree = got
+        heapq.heappush(heap, pair[1 - k])
+        _, _, i, cut = pair[k]
+        peeled.append((blocks[i], cut, tree))
+        alive.remove(i)
+        holders[cut].remove(i)
+        if len(holders[cut]) == 1:
+            push_if_leaf(next(iter(holders[cut])))
+    (i,) = alive
+    last = g.induced(blocks[i])
+    root = _sp(last, *last.edges()[0])
+    assert root is not None
+    if not root.simple:
+        root = _rebuild_block(last, root, _minimal_complex_nodes(root)[0].a)
+        if isinstance(root, ForbiddenWitness):
+            return root
+    return peeled, root
+
+
+def _assemble(peeled, root):
+    """One simple tree from the peeled blocks and the last block's tree.
+
+    One pass in peel order builds each block's limb: its tree, grafted
+    with the limbs hanging at its other vertices, then continued in
+    series by the largest limb, counted in vertices, at its second
+    terminal. A limb is kept as its run of series segments, last first.
+    The other limbs are grafted with _merge, largest innermost: an outer
+    branch sweeps a ball as wide as its pendant's search, so the small
+    pendants belong outside. The last block continues into its largest
+    limb at each terminal; the run on its first terminal's side is read
+    backwards, each segment inverted.
+    """
+    hanging = {}  # vertex -> limbs hanging there, as (vertices, order, run)
+
+    def graft(tree, limbs, ends):
+        # the heaviest limb at each end, and tree with the others grafted
+        heavy = {}
+        for _, _, v, run in sorted(limbs, key=lambda limb: (-limb[0], limb[1])):
+            if v in ends and v not in heavy:
+                heavy[v] = run
+            else:
+                tree = _merge(tree, _series(run[::-1]), v)
+        return tree, heavy
+
+    for order, (blk, cut, tree) in enumerate(peeled):
+        limbs = [limb for v in blk if v != cut for limb in hanging.pop(v, ())]
+        tree, heavy = graft(tree, limbs, (tree.b,))
+        run = heavy.get(tree.b, [])
+        run.append(tree)
+        size = len(blk) + sum(limb[0] - 1 for limb in limbs)
+        hanging.setdefault(cut, []).append((size, order, cut, run))
+    # every limb still hanging hangs from the last block
+    limbs = [limb for at in hanging.values() for limb in at]
+    tree, heavy = graft(root, limbs, root.terminals)
+    head = [_invert(s) for s in heavy.get(root.a, [])]
+    return _series(head + [tree] + heavy.get(root.b, [])[::-1])
 
 
 def build_simple_gsp(g):
     """A simple decomposition of g, or the forbidden pattern preventing
     one.
 
-    Pendant blocks are decomposed from their cut vertex and grafted on
-    when simple; a complex pendant tree either re-anchors at its cut
-    (when the cut touches the complex core) or certifies a pattern. At
-    most two pendant blocks ever need attention: two complex ones
-    already refute the graph. The answer is checked here, once, and a
-    wrong one raises AssertionError, an internal error, also under
-    `python -O`.
+    Pendant blocks are peeled off and decomposed from their cut vertex;
+    a complex pendant tree either re-anchors at its cut (when the cut
+    touches the complex core) or certifies a pattern. At most two
+    pendant blocks ever need attention: two complex ones already refute
+    the graph. The tree is then assembled as series spines: each block
+    continues in series into its largest limb, and only the other limbs
+    hang on with branch nodes, so a path becomes one series run and on
+    a tree a limb hangs inside at most log2(n) others. The answer is
+    checked here, once, and a wrong one raises AssertionError, an
+    internal error, also under `python -O`.
     """
     if g.n < 2:
         raise InputError("classification needs at least two vertices")
@@ -955,7 +1053,9 @@ def build_simple_gsp(g):
     w = has_k4_subdivision(g)
     if w is not None:
         return w
-    out = _build(g)
+    out = _peel(g)
+    if not isinstance(out, ForbiddenWitness):
+        out = _assemble(*out)
     if isinstance(out, GspTree):
         try:
             ok = recompose(out) == g and out.simple

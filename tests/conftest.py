@@ -9,7 +9,8 @@ import random
 import networkx as nx
 import pytest
 
-from zvsearch.graphs import Graph
+from zvsearch.graphs import Graph, cycle_graph
+from zvsearch.gsp import classify_topological_3
 
 
 def from_networkx(ng):
@@ -56,3 +57,15 @@ def atlas_2_7():
 @pytest.fixture
 def rng():
     return random.Random(0x5eed)
+
+
+@pytest.fixture(scope="session")
+def synthesis_corpus(atlas_2_7):
+    """The YES graphs criterion 07 synthesizes: a seeded sample of 100
+    from the atlas, every tree with 2-8 vertices, cycles 3-8 and K_{2,3}."""
+    yes_graphs = [g for g in atlas_2_7 if classify_topological_3(g).verdict == "YES"]
+    corpus = random.Random(2026).sample(yes_graphs, 100)
+    corpus += all_trees(2, 8)
+    corpus += [cycle_graph(n) for n in range(3, 9)]
+    corpus.append(Graph.from_edges([(s, f"m{i}") for s in "ab" for i in range(3)]))
+    return corpus

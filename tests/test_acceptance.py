@@ -9,7 +9,6 @@ hand-checked worked example for the trace comparison.
 """
 
 import itertools
-import random
 import time
 
 from zvsearch.game import (
@@ -246,15 +245,9 @@ def check_bundle(g, bundle, floors=None):
     return 0
 
 
-def test_criterion_07_synthesis_pipeline(atlas_2_7):
-    yes_graphs = [g for g in atlas_2_7 if classify_topological_3(g).verdict == "YES"]
-    corpus = random.Random(2026).sample(yes_graphs, 100)
-    corpus += all_trees(2, 8)
-    corpus += [cycle_graph(n) for n in range(3, 9)]
-    corpus.append(Graph.from_edges([(s, f"m{i}") for s in "ab" for i in range(3)]))
-
+def test_criterion_07_synthesis_pipeline(synthesis_corpus):
     solver_confirmed = 0
-    for g in corpus:
+    for g in synthesis_corpus:
         cls = classify_topological_3(g)
         assert cls.verdict == "YES"
         bundle = synthesize(cls.tree.terminal_graph(), cls.tree)
@@ -277,7 +270,7 @@ def test_criterion_07_synthesis_pipeline(atlas_2_7):
     assert ok, why
     assert exists_successful_search(host.derived, 3) is not None
 
-    report(7, f"{len(corpus)} bundles + direct example, {solver_confirmed} solver-confirmed")
+    report(7, f"{len(synthesis_corpus)} bundles + direct example, {solver_confirmed} solver-confirmed")
 
 
 def ball_instance(rng):

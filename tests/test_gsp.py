@@ -1,5 +1,6 @@
 """Decomposition trees: composition, complexity, classification."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 import zvsearch
 import zvsearch.gsp as gsp_module
 from zvsearch.errors import InputError
-from zvsearch.forbidden import embedded, pattern_check
+from zvsearch.forbidden import ForbiddenWitness, embedded, pattern_check
 from zvsearch.graphs import (
     Graph,
     SubdividedGraph,
@@ -24,6 +25,7 @@ from zvsearch.graphs import (
     path_graph,
 )
 from zvsearch.gsp import (
+    Classification,
     _sp,
     _sp_reducible,
     classify_topological_3,
@@ -455,10 +457,111 @@ def test_classify_derives_graph_once(monkeypatch):
         assert c.tree.graph == generate(spec) and len(calls) == 1
 
 
+# ---------------------------------------------------------------------------
+# the peel loop against its first form
+
+
+def reference_peel(g):
+    """The classifier's peel loop as first written: a fresh block-cut
+    forest and a copy of the remaining graph for every peel, its leaf
+    blocks sorted by least vertex. Returns what gsp._peel returns."""
+    peeled = []
+    bcf = block_cut_forest(g)
+    while len(bcf.blocks) > 1:
+        built = []
+        for blk, cut in sorted(bcf.leaf_blocks(), key=lambda bc: min(bc[0]))[:2]:
+            sub = g.induced(blk)
+            built.append((blk, cut, _sp(sub, cut, min(sub.sorted_neighbors(cut)))))
+        got = gsp_module._pendant(g, built, lambda: g)
+        if isinstance(got, ForbiddenWitness):
+            return got
+        i, tree = got
+        blk, cut, _ = built[i]
+        peeled.append((blk, cut, tree))
+        g = g.without_vertices(set(blk) - {cut})
+        bcf = block_cut_forest(g)
+    root = _sp(g, *g.edges()[0])
+    if not root.simple:
+        root = gsp_module._rebuild_block(
+            g, root, gsp_module._minimal_complex_nodes(root)[0].a
+        )
+        if isinstance(root, ForbiddenWitness):
+            return root
+    return peeled, root
+
+
+def reference_record(g):
+    w = has_k4_subdivision(g)
+    if w is None:
+        w = reference_peel(g)
+    if isinstance(w, ForbiddenWitness):
+        return Classification("NO", witness=w).to_record()
+    return Classification("YES", tree=gsp_module._assemble(*w)).to_record()
+
+
+# block templates: an edge, cycles, a theta, and blocks with two or three
+# bipaths between "0" and "1" (complex SP trees, which the classifier
+# re-anchors or refutes)
+def _bipaths(count):
+    edges = []
+    for i in range(count):
+        m, p, q, r, s = (f"{i}{t}" for t in "mpqrs")
+        edges += [("0", p), (p, m), ("0", q), (q, m), (m, r), (r, "1"), (m, s), (s, "1")]
+    return edges
+
+
+BLOCKS = [
+    [("0", "1")],
+    [("0", "1"), ("1", "2"), ("2", "0")],
+    [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")],
+    [("0", "1"), ("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "0")],
+    [(s, f"m{i}") for s in "01" for i in range(3)],
+    _bipaths(2),
+    _bipaths(3),
+]
+
+
+def random_block_tree(rng):
+    """Blocks glued at shared vertices, tie-rich: most new blocks take
+    labels above their glue vertex, so several leaf blocks share their
+    least vertex, and the rest take labels from one shared counter."""
+    edges, vertices, fresh = [], ["a"], iter(range(10**6))
+    for _ in range(rng.randint(1, 7)):
+        glue = rng.choice(vertices)
+        template = rng.choice(BLOCKS[:5] * 3 + BLOCKS[5:])
+        local = sorted({v for e in template for v in e})
+        at = rng.choice(local)
+        above = rng.random() < 0.6
+        names = {}
+        for v in local:
+            if v == at:
+                names[v] = glue
+            elif above:
+                names[v] = f"{glue}.{next(fresh)}"
+            else:
+                names[v] = f"{next(fresh):03d}"
+        vertices += [w for w in names.values() if w != glue]
+        edges += [(names[u], names[v]) for u, v in template]
+    return Graph.from_edges(edges)
+
+
+def test_peel_matches_its_first_form(atlas_2_7, rng):
+    trees = [random_block_tree(rng) for _ in range(300)]
+    refuted_trees = 0
+    for i, g in enumerate(list(atlas_2_7) + trees):
+        got = classify_topological_3(g).to_record()
+        assert json.dumps(got) == json.dumps(reference_record(g)), sorted(g.edges())
+        refuted_trees += i >= len(atlas_2_7) and got["verdict"] == "NO"
+    # block trees of series-parallel blocks hold no K_4 subdivision, so
+    # their NO answers come from the peel itself
+    assert refuted_trees > 30
+
+
 # Run under python -O, where asserts are stripped: the classifier's own
-# final check must still refuse a wrong answer. "merge" grafts nothing,
-# so the tree misses every pendant block; "witness" makes every witness
-# look foreign to the graph.
+# final check must still refuse a wrong answer. "spine" keeps the last
+# block's tree and drops every limb; "merge" grafts nothing, so the tree
+# misses every limb off a spine; "witness" makes every witness look
+# foreign to the graph.
 SABOTAGE = """
 import sys
 
@@ -466,7 +569,9 @@ import zvsearch.gsp as gsp
 from zvsearch.graphs import generate
 
 spec, how = sys.argv[1:]
-if how == "merge":
+if how == "spine":
+    gsp._assemble = lambda peeled, root: root
+elif how == "merge":
     gsp._merge = lambda tree, pendant, c: tree
 else:
     gsp.embedded = lambda witness, g: False
@@ -482,7 +587,7 @@ else:
 @pytest.mark.parametrize(
     "spec, how, why",
     [
-        ("path:6", "merge", "decomposition"),
+        ("path:6", "spine", "decomposition"),
         ("tree:2", "merge", "decomposition"),
         ("f2", "witness", "witness"),
         ("f3", "witness", "witness"),

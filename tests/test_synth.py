@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import zvsearch
+import zvsearch.gsp as gsp_module
 import zvsearch.synth as synth_module
 from zvsearch.errors import InputError
 from zvsearch.game import check_aligned_search, is_aligned, is_successful, simulate
@@ -301,6 +302,40 @@ def test_synthesize_checks_once(monkeypatch, spec):
     assert checked[0] is bundle.host.derived
 
 
+def reference_graft(peeled, root):
+    """The classifier's first assembly: every peeled block grafted back
+    onto the last block's tree with a branch, in reverse peel order."""
+    out = root
+    for _, cut, tree in reversed(peeled):
+        out = gsp_module._merge(out, tree, cut)
+    return out
+
+
+def test_spines_never_grow_a_host(synthesis_corpus):
+    totals = [0, 0]
+    for g in synthesis_corpus:
+        peeled, root = gsp_module._peel(g)
+        spine = gsp_module._assemble(peeled, root)
+        graft = reference_graft(peeled, root)
+        new = synthesize(spine.terminal_graph(), spine)
+        old = synthesize(graft.terminal_graph(), graft)
+        assert new.host.n <= old.host.n, sorted(g.edges())
+        assert len(new.search) <= len(old.search), sorted(g.edges())
+        totals[0] += new.host.n
+        totals[1] += old.host.n
+    # the grafts nest exponentially, the spines do not
+    assert 2 * totals[0] < totals[1]
+
+
+def test_paths_synthesize_without_subdividing():
+    for n in range(2, 61):
+        c = classify_topological_3(path_graph(n))
+        bundle = synthesize(c.tree.terminal_graph(), c.tree)
+        assert bundle.host.n == n and len(bundle.search) == n - 1, n
+    c = classify_topological_3(generate("tree:4"))
+    assert synthesize(c.tree.terminal_graph(), c.tree).host.n <= 150
+
+
 # Run under python -O, where asserts are stripped: a broken amalgamation
 # must still be caught by the final check. "drop" loses the last step of
 # every inward ball sweep; "stray" adds a vertex the host does not have,
@@ -335,7 +370,8 @@ else:
 """
 
 
-@pytest.mark.parametrize("spec", ["path:6", "cycle:5"])
+# tree:3 and cycle:5 each run inward sweeps (a path runs none).
+@pytest.mark.parametrize("spec", ["tree:3", "cycle:5"])
 @pytest.mark.parametrize("how", ["drop", "stray"])
 def test_sabotaged_synthesis_is_refused_under_O(spec, how):
     root = os.path.dirname(os.path.dirname(zvsearch.__file__))
