@@ -371,60 +371,63 @@ def subdivide_decomposition(tree, counts):
 
 
 def _sp_reducible(g):
-    """Series-parallel multigraph reduction on one biconnected block."""
-    if g.n <= 2:
-        return True
-    mult = {v: {} for v in g.vertices}
-    for u, v in g.edges():
-        mult[u][v] = 1
-        mult[v][u] = 1
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(mult):
-            if v not in mult:
-                continue
-            nb = mult[v]
-            for u in list(nb):
-                if nb[u] > 1:
-                    nb[u] = 1
-                    mult[u][v] = 1
-                    changed = True
-            if len(nb) == 2 and sum(nb.values()) == 2:
-                x, y = sorted(nb)
-                del mult[v]
-                del mult[x][v]
-                del mult[y][v]
-                mult[x][y] = mult[x].get(y, 0) + 1
-                mult[y][x] = mult[y].get(x, 0) + 1
-                changed = True
-    return len(mult) <= 2
+    """Series-parallel reduction of one biconnected block.
+
+    Parallel edges merge as they form, because neighbours are kept as
+    sets, and a worklist holds the vertices of degree 2: reducing one
+    changes the degree of its two neighbours only, so only they are
+    queued again. A biconnected graph reduces to a single edge, in any
+    order of steps, exactly when it has no K_4 minor (Duffin 1965).
+    """
+    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    work = [v for v in g.vertices if len(nbrs[v]) == 2]
+    while work and len(nbrs) > 2:
+        v = work.pop()
+        if v not in nbrs or len(nbrs[v]) != 2:
+            continue
+        x, y = nbrs.pop(v)
+        for u, w in ((x, y), (y, x)):
+            nbrs[u].discard(v)
+            nbrs[u].add(w)
+            if len(nbrs[u]) == 2:
+                work.append(u)
+    return len(nbrs) <= 2
 
 
 def _contains_k4(g):
-    return any(
-        len(blk) >= 4 and not _sp_reducible(g.induced(blk))
-        for blk in block_cut_forest(g).blocks
-    )
+    """The blocks of g that hold a K_4 subdivision: those with four or
+    more vertices that do not reduce to an edge."""
+    return [
+        blk for blk in block_cut_forest(g).blocks
+        if len(blk) >= 4 and not _sp_reducible(g.induced(blk))
+    ]
 
 
 def _extract_k4(g):
     # Shrink to an edge-minimal subgraph that still embeds the pattern;
     # what remains is the subdivision itself, so the roles fall out of
-    # the degree sequence.
+    # the degree sequence. One pass over the edges, in sorted order, is
+    # as good as restarting after every removal: containing a K_4
+    # subdivision is monotone, so an edge whose removal loses the
+    # pattern loses it from every smaller h as well, and a restart
+    # would only keep it again. When the pattern survives in one block
+    # alone, h is cut to that block: every K_4 subdivision lies inside
+    # it, the other blocks being series-parallel, and the pass would
+    # remove every edge outside it anyway.
     h = g
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for e in h.edges():
-            cand = h.without_edge(*e)
-            if _contains_k4(cand):
-                h = cand
-                shrinking = True
-                break
+    for e in g.edges():
+        if not h.has_edge(*e):
+            continue
+        cand = h.without_edge(*e)
+        cores = _contains_k4(cand)
+        if len(cores) == 1:
+            h = cand.induced(cores[0])
+        elif cores:
+            h = cand
     h = h.induced([v for v in h.vertices if h.degree(v) > 0])
     branch = sorted(v for v in h.vertices if h.degree(v) == 3)
-    assert len(branch) == 4 and all(h.degree(v) in (2, 3) for v in h.vertices)
+    if len(branch) != 4 or any(h.degree(v) not in (2, 3) for v in h.vertices):
+        raise AssertionError("the K_4 minimisation did not end in a subdivision")
     chains = {}
     for v in branch:
         for w in h.sorted_neighbors(v):
@@ -441,7 +444,8 @@ def _extract_k4(g):
             if key not in chains:
                 chains[key] = path if path[0] < path[-1] else path[::-1]
     paths = sorted(chains.values())
-    assert len(paths) == 6
+    if len(paths) != 6:
+        raise AssertionError("the K_4 subdivision does not have six chains")
     w = ForbiddenWitness(
         "F1",
         h,

@@ -170,20 +170,26 @@ def test_pattern_problems_reject_coinciding_pairs():
 # makes pattern_problems report a defect for one family only, so the
 # refusal comes from the builder of that family: _brute_f1 through the
 # brute-force search, and _witness_f2, _witness_f3 and gsp._extract_k4
-# through the classifier, ahead of its own final check.
+# through the classifier, ahead of its own final check. "shape" instead
+# makes gsp._extract_k4's block test find no K_4 subdivision after any
+# edge removal, so the minimisation stops at once, and the shape check
+# must refuse what is left.
 SABOTAGE = """
 import sys
 
 import zvsearch.forbidden as forbidden
+import zvsearch.gsp as gsp
 from zvsearch.graphs import generate
-from zvsearch.gsp import classify_topological_3
 
 spec, family, how = sys.argv[1:]
 real = forbidden.pattern_problems
-forbidden.pattern_problems = (
-    lambda w: ["sabotaged"] if w.family == family else real(w)
-)
-find = forbidden.brute_force_forbidden if how == "brute" else classify_topological_3
+if how == "shape":
+    gsp._contains_k4 = lambda g: []
+else:
+    forbidden.pattern_problems = (
+        lambda w: ["sabotaged"] if w.family == family else real(w)
+    )
+find = forbidden.brute_force_forbidden if how == "brute" else gsp.classify_topological_3
 try:
     find(generate(spec))
 except AssertionError as ex:
@@ -200,6 +206,7 @@ else:
         ("f2", "F2", "classify"),
         ("f3", "F3", "classify"),
         ("complete:4", "F1", "classify"),
+        ("complete:5", "F1", "shape"),
     ],
 )
 def test_sabotaged_witness_is_refused_under_O(spec, family, how):
@@ -213,5 +220,8 @@ def test_sabotaged_witness_is_refused_under_O(spec, family, how):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    want = f"refused: {family} witness fails its pattern: ['sabotaged']"
+    if how == "shape":
+        want = "refused: the K_4 minimisation did not end in a subdivision"
+    else:
+        want = f"refused: {family} witness fails its pattern: ['sabotaged']"
     assert proc.stdout.startswith(want), proc.stdout

@@ -379,6 +379,153 @@ def test_has_k4_subdivision_frozen():
 
 
 # ---------------------------------------------------------------------------
+# K_4 reduction and minimisation against their first forms
+
+
+def reference_sp_reducible(g):
+    """The series-parallel reduction as first written: sweep every
+    vertex in sorted order, merging parallel edges and reducing series
+    vertices, until a sweep changes nothing."""
+    if g.n <= 2:
+        return True
+    mult = {v: {} for v in g.vertices}
+    for u, v in g.edges():
+        mult[u][v] = 1
+        mult[v][u] = 1
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(mult):
+            if v not in mult:
+                continue
+            nb = mult[v]
+            for u in list(nb):
+                if nb[u] > 1:
+                    nb[u] = 1
+                    mult[u][v] = 1
+                    changed = True
+            if len(nb) == 2 and sum(nb.values()) == 2:
+                x, y = sorted(nb)
+                del mult[v]
+                del mult[x][v]
+                del mult[y][v]
+                mult[x][y] = mult[x].get(y, 0) + 1
+                mult[y][x] = mult[y].get(x, 0) + 1
+                changed = True
+    return len(mult) <= 2
+
+
+def reference_contains_k4(g):
+    return any(
+        len(blk) >= 4 and not reference_sp_reducible(g.induced(blk))
+        for blk in block_cut_forest(g).blocks
+    )
+
+
+def reference_extract_k4(g):
+    """The edge minimisation as first written, restarting from the first
+    edge after every removal; the roles are then read off the minimal
+    graph, where no edge can go, by the classifier's own code."""
+    h = g
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for e in h.edges():
+            cand = h.without_edge(*e)
+            if reference_contains_k4(cand):
+                h = cand
+                shrinking = True
+                break
+    return gsp_module._extract_k4(h)
+
+
+def reference_k4_witness(g):
+    for blk in sorted(block_cut_forest(g).blocks, key=min):
+        if len(blk) >= 4 and not reference_sp_reducible(g.induced(blk)):
+            return reference_extract_k4(g.induced(blk))
+    return None
+
+
+def wheel(n):
+    return Graph.from_edges(
+        [("hub", f"r{i}") for i in range(n)]
+        + [(f"r{i}", f"r{(i + 1) % n}") for i in range(n)]
+    )
+
+
+def random_biconnected(rng):
+    """A cycle with random ears: each ear is a path, possibly a single
+    edge, between two distinct vertices already placed."""
+    n = rng.randint(3, 6)
+    vertices = [f"c{i}" for i in range(n)]
+    edges = {tuple(sorted((vertices[i], vertices[(i + 1) % n]))) for i in range(n)}
+    for e in range(rng.randint(0, 6)):
+        a, b = rng.sample(vertices, 2)
+        inner = [f"e{e}.{i}" for i in range(rng.randint(0, 3))]
+        route = [a] + inner + [b]
+        edges |= {tuple(sorted(uv)) for uv in zip(route, route[1:])}
+        vertices += inner
+    return Graph.from_edges(sorted(edges))
+
+
+def test_sp_reduction_matches_its_first_form(atlas_2_7, rng):
+    blocks = [
+        g.induced(blk)
+        for g in atlas_2_7
+        for blk in block_cut_forest(g).blocks
+        if len(blk) >= 4
+    ]
+    blocks += [generate(f"grid:3,{m}") for m in range(3, 13)]
+    blocks += [wheel(n) for n in range(3, 12)]
+    blocks.append(Graph.from_edges([(a, b) for a in "abc" for b in "xyz"]))
+    blocks += [random_biconnected(rng) for _ in range(300)]
+    verdicts = []
+    for g in blocks:
+        assert len(block_cut_forest(g).blocks) == 1
+        verdicts.append(_sp_reducible(g))
+        assert verdicts[-1] == reference_sp_reducible(g), sorted(g.edges())
+    assert 100 < verdicts.count(True) and 100 < verdicts.count(False)
+
+
+def twin_k4s(first, second):
+    """Two K_4s sharing vertex p and joined by the path first1-0-second1,
+    whose edges sort first: removing them leaves two blocks that each
+    hold a K_4, so the minimisation cannot cut to a single block."""
+    quads = [["p"] + [f"{x}{i}" for i in (1, 2, 3)] for x in (first, second)]
+    edges = [(u, v) for q in quads for i, u in enumerate(q) for v in q[i + 1:]]
+    return Graph.from_edges(edges + [("0", f"{first}1"), ("0", f"{second}1")])
+
+
+def test_k4_witness_matches_its_first_form(atlas_2_7):
+    graphs = list(atlas_2_7) + [generate(f"grid:3,{m}") for m in range(3, 13)]
+    graphs += [twin_k4s("b", "c"), twin_k4s("c", "b")]
+    found = 0
+    for g in graphs:
+        got, want = has_k4_subdivision(g), reference_k4_witness(g)
+        assert (got is None) == (want is None), sorted(g.edges())
+        if got is not None:
+            assert json.dumps(got.to_record()) == json.dumps(want.to_record())
+            found += 1
+    assert found > 300
+
+
+@pytest.mark.parametrize("spec", ["grid:3,20", "f1"])
+def test_k4_minimisation_tests_each_edge_once(monkeypatch, spec):
+    calls = []
+    real = gsp_module._contains_k4
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(gsp_module, "_contains_k4", counting)
+    g = generate(spec)
+    (blk,) = block_cut_forest(g).blocks
+    assert has_k4_subdivision(g) is not None
+    assert 0 < len(calls) <= g.induced(blk).m
+
+
+# ---------------------------------------------------------------------------
 # classification
 
 
