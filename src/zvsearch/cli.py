@@ -167,14 +167,25 @@ def _verify_bundle(path):
         raise InputError(f"{path}: not valid JSON ({ex})")
     try:
         bundle = AlignedSearchBundle.from_record(rec)
+        a, b = bundle.alignment
     except (KeyError, TypeError, ValueError) as ex:
         raise InputError(f"{path}: not a bundle record ({ex})")
-    # synthesized searches run to tens of thousands of steps; check them
-    # streaming rather than holding a trace
-    host = bundle.host.derived
-    ok, _ = check_search(host, bundle.search)
-    a, b = bundle.alignment
-    aligned, _ = check_aligned_search(host, bundle.search, a, b)
+    host = bundle.host
+    for v in (a, b):
+        if v not in host:
+            raise InputError(f"no vertex {v!r}")
+    # From the empty clean set, a vertex the search never inspects never
+    # turns clean: one round keeps only protected vertices clean. So a
+    # host with more vertices than the steps hold fails, and its derived
+    # graph, which a record can make as large as it claims, is not built.
+    if host.n > sum(len(step) for step in bundle.search):
+        ok = aligned = False
+    else:
+        # synthesized searches run to tens of thousands of steps; check
+        # them streaming rather than holding a trace
+        derived = host.derived
+        ok, _ = check_search(derived, bundle.search)
+        aligned, _ = check_aligned_search(derived, bundle.search, a, b)
     _emit(
         {
             "successful": ok,

@@ -29,11 +29,14 @@ of their first picks. That keeps the BFS order, the witnesses and the
 explored-state counts of the pick-by-pick loop, which the tests keep as
 the reference.
 
-The subset DP reads two uint8 tables over all 2^n vertex sets: the
-popcount and the boundary size, which is the popcount less that of the
-set's clean part after one round with the set protected. So the tables
-come from the same per-byte neighbourhood tables and the same round map
-as the closure, filled one block of masks at a time.
+The vertex-separation DP keeps one uint8 entry per vertex set, but
+visits only the sets that can start a layout no wider than a greedy
+one: it grows them one layer of set sizes at a time, by one vertex
+each, and takes each new set's boundary (the part of it that one round
+with the set protected leaves dirty) from the same per-byte
+neighbourhood tables and round map as the closure. The boundary
+profile reads two uint8 tables over all 2^n sets, the popcount and the
+boundary size, filled from the round map one block of masks at a time.
 
 Plus the boundary-gap certificate: a size i such that no set of size
 strictly between i-k and i has boundary below k. No width-k search can
@@ -51,16 +54,17 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .game import is_monotonic, is_successful, simulate
-from .graphs import boundary
 
-# Largest n for the subset tables: three uint8 arrays of 2^n entries,
-# 3 bytes per subset, about 12 MB at n = 22; beyond that, refuse.
+# Largest n for the subset tables: one uint8 array of 2^n entries for
+# the separation DP, two for the boundary profile, 4 MB each at n = 22;
+# beyond that, refuse.
 _MASK_CAP = 22
 
 # Picks per batch of the round map: enough rows to amortise numpy's
@@ -68,8 +72,9 @@ _MASK_CAP = 22
 # MB whatever n and k are.
 _CHUNK = 1 << 14
 
-# Masks per block of the subset tables: their uint64/intp temporaries
-# stay around half a MB, whatever n is.
+# Masks per block of the subset tables, and entries per block of the
+# separation DP's candidates: their uint64/intp temporaries stay around
+# half a MB, whatever n is.
 _BLOCK = 1 << 16
 
 # Start vertices the greedy layout tries when no optimal decomposition
@@ -124,29 +129,39 @@ class BoundaryGapCertificate:
         return {"k": self.k, "i": self.i, "profile": sorted(self.profile)}
 
 
+@lru_cache(maxsize=2)
 def _round_tables(nbr, n, dtype):
     """Per-byte neighbourhood tables: tables[b][x] is the union of nbr[v]
     over the vertices v = 8*b + t for the bits t set in x. Each table
     doubles once per vertex of its byte, so the last one has 2^(n mod 8)
-    entries when n is not a multiple of 8."""
+    entries when n is not a multiple of 8.
+
+    nbr is a tuple, so that one solve builds the tables once for the
+    separation DP and every width of the closure. The tables are shared,
+    so they are read-only."""
     tables = []
     for base in range(0, n, 8):
         row = np.zeros(1, dtype=dtype)
         for v in range(base, min(base + 8, n)):
             row = np.concatenate((row, row | nbr[v]))
+        row.flags.writeable = False
         tables.append(row)
     return tables
+
+
+def _reach(masks, tables):
+    """The neighbourhood of each mask, one gather per byte."""
+    reach = tables[0][(masks & 0xFF).astype(np.intp)]
+    for b in range(1, len(tables)):
+        reach |= tables[b][((masks >> 8 * b) & 0xFF).astype(np.intp)]
+    return reach
 
 
 def _round_map(protected, full, tables):
     """Clean sets after one round, one per protected mask: a protected
     vertex stays clean unless it has a neighbour outside the protected
     set."""
-    outside = full ^ protected
-    reach = tables[0][(outside & 0xFF).astype(np.intp)]
-    for b in range(1, len(tables)):
-        reach |= tables[b][((outside >> 8 * b) & 0xFF).astype(np.intp)]
-    return protected & ~reach
+    return protected & ~_reach(full ^ protected, tables)
 
 
 def _replay(parents, state):
@@ -220,7 +235,7 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
 
     dtype = np.uint64 if g.n <= 64 else object
     bits = np.array([1 << i for i in range(g.n)], dtype=dtype)
-    tables = _round_tables(nbr, g.n, dtype)
+    tables = _round_tables(tuple(nbr), g.n, dtype)
     vs = g.vertices
     parents = {start: None}
     frontier = deque([start])
@@ -383,41 +398,68 @@ def _boundary_mask(nbr, m, outside):
 def _greedy_bags(g):
     """Bags of a greedy vertex layout of a connected graph, as pathwidth
     builds them: bag i is the boundary of the first i-1 vertices plus the
-    i-th.
+    i-th (see _greedy_layout)."""
+    _, bags = _greedy_layout(g)
+    return tuple(g.from_mask(b) for b in bags)
+
+
+def _greedy_layout(g):
+    """(width, bag masks) of the greedy layout of a connected graph.
 
     From each of _GREEDY_STARTS start vertices of least degree, every
     step adds the neighbour of the prefix that leaves the prefix's
     boundary smallest (then the one with the fewest neighbours left
     outside, then the first in label order). The layout with the
-    smallest largest bag wins."""
+    smallest largest bag wins; its width is that bag's size less one. A
+    start is dropped as soon as a bag shows it cannot win.
+
+    Adding u keeps a boundary vertex unless u is its last neighbour
+    outside, and u joins the boundary when it has a neighbour outside.
+    So with `ones` the boundary vertices that have one neighbour left
+    outside, u leaves a boundary of |bnd| - |nbr[u] & ones| + [u has a
+    neighbour outside]: a few bit operations per candidate, packed with
+    the other two criteria into one integer key."""
     _, nbr, full = g.masks()
+    shift = g.n.bit_length()
     starts = sorted(range(g.n), key=lambda v: (nbr[v].bit_count(), v))
     best = None
     for v in starts[:_GREEDY_STARTS]:
         bags = []
-        prefix = bnd = 0
+        rest = full
+        bnd = ones = 0
         while True:
             bags.append(bnd | 1 << v)
-            prefix |= 1 << v
-            rest = full ^ prefix
-            bnd = _boundary_mask(nbr, bnd | 1 << v, rest)
-            if not rest:
+            if best is not None and bnd.bit_count() >= best[0]:
                 break
-            reach = 0
-            for u in _bits(bnd):
-                reach |= nbr[u]
-            v = min(
-                _bits(reach & rest),
-                key=lambda u: (
-                    _boundary_mask(nbr, bnd | 1 << u, rest ^ 1 << u).bit_count(),
-                    (nbr[u] & rest).bit_count(),
-                    u,
-                ),
-            )
-        width = max(b.bit_count() for b in bags)
-        if best is None or width < best[0]:
-            best = width, bags
-    return tuple(g.from_mask(b) for b in best[1])
+            rest ^= 1 << v
+            bnd &= ~(nbr[v] & ones)
+            if nbr[v] & rest:
+                bnd |= 1 << v
+            if not rest:
+                best = max(b.bit_count() for b in bags) - 1, bags
+                break
+            ones = reach = 0
+            m = bnd
+            while m:
+                low = m & -m
+                m ^= low
+                out = nbr[low.bit_length() - 1] & rest
+                reach |= out
+                if out & (out - 1) == 0:
+                    ones |= low
+            size = bnd.bit_count()
+            key = None
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                u = low.bit_length() - 1
+                out = nbr[u] & rest
+                cost = size - (nbr[u] & ones).bit_count() + (out != 0)
+                k = (cost << shift | out.bit_count()) << shift | u
+                if key is None or k < key:
+                    key = k
+            v = key & ((1 << shift) - 1)
+    return best
 
 
 def _merge_bags(bags, cap):
@@ -468,6 +510,15 @@ def _subset_array(n):
         ) from None
 
 
+def _check_mask_cap(n, mask_cap):
+    if n > mask_cap:
+        raise ResourceLimitError(
+            f"subset tables need n <= {mask_cap}, got {n}",
+            budget=mask_cap,
+            used=n,
+        )
+
+
 def _mask_tables(g, mask_cap):
     """(popcount, boundary size) for every subset of a graph with at
     most mask_cap vertices, as two uint8 arrays indexed by mask.
@@ -477,16 +528,11 @@ def _mask_tables(g, mask_cap):
     with the set protected: the round map of the closure, on the same
     byte tables, filled _BLOCK masks at a time."""
     n = g.n
-    if n > mask_cap:
-        raise ResourceLimitError(
-            f"subset tables need n <= {mask_cap}, got {n}",
-            budget=mask_cap,
-            used=n,
-        )
+    _check_mask_cap(n, mask_cap)
     _, nbr, full = g.masks()
     pc = _subset_array(n)
     bnd = _subset_array(n)
-    tables = _round_tables(nbr, n, np.uint64)
+    tables = _round_tables(tuple(nbr), n, np.uint64)
     for lo in range(0, 1 << n, _BLOCK):
         hi = min(lo + _BLOCK, 1 << n)
         masks = np.arange(lo, hi, dtype=np.uint64)
@@ -499,23 +545,40 @@ def _mask_tables(g, mask_cap):
 def _vertex_separation(g, mask_cap):
     """(separation number, layout) of a connected small graph.
 
-    f[S] is the best separation of an ordering of S, filled one layer
-    of |S| at a time. f starts at 255, above any boundary, so the min
-    over v of f[S ^ (1 << v)] can take every v: for v outside S that is
-    a set of the next layer, which still holds 255."""
+    f[S] is the best separation of an ordering of S: the larger of S's
+    boundary and the least f[S - v] over v in S. It is built one layer of
+    |S| at a time from a frontier, the sets of the layer with f <= U,
+    where U is the greedy layout's width, an upper bound on the answer.
+    A set with f <= U has a predecessor S - v with f <= U, so only the
+    frontier's one-vertex extensions can join the next frontier; no
+    other set is ever visited, and f is exact wherever it is <= U.
+
+    f is one uint8 entry per subset, 255 where nothing was written.
+    Candidates come _BLOCK entries at a time (see _extend). The next
+    layer's sets hold 255 until their first candidate arrives, so f
+    itself tells a new set from one met before. The peel at the end
+    compares against values <= U only, where f is exact, so it picks
+    the layout of the full-table DP."""
     n = g.n
     if n == 1:
         return 0, [g.vertices[0]]
-    pc, bnd = _mask_tables(g, mask_cap)
+    _check_mask_cap(n, mask_cap)
     f = _subset_array(n)
     f.fill(255)
     f[0] = 0
-    for layer in range(1, n + 1):
-        sel = np.nonzero(pc == layer)[0]
-        best = f[sel ^ 1]
-        for v in range(1, n):
-            np.minimum(best, f[sel ^ (1 << v)], out=best)
-        f[sel] = np.maximum(best, bnd[sel])
+    _, nbr, full = g.masks()
+    bound, _ = _greedy_layout(g)
+    tables = _round_tables(tuple(nbr), n, np.uint64)
+    bits = np.array([1 << v for v in range(n)], dtype=np.intp)
+    # no layer holds more than C(n, n/2) sets
+    rows = max(1, min(_BLOCK // n, math.comb(n, n // 2)))
+    tags = np.tile(np.arange(n, dtype=np.uint8), rows)
+    frontier = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        frontier = np.concatenate([
+            _extend(f, frontier[lo:lo + rows], bound, bits, tags, full, tables)
+            for lo in range(0, frontier.size, rows)
+        ])
 
     # rebuild a layout: peel the last vertex of an optimal ordering
     layout = []
@@ -533,6 +596,35 @@ def _vertex_separation(g, mask_cap):
     return int(f[(1 << n) - 1]), layout
 
 
+def _extend(f, sets, bound, bits, tags, full, tables):
+    """The sets one vertex larger than a frontier set in `sets` that have
+    f <= bound, with f written for every such set not met before.
+
+    Masks are intp: f's 2^n entries already bound n far below 63. Row S,
+    column v of `grown` is S | v, and its f entry is 255 only for a set
+    of the next layer met for the first time: S itself (v in S) holds its
+    f <= bound, and a set met in an earlier block holds its value. Each
+    new set gets the vertex of its column as a tag in f; one tag
+    survives per set, since its rows add distinct vertices, and the row
+    that reads its own tag back stands for the set. The set then takes
+    f = max(boundary, least f of its predecessors), read from the layer
+    below; for v outside the set the read hits the layer above, still
+    255. A set above bound keeps its value, not always exact: any value
+    above bound tells the next layer and the peel the same."""
+    grown = sets[:, None] | bits
+    at = (f[grown] == 255).ravel().nonzero()[0]
+    cand = grown.ravel()[at]
+    tag = tags[at]
+    f[cand] = tag
+    cand = cand[f[cand] == tag]
+    best = f[bits[:, None] ^ cand].min(axis=0)
+    cand64 = cand.view(np.uint64)
+    boundary = np.bitwise_count(cand64 & _reach(full ^ cand64, tables))
+    value = np.maximum(best, boundary)
+    f[cand] = value
+    return cand[value <= bound]
+
+
 def pathwidth(g, mask_cap=_MASK_CAP):
     """(pathwidth, PathDecomposition): exact, via vertex separation.
 
@@ -544,14 +636,18 @@ def pathwidth(g, mask_cap=_MASK_CAP):
         raise InputError("empty graph")
     width = 0
     bags = []
-    for comp in g.components():
-        sub = g.induced(comp)
+    comps = g.components()
+    for comp in comps:
+        sub = g if len(comps) == 1 else g.induced(comp)
         vs, order = _vertex_separation(sub, mask_cap)
         width = max(width, vs)
-        prefix = set()
+        index, nbr, rest = sub.masks()
+        bnd = 0
         for v in order:
-            bags.append(frozenset(boundary(sub, prefix) | {v}))
-            prefix.add(v)
+            bag = bnd | 1 << index[v]
+            bags.append(frozenset(sub.from_mask(bag)))
+            rest ^= 1 << index[v]
+            bnd = _boundary_mask(nbr, bag, rest)
     return width, PathDecomposition(tuple(bags))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -170,6 +171,77 @@ def test_synth_verify_round_trip(capsys, tmp_path):
     assert doc["aligned"] is True
     assert doc["width"] <= 3
     assert doc["length"] == bundle["stats"]["search_length"]
+
+
+# Runs `verify --bundle` on the record in argv[1] and reports the
+# seconds main() took on stderr.
+TIMED_VERIFY = """
+import sys
+import time
+
+from zvsearch.cli import main
+
+start = time.perf_counter()
+code = main(["verify", "--bundle", sys.argv[1]])
+print(time.perf_counter() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def timed_verify(path):
+    """(exit code, stdout, stderr lines) of `verify --bundle path` in a
+    child under a 2 GiB address-space limit, so that a host built by
+    mistake ends in MemoryError instead of exhausting the machine. The
+    last stderr line is the seconds main() took."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    root = os.path.dirname(os.path.dirname(zvsearch.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_VERIFY, str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=root),
+        preexec_fn=limit,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr.splitlines()
+
+
+def test_verify_refuses_an_oversized_host_without_building_it(tmp_path):
+    """A record that claims 10^12 interior vertices on one edge, searched
+    by one step of two vertices. From the empty clean set no vertex
+    outside the steps turns clean, so verify answers at once, from the
+    labels alone; an alignment vertex the host lacks is still an error."""
+    rec = {"base_edges": [["a", "b"]], "counts": [["a", "b", 10**12]],
+           "search": [["a", "b"]], "alignment": ["a", "b"],
+           "floors_satisfied": [], "stats": {}}
+    f = tmp_path / "bundle.json"
+    f.write_text(json.dumps(rec))
+    code, out, err = timed_verify(f)
+    assert code == 0, err
+    assert float(err[-1]) < 1.0
+    assert json.loads(out) == {
+        "successful": False, "aligned": False, "width": 2, "length": 1,
+        "host_vertices": 10**12 + 2, "alignment": ["a", "b"]}
+
+    rec["alignment"] = ["(a,b)#1000000000000", "(a,b)#1000000000001"]
+    f.write_text(json.dumps(rec))
+    code, out, err = timed_verify(f)
+    assert code == 1 and out == ""
+    assert err[0] == "error: no vertex '(a,b)#1000000000001'"
+    assert float(err[-1]) < 1.0
+
+
+def test_verify_rejects_an_alignment_that_is_not_a_pair(capsys, tmp_path):
+    f = tmp_path / "bundle.json"
+    f.write_text(json.dumps({
+        "base_edges": [["a", "b"]], "counts": [], "search": [["a", "b"]],
+        "alignment": ["a"], "floors_satisfied": []}))
+    code, out, err = run(capsys, "verify", "--bundle", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {f}: not a bundle record")
 
 
 def test_synth_rejected_graph_reports_family(capsys):

@@ -11,8 +11,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,7 +51,7 @@ from zvsearch.solver import (
     pathwidth,
 )
 
-from conftest import random_connected
+from conftest import from_networkx, random_connected
 
 
 def brute_profile(g, k):
@@ -621,10 +623,38 @@ def test_mask_tables_match_reference(rng):
 
 
 def test_small_blocks_match_reference(rng, monkeypatch):
-    """Blocks of 3 masks end every table on a partial block."""
+    """Blocks of 3 masks end every table on a partial block, and leave
+    the DP one frontier set per block, so that most sets of a layer are
+    met again in a later block."""
     monkeypatch.setattr(solver, "_BLOCK", 3)
     for n in range(1, 11):
         assert_tables_match(random_graph(n, rng))
+    for g in [random_connected(n, rng) for n in range(2, 11)] + [LOOSE_BOUND]:
+        assert _vertex_separation(g, 22) == reference_vertex_separation(g), (
+            sorted(g.edges()))
+
+
+def sparse_graphs(rng):
+    """Paths, cycles, ladders, Prufer trees and random graphs with
+    p = 1.5/n over a spanning tree, n 14-20: few of their sets have a
+    small separation, so the DP's frontier is a sliver of all 2^n."""
+    graphs = []
+    for n in range(14, 21):
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        tree = from_networkx(nx.from_prufer_sequence(seq))
+        extra = [(u, w) for i, u in enumerate(tree.vertices)
+                 for w in tree.vertices[i + 1:] if rng.random() < 1.5 / n]
+        graphs += [path_graph(n), cycle_graph(n), grid_graph(2, n // 2), tree,
+                   Graph.from_edges(list(tree.edges()) + extra)]
+    return graphs
+
+
+# v0..v10: a greedy layout of width 3 where the separation number is 2,
+# so the DP runs with a bound above the answer.
+LOOSE_BOUND = Graph.from_edges(
+    (f"v{u}", f"v{w}") for u, w in [
+        (0, 3), (0, 5), (0, 8), (0, 10), (1, 6), (1, 7), (2, 9), (3, 6),
+        (4, 7), (4, 8), (5, 6), (6, 9), (7, 10)])
 
 
 def test_vertex_separation_matches_reference(rng):
@@ -635,6 +665,26 @@ def test_vertex_separation_matches_reference(rng):
                 sorted(g.edges()))
     g = grid_graph(4, 5)
     assert _vertex_separation(g, 22) == reference_vertex_separation(g)
+    assert solver._greedy_layout(LOOSE_BOUND)[0] == 3
+    for g in sparse_graphs(rng) + [LOOSE_BOUND]:
+        assert _vertex_separation(g, 22) == reference_vertex_separation(g), (
+            sorted(g.edges()))
+    assert _vertex_separation(LOOSE_BOUND, 22)[0] == 2
+
+
+def test_vertex_separation_memory_stays_near_its_table():
+    """The DP keeps one byte per subset and the frontier's sets: on a
+    22-cycle, whose frontier is tiny, the traced peak stays under twice
+    the 4 MiB table."""
+    g = cycle_graph(22)
+    tracemalloc.start()
+    try:
+        width, _ = pathwidth(g, mask_cap=22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert width == 2
+    assert peak < 8 << 20, peak
 
 
 def test_pathwidth_matches_reference_on_disconnected(rng, monkeypatch):
