@@ -76,57 +76,65 @@ def _stream_check(g, steps, clean_start, width, a, b):
 
     Keeps no trace and updates the erosion front incrementally, touching
     only the vertices that change state each step; synthesized hosts run
-    to thousands of steps and whole-set recomputation used to dominate.
-    Pass a and b as None to skip the alignment conditions.
+    to tens of thousands of steps and whole-set recomputation used to
+    dominate. The graph's vertices are numbered once, so the state lives
+    in flat containers of ints: `protected` is a bytearray, `unprot` and
+    the neighbor lists are lists, `front` is a set. Pass a and b as None
+    to skip the alignment conditions; otherwise both must be vertices.
     """
-    vset = set(g.vertices)
-    protected = set(clean_start)
-    if protected - vset:
-        raise InputError(f"clean start: not vertices: {sorted(protected - vset)}")
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [[index[u] for u in g.neighbors(v)] for v in g.vertices]
+    start = set(clean_start)
+    extra = start - index.keys()
+    if extra:
+        raise InputError(f"clean start: not vertices: {sorted(extra)}")
+    start = {index[v] for v in start}
+    protected = bytearray(len(nbrs))
     # unprot counts dirty neighbors; front is the protected slice of the
     # boundary, i.e. exactly what erodes next round
-    unprot = {v: sum(1 for u in g.neighbors(v) if u not in protected)
-              for v in vset}
-    front = {v for v in protected if unprot[v]}
-
-    def flip_in(v):
-        protected.add(v)
-        for u in g.neighbors(v):
+    unprot = [len(ns) for ns in nbrs]
+    for v in start:
+        protected[v] = 1
+        for u in nbrs[v]:
             unprot[u] -= 1
-            if not unprot[u]:
-                front.discard(u)
-        if unprot[v]:
-            front.add(v)
-
-    def flip_out(v):
-        protected.discard(v)
-        front.discard(v)
-        for u in g.neighbors(v):
-            unprot[u] += 1
-            if u in protected:
-                front.add(u)
+    front = {v for v in start if unprot[v]}
+    ai = None if a is None else index[a]
+    bi = None if b is None else index[b]
 
     # clean_0 is the start set verbatim, erosion only begins once a step
     # has been played
     eroding = False
     for t, s in enumerate(steps, start=1):
-        s = frozenset(s)
-        if s - vset:
-            raise InputError(f"step {t}: not vertices: {sorted(s - vset)}")
-        if b is not None and (b in protected) and not (eroding and b in front):
+        try:
+            ids = {index[v] for v in s}
+        except KeyError:
+            extra = sorted(frozenset(s) - index.keys())
+            raise InputError(f"step {t}: not vertices: {extra}") from None
+        if bi is not None and protected[bi] and not (eroding and bi in front):
             return False, f"{b!r} cleaned before the search ended (step {t - 1})"
-        if width is not None and len(s) > width:
-            return False, f"step {t} has {len(s)} > {width} vertices"
+        if width is not None and len(ids) > width:
+            return False, f"step {t} has {len(ids)} > {width} vertices"
         if eroding:
-            for v in [v for v in front if v not in s]:
-                flip_out(v)
-        for v in s:
-            if v not in protected:
-                flip_in(v)
+            for v in front - ids:
+                protected[v] = 0
+                front.discard(v)
+                for u in nbrs[v]:
+                    unprot[u] += 1
+                    if protected[u]:
+                        front.add(u)
+        for v in ids:
+            if not protected[v]:
+                protected[v] = 1
+                for u in nbrs[v]:
+                    unprot[u] -= 1
+                    if not unprot[u]:
+                        front.discard(u)
+                if unprot[v]:
+                    front.add(v)
         eroding = True
-        if a is not None and a not in protected:
+        if ai is not None and not protected[ai]:
             return False, f"step {t}: {a!r} not protected"
-    missing = len(vset) - len(protected) + (len(front) if eroding else 0)
+    missing = len(nbrs) - protected.count(1) + (len(front) if eroding else 0)
     if missing:
         return False, f"{missing} vertices never cleaned"
     return True, None

@@ -456,6 +456,8 @@ class SubdividedGraph:
             e = edge_key(*e)
             if e not in base_edges:
                 raise InputError(f"{e} is not a base edge")
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise InputError(f"count on {e} is not an integer: {c!r}")
             if c < 0:
                 raise InputError(f"negative count on {e}")
             if c:

@@ -304,12 +304,31 @@ def amalgamate_parallel(task0, b1, b2):
     front parked on it survives S_0's erosion; the singleton {d} step
     hands the connector's end over to S_2's pinned terminal.
     """
+    b0, sum_edges = _parallel_main(task0, b1, b2)
+    c = b1.alignment[1]
+    d = b2.alignment[0]
+    connector = SubdividedGraph(
+        Graph.from_edges([(c, d)]), {edge_key(c, d): len(b0.search) + 4}
+    )
+    _require_overlap(b1.host, connector, {c}, "parallel")
+    _require_overlap(b2.host, connector, {d}, "parallel")
+    _require_overlap(b0.host, connector, set(), "parallel")
+    host = _merge_hosts(b0.host, b1.host, b2.host, connector)
+    q = connector.chain_from((c, d), c)
+    return _parallel_bundle(
+        host, task0.base.terminals, b0, b1.search, q, b2.search, sum_edges
+    )
+
+
+def _parallel_main(task0, b1, b2):
+    """Check the pieces of a parallel amalgamation and run the main task
+    with the ball demands at both terminals. Returns the main bundle and
+    the edges that took both terminals' demands."""
     a, b = task0.base.terminals
     if b1.alignment[0] != a:
         raise InputError(f"first pendant {b1.alignment} does not start at {a!r}")
     if b2.alignment[1] != b:
         raise InputError(f"second pendant {b2.alignment} does not end at {b!r}")
-    c = b1.alignment[1]
     d = b2.alignment[0]
     g0 = task0.base.graph
     if set(g0.vertices) & set(b1.host.base.vertices) != {a}:
@@ -345,33 +364,31 @@ def amalgamate_parallel(task0, b1, b2):
     b0 = task0.run(demand)
     _require_overlap(b0.host, b1.host, {a}, "parallel")
     _require_overlap(b0.host, b2.host, {b}, "parallel")
+    return b0, sum_edges
 
+
+def _parallel_bundle(host, terminals, b0, s1, q, s2, sum_edges):
+    """The parallel schedule as a bundle on host: the main bundle b0, the
+    pendant searches s1 and s2, and q the connector's chain from c to d,
+    each under the labels host gives them."""
+    a, b = terminals
     length = len(b0.search)
-    connector = SubdividedGraph(
-        Graph.from_edges([(c, d)]), {edge_key(c, d): length + 4}
-    )
-    _require_overlap(b1.host, connector, {c}, "parallel")
-    _require_overlap(b2.host, connector, {d}, "parallel")
-    _require_overlap(b0.host, connector, set(), "parallel")
-    host = _merge_hosts(b0.host, b1.host, b2.host, connector)
-
-    q = connector.chain_from((c, d), c)
-    s_a = clear_ball_outward(b0.host, a, b, len(b1.search))
+    s_a = clear_ball_outward(b0.host, a, b, len(s1))
     s_pa = tuple(
         frozenset({a, q[t - 1], q[t]}) for t in range(1, length + 4)
     )
     s_pb = tuple(
         frozenset({b, q[t + 2], q[t + 3]}) for t in range(1, length + 3)
     )
-    s_b = clear_ball_inward(b0.host, b, a, len(b2.search) + 1)
+    s_b = clear_ball_inward(b0.host, b, a, len(s2) + 1)
     search = (
         s_a
-        + tuple(b1.search)
+        + tuple(s1)
         + s_pa
         + tuple(b0.search)
         + s_pb
-        + (frozenset({d}),)
-        + tuple(b2.search)
+        + (frozenset({q[-1]}),)
+        + tuple(s2)
         + s_b
     )
     stats = {
@@ -379,7 +396,7 @@ def amalgamate_parallel(task0, b1, b2):
         "host_vertices": host.n,
         "search_length": len(search),
         "connector_count": length + 4,
-        "checkpoint_step": len(s_a) + len(b1.search) + len(s_pa) + length + len(s_pb) + 1,
+        "checkpoint_step": len(s_a) + len(s1) + len(s_pa) + length + len(s_pb) + 1,
     }
     if sum_edges:
         stats["floor_sum_edges"] = sorted(sum_edges)
@@ -559,27 +576,38 @@ def _parallel(tree, floors):
         # interior count is |S_0| + 4; pad the core search if it is short
         return _padded(got, need - 4 - len(got.search))
 
-    raw = amalgamate_parallel(SynthTask(inner.base, run), b1, b2)
+    b0, sum_edges = _parallel_main(SynthTask(inner.base, run), b1, b2)
 
-    # Rename the origin chain x .. c .. d .. y to canonical labels of the
-    # split edge; every other base edge already carries its own labels.
+    # The origin chain x .. c .. d .. y becomes the split edge's own chain.
+    # Its labels are fixed once |S_0| fixes the connector's length, so the
+    # connector sweeps are built on them and only the pendants' searches,
+    # which hold x .. c and d .. y under the halves' labels, are renamed.
     x, y = origin if c == subdivision_label(origin, 1) else origin[::-1]
-    path = (
-        b1.host.chain_from((x, c), x)
-        + raw.host.chain_from((c, d), c)[1:]
-        + b2.host.chain_from((d, y), d)[1:]
-    )
+    to_c = b1.host.chain_from((x, c), x)[1:]
+    from_d = b2.host.chain_from((d, y), d)[:-1]
+    total = len(to_c) + len(b0.search) + 4 + len(from_d)
+    labels = [subdivision_label(origin, i) for i in range(1, total + 1)]
     if x != origin[0]:
-        path.reverse()
-    remap = {v: subdivision_label(origin, i) for i, v in enumerate(path[1:-1], 1)}
-    counts = {e: n for e, n in raw.host.counts.items() if tree.graph.has_edge(*e)}
-    counts[origin] = len(path) - 2
+        labels.reverse()
+    q = labels[len(to_c) - 1 : total - len(from_d) + 1]
+    s1 = _renamed(b1.search, dict(zip(to_c, labels)))
+    s2 = _renamed(b2.search, dict(zip(from_d, labels[total - len(from_d) :])))
+    counts = {}
+    for h in (b0.host, b1.host, b2.host):
+        counts.update((e, n) for e, n in h.counts.items() if tree.graph.has_edge(*e))
+    counts[origin] = total
     host = SubdividedGraph(tree.graph, counts)
-    search = tuple(frozenset(remap.get(v, v) for v in step) for step in raw.search)
-    stats = dict(raw.stats)
-    stats["host_vertices"] = host.n
-    stats["split_edge"] = list(origin)
-    return AlignedSearchBundle(host, search, tree.terminals, _attained(host), stats)
+    bundle = _parallel_bundle(host, tree.terminals, b0, s1, q, s2, sum_edges)
+    bundle.stats["split_edge"] = list(origin)
+    return bundle
+
+
+def _renamed(steps, remap):
+    keys = frozenset(remap)
+    return tuple(
+        step if keys.isdisjoint(step) else frozenset(remap.get(v, v) for v in step)
+        for step in steps
+    )
 
 
 def _synth(tree, floors):

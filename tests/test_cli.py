@@ -1,5 +1,7 @@
 """Command-line round trips, exit codes, environment knobs."""
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -7,10 +9,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zvsearch
-from zvsearch import solver
+from zvsearch import cli, solver
 from zvsearch.cli import main
+from zvsearch.game import is_aligned, is_successful, simulate
 from zvsearch.graphs import Graph, cycle_graph, generate, parse_edge_list, path_graph
 from zvsearch.gsp import tree_from_record
 from zvsearch.solver import is_path_decomposition
@@ -232,6 +237,104 @@ def test_verify_refuses_an_oversized_host_without_building_it(tmp_path):
     assert code == 1 and out == ""
     assert err[0] == "error: no vertex '(a,b)#1000000000001'"
     assert float(err[-1]) < 1.0
+
+
+@pytest.mark.parametrize("count", [1.5, True])
+def test_verify_refuses_a_count_that_is_not_an_integer(capsys, tmp_path, count):
+    f = tmp_path / "bundle.json"
+    f.write_text(json.dumps({
+        "base_edges": [["a", "b"]], "counts": [["a", "b", count]],
+        "search": [["a", "b"]], "alignment": ["a", "b"], "floors_satisfied": []}))
+    code, out, err = run(capsys, "verify", "--bundle", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "not an integer" in err
+
+
+def counting_checks(monkeypatch):
+    """Wrap the two streaming checks the CLI imported; returns the list of
+    names called, in order."""
+    calls = []
+    for name in ("check_search", "check_aligned_search"):
+        def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_verify_bundle_checks_once(capsys, monkeypatch, tmp_path):
+    """An aligned search is a successful one: a bundle that passes the
+    aligned check needs no second walk."""
+    bundle = run_json(capsys, "synth", "grid:2,4")
+    f = tmp_path / "bundle.json"
+    f.write_text(json.dumps(bundle))
+    calls = counting_checks(monkeypatch)
+    doc = run_json(capsys, "verify", "--bundle", str(f))
+    assert doc["successful"] is True and doc["aligned"] is True
+    assert calls == ["check_aligned_search"]
+
+
+def test_verify_bundle_answers_match_simulate(capsys, monkeypatch, tmp_path):
+    """Sabotaged records of one bundle: the answers are those of
+    is_successful and is_aligned on the simulated trace (`aligned` holds
+    only for a successful search), and a step naming a vertex the host
+    lacks is an input error."""
+    bundle = run_json(capsys, "synth", "grid:2,4")
+    derived = cli.AlignedSearchBundle.from_record(bundle).host.derived
+    a, b = bundle["alignment"]
+    f = tmp_path / "bundle.json"
+    calls = counting_checks(monkeypatch)
+    for search, want in [
+        (bundle["search"][:-1], (False, False)),
+        # b comes clean at the end of the search, one step before its end
+        (bundle["search"] + [[a]], (True, False)),
+    ]:
+        trace = simulate(derived, search)
+        ok = is_successful(trace)
+        assert (ok, ok and is_aligned(trace, a, b)) == want
+        f.write_text(json.dumps(dict(bundle, search=search)))
+        calls.clear()
+        doc = run_json(capsys, "verify", "--bundle", str(f))
+        assert (doc["successful"], doc["aligned"]) == want
+        assert calls == ["check_aligned_search", "check_search"]
+
+    search = [list(step) for step in bundle["search"]]
+    search[1].append("nowhere")
+    f.write_text(json.dumps(dict(bundle, search=search)))
+    code, out, err = run(capsys, "verify", "--bundle", str(f))
+    assert code == 1 and out == ""
+    assert err == "error: step 2: not vertices: ['nowhere']\n"
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(st.characters(codec="utf-8"))
+)
+json_docs = st.recursive(
+    json_scalars | st.lists(st.text(st.characters(codec="utf-8"))),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), json_docs, max_size=4) | json_docs)
+def test_emit_matches_json_dumps(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc)
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_matches_json_dumps_on_escapes(capsys):
+    doc = {"steps": [["é", 'a"b', "c\\d", "\x00\t\n", "\u2028", "😀"]],
+           "mixed": [1, 2.5, True, None, "s", [], {}], "ints": [0, -3],
+           "empty": [], "nested": [[], [[]], {}], "no": {}}
+    cli._emit(doc)
+    out, _ = capsys.readouterr()
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_rejects_an_alignment_that_is_not_a_pair(capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from zvsearch.errors import InputError
 from zvsearch.game import (
+    _stream_check,
     check_aligned_search,
     check_search,
     invariant_core,
@@ -19,6 +20,58 @@ from zvsearch.game import (
     simulate,
 )
 from zvsearch.graphs import EquivalenceSpec, Graph, cycle_graph, path_graph, quotient
+
+
+def reference_stream_check(g, steps, clean_start, width, a, b):
+    """The streaming engine keyed by vertex labels, as it was before the
+    integer ids: the oracle for game._stream_check."""
+    vset = set(g.vertices)
+    protected = set(clean_start)
+    if protected - vset:
+        raise InputError(f"clean start: not vertices: {sorted(protected - vset)}")
+    unprot = {v: sum(1 for u in g.neighbors(v) if u not in protected)
+              for v in vset}
+    front = {v for v in protected if unprot[v]}
+
+    def flip_in(v):
+        protected.add(v)
+        for u in g.neighbors(v):
+            unprot[u] -= 1
+            if not unprot[u]:
+                front.discard(u)
+        if unprot[v]:
+            front.add(v)
+
+    def flip_out(v):
+        protected.discard(v)
+        front.discard(v)
+        for u in g.neighbors(v):
+            unprot[u] += 1
+            if u in protected:
+                front.add(u)
+
+    eroding = False
+    for t, s in enumerate(steps, start=1):
+        s = frozenset(s)
+        if s - vset:
+            raise InputError(f"step {t}: not vertices: {sorted(s - vset)}")
+        if b is not None and (b in protected) and not (eroding and b in front):
+            return False, f"{b!r} cleaned before the search ended (step {t - 1})"
+        if width is not None and len(s) > width:
+            return False, f"step {t} has {len(s)} > {width} vertices"
+        if eroding:
+            for v in [v for v in front if v not in s]:
+                flip_out(v)
+        for v in s:
+            if v not in protected:
+                flip_in(v)
+        eroding = True
+        if a is not None and a not in protected:
+            return False, f"step {t}: {a!r} not protected"
+    missing = len(vset) - len(protected) + (len(front) if eroding else 0)
+    if missing:
+        return False, f"{missing} vertices never cleaned"
+    return True, None
 
 
 def searches(n, max_len=8, max_step=3):
@@ -110,6 +163,42 @@ def test_check_aligned_search_matches_trace_predicates(gss, ai, bi):
     want = is_successful(trace) and is_aligned(trace, a, b)
     got, why = check_aligned_search(g, steps, a, b, start)
     assert got == want, why
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as err:
+        return "InputError", str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    graphs_and_searches(),
+    st.booleans(),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.none() | st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 8),
+    st.booleans(),
+)
+def test_stream_check_matches_reference(
+    gss, aligned, ai, bi, width, clean, stray_at, stray_start
+):
+    """Same answer, reason and input error as the label-keyed engine,
+    with and without alignment, a width, a clean start, and a step or a
+    clean start that names a vertex the graph lacks."""
+    g, steps, start = gss
+    vs = sorted(g.vertices)
+    a, b = (vs[ai % len(vs)], vs[bi % len(vs)]) if aligned else (None, None)
+    start = start if clean else ()
+    if stray_start:
+        start = frozenset(start) | {"stray"}
+    if stray_at < len(steps):
+        steps = steps[:stray_at] + (steps[stray_at] | {"stray"},) + steps[stray_at + 1:]
+    args = (g, steps, start, width, a, b)
+    assert outcome(_stream_check, *args) == outcome(reference_stream_check, *args)
 
 
 def test_check_aligned_width_and_reasons():

@@ -154,6 +154,30 @@ def test_parallel_amalgamation_disjointness():
         amalgamate_parallel(main, leaf_bundle("a", "b", 1), leaf_bundle("d", "b", 1))
 
 
+def test_parallel_keeps_the_core_search_as_built(monkeypatch):
+    """The connector sweeps are built on the split edge's final labels,
+    so the core search S_0 enters the parallel bundle step for step, the
+    same objects, and is never renamed."""
+    cores = []
+    real = synth_module._parallel_main
+
+    def spy(*args):
+        got = real(*args)
+        cores.append(got[0].search)
+        return got
+
+    monkeypatch.setattr(synth_module, "_parallel_main", spy)
+    tree = classify_topological_3(generate("grid:2,4")).tree
+    bundle = synthesize(tree.terminal_graph(), tree)
+    assert bundle.stats["op"] == "parallel" and len(cores) > 1
+    # the top level's main task runs the nested levels, so it ends last;
+    # S_0 ends where the sweep toward d, |S_0| + 2 steps, and {d} begin
+    core = cores[-1]
+    end = bundle.stats["checkpoint_step"] - 1 - (len(core) + 2)
+    got = bundle.search[end - len(core) : end]
+    assert len(got) == len(core) and all(x is y for x, y in zip(got, core))
+
+
 # ---------------------------------------------------------------------------
 # bridge splitting
 
