@@ -115,10 +115,12 @@ def _flat_list(items, pad):
 def _emit(doc):
     """Print doc as json.dump(doc, indent=2, sort_keys=True) would.
 
-    The document is walked on an explicit stack: a decomposition tree
-    nests as deep as its graph is long, past the recursion limit that
-    json's own encoder runs into. A list of scalars, such as one step
-    of a search, is written in one piece.
+    Dict keys must be strings: a key of any other type raises TypeError
+    naming it, where json.dumps would have converted it. The document
+    is walked on an explicit stack: a decomposition tree nests as deep
+    as its graph is long, past the recursion limit that json's own
+    encoder runs into. A list of scalars, such as one step of a search,
+    is written in one piece.
     """
     stack = [(doc, "\n")]
     while stack:
@@ -132,6 +134,9 @@ def _emit(doc):
             continue
         ends, heads = "[]", [""] * len(value)
         if isinstance(value, dict):
+            for k in value:
+                if not isinstance(k, str):
+                    raise TypeError(f"dict key {k!r} is not a str")
             ends, heads = "{}", [_scalar(k) + ": " for k in sorted(value)]
             value = [value[k] for k in sorted(value)]
         inner = pad + "  "

@@ -20,14 +20,15 @@ never bridged and adds up its children, and a branch node copies the
 child that keeps both terminals. "Simple" means every subtree has
 complexity at most one.
 
-The classifier's trees are series spines. It peels pendant blocks off
-one block-cut forest, then runs each block in series into its largest
-limb, counted in vertices, and hangs only the other limbs on with
-branch nodes (a heavy-path layout). Every series run is folded into a
-balanced tree. How deep limbs hang inside limbs sets the size of a
-synthesized host, each level multiplying the subdivision its ball sweep
-demands; on a tree a limb hangs inside at most log2(n) others, and a
-path is one series run.
+The classifier tests for a K_4 subdivision by one series-parallel
+reduction. Its trees are series spines: it peels pendant blocks off
+one block-cut forest, runs each block in series into its largest limb,
+counted in vertices, and hangs the other limbs on with branch nodes in
+one pass over the block's tree (a heavy-path layout). Every series run
+is folded into a balanced tree. How deep limbs hang inside limbs sets
+the size of a synthesized host, each level multiplying the subdivision
+its ball sweep demands; on a tree a limb hangs inside at most log2(n)
+others, and a path is one series run.
 """
 
 import heapq
@@ -371,36 +372,30 @@ def subdivide_decomposition(tree, counts):
 
 
 def _sp_reducible(g):
-    """Series-parallel reduction of one biconnected block.
+    """True when g has no K_4 minor; for the cubic K_4 that is the same
+    as no K_4 subdivision.
 
-    Parallel edges merge as they form, because neighbours are kept as
-    sets, and a worklist holds the vertices of degree 2: reducing one
-    changes the degree of its two neighbours only, so only they are
-    queued again. A biconnected graph reduces to a single edge, in any
-    order of steps, exactly when it has no K_4 minor (Duffin 1965).
+    Vertices of degree at most one are deleted and those of degree two
+    spliced out, neighbours kept as sets so that parallel edges merge
+    as they form. A worklist holds the vertices of degree at most two;
+    a step changes only its neighbours' degrees, so only they are
+    queued again. Any graph reduces to nothing, in any order of steps,
+    exactly when it has no K_4 minor (Duffin 1965).
     """
     nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
-    work = [v for v in g.vertices if len(nbrs[v]) == 2]
+    work = [v for v in g.vertices if len(nbrs[v]) <= 2]
     while work and len(nbrs) > 2:
         v = work.pop()
-        if v not in nbrs or len(nbrs[v]) != 2:
+        if v not in nbrs or len(nbrs[v]) > 2:
             continue
-        x, y = nbrs.pop(v)
-        for u, w in ((x, y), (y, x)):
+        ns = nbrs.pop(v)
+        for u in ns:
             nbrs[u].discard(v)
-            nbrs[u].add(w)
-            if len(nbrs[u]) == 2:
+            if len(ns) == 2:
+                nbrs[u] |= ns - {u}
+            if len(nbrs[u]) <= 2:
                 work.append(u)
     return len(nbrs) <= 2
-
-
-def _contains_k4(g):
-    """The blocks of g that hold a K_4 subdivision: those with four or
-    more vertices that do not reduce to an edge."""
-    return [
-        blk for blk in block_cut_forest(g).blocks
-        if len(blk) >= 4 and not _sp_reducible(g.induced(blk))
-    ]
 
 
 def _extract_k4(g):
@@ -410,19 +405,11 @@ def _extract_k4(g):
     # as good as restarting after every removal: containing a K_4
     # subdivision is monotone, so an edge whose removal loses the
     # pattern loses it from every smaller h as well, and a restart
-    # would only keep it again. When the pattern survives in one block
-    # alone, h is cut to that block: every K_4 subdivision lies inside
-    # it, the other blocks being series-parallel, and the pass would
-    # remove every edge outside it anyway.
+    # would only keep it again.
     h = g
     for e in g.edges():
-        if not h.has_edge(*e):
-            continue
         cand = h.without_edge(*e)
-        cores = _contains_k4(cand)
-        if len(cores) == 1:
-            h = cand.induced(cores[0])
-        elif cores:
+        if not _sp_reducible(cand):
             h = cand
     h = h.induced([v for v in h.vertices if h.degree(v) > 0])
     branch = sorted(v for v in h.vertices if h.degree(v) == 3)
@@ -540,8 +527,7 @@ def sp_decompose(g, a, b):
     _check_terminals(g, a, b)
     if not _two_connected(g):
         raise InputError("series-parallel decomposition needs a biconnected graph")
-    w = has_k4_subdivision(g)
-    if w is not None:
+    if not _sp_reducible(g):
         raise InputError("the graph contains a K_4 subdivision")
     if not g.has_edge(a, b):
         rest = g.without_vertices({a, b})
@@ -550,7 +536,8 @@ def sp_decompose(g, a, b):
                 "terminals must be adjacent or separate the graph"
             )
     t = _sp(g, a, b)
-    assert t is not None
+    if t is None:
+        raise AssertionError("the series-parallel engine found no tree of a valid input")
     return t
 
 
@@ -587,7 +574,7 @@ def _gsp(g, a, b):
     for cut, tree in reversed(peeled):
         if out is None or tree is None:
             return None
-        out = _merge(out, tree, cut)
+        out = _merge(out, [(cut, tree)])
     return out
 
 
@@ -600,7 +587,7 @@ def gsp_decompose(g, a, b):
     _check_terminals(g, a, b)
     if not g.is_connected():
         raise InputError("decomposition needs a connected graph")
-    if has_k4_subdivision(g) is not None:
+    if not _sp_reducible(g):
         raise InputError("the graph contains a K_4 subdivision")
     if not g.has_edge(a, b):
         ok = False
@@ -615,7 +602,8 @@ def gsp_decompose(g, a, b):
                 "terminals must be adjacent or separate one biconnected block"
             )
     t = _gsp(g, a, b)
-    assert t is not None
+    if t is None:
+        raise AssertionError("the generalized engine found no tree of a valid input")
     return t
 
 
@@ -623,22 +611,34 @@ def gsp_decompose(g, a, b):
 # grafting a pendant block onto an existing tree
 
 
-def _merge(tree, pendant, c):
-    # pendant.a == c; descend to a node with c as a terminal, each time
-    # into the first child with a leaf at c, and hang the pendant there.
-    # Every rebuilt ancestor keeps its operator, so no complexity changes
-    # along the way.
-    trail = []
-    while c not in tree.terminals:
-        i = 0 if any(c in s.terminals for s in tree.children[0].walk()) else 1
-        trail.append((tree, i))
-        tree = tree.children[i]
-    out = node("branch" if tree.a == c else "branch_alt", tree, pendant)
-    for t, i in reversed(trail):
-        kids = list(t.children)
-        kids[i] = out
-        out = node(t.op, *kids)
-    return out
+def _merge(tree, limbs):
+    # limbs: (c, pendant) pairs with pendant.a == c, each hung in turn on
+    # the first node, in preorder, with c as a terminal. A branch node
+    # keeps its spine's terminals and its pendant shares only c with
+    # the tree, so hanging one limb moves no later limb's node: one
+    # preorder pass finds them all, and limbs meeting at one node hang
+    # there in their given order. Every rebuilt ancestor keeps its
+    # operator, so no complexity changes along the way.
+    pending = {}
+    for i, (c, pendant) in enumerate(limbs):
+        pending.setdefault(c, []).append((i, c, pendant))
+    at = {}
+    for t in tree.walk():
+        if not pending:
+            break
+        here = [limb for c in t.terminals for limb in pending.pop(c, ())]
+        if here:
+            at[id(t)] = sorted(here, key=lambda limb: limb[0])
+    if pending:
+        raise AssertionError(f"no node of the tree has {min(pending)!r} as a terminal")
+
+    def combine(t, kids):
+        out = t if all(k is c for k, c in zip(kids, t.children)) else node(t.op, *kids)
+        for _, c, pendant in at.get(id(t), ()):
+            out = node("branch" if out.a == c else "branch_alt", out, pendant)
+        return out
+
+    return _bottom_up(tree, lambda t: t.children, combine)
 
 
 def merge_block(tree, pendant, c):
@@ -654,7 +654,7 @@ def merge_block(tree, pendant, c):
         raise InputError(f"{c!r} is not a terminal of the pendant tree")
     if pendant.a != c:
         pendant = _invert(pendant)
-    return _merge(tree, pendant, c)
+    return _merge(tree, [(c, pendant)])
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +720,8 @@ def rotate_parallel(th, tk):
     if not _two_connected(joined.graph):
         raise InputError("the joined graph must be biconnected")
     out = _rotate(th, tk)
-    assert out.simple and out.a == th.a
+    if not (out.simple and out.a == th.a):
+        raise AssertionError("the rotation did not give a simple tree anchored at a")
     return out
 
 
@@ -736,8 +737,8 @@ def extract_bipaths(tree):
     """
     out = _extract(tree)
     for bp in out:
-        assert not bipath_problems(tree.graph, bp)
-        assert set(bp.endpoints) == set(tree.terminals)
+        if bipath_problems(tree.graph, bp) or set(bp.endpoints) != set(tree.terminals):
+            raise AssertionError("an extracted bipath does not fit its tree")
     return out
 
 
@@ -798,21 +799,12 @@ def _witness_pair(g, n0, n1):
     pq = two_disjoint_paths(g.without_vertices(interiors), t0, t1)
     assert pq is not None, "connector paths missing between complex cores"
     p, q = pq
-    return _pack_f3(
+    return _witness_f3(
         (p[0], q[0]),
         (p[-1], q[-1]),
         [bips0[0], bips0[1], bips1[0], bips1[1]],
         (p, q),
     )
-
-
-def _pack_f3(pair1, pair2, bips, conns):
-    # bips[0], bips[1] run over pair1; conns[i] joins pair1[i] to pair2[i]
-    for pair, members in ((pair1, bips[:2]), (pair2, bips[2:])):
-        for bp in members:
-            if bp.endpoints != pair and bp.endpoints != tuple(reversed(pair)):
-                raise AssertionError("bipath endpoints disagree with the pair")
-    return _witness_f3(pair1, pair2, bips, conns)
 
 
 def _witness_cross_block(g, blk_h, cut_h, m_h, blk_k, cut_k, m_k):
@@ -847,7 +839,7 @@ def _witness_cross_block(g, blk_h, cut_h, m_h, blk_k, cut_k, m_k):
         assert legs[key] is not None
     p1 = legs["h0"] + corridor[1:] + legs["k0"][::-1][1:]
     p2 = legs["h1"] + corridor[1:] + legs["k1"][::-1][1:]
-    return _pack_f3((s0, t0), (s1, t1), bips_h + bips_k, (p1, p2))
+    return _witness_f3((s0, t0), (s1, t1), bips_h + bips_k, (p1, p2))
 
 
 # ---------------------------------------------------------------------------
@@ -938,7 +930,8 @@ def _peel(g):
     last block; or the pattern refuting g. One block-cut forest serves
     the whole loop: peeling a leaf block leaves every other block whole
     and only retires cut vertices, so the loop keeps the blocks still
-    holding each cut vertex and a heap of leaf blocks. The heap's key,
+    holding each cut vertex, each block's live cut vertices (those still
+    held by another block) and a heap of leaf blocks. The heap's key,
     a block's least vertex m and then m's least neighbour inside it,
     orders the leaves as a fresh forest of the remaining graph sorted by
     least vertex would: two leaf blocks with the same least vertex both
@@ -947,17 +940,18 @@ def _peel(g):
     bcf = block_cut_forest(g)
     blocks = bcf.blocks
     holders = {v: set() for v in bcf.cut_vertices}
-    for i, blk in enumerate(blocks):
-        for v in blk & bcf.cut_vertices:
+    live = [set(blk & bcf.cut_vertices) for blk in blocks]
+    for i, cuts in enumerate(live):
+        for v in cuts:
             holders[v].add(i)
     alive = set(range(len(blocks)))
     heap = []
 
     def push_if_leaf(i):
-        cuts = [v for v in blocks[i] if len(holders.get(v, ())) > 1]
-        if len(cuts) == 1:
+        if len(live[i]) == 1:
             m = min(blocks[i])
-            heapq.heappush(heap, (m, min(g.neighbors(m) & blocks[i]), i, cuts[0]))
+            (cut,) = live[i]
+            heapq.heappush(heap, (m, min(g.neighbors(m) & blocks[i]), i, cut))
 
     for i in alive:
         push_if_leaf(i)
@@ -984,7 +978,9 @@ def _peel(g):
         alive.remove(i)
         holders[cut].remove(i)
         if len(holders[cut]) == 1:
-            push_if_leaf(next(iter(holders[cut])))
+            (j,) = holders[cut]
+            live[j].discard(cut)
+            push_if_leaf(j)
     (i,) = alive
     last = g.induced(blocks[i])
     root = _sp(last, *last.edges()[0])
@@ -1003,7 +999,7 @@ def _assemble(peeled, root):
     with the limbs hanging at its other vertices, then continued in
     series by the largest limb, counted in vertices, at its second
     terminal. A limb is kept as its run of series segments, last first.
-    The other limbs are grafted with _merge, largest innermost: an outer
+    The other limbs are grafted by one _merge, largest innermost: an outer
     branch sweeps a ball as wide as its pendant's search, so the small
     pendants belong outside. The last block continues into its largest
     limb at each terminal; the run on its first terminal's side is read
@@ -1013,13 +1009,13 @@ def _assemble(peeled, root):
 
     def graft(tree, limbs, ends):
         # the heaviest limb at each end, and tree with the others grafted
-        heavy = {}
+        heavy, rest = {}, []
         for _, _, v, run in sorted(limbs, key=lambda limb: (-limb[0], limb[1])):
             if v in ends and v not in heavy:
                 heavy[v] = run
             else:
-                tree = _merge(tree, _series(run[::-1]), v)
-        return tree, heavy
+                rest.append((v, _series(run[::-1])))
+        return _merge(tree, rest), heavy
 
     for order, (blk, cut, tree) in enumerate(peeled):
         limbs = [limb for v in blk if v != cut for limb in hanging.pop(v, ())]

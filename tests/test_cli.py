@@ -328,6 +328,14 @@ def test_emit_matches_json_dumps(doc):
     assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("key", [1, None, 2.5, ("a",)])
+def test_emit_refuses_keys_that_are_not_strings(capsys, key):
+    # json.dumps would print 1 as "1"; _emit printed it bare, not JSON
+    with pytest.raises(TypeError) as info:
+        cli._emit({"outer": {key: 2, "z": 3}})
+    assert str(info.value) == f"dict key {key!r} is not a str"
+
+
 def test_emit_matches_json_dumps_on_escapes(capsys):
     doc = {"steps": [["é", 'a"b', "c\\d", "\x00\t\n", "\u2028", "😀"]],
            "mixed": [1, 2.5, True, None, "s", [], {}], "ints": [0, -3],

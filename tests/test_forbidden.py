@@ -171,9 +171,9 @@ def test_pattern_problems_reject_coinciding_pairs():
 # refusal comes from the builder of that family: _brute_f1 through the
 # brute-force search, and _witness_f2, _witness_f3 and gsp._extract_k4
 # through the classifier, ahead of its own final check. "shape" instead
-# makes gsp._extract_k4's block test find no K_4 subdivision after any
-# edge removal, so the minimisation stops at once, and the shape check
-# must refuse what is left.
+# makes every reduction inside gsp._extract_k4 report no K_4 subdivision
+# after an edge removal, so the minimisation removes nothing, and the
+# shape check must refuse what is left.
 SABOTAGE = """
 import sys
 
@@ -184,7 +184,13 @@ from zvsearch.graphs import generate
 spec, family, how = sys.argv[1:]
 real = forbidden.pattern_problems
 if how == "shape":
-    gsp._contains_k4 = lambda g: []
+    real_extract = gsp._extract_k4
+
+    def shape(g):
+        gsp._sp_reducible = lambda h: True
+        return real_extract(g)
+
+    gsp._extract_k4 = shape
 else:
     forbidden.pattern_problems = (
         lambda w: ["sabotaged"] if w.family == family else real(w)

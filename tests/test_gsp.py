@@ -1,10 +1,13 @@
 """Decomposition trees: composition, complexity, classification."""
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
+import networkx as nx
 import pytest
 
 import zvsearch
@@ -26,6 +29,7 @@ from zvsearch.graphs import (
 )
 from zvsearch.gsp import (
     Classification,
+    GspTree,
     _sp,
     _sp_reducible,
     classify_topological_3,
@@ -47,7 +51,7 @@ from zvsearch.gsp import (
     tree_to_record,
 )
 
-from conftest import random_connected
+from conftest import from_networkx, random_connected
 
 
 def four_cycle(a, tag, b):
@@ -468,6 +472,22 @@ def random_biconnected(rng):
     return Graph.from_edges(sorted(edges))
 
 
+def random_graph(rng):
+    """A random graph, often disconnected or with cut vertices: a sparse
+    G(n, p), two random ear-built blocks sharing a vertex, or two apart."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        ng = nx.gnp_random_graph(rng.randint(2, 12), rng.uniform(0.1, 0.6),
+                                 seed=rng.randint(0, 2**31))
+        return from_networkx(ng)
+    first, second = random_biconnected(rng), random_biconnected(rng)
+    glue = {v: f"x.{v}" for v in second.vertices}
+    if pick == 1:
+        glue[min(second.vertices)] = max(first.vertices)
+    edges = list(first.edges()) + [(glue[u], glue[v]) for u, v in second.edges()]
+    return Graph.from_edges(edges)
+
+
 def test_sp_reduction_matches_its_first_form(atlas_2_7, rng):
     blocks = [
         g.induced(blk)
@@ -485,6 +505,16 @@ def test_sp_reduction_matches_its_first_form(atlas_2_7, rng):
         verdicts.append(_sp_reducible(g))
         assert verdicts[-1] == reference_sp_reducible(g), sorted(g.edges())
     assert 100 < verdicts.count(True) and 100 < verdicts.count(False)
+    # whole graphs, cut vertices and several components included: the
+    # reduction also deletes vertices of degree at most one, so it
+    # decides K_4-freeness without a block-cut forest
+    whole = list(atlas_2_7) + [random_graph(rng) for _ in range(400)]
+    verdicts = []
+    for g in whole:
+        verdicts.append(_sp_reducible(g))
+        assert verdicts[-1] == (not reference_contains_k4(g)), sorted(g.edges())
+    split = sum(len(block_cut_forest(g).blocks) > 1 for g in whole)
+    assert 300 < verdicts.count(False) and 300 < verdicts.count(True) and split > 300
 
 
 def twin_k4s(first, second):
@@ -512,17 +542,24 @@ def test_k4_witness_matches_its_first_form(atlas_2_7):
 @pytest.mark.parametrize("spec", ["grid:3,20", "f1"])
 def test_k4_minimisation_tests_each_edge_once(monkeypatch, spec):
     calls = []
-    real = gsp_module._contains_k4
+    real = gsp_module._sp_reducible
 
     def counting(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(gsp_module, "_contains_k4", counting)
+    monkeypatch.setattr(gsp_module, "_sp_reducible", counting)
     g = generate(spec)
     (blk,) = block_cut_forest(g).blocks
+    forests = []
+    real_forest = gsp_module.block_cut_forest
+    monkeypatch.setattr(
+        gsp_module, "block_cut_forest", lambda h: forests.append(h) or real_forest(h)
+    )
     assert has_k4_subdivision(g) is not None
-    assert 0 < len(calls) <= g.induced(blk).m
+    # the block test, then one reduction per edge of the block
+    assert 1 < len(calls) <= 1 + g.induced(blk).m
+    assert len(forests) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +674,38 @@ def reference_peel(g):
     return peeled, root
 
 
+def reference_merge(tree, pendant, c):
+    """The graft as first written, one limb per call: descend to a node
+    with c as a terminal, each time into the first child whose subtree
+    has a node with c as a terminal, and hang the pendant there."""
+    trail = []
+    while c not in tree.terminals:
+        i = 0 if any(c in s.terminals for s in tree.children[0].walk()) else 1
+        trail.append((tree, i))
+        tree = tree.children[i]
+    out = node("branch" if tree.a == c else "branch_alt", tree, pendant)
+    for t, i in reversed(trail):
+        kids = list(t.children)
+        kids[i] = out
+        out = node(t.op, *kids)
+    return out
+
+
+def reference_limbs(tree, limbs):
+    for c, pendant in limbs:
+        tree = reference_merge(tree, pendant, c)
+    return tree
+
+
 def reference_record(g):
     w = has_k4_subdivision(g)
     if w is None:
         w = reference_peel(g)
     if isinstance(w, ForbiddenWitness):
         return Classification("NO", witness=w).to_record()
-    return Classification("YES", tree=gsp_module._assemble(*w)).to_record()
+    with mock.patch.object(gsp_module, "_merge", reference_limbs):
+        tree = gsp_module._assemble(*w)
+    return Classification("YES", tree=tree).to_record()
 
 
 # block templates: an edge, cycles, a theta, and blocks with two or three
@@ -692,10 +754,19 @@ def random_block_tree(rng):
     return Graph.from_edges(edges)
 
 
+def double_stars():
+    """Every labelling of an edge with two pendant edges at each end: the
+    last block then grafts one limb at each of its terminals, in an
+    order that the labels decide."""
+    for y, z, *ends in itertools.permutations("abcdef"):
+        yield Graph.from_edges([(y, z), (y, ends[0]), (y, ends[1]),
+                                (z, ends[2]), (z, ends[3])])
+
+
 def test_peel_matches_its_first_form(atlas_2_7, rng):
     trees = [random_block_tree(rng) for _ in range(300)]
     refuted_trees = 0
-    for i, g in enumerate(list(atlas_2_7) + trees):
+    for i, g in enumerate(list(atlas_2_7) + trees + list(double_stars())):
         got = classify_topological_3(g).to_record()
         assert json.dumps(got) == json.dumps(reference_record(g)), sorted(g.edges())
         refuted_trees += i >= len(atlas_2_7) and got["verdict"] == "NO"
@@ -704,11 +775,38 @@ def test_peel_matches_its_first_form(atlas_2_7, rng):
     assert refuted_trees > 30
 
 
+def sun(n):
+    """An n-cycle with a pendant edge at every vertex."""
+    return Graph.from_edges(
+        [(f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
+        + [(f"c{i}", f"p{i}") for i in range(n)]
+    )
+
+
+def test_sun_grafts_walk_each_node_once(monkeypatch):
+    # every limb of a block hangs in one pass over the block's tree; a
+    # walk per limb and per level made this quadratic
+    steps = [0]
+    real = GspTree.walk
+
+    def counting(self):
+        for t in real(self):
+            steps[0] += 1
+            yield t
+
+    monkeypatch.setattr(GspTree, "walk", counting)
+    g = sun(400)
+    c = classify_topological_3(g)
+    assert c.verdict == "YES"
+    assert 0 < steps[0] <= 2 * (g.n + g.m)
+
+
 # Run under python -O, where asserts are stripped: the classifier's own
 # final check must still refuse a wrong answer. "spine" keeps the last
 # block's tree and drops every limb; "merge" grafts nothing, so the tree
 # misses every limb off a spine; "witness" makes every witness look
-# foreign to the graph.
+# foreign to the graph. "sp" makes the series-parallel engine find no
+# tree, and sp_decompose must refuse to return None.
 SABOTAGE = """
 import sys
 
@@ -716,14 +814,18 @@ import zvsearch.gsp as gsp
 from zvsearch.graphs import generate
 
 spec, how = sys.argv[1:]
+run = gsp.classify_topological_3
 if how == "spine":
     gsp._assemble = lambda peeled, root: root
 elif how == "merge":
-    gsp._merge = lambda tree, pendant, c: tree
+    gsp._merge = lambda tree, limbs: tree
+elif how == "sp":
+    gsp._sp = lambda g, a, b: None
+    run = lambda g: gsp.sp_decompose(g, *g.edges()[0])
 else:
     gsp.embedded = lambda witness, g: False
 try:
-    gsp.classify_topological_3(generate(spec))
+    run(generate(spec))
 except AssertionError as ex:
     print("refused:", ex)
 else:
@@ -738,6 +840,7 @@ else:
         ("tree:2", "merge", "decomposition"),
         ("f2", "witness", "witness"),
         ("f3", "witness", "witness"),
+        ("cycle:5", "sp", "series-parallel engine"),
     ],
 )
 def test_sabotaged_classification_is_refused_under_O(spec, how, why):

@@ -331,7 +331,7 @@ def reference_graft(peeled, root):
     onto the last block's tree with a branch, in reverse peel order."""
     out = root
     for _, cut, tree in reversed(peeled):
-        out = gsp_module._merge(out, tree, cut)
+        out = gsp_module._merge(out, [(cut, tree)])
     return out
 
 
