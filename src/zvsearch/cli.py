@@ -38,30 +38,18 @@ STATE_BUDGET_VAR = "ZVSEARCH_STATE_BUDGET"
 SUBSET_BUDGET_VAR = "ZVSEARCH_SUBSET_BUDGET"
 
 
-def _default_state_budget():
-    raw = os.environ.get(STATE_BUDGET_VAR)
+def _env_budget(var, default):
+    """A positive integer read from the environment variable var, or
+    default when it is unset."""
+    raw = os.environ.get(var)
     if raw is None:
-        return 200_000
+        return default
     try:
         val = int(raw)
     except ValueError:
-        raise InputError(f"{STATE_BUDGET_VAR} must be an integer, got {raw!r}")
+        raise InputError(f"{var} must be an integer, got {raw!r}")
     if val <= 0:
-        raise InputError(f"{STATE_BUDGET_VAR} must be positive")
-    return val
-
-
-def _subset_budget():
-    raw = os.environ.get(SUBSET_BUDGET_VAR)
-    if raw is None:
-        return _MASK_CAP
-    try:
-        val = int(raw)
-    except ValueError:
-        raise InputError(f"{SUBSET_BUDGET_VAR} must be an integer, got {raw!r}")
-    if val <= 0:
-        raise InputError(f"{SUBSET_BUDGET_VAR} must be positive")
-    # the cap guards the 2^n numpy tables in the solver
+        raise InputError(f"{var} must be positive")
     return val
 
 
@@ -340,9 +328,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.mask_cap = _subset_budget()
-        if getattr(args, "budget", None) is None and args.verb in ("solve",):
-            args.budget = _default_state_budget()
+        # each budget is read only by the verbs that use it; the subset
+        # budget caps the solver's 2^n numpy tables
+        if args.verb in ("solve", "pathwidth", "mono", "lowerbound"):
+            args.mask_cap = _env_budget(SUBSET_BUDGET_VAR, _MASK_CAP)
+        if args.verb == "solve" and args.budget is None:
+            args.budget = _env_budget(STATE_BUDGET_VAR, 200_000)
         if getattr(args, "k_max", None) is not None and args.k_max < 1:
             raise InputError("--k-max must be >= 1")
         if getattr(args, "budget", None) is not None and args.budget <= 0:

@@ -286,53 +286,6 @@ class BlockCutForest:
                 out.append((b, cuts[0] if cuts else None))
         return out
 
-    def block_path(self, a, b):
-        """Ordered blocks and cut vertices on the block-tree path joining a
-        and b.
-
-        Returns (blocks, cuts) with len(cuts) == len(blocks) - 1; a lies in
-        the first block and b in the last. A cut-vertex endpoint is allowed
-        (the path starts at whichever of its blocks faces the other end).
-        Raises InputError when the two ends are disconnected or equal.
-        """
-        if a == b:
-            raise InputError("block path endpoints must differ")
-        starts = [i for i, blk in enumerate(self.blocks) if a in blk]
-        goals = {i for i, blk in enumerate(self.blocks) if b in blk}
-        if not starts or not goals:
-            raise InputError("endpoint not in any block")
-        # BFS on the bipartite block/cut incidence. Multiple start blocks
-        # (a a cut vertex) act as sources; the first goal block reached wins,
-        # so the chain never doubles back through another block at a.
-        by_cut = {}
-        for i, blk in enumerate(self.blocks):
-            for v in blk:
-                if v in self.cut_vertices:
-                    by_cut.setdefault(v, []).append(i)
-        prev = {i: None for i in starts}
-        queue = deque(starts)
-        while queue:
-            i = queue.popleft()
-            if i in goals:
-                chain = []
-                while i is not None:
-                    chain.append(i)
-                    i = prev[i]
-                chain.reverse()
-                blks = [self.blocks[j] for j in chain]
-                cuts = []
-                for x, y in zip(blks, blks[1:]):
-                    shared = x & y
-                    assert len(shared) == 1
-                    cuts.append(next(iter(shared)))
-                return blks, cuts
-            for v in sorted(self.blocks[i] & self.cut_vertices):
-                for j in by_cut[v]:
-                    if j not in prev:
-                        prev[j] = i
-                        queue.append(j)
-        raise InputError(f"{a!r} and {b!r} are in different components")
-
 
 def block_cut_forest(g):
     """Iterative Hopcroft-Tarjan biconnected components.

@@ -20,19 +20,22 @@ never bridged and adds up its children, and a branch node copies the
 child that keeps both terminals. "Simple" means every subtree has
 complexity at most one.
 
-The classifier tests for a K_4 subdivision by one series-parallel
-reduction. Its trees are series spines: it peels pendant blocks off
-one block-cut forest, runs each block in series into its largest limb,
-counted in vertices, and hangs the other limbs on with branch nodes in
-one pass over the block's tree (a heavy-path layout). Every series run
-is folded into a balanced tree. How deep limbs hang inside limbs sets
-the size of a synthesized host, each level multiplying the subdivision
-its ball sweep demands; on a tree a limb hangs inside at most log2(n)
-others, and a path is one series run.
+One series-parallel reduction does two jobs: it decides K_4-freeness,
+and replayed, its steps build every SP tree. The classifier's trees
+are series spines: it peels pendant blocks off one block-cut forest,
+runs each block in series into its largest limb, counted in vertices,
+and hangs the other limbs on with branch nodes in one pass over the
+block's tree (a heavy-path layout). Every series run is folded into a
+balanced tree. How deep limbs hang inside limbs sets the size of a
+synthesized host, each level multiplying the subdivision its ball
+sweep demands; on a tree a limb hangs inside at most log2(n) others,
+and a path is one series run.
 """
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .errors import InputError
 from .forbidden import (
@@ -371,31 +374,40 @@ def subdivide_decomposition(tree, counts):
 # K_4 subdivisions
 
 
-def _sp_reducible(g):
-    """True when g has no K_4 minor; for the cubic K_4 that is the same
-    as no K_4 subdivision.
+def _reduce(g, keep=()):
+    """The series-parallel reduction of g, never taking a vertex of keep.
 
     Vertices of degree at most one are deleted and those of degree two
     spliced out, neighbours kept as sets so that parallel edges merge
     as they form. A worklist holds the vertices of degree at most two;
     a step changes only its neighbours' degrees, so only they are
-    queued again. Any graph reduces to nothing, in any order of steps,
-    exactly when it has no K_4 minor (Duffin 1965).
+    queued again. Stops at two vertices or when no step is left, and
+    returns what is left, as neighbour sets, and the steps in order, as
+    (vertex, its neighbours when it went).
     """
     nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
-    work = [v for v in g.vertices if len(nbrs[v]) <= 2]
+    work = [v for v in g.vertices if len(nbrs[v]) <= 2 and v not in keep]
+    steps = []
     while work and len(nbrs) > 2:
         v = work.pop()
         if v not in nbrs or len(nbrs[v]) > 2:
             continue
         ns = nbrs.pop(v)
+        steps.append((v, ns))
         for u in ns:
             nbrs[u].discard(v)
             if len(ns) == 2:
                 nbrs[u] |= ns - {u}
-            if len(nbrs[u]) <= 2:
+            if len(nbrs[u]) <= 2 and u not in keep:
                 work.append(u)
-    return len(nbrs) <= 2
+    return nbrs, steps
+
+
+def _sp_reducible(g):
+    """True when g has no K_4 minor; for the cubic K_4 that is the same
+    as no K_4 subdivision. Any graph reduces to nothing, in any order of
+    steps, exactly when it has no K_4 minor (Duffin 1965)."""
+    return len(_reduce(g)[0]) <= 2
 
 
 def _extract_k4(g):
@@ -470,48 +482,88 @@ def _series(parts):
     return parts[0]
 
 
+def _join(run, other, v):
+    # two series runs, deques of stops meeting at v, as one: the shorter
+    # joins the longer at v, so no stop is copied more than log2(n) times
+    if len(run) < len(other):
+        run, other = other, run
+    tail = iter(other if other[0] == v else reversed(other))
+    next(tail)
+    if run[-1] == v:
+        run.extend(tail)
+    else:
+        run.extendleft(tail)
+    return run
+
+
 def _sp(g, a, b):
-    """SP tree for a biconnected K_4-free (g, a, b); None on obstruction.
+    """SP tree of (g, a, b) from one series-parallel reduction keeping a
+    and b; None when the reduction stops short of the edge ab or deletes
+    a vertex.
 
-    Peels the direct a-b edge into its own leaf, decomposes each
-    remaining component of g - {a, b} as a series chain along its block
-    path, and folds the parts in parallel. A single component with no
-    a-b edge means {a, b} was neither an edge nor a separator, which
-    cannot happen below a valid call.
+    Replayed in order, the steps group the routes between two vertices
+    by the edge they reduced to: a direct edge of g and series runs,
+    each run a deque of stops. Splicing out v joins the routes of its
+    two edges into a new run; an edge whose routes are one run continues
+    it, a direct edge alone is a leaf segment, and any other group is a
+    parallel segment between two stops. The a-b group is rendered as the
+    direct edge first, then the runs by least interior vertex, parallel
+    nodes folded left and each run a balanced series. On a biconnected
+    g that is the SP tree with maximal series and parallel nodes; on a
+    chain of blocks from a to b it is the series of its blocks' trees.
     """
-    if g.n == 2:
+    if g.n == 2:  # a bridge, the commonest block, needs no replay
         return leaf(a, b) if g.has_edge(a, b) else None
-    direct = g.has_edge(a, b)
-    base = g.without_edge(a, b) if direct else g
-    parts = [leaf(a, b)] if direct else []
-    for comp in sorted(base.without_vertices({a, b}).components(), key=min):
-        t = _sp_chain(base.induced(set(comp) | {a, b}), a, b)
-        if t is None:
-            return None
-        parts.append(t)
-    if len(parts) < 2:
+    left, steps = _reduce(g, (a, b))
+    if len(left) > 2 or b not in left[a] or any(len(ns) < 2 for _, ns in steps):
         return None
-    return _fold("parallel", parts)
+    runs, closed = {}, {}  # edge key -> the runs reduced to that edge
 
+    def take(x, v):
+        key = edge_key(x, v)
+        got = runs.pop(key, [])
+        if len(got) == 1 and not g.has_edge(x, v):
+            return got[0]
+        if got:
+            closed[key] = got
+        return deque((x, v))
 
-def _sp_chain(h, a, b):
-    """Series chain of per-block SP trees along h's a-b block path.
+    for v, ns in steps:
+        x, y = ns
+        runs.setdefault(edge_key(x, y), []).append(_join(take(x, v), take(v, y), v))
 
-    None when the path misses a block of h; in a biconnected ambient
-    graph that never happens (hanging material would need a cut vertex).
-    """
-    bcf = block_cut_forest(h)
-    blocks, cuts = bcf.block_path(a, b)
-    if len(blocks) != len(bcf.blocks):
-        return None
-    stops = [a] + cuts + [b]
-    parts = []
-    for blk, u, v in zip(blocks, stops, stops[1:]):
-        t = _sp(h.induced(blk), u, v)
-        if t is None:
-            return None
-        parts.append(t)
-    return _series(parts)
+    def segments(item):
+        _, x, _, run = item
+        return pairwise(run if run[0] == x else reversed(run))
+
+    def kids(item):
+        if item[0] == "parallel":
+            _, x, y, members = item
+            return [("series", x, y, run) for run in members]
+        return [
+            ("parallel", s, t, closed[edge_key(s, t)])
+            for s, t in segments(item)
+            if edge_key(s, t) in closed
+        ]
+
+    def combine(item, values):
+        # values: (tree, least interior vertex) of each kid
+        if item[0] == "parallel":
+            _, x, y, _ = item
+            values.sort(key=lambda tv: tv[1])
+            parts = [leaf(x, y)] if g.has_edge(x, y) else []
+            parts += [t for t, _ in values]
+            return _fold("parallel", parts), values[0][1] if values else None
+        inner = iter(values)
+        parts, lows = [], [low for _, low in values]
+        for s, t in segments(item):
+            parts.append(next(inner)[0] if edge_key(s, t) in closed else leaf(s, t))
+            lows.append(t)
+        lows.pop()
+        return _series(parts), min(lows)
+
+    root = ("parallel", a, b, runs.pop(edge_key(a, b), []))
+    return _bottom_up(root, kids, combine)[0]
 
 
 def _two_connected(g):
@@ -553,24 +605,22 @@ def _gsp(g, a, b):
     """GSP tree for a connected K_4-free (g, a, b); None on obstruction.
 
     Pendant blocks whose interior holds neither terminal are peeled off,
-    each decomposed from its cut vertex, until the a-b block path runs
-    through every block; they are grafted back onto that chain in
-    reverse order.
+    each decomposed from its cut vertex, until none is left: what stays
+    is a chain of blocks from a to b, and the peeled blocks are grafted
+    back onto its tree in reverse order.
     """
     peeled = []
     while True:
-        bcf = block_cut_forest(g)
-        if len(bcf.block_path(a, b)[0]) == len(bcf.blocks):
-            break
-        for blk, cut in sorted(bcf.leaf_blocks(), key=lambda bc: min(bc[0])):
+        leaves = sorted(block_cut_forest(g).leaf_blocks(), key=lambda bc: min(bc[0]))
+        for blk, cut in leaves:
             if cut is not None and not {a, b} & (set(blk) - {cut}):
                 break
         else:
-            return None
+            break
         sub = g.induced(blk)
         peeled.append((cut, _sp(sub, cut, min(sub.sorted_neighbors(cut)))))
         g = g.without_vertices(set(blk) - {cut})
-    out = _sp_chain(g, a, b)
+    out = _sp(g, a, b)
     for cut, tree in reversed(peeled):
         if out is None or tree is None:
             return None
@@ -661,14 +711,17 @@ def merge_block(tree, pendant, c):
 # rotation: re-anchoring a parallel join at one terminal
 
 
-def _flatten(tree, op):
-    # the maximal subtrees below a run of op nodes, left to right
-    out = []
-    stack = [tree]
+def _flatten(tree, ops):
+    # the maximal subtrees below a run of nodes with an operator in ops
+    # and of branch spines, left to right; a branch node's pendant
+    # shares only its glue vertex with the spine
+    out, stack = [], [tree]
     while stack:
         t = stack.pop()
-        if t.op == op:
+        if t.op in ops:
             stack.extend(reversed(t.children))
+        elif t.op in ("branch", "branch_alt"):
+            stack.append(t.children[0])
         else:
             out.append(t)
     return out
@@ -693,7 +746,7 @@ def _rotate(th, tk):
         c0, c1 = th.children
         extra, rest = (c1, c0) if c1.complexity == 0 else (c0, c1)
         return _rotate(rest, node("parallel", extra, tk))
-    factors = _flatten(th, "series")
+    factors = _flatten(th, ("series",))
     bracket = tk
     for f in reversed(factors[1:]):
         bracket = node("series", bracket, _invert(f))
@@ -749,19 +802,19 @@ def _extract(tree):
         return _extract(tree.children[0]) + _extract(tree.children[1])
     if tree.op in ("branch", "branch_alt"):
         return _extract(tree.children[0])
-    # a non-bridged series node: walk its block chain, taking a pair of
-    # internally disjoint routes through every block
-    bcf = block_cut_forest(tree.graph)
-    blocks, cuts = bcf.block_path(tree.a, tree.b)
-    stops = [tree.a] + cuts + [tree.b]
-    assert len(stops) >= 3
+    # a non-bridged series node: its factors, read through series nodes
+    # and branch spines, are parallel nodes, one per block of its chain,
+    # and a factor's block is its leaves read the same way; take a pair
+    # of internally disjoint routes through every block
+    factors = _flatten(tree, ("series",))
     path1, path2 = [tree.a], [tree.a]
-    for blk, u, v in zip(blocks, stops, stops[1:]):
-        assert len(blk) >= 3
-        pair = internally_disjoint_paths(tree.graph.induced(blk), u, v, 2)
+    for f in factors:
+        block = Graph.from_edges(t.terminals for t in _flatten(f, ("series", "parallel")))
+        pair = internally_disjoint_paths(block, f.a, f.b, 2)
         assert pair is not None
         path1.extend(pair[0][1:])
         path2.extend(pair[1][1:])
+    stops = [f.a for f in factors] + [tree.b]
     return [Bipath(tuple(path1), tuple(path2), tuple(stops))]
 
 
@@ -867,7 +920,7 @@ def _rebuild_block(g, tree, target):
     assert fresh is not None
     m_edges = set(m.graph.edges())
     outside = []
-    for piece in _flatten(fresh, "parallel"):
+    for piece in _flatten(fresh, ("parallel",)):
         piece_edges = set(piece.graph.edges())
         if piece_edges <= m_edges:
             continue

@@ -131,6 +131,16 @@ def test_classify_long_chains(capsys, spec):
     assert tree.graph == generate(spec) and tree.simple
 
 
+def test_classify_a_long_ladder(capsys):
+    """The 2x600 ladder nests its SP tree 600 levels deep; the engine
+    reads the tree off one reduction without recursing, so the run ends
+    at the default recursion limit (its document nests too deep for
+    json.loads there)."""
+    code, out, err = run(capsys, "classify", "grid:2,600")
+    assert code == 0 and err == ""
+    assert out.endswith('\n  "verdict": "YES"\n}\n')
+
+
 @pytest.mark.parametrize(
     "verb, spec", [("synth", "cycle:1500"), ("synth", "path:600"), ("classify", "path:1200")]
 )
@@ -400,6 +410,15 @@ def test_subset_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "3")
     code, _, err = run(capsys, "lowerbound", "cycle:6", "-k", "2")
     assert code == 2 and "subset tables" in err
+    for raw, why in (("lots", "must be an integer"), ("0", "must be positive")):
+        monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", raw)
+        code, out, err = run(capsys, "pathwidth", "cycle:5")
+        assert code == 1 and out == "" and err.startswith("error:") and why in err
+    # verbs that build no subset table never read it
+    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "lots")
+    assert run_json(capsys, "classify", "cycle:5")["verdict"] == "YES"
+    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "0")
+    assert run_json(capsys, "synth", "path:3")["alignment"]
 
 
 def test_subset_budget_ends_with_its_call(capsys, monkeypatch):

@@ -148,9 +148,6 @@ def test_block_cut_forest_barbell():
     forest = block_cut_forest(g)
     leaves = forest.leaf_blocks()
     assert len(leaves) == 2
-    blocks, cuts = forest.block_path("a", "f")
-    assert len(blocks) == 3
-    assert cuts == ["c", "d"]
 
 
 def test_subdivision_labels_and_chains():

@@ -13,7 +13,7 @@ import pytest
 import zvsearch
 import zvsearch.gsp as gsp_module
 from zvsearch.errors import InputError
-from zvsearch.forbidden import ForbiddenWitness, embedded, pattern_check
+from zvsearch.forbidden import Bipath, ForbiddenWitness, embedded, pattern_check
 from zvsearch.graphs import (
     Graph,
     SubdividedGraph,
@@ -23,6 +23,7 @@ from zvsearch.graphs import (
     family_f2,
     family_f3,
     generate,
+    internally_disjoint_paths,
     is_bridged,
     k4_subdivision_example,
     path_graph,
@@ -560,6 +561,212 @@ def test_k4_minimisation_tests_each_edge_once(monkeypatch, spec):
     # the block test, then one reduction per edge of the block
     assert 1 < len(calls) <= 1 + g.induced(blk).m
     assert len(forests) == 1
+
+
+# ---------------------------------------------------------------------------
+# the SP engine and bipath extraction against their first forms
+
+
+def reference_block_path(bcf, a, b):
+    """The blocks and cut vertices on the block-cut tree's path from a
+    to b, in order: a search of the tree, with a and b as its nodes."""
+    tree = {}
+    for i, blk in enumerate(bcf.blocks):
+        for v in blk:
+            if v in bcf.cut_vertices or v in (a, b):
+                tree.setdefault(i, []).append(v)
+                tree.setdefault(v, []).append(i)
+    prev = {a: None}
+    queue = [a]
+    for x in queue:
+        for y in tree[x]:
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    return [bcf.blocks[i] for i in path[-2::-2]], path[-3:0:-2]
+
+
+def reference_sp(g, a, b):
+    """The SP engine as first written: the direct a-b edge as a leaf,
+    then each component of g - {a, b} as a series chain along its block
+    path, folded in parallel; a fresh forest and copy at every level."""
+    if g.n == 2:
+        return leaf(a, b) if g.has_edge(a, b) else None
+    direct = g.has_edge(a, b)
+    base = g.without_edge(a, b) if direct else g
+    parts = [leaf(a, b)] if direct else []
+    for comp in sorted(base.without_vertices({a, b}).components(), key=min):
+        t = reference_sp_chain(base.induced(set(comp) | {a, b}), a, b)
+        if t is None:
+            return None
+        parts.append(t)
+    if len(parts) < 2:
+        return None
+    return gsp_module._fold("parallel", parts)
+
+
+def reference_sp_chain(h, a, b):
+    bcf = block_cut_forest(h)
+    blocks, cuts = reference_block_path(bcf, a, b)
+    if len(blocks) != len(bcf.blocks):
+        return None
+    stops = [a] + cuts + [b]
+    parts = []
+    for blk, u, v in zip(blocks, stops, stops[1:]):
+        t = reference_sp(h.induced(blk), u, v)
+        if t is None:
+            return None
+        parts.append(t)
+    return gsp_module._series(parts)
+
+
+def reference_extract(tree):
+    """Bipath extraction as first written: a non-bridged series node
+    walks the block path of its recomposed graph."""
+    if tree.is_leaf or tree.bridged:
+        return []
+    if tree.op == "parallel":
+        return reference_extract(tree.children[0]) + reference_extract(tree.children[1])
+    if tree.op in ("branch", "branch_alt"):
+        return reference_extract(tree.children[0])
+    blocks, cuts = reference_block_path(block_cut_forest(tree.graph), tree.a, tree.b)
+    stops = [tree.a] + cuts + [tree.b]
+    path1, path2 = [tree.a], [tree.a]
+    for blk, u, v in zip(blocks, stops, stops[1:]):
+        pair = internally_disjoint_paths(tree.graph.induced(blk), u, v, 2)
+        path1.extend(pair[0][1:])
+        path2.extend(pair[1][1:])
+    return [Bipath(tuple(path1), tuple(path2), tuple(stops))]
+
+
+def sp_pairs(g):
+    """Every ordered pair of g's vertices that is an edge or separates g:
+    the terminals an SP tree of a K_4-free block can have."""
+    for a, b in itertools.permutations(g.vertices, 2):
+        if g.has_edge(a, b) or not g.without_vertices({a, b}).is_connected():
+            yield a, b
+
+
+def random_sp_block(rng):
+    while True:
+        g = random_biconnected(rng)
+        if _sp_reducible(g):
+            return g
+
+
+def block_chain(rng):
+    """Random K_4-free blocks and bridges glued end to end, each block
+    entered and left at one of its SP terminal pairs; returns the chain
+    and its two ends."""
+    edges, stops = [], []
+    for i in range(rng.randint(2, 5)):
+        blk = random_sp_block(rng) if rng.random() < 0.7 else Graph.from_edges([("0", "1")])
+        u, v = rng.choice(list(sp_pairs(blk)))
+        names = {x: f"b{i}.{x}" for x in blk.vertices}
+        if stops:
+            names[u] = stops[-1]
+        else:
+            stops.append(names[u])
+        stops.append(names[v])
+        edges += [(names[x], names[y]) for x, y in blk.edges()]
+    return Graph.from_edges(edges), stops[0], stops[-1]
+
+
+def record(tree):
+    return None if tree is None else json.dumps(tree_to_record(tree))
+
+
+def check_extract(tree):
+    """Bipaths of every non-bridged node agree with the block walk;
+    returns the number of nodes compared."""
+    nodes = [t for t in tree.walk() if not t.bridged]
+    for t in nodes:
+        assert extract_bipaths(t) == reference_extract(t), tree_to_record(t)
+    return len(nodes)
+
+
+def test_sp_matches_its_first_form(atlas_2_7, rng):
+    blocks = {}
+    for g in atlas_2_7:
+        for blk in block_cut_forest(g).blocks:
+            sub = g.induced(blk)
+            if _sp_reducible(sub):
+                blocks[sub.edges()] = sub
+    blocks = list(blocks.values())
+    blocks += [cycle_graph(n) for n in range(3, 13)]
+    blocks += [Graph.from_edges(_bipaths(count)) for count in (2, 3)]
+    cases = [(g, a, b) for g in blocks for a, b in sp_pairs(g)]
+    # random blocks in one order of each pair, for time
+    for g in (random_biconnected(rng) for _ in range(300)):
+        if _sp_reducible(g):
+            cases += [(g, a, b) for a, b in sp_pairs(g) if a < b]
+    # ladders: every pair up to 2x8, then an end rung, the middle rung
+    # and an end edge, which nest m levels deep
+    for m in range(2, 41):
+        g = generate(f"grid:2,{m}")
+        pairs = sp_pairs(g) if m <= 8 else [
+            ("v0", f"v{m}"), (f"v{m // 2}", f"v{m + m // 2}"), ("v0", "v1")
+        ]
+        cases += [(g, a, b) for ab in pairs for a, b in (ab, ab[::-1])]
+    trees = []
+    for g, a, b in cases:
+        got = _sp(g, a, b)
+        assert record(got) == record(reference_sp(g, a, b)), (sorted(g.edges()), a, b)
+        trees.append(got)
+    # on a chain of blocks the engine gives the chain's series tree,
+    # where the first form needed its chain step
+    for _ in range(100):
+        g, a, b = block_chain(rng)
+        got = _sp(g, a, b)
+        assert got is not None and record(got) == record(reference_sp_chain(g, a, b))
+        trees.append(got)
+    compared = sum(check_extract(t) for t in trees)
+    complex_trees = sum(not t.simple for t in trees)
+    assert len(cases) > 6000 and compared > 10000 and complex_trees > 50
+
+
+def test_extract_on_classifier_trees_matches_its_first_form(atlas_2_7, rng):
+    # the classifier's trees hang branch nodes under series nodes, whose
+    # pendants the bipaths must leave out
+    graphs = list(atlas_2_7) + [random_block_tree(rng) for _ in range(100)]
+    branchy = compared = 0
+    for g in graphs:
+        c = classify_topological_3(g)
+        if c.verdict == "YES":
+            compared += check_extract(c.tree)
+            branchy += any(
+                t.op == "series" and any(k.op.startswith("branch") for k in t.children)
+                for t in c.tree.walk()
+            )
+    assert compared > 1000 and branchy > 100
+
+
+def test_sp_refuses_what_it_cannot_reduce():
+    # the first form recursed without end on a K_4 and on terminals that
+    # are neither adjacent nor a separating pair; then the reduction
+    # deletes a pendant vertex, and one of another component
+    assert _sp(complete_graph(4), "0", "1") is None
+    theta = Graph.from_edges([("p", "x1"), ("x1", "x2"), ("x2", "q"), ("p", "y1"),
+                              ("y1", "y2"), ("y2", "q"), ("p", "z"), ("z", "q")])
+    assert _sp(theta, "x1", "y1") is None
+    pendant = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+    assert _sp(pendant, "a", "b") is None
+    assert _sp(Graph.from_edges([("a", "b"), ("c", "d")]), "a", "b") is None
+
+
+def test_classifying_a_ladder_builds_two_forests(monkeypatch):
+    # one for the K_4 test and one for the peel; the first form built
+    # one at every level of its recursion, 301 on this ladder
+    forests = []
+    real = gsp_module.block_cut_forest
+    monkeypatch.setattr(
+        gsp_module, "block_cut_forest", lambda h: forests.append(h) or real(h)
+    )
+    assert classify_topological_3(generate("grid:2,300")).verdict == "YES"
+    assert 0 < len(forests) <= 2
 
 
 # ---------------------------------------------------------------------------
