@@ -231,22 +231,23 @@ def cmd_verify(args):
     )
 
 
-def cmd_classify(args):
-    g, _ = _load_graph(args.graph)
-    cls = classify_topological_3(g)
+def _classified(cls):
     doc = cls.to_record()
     if cls.witness is not None:
         doc["family"] = cls.witness.family
-    _emit(doc)
+    return doc
+
+
+def cmd_classify(args):
+    g, _ = _load_graph(args.graph)
+    _emit(_classified(classify_topological_3(g)))
 
 
 def cmd_synth(args):
     g, _ = _load_graph(args.graph)
     cls = classify_topological_3(g)
     if cls.verdict != "YES":
-        doc = cls.to_record()
-        doc["family"] = cls.witness.family
-        _emit(doc)
+        _emit(_classified(cls))
         return
     floors = {}
     for u, v, c in args.floor or ():

@@ -179,6 +179,20 @@ def _role_bipaths(roles, count, out):
         return None
 
 
+def _span(seqs):
+    """The vertices and edges, as edge keys, that some vertex sequences
+    walk: a witness graph is the span of the paths its roles name."""
+    verts, edges = set(), set()
+    for seq in seqs:
+        verts.update(seq)
+        edges.update(edge_key(u, v) for u, v in zip(seq, seq[1:]))
+    return verts, edges
+
+
+def _halves(bips):
+    return [path for bp in bips for path in (bp.path1, bp.path2)]
+
+
 def _graph_mismatch(w, vertices, edges, out):
     if set(w.graph.vertices) != set(vertices):
         out.append("witness graph vertices disagree with the roles")
@@ -214,12 +228,8 @@ def _f1_problems(w):
     for i, j in combinations(range(6), 2):
         if interiors[i] & interiors[j]:
             out.append(f"path{i} and path{j} share an interior vertex")
-    verts = set(branch)
-    edges = set()
-    for p in paths:
-        verts.update(p)
-        edges.update(edge_key(u, v) for u, v in zip(p, p[1:]))
-    _graph_mismatch(w, verts, edges, out)
+    verts, edges = _span(paths)
+    _graph_mismatch(w, verts | bset, edges, out)
     return out
 
 
@@ -244,12 +254,7 @@ def _f2_problems(w):
             out.append(f"bipath{i} and bipath{j} meet outside the endpoints")
         if bips[i].edge_set() & bips[j].edge_set():
             out.append(f"bipath{i} and bipath{j} share an edge")
-    verts = set()
-    edges = set()
-    for bp in bips:
-        verts |= bp.vertex_set()
-        edges |= bp.edge_set()
-    _graph_mismatch(w, verts, edges, out)
+    _graph_mismatch(w, *_span(_halves(bips)), out)
     return out
 
 
@@ -298,14 +303,7 @@ def _f3_problems(w):
             out.append(f"{tag} does not join {x!r} to {y!r}")
         elif not set(conn) & bip_verts <= {x, y}:
             out.append(f"{tag} strays into a bipath")
-    verts = set(bip_verts)
-    edges = set()
-    for bp in bips:
-        edges |= bp.edge_set()
-    for conn in conns:
-        verts.update(conn)
-        edges.update(edge_key(u, v) for u, v in zip(conn, conn[1:]))
-    _graph_mismatch(w, verts, edges, out)
+    _graph_mismatch(w, *_span(_halves(bips) + conns), out)
     return out
 
 
@@ -400,11 +398,7 @@ def _brute_f1(g, budget):
             return False
 
         if place(0, set()):
-            verts = set(quad)
-            edges = set()
-            for p in chosen:
-                verts.update(p)
-                edges.update(edge_key(x, y) for x, y in zip(p, p[1:]))
+            verts, edges = _span(chosen)
             w = ForbiddenWitness(
                 "F1",
                 Graph.from_edges(edges, vertices=verts),
@@ -451,11 +445,7 @@ def _bipaths_between(g, a, b, budget, path_cap=3000):
 
 def _witness_f2(bips):
     a, b = sorted(bips[0].endpoints)
-    verts = set()
-    edges = set()
-    for bp in bips:
-        verts |= bp.vertex_set()
-        edges |= bp.edge_set()
+    verts, edges = _span(_halves(bips))
     w = ForbiddenWitness(
         "F2",
         Graph.from_edges(edges, vertices=verts),
@@ -465,14 +455,7 @@ def _witness_f2(bips):
 
 
 def _witness_f3(pair1, pair2, bips, conns):
-    verts = set()
-    edges = set()
-    for bp in bips:
-        verts |= bp.vertex_set()
-        edges |= bp.edge_set()
-    for conn in conns:
-        verts.update(conn)
-        edges.update(edge_key(u, v) for u, v in zip(conn, conn[1:]))
+    verts, edges = _span(_halves(bips) + list(conns))
     w = ForbiddenWitness(
         "F3",
         Graph.from_edges(edges, vertices=verts),

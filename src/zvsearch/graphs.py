@@ -277,15 +277,6 @@ class BlockCutForest:
     blocks: tuple
     cut_vertices: frozenset
 
-    def leaf_blocks(self):
-        """Blocks containing at most one cut vertex, with that vertex."""
-        out = []
-        for b in self.blocks:
-            cuts = [v for v in sorted(b) if v in self.cut_vertices]
-            if len(cuts) <= 1:
-                out.append((b, cuts[0] if cuts else None))
-        return out
-
 
 def block_cut_forest(g):
     """Iterative Hopcroft-Tarjan biconnected components.

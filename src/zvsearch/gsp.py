@@ -35,7 +35,7 @@ and a path is one series run.
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import count, pairwise
 
 from .errors import InputError
 from .forbidden import (
@@ -455,7 +455,11 @@ def _extract_k4(g):
 
 def has_k4_subdivision(g):
     """A witness embedding of a K_4 subdivision, or None."""
-    for blk in sorted(block_cut_forest(g).blocks, key=min):
+    return _k4_witness(g, block_cut_forest(g))
+
+
+def _k4_witness(g, bcf):
+    for blk in sorted(bcf.blocks, key=min):
         if len(blk) >= 4 and not _sp_reducible(g.induced(blk)):
             return _extract_k4(g.induced(blk))
     return None
@@ -601,31 +605,88 @@ def _check_terminals(g, a, b):
         raise InputError("terminals must be distinct")
 
 
-def _gsp(g, a, b):
-    """GSP tree for a connected K_4-free (g, a, b); None on obstruction.
+class _Leaves:
+    """The leaf blocks of g, peeled one at a time off one block-cut forest.
 
-    Pendant blocks whose interior holds neither terminal are peeled off,
-    each decomposed from its cut vertex, until none is left: what stays
-    is a chain of blocks from a to b, and the peeled blocks are grafted
-    back onto its tree in reverse order.
+    Peeling a leaf block leaves every other block whole and only retires
+    cut vertices; this keeps each cut vertex's blocks, each block's live
+    cut vertices (those another block still holds) and a heap of leaf
+    blocks, keyed by least vertex m and then m's least neighbour in the
+    block. That orders them as a fresh forest of the remaining graph
+    sorted by least vertex would: leaf blocks with the same m both hang
+    from m, and a forest lists them in the order its DFS leaves m.
     """
-    peeled = []
-    while True:
-        leaves = sorted(block_cut_forest(g).leaf_blocks(), key=lambda bc: min(bc[0]))
-        for blk, cut in leaves:
-            if cut is not None and not {a, b} & (set(blk) - {cut}):
-                break
-        else:
-            break
+
+    def __init__(self, g, bcf):
+        self.blocks = bcf.blocks
+        self.keys = [(min(blk), min(g.neighbors(min(blk)) & blk)) for blk in self.blocks]
+        self.live = [set(blk & bcf.cut_vertices) for blk in self.blocks]
+        self.holders = {v: set() for v in bcf.cut_vertices}
+        for i, cuts in enumerate(self.live):
+            for v in cuts:
+                self.holders[v].add(i)
+        self.alive = set(range(len(self.blocks)))
+        self.heap = []
+        for i in self.alive:
+            self.push(i)
+
+    def push(self, i):
+        """Put block i on the heap if it is a leaf."""
+        if len(self.live[i]) == 1:
+            (cut,) = self.live[i]
+            heapq.heappush(self.heap, (self.keys[i], i, cut))
+
+    def pop(self):
+        """The least leaf block on the heap, as (its index, its cut vertex)."""
+        return heapq.heappop(self.heap)[1:]
+
+    def peel(self, i, cut):
+        self.alive.remove(i)
+        self.holders[cut].remove(i)
+        if len(self.holders[cut]) == 1:
+            (j,) = self.holders[cut]
+            self.live[j].discard(cut)
+            self.push(j)
+
+    def rest(self, g):
+        """The graph the peel has left."""
+        return g.induced(set().union(*(self.blocks[i] for i in self.alive)))
+
+
+def _gsp(g, bcf, a, b):
+    """GSP tree for a connected K_4-free (g, a, b), given g's block-cut
+    forest; None on obstruction.
+
+    Leaf blocks whose interior holds no terminal are peeled off, each
+    decomposed from its cut vertex, until a chain of blocks from a to b
+    is left; a leaf whose interior holds one stays a leaf, so it leaves
+    the heap for good. Each peeled block's tree takes the limbs at its
+    other vertices in one _merge, and the chain's tree takes the rest in
+    one more, the latest peeled innermost.
+    """
+    leaves = _Leaves(g, bcf)
+    hanging = {}  # vertex -> limbs hanging there, as (peel order, vertex, tree)
+    order = count()
+
+    def graft(tree, limbs):
+        return _merge(tree, [limb[1:] for limb in sorted(limbs, reverse=True)])
+
+    while leaves.heap:
+        i, cut = leaves.pop()
+        blk = leaves.blocks[i]
+        if {a, b} & (blk - {cut}):
+            continue
         sub = g.induced(blk)
-        peeled.append((cut, _sp(sub, cut, min(sub.sorted_neighbors(cut)))))
-        g = g.without_vertices(set(blk) - {cut})
-    out = _sp(g, a, b)
-    for cut, tree in reversed(peeled):
-        if out is None or tree is None:
+        tree = _sp(sub, cut, min(sub.neighbors(cut)))
+        if tree is None:
             return None
-        out = _merge(out, [(cut, tree)])
-    return out
+        limbs = [limb for v in blk if v != cut for limb in hanging.pop(v, ())]
+        hanging.setdefault(cut, []).append((next(order), cut, graft(tree, limbs)))
+        leaves.peel(i, cut)
+    out = _sp(leaves.rest(g), a, b)
+    if out is None:
+        return None
+    return graft(out, [limb for at in hanging.values() for limb in at])
 
 
 def gsp_decompose(g, a, b):
@@ -639,19 +700,14 @@ def gsp_decompose(g, a, b):
         raise InputError("decomposition needs a connected graph")
     if not _sp_reducible(g):
         raise InputError("the graph contains a K_4 subdivision")
-    if not g.has_edge(a, b):
-        ok = False
-        for blk in block_cut_forest(g).blocks:
-            if a in blk and b in blk and len(blk) > 3:
-                sub = g.induced(blk)
-                if not sub.without_vertices({a, b}).is_connected():
-                    ok = True
-                    break
-        if not ok:
-            raise InputError(
-                "terminals must be adjacent or separate one biconnected block"
-            )
-    t = _gsp(g, a, b)
+    bcf = block_cut_forest(g)
+    if not g.has_edge(a, b) and not any(
+        a in blk and b in blk and len(blk) > 3
+        and not g.induced(blk - {a, b}).is_connected()
+        for blk in bcf.blocks
+    ):
+        raise InputError("terminals must be adjacent or separate one biconnected block")
+    t = _gsp(g, bcf, a, b)
     if t is None:
         raise AssertionError("the generalized engine found no tree of a valid input")
     return t
@@ -669,6 +725,8 @@ def _merge(tree, limbs):
     # preorder pass finds them all, and limbs meeting at one node hang
     # there in their given order. Every rebuilt ancestor keeps its
     # operator, so no complexity changes along the way.
+    if not limbs:
+        return tree
     pending = {}
     for i, (c, pendant) in enumerate(limbs):
         pending.setdefault(c, []).append((i, c, pendant))
@@ -975,67 +1033,35 @@ def _pendant(g, built, rest):
     )
 
 
-def _peel(g):
-    """Peel pendant blocks off g until one block is left.
+def _peel(g, bcf):
+    """Peel pendant blocks off g, whose forest is bcf, to its last block.
 
     Returns the peeled blocks in order, as (block, cut, simple tree of
     the block with the cut as first terminal), and a simple tree of the
-    last block; or the pattern refuting g. One block-cut forest serves
-    the whole loop: peeling a leaf block leaves every other block whole
-    and only retires cut vertices, so the loop keeps the blocks still
-    holding each cut vertex, each block's live cut vertices (those still
-    held by another block) and a heap of leaf blocks. The heap's key,
-    a block's least vertex m and then m's least neighbour inside it,
-    orders the leaves as a fresh forest of the remaining graph sorted by
-    least vertex would: two leaf blocks with the same least vertex both
-    hang from m, and a forest lists them in the order its DFS leaves m.
+    last block; or the pattern refuting g. Each round takes the first
+    two leaf blocks and peels the one _pendant picks.
     """
-    bcf = block_cut_forest(g)
-    blocks = bcf.blocks
-    holders = {v: set() for v in bcf.cut_vertices}
-    live = [set(blk & bcf.cut_vertices) for blk in blocks]
-    for i, cuts in enumerate(live):
-        for v in cuts:
-            holders[v].add(i)
-    alive = set(range(len(blocks)))
-    heap = []
-
-    def push_if_leaf(i):
-        if len(live[i]) == 1:
-            m = min(blocks[i])
-            (cut,) = live[i]
-            heapq.heappush(heap, (m, min(g.neighbors(m) & blocks[i]), i, cut))
-
-    for i in alive:
-        push_if_leaf(i)
+    leaves = _Leaves(g, bcf)
     trees = {}
     peeled = []
-    while len(alive) > 1:
-        pair = [heapq.heappop(heap) for _ in range(2)]
+    while len(leaves.alive) > 1:
+        pair = [leaves.pop() for _ in range(2)]
         built = []
-        for _, _, i, cut in pair:
+        for i, cut in pair:
             if i not in trees:
-                sub = g.induced(blocks[i])
+                sub = g.induced(leaves.blocks[i])
                 trees[i] = _sp(sub, cut, min(sub.neighbors(cut)))
                 assert trees[i] is not None
-            built.append((blocks[i], cut, trees[i]))
-        got = _pendant(
-            g, built, lambda: g.induced(set().union(*(blocks[i] for i in alive)))
-        )
+            built.append((leaves.blocks[i], cut, trees[i]))
+        got = _pendant(g, built, lambda: leaves.rest(g))
         if isinstance(got, ForbiddenWitness):
             return got
         k, tree = got
-        heapq.heappush(heap, pair[1 - k])
-        _, _, i, cut = pair[k]
-        peeled.append((blocks[i], cut, tree))
-        alive.remove(i)
-        holders[cut].remove(i)
-        if len(holders[cut]) == 1:
-            (j,) = holders[cut]
-            live[j].discard(cut)
-            push_if_leaf(j)
-    (i,) = alive
-    last = g.induced(blocks[i])
+        leaves.push(pair[1 - k][0])
+        i, cut = pair[k]
+        peeled.append((leaves.blocks[i], cut, tree))
+        leaves.peel(i, cut)
+    last = leaves.rest(g)
     root = _sp(last, *last.edges()[0])
     assert root is not None
     if not root.simple:
@@ -1103,10 +1129,8 @@ def build_simple_gsp(g):
         raise InputError("classification needs at least two vertices")
     if not g.is_connected():
         raise InputError("classification needs a connected graph")
-    w = has_k4_subdivision(g)
-    if w is not None:
-        return w
-    out = _peel(g)
+    bcf = block_cut_forest(g)
+    out = _k4_witness(g, bcf) or _peel(g, bcf)
     if not isinstance(out, ForbiddenWitness):
         out = _assemble(*out)
     if isinstance(out, GspTree):

@@ -37,6 +37,17 @@ def all_trees(lo, hi):
     return out
 
 
+def leaf_blocks(bcf):
+    """The blocks of a block-cut forest that hold at most one cut vertex,
+    each with that vertex or None."""
+    out = []
+    for blk in bcf.blocks:
+        cuts = [v for v in sorted(blk) if v in bcf.cut_vertices]
+        if len(cuts) <= 1:
+            out.append((blk, cuts[0] if cuts else None))
+    return out
+
+
 def random_connected(n, rng):
     while True:
         ng = nx.gnp_random_graph(n, rng.uniform(0.25, 0.7), seed=rng.randint(0, 2**31))

@@ -31,6 +31,8 @@ from zvsearch.graphs import (
     two_disjoint_paths,
 )
 
+from conftest import leaf_blocks
+
 
 def small_graphs():
     return st.integers(3, 8).flatmap(
@@ -145,9 +147,10 @@ def test_block_cut_forest_barbell():
         [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"),
          ("d", "e"), ("e", "f"), ("f", "d")]
     )
-    forest = block_cut_forest(g)
-    leaves = forest.leaf_blocks()
-    assert len(leaves) == 2
+    leaves = leaf_blocks(block_cut_forest(g))
+    assert sorted((sorted(blk), cut) for blk, cut in leaves) == [
+        (["a", "b", "c"], "c"), (["d", "e", "f"], "d")
+    ]
 
 
 def test_subdivision_labels_and_chains():

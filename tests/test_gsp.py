@@ -52,7 +52,7 @@ from zvsearch.gsp import (
     tree_to_record,
 )
 
-from conftest import from_networkx, random_connected
+from conftest import from_networkx, leaf_blocks, random_connected
 
 
 def four_cycle(a, tag, b):
@@ -540,6 +540,15 @@ def test_k4_witness_matches_its_first_form(atlas_2_7):
     assert found > 300
 
 
+def count_forests(monkeypatch):
+    forests = []
+    real = gsp_module.block_cut_forest
+    monkeypatch.setattr(
+        gsp_module, "block_cut_forest", lambda h: forests.append(h) or real(h)
+    )
+    return forests
+
+
 @pytest.mark.parametrize("spec", ["grid:3,20", "f1"])
 def test_k4_minimisation_tests_each_edge_once(monkeypatch, spec):
     calls = []
@@ -552,11 +561,7 @@ def test_k4_minimisation_tests_each_edge_once(monkeypatch, spec):
     monkeypatch.setattr(gsp_module, "_sp_reducible", counting)
     g = generate(spec)
     (blk,) = block_cut_forest(g).blocks
-    forests = []
-    real_forest = gsp_module.block_cut_forest
-    monkeypatch.setattr(
-        gsp_module, "block_cut_forest", lambda h: forests.append(h) or real_forest(h)
-    )
+    forests = count_forests(monkeypatch)
     assert has_k4_subdivision(g) is not None
     # the block test, then one reduction per edge of the block
     assert 1 < len(calls) <= 1 + g.induced(blk).m
@@ -757,16 +762,11 @@ def test_sp_refuses_what_it_cannot_reduce():
     assert _sp(Graph.from_edges([("a", "b"), ("c", "d")]), "a", "b") is None
 
 
-def test_classifying_a_ladder_builds_two_forests(monkeypatch):
-    # one for the K_4 test and one for the peel; the first form built
-    # one at every level of its recursion, 301 on this ladder
-    forests = []
-    real = gsp_module.block_cut_forest
-    monkeypatch.setattr(
-        gsp_module, "block_cut_forest", lambda h: forests.append(h) or real(h)
-    )
+def test_classifying_a_ladder_builds_one_forest(monkeypatch):
+    # the K_4 block test and the peel share one forest
+    forests = count_forests(monkeypatch)
     assert classify_topological_3(generate("grid:2,300")).verdict == "YES"
-    assert 0 < len(forests) <= 2
+    assert len(forests) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +860,7 @@ def reference_peel(g):
     bcf = block_cut_forest(g)
     while len(bcf.blocks) > 1:
         built = []
-        for blk, cut in sorted(bcf.leaf_blocks(), key=lambda bc: min(bc[0]))[:2]:
+        for blk, cut in sorted(leaf_blocks(bcf), key=lambda bc: min(bc[0]))[:2]:
             sub = g.induced(blk)
             built.append((blk, cut, _sp(sub, cut, min(sub.sorted_neighbors(cut)))))
         got = gsp_module._pendant(g, built, lambda: g)
@@ -1008,12 +1008,105 @@ def test_sun_grafts_walk_each_node_once(monkeypatch):
     assert 0 < steps[0] <= 2 * (g.n + g.m)
 
 
+# ---------------------------------------------------------------------------
+# the GSP peel against its first form
+
+
+def reference_gsp(g, a, b):
+    """gsp._gsp as first written: a fresh block-cut forest and a copy of
+    the remaining graph for every peel, its leaf blocks sorted by least
+    vertex, and one graft per peeled block, in reverse peel order."""
+    peeled = []
+    while True:
+        leaves = sorted(leaf_blocks(block_cut_forest(g)), key=lambda bc: min(bc[0]))
+        for blk, cut in leaves:
+            if cut is not None and not {a, b} & (set(blk) - {cut}):
+                break
+        else:
+            break
+        sub = g.induced(blk)
+        peeled.append((cut, _sp(sub, cut, min(sub.sorted_neighbors(cut)))))
+        g = g.without_vertices(set(blk) - {cut})
+    out = _sp(g, a, b)
+    for cut, tree in reversed(peeled):
+        if out is None or tree is None:
+            return None
+        out = reference_merge(out, tree, cut)
+    return out
+
+
+def reference_gsp_decompose(g, a, b):
+    """gsp_decompose as first written: its checks, then reference_gsp."""
+    gsp_module._check_terminals(g, a, b)
+    if not g.is_connected():
+        raise InputError("decomposition needs a connected graph")
+    if not _sp_reducible(g):
+        raise InputError("the graph contains a K_4 subdivision")
+    if not g.has_edge(a, b):
+        ok = False
+        for blk in block_cut_forest(g).blocks:
+            if a in blk and b in blk and len(blk) > 3:
+                sub = g.induced(blk)
+                if not sub.without_vertices({a, b}).is_connected():
+                    ok = True
+                    break
+        if not ok:
+            raise InputError(
+                "terminals must be adjacent or separate one biconnected block"
+            )
+    return reference_gsp(g, a, b)
+
+
+def decomposed(decompose, g, a, b):
+    """The record of decompose(g, a, b), or the text of its InputError."""
+    try:
+        return json.dumps(tree_to_record(decompose(g, a, b)))
+    except InputError as ex:
+        return f"error: {ex}"
+
+
+def test_gsp_decompose_matches_its_first_form(atlas_2_7):
+    trees = 0
+    for g in atlas_2_7:
+        for a, b in itertools.permutations(g.vertices, 2):
+            got = decomposed(gsp_decompose, g, a, b)
+            assert got == decomposed(reference_gsp_decompose, g, a, b), (
+                sorted(g.edges()), a, b,
+            )
+            trees += not got.startswith("error:")
+    assert trees > 5000
+
+
+@pytest.mark.parametrize("name", ["path:1000", "tree:8", "sun:300"])
+def test_gsp_decompose_matches_its_first_form_on_long_graphs(name):
+    g = sun(300) if name == "sun:300" else generate(name)
+    a, b = g.edges()[0]
+    got = gsp_decompose(g, a, b)
+    assert got.graph == g
+    # a preorder of operators and terminals fixes a tree, and unlike a
+    # record it compares without recursion, however deep the tree nests
+    want = reference_gsp(g, a, b)
+    assert [(t.op, t.terminals) for t in got.walk()] == [
+        (t.op, t.terminals) for t in want.walk()
+    ]
+
+
+def test_gsp_decompose_builds_one_forest(monkeypatch):
+    # the terminal check and the peel share one forest; the first form
+    # built a fresh one at every peel, 999 on this path
+    forests = count_forests(monkeypatch)
+    g = generate("path:1000")
+    assert gsp_decompose(g, *g.edges()[0]).graph == g
+    assert len(forests) == 1
+
+
 # Run under python -O, where asserts are stripped: the classifier's own
 # final check must still refuse a wrong answer. "spine" keeps the last
 # block's tree and drops every limb; "merge" grafts nothing, so the tree
 # misses every limb off a spine; "witness" makes every witness look
 # foreign to the graph. "sp" makes the series-parallel engine find no
-# tree, and sp_decompose must refuse to return None.
+# tree, and sp_decompose must refuse to return None; "gsp" does the
+# same to gsp_decompose.
 SABOTAGE = """
 import sys
 
@@ -1026,9 +1119,10 @@ if how == "spine":
     gsp._assemble = lambda peeled, root: root
 elif how == "merge":
     gsp._merge = lambda tree, limbs: tree
-elif how == "sp":
+elif how in ("sp", "gsp"):
     gsp._sp = lambda g, a, b: None
-    run = lambda g: gsp.sp_decompose(g, *g.edges()[0])
+    decompose = gsp.sp_decompose if how == "sp" else gsp.gsp_decompose
+    run = lambda g: decompose(g, *g.edges()[0])
 else:
     gsp.embedded = lambda witness, g: False
 try:
@@ -1048,6 +1142,8 @@ else:
         ("f2", "witness", "witness"),
         ("f3", "witness", "witness"),
         ("cycle:5", "sp", "series-parallel engine"),
+        ("cycle:5", "gsp", "generalized engine"),
+        ("tree:2", "gsp", "generalized engine"),
     ],
 )
 def test_sabotaged_classification_is_refused_under_O(spec, how, why):

@@ -15,6 +15,7 @@ from zvsearch.graphs import (
     Graph,
     SubdividedGraph,
     ball,
+    block_cut_forest,
     complete_graph,
     cycle_graph,
     edge_key,
@@ -338,7 +339,7 @@ def reference_graft(peeled, root):
 def test_spines_never_grow_a_host(synthesis_corpus):
     totals = [0, 0]
     for g in synthesis_corpus:
-        peeled, root = gsp_module._peel(g)
+        peeled, root = gsp_module._peel(g, block_cut_forest(g))
         spine = gsp_module._assemble(peeled, root)
         graft = reference_graft(peeled, root)
         new = synthesize(spine.terminal_graph(), spine)
