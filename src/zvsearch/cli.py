@@ -6,6 +6,12 @@ generator specs ("cycle:6", "grid:3,4"), so acceptance scripts need no
 temporary files. Exit codes: 0 for definite answers, 1 for bad input,
 2 for blown resource budgets. A reader that closes stdout early
 (`| head`) ends the run with exit 1 and no message.
+
+The argument parser is built once, when this module is imported, and
+every main() call parses with it: each parse fills a fresh namespace,
+so nothing carries over from one call to the next. numpy is loaded
+only by the verbs that run the solver (solve, pathwidth, mono and
+lowerbound), on their first call into it.
 """
 
 import argparse
@@ -326,8 +332,11 @@ def build_parser():
     return top
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         # each budget is read only by the verbs that use it; the subset
         # budget caps the solver's 2^n numpy tables

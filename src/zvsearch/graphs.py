@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 # ---------------------------------------------------------------------------
 # core graph type
@@ -871,16 +871,26 @@ def family_f3(segments=None, connector_lengths=(2, 2)):
     return Graph.from_edges(edges)
 
 
+# Largest graph a spec may build, in vertices plus edges. path:200000
+# (399,999) builds in about a second and 165 MB, so a spec at the cap
+# takes a few seconds and about 400 MB; the largest spec the tests and
+# the benchmark use, cycle:1500, has 3,000.
+_GENERATED_CAP = 10**6
+
+# kind -> (generator, arity, vertices plus edges of its graph). The size
+# is exact for the arguments a generator accepts, except that the tree's
+# clamps its depth at 64, so that a huge depth costs no huge integer: its
+# size is then a lower bound, still far above the cap.
 _GENERATORS = {
-    "path": (path_graph, 1),
-    "cycle": (cycle_graph, 1),
-    "complete": (complete_graph, 1),
-    "grid": (grid_graph, 2),
-    "tree": (perfect_binary_tree, 1),
-    "k4sub": (k4_subdivision_example, 0),
-    "f1": (family_f1, -1),  # optional single int
-    "f2": (family_f2, 0),
-    "f3": (family_f3, 0),
+    "path": (path_graph, 1, lambda n: 2 * n - 1),
+    "cycle": (cycle_graph, 1, lambda n: 2 * n),
+    "complete": (complete_graph, 1, lambda n: n + n * (n - 1) // 2),
+    "grid": (grid_graph, 2, lambda n, m: 3 * n * m - n - m if min(n, m) > 1 else 0),
+    "tree": (perfect_binary_tree, 1, lambda d: 2 ** (min(d, 64) + 2) - 3),
+    "k4sub": (k4_subdivision_example, 0, lambda: 18),
+    "f1": (family_f1, -1, lambda s=1: 10 + 12 * s),  # optional single int
+    "f2": (family_f2, 0, lambda: 41),
+    "f3": (family_f3, 0, lambda: 62),
 }
 
 
@@ -890,7 +900,7 @@ def generate(spec):
     kind = kind.strip().lower()
     if kind not in _GENERATORS:
         raise InputError(f"unknown generator {kind!r} (have {sorted(_GENERATORS)})")
-    fn, arity = _GENERATORS[kind]
+    fn, arity, size = _GENERATORS[kind]
     args = [a for a in (x.strip() for x in rest.split(",")) if a]
     try:
         args = [int(a) for a in args]
@@ -900,6 +910,17 @@ def generate(spec):
         raise InputError(f"{kind} takes exactly {arity} argument(s)")
     if arity == -1 and len(args) > 1:
         raise InputError(f"{kind} takes at most one argument")
+    # arguments a generator refuses get its InputError, not a size: the
+    # sizes are taken of arguments clamped at 0, and a grid's side below 2
+    # gives size 0
+    predicted = size(*(max(a, 0) for a in args))
+    if predicted > _GENERATED_CAP:
+        raise ResourceLimitError(
+            f"{spec} would have at least {predicted} vertices plus edges, "
+            f"more than the {_GENERATED_CAP} a generator spec may build",
+            budget=_GENERATED_CAP,
+            used=predicted,
+        )
     return fn(*args)
 
 

@@ -47,6 +47,11 @@ of the solver's answer.
 
 Everything returns replayable witnesses; nothing is trusted without a
 simulation pass somewhere in the tests.
+
+numpy is imported inside the functions that use it, so importing this
+module, or the package, does not load it: callers that never run one
+of the engines above (the classifier, synthesis, verification) never
+pay for numpy's import.
 """
 
 from __future__ import annotations
@@ -56,8 +61,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice
-
-import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .game import is_monotonic, is_successful, simulate
@@ -139,6 +142,7 @@ def _round_tables(nbr, n, dtype):
     nbr is a tuple, so that one solve builds the tables once for the
     separation DP and every width of the closure. The tables are shared,
     so they are read-only."""
+    import numpy as np
     tables = []
     for base in range(0, n, 8):
         row = np.zeros(1, dtype=dtype)
@@ -151,6 +155,7 @@ def _round_tables(nbr, n, dtype):
 
 def _reach(masks, tables):
     """The neighbourhood of each mask, one gather per byte."""
+    import numpy as np
     reach = tables[0][(masks & 0xFF).astype(np.intp)]
     for b in range(1, len(tables)):
         reach |= tables[b][((masks >> 8 * b) & 0xFF).astype(np.intp)]
@@ -179,6 +184,7 @@ def _pick_chunks(dirty, j, tables):
     are dirty gathered through the table of combinations(range(|dirty|),
     j), which tables caches per (|dirty|, j) for one closure; a longer
     stream is built chunk by chunk."""
+    import numpy as np
     d = dirty.size
     if math.comb(d, j) <= _CHUNK:
         table = tables.get((d, j))
@@ -224,6 +230,7 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
 
     Returns (steps or None, states expanded).
     """
+    import numpy as np
     _, nbr, full = g.masks()
     start = g.to_mask(clean_start)
     if start == full:
@@ -500,6 +507,7 @@ def _subset_array(n):
     """One uninitialised uint8 entry per subset of n vertices. A size
     numpy refuses up front, past its limits or more than the host will
     map, is a blown budget, not a crash."""
+    import numpy as np
     try:
         return np.empty(1 << n, dtype=np.uint8)
     except (MemoryError, ValueError) as ex:
@@ -527,6 +535,7 @@ def _mask_tables(g, mask_cap):
     it is the popcount minus that of the set's clean part after one round
     with the set protected: the round map of the closure, on the same
     byte tables, filled _BLOCK masks at a time."""
+    import numpy as np
     n = g.n
     _check_mask_cap(n, mask_cap)
     _, nbr, full = g.masks()
@@ -559,6 +568,7 @@ def _vertex_separation(g, mask_cap):
     itself tells a new set from one met before. The peel at the end
     compares against values <= U only, where f is exact, so it picks
     the layout of the full-table DP."""
+    import numpy as np
     n = g.n
     if n == 1:
         return 0, [g.vertices[0]]
@@ -611,6 +621,7 @@ def _extend(f, sets, bound, bits, tags, full, tables):
     below; for v outside the set the read hits the layer above, still
     255. A set above bound keeps its value, not always exact: any value
     above bound tells the next layer and the peel the same."""
+    import numpy as np
     grown = sets[:, None] | bits
     at = (f[grown] == 255).ravel().nonzero()[0]
     cand = grown.ravel()[at]
@@ -690,6 +701,7 @@ def monotonic_inspection_number(g, mask_cap=_MASK_CAP):
 
 def boundary_profile(g, k, mask_cap=_MASK_CAP):
     """Set of sizes |C| over all vertex sets C with boundary below k."""
+    import numpy as np
     if g.n == 0:
         raise InputError("empty graph")
     if k < 0:

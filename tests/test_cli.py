@@ -56,6 +56,13 @@ def test_gen_bad_spec(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec", ["path:99999999999", "tree:60", "complete:1000000"])
+def test_gen_over_the_size_cap_is_a_resource_limit(capsys, spec):
+    code, out, err = run(capsys, "gen", spec)
+    assert code == 2 and out == ""
+    assert err.startswith(f"resource limit: {spec} would have at least ")
+
+
 def test_solve_cycle(capsys):
     doc = run_json(capsys, "solve", "cycle:5")
     assert doc["value"] == 3

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zvsearch.errors import InputError
+from zvsearch import graphs
+from zvsearch.errors import InputError, ResourceLimitError
 from zvsearch.graphs import (
     EquivalenceSpec,
     Graph,
@@ -299,6 +300,40 @@ def test_generate_specs():
         generate("cycle:3,4")
     with pytest.raises(InputError):
         generate("cycle:x")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["path:1", "path:9", "cycle:3", "cycle:10", "complete:1", "complete:7",
+     "grid:2,2", "grid:3,7", "tree:0", "tree:5", "k4sub", "f1", "f1:0", "f1:3",
+     "f2", "f3"],
+)
+def test_generator_sizes_are_predicted_exactly(spec):
+    """generate refuses a spec by the size its table predicts, before
+    building anything; the prediction is the built graph's size."""
+    kind, _, rest = spec.partition(":")
+    args = [int(a) for a in rest.split(",") if a]
+    g = generate(spec)
+    assert graphs._GENERATORS[kind][2](*args) == g.n + len(list(g.edges()))
+
+
+@pytest.mark.parametrize(
+    "spec, size",
+    [("path:99999999999", 199999999997), ("path:500001", 1000001),
+     ("complete:1000000", 500000500000), ("grid:1000,1000", 2998000),
+     ("tree:60", 2**62 - 3), ("tree:99999999999", 2**66 - 3)],
+)
+def test_generate_refuses_specs_over_the_cap(spec, size):
+    with pytest.raises(ResourceLimitError, match=f"at least {size} vertices") as ex:
+        generate(spec)
+    assert (ex.value.budget, ex.value.used) == (graphs._GENERATED_CAP, size)
+
+
+def test_refused_arguments_are_input_errors_at_any_size():
+    assert graphs._GENERATORS["path"][2](500000) == graphs._GENERATED_CAP - 1
+    for spec in ("grid:1,2000000", "complete:-5000", "tree:-3"):
+        with pytest.raises(InputError):
+            generate(spec)
 
 
 def test_family_generators_have_expected_branch_degrees():
