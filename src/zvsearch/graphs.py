@@ -67,6 +67,10 @@ class Graph:
         except KeyError:
             raise InputError(f"no vertex {v!r}") from None
 
+    # g[v], iter(g) and v in g read a Graph as a mapping of each vertex,
+    # in sorted order, to its neighbours
+    __getitem__ = neighbors
+
     def sorted_neighbors(self, v):
         return sorted(self.neighbors(v))
 

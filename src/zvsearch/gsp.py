@@ -374,19 +374,20 @@ def subdivide_decomposition(tree, counts):
 # K_4 subdivisions
 
 
-def _reduce(g, keep=()):
-    """The series-parallel reduction of g, never taking a vertex of keep.
+def _reduce(adj, keep=()):
+    """The series-parallel reduction of adj, never taking a vertex of keep.
 
-    Vertices of degree at most one are deleted and those of degree two
-    spliced out, neighbours kept as sets so that parallel edges merge
-    as they form. A worklist holds the vertices of degree at most two;
-    a step changes only its neighbours' degrees, so only they are
-    queued again. Stops at two vertices or when no step is left, and
-    returns what is left, as neighbour sets, and the steps in order, as
-    (vertex, its neighbours when it went).
+    adj maps each vertex to its neighbours: a Graph, read in sorted
+    order, or a dict of sets. Vertices of degree at most one are deleted
+    and those of degree two spliced out, neighbours kept as sets so that
+    parallel edges merge as they form. A worklist holds the vertices of
+    degree at most two; a step changes only its neighbours' degrees, so
+    only they are queued again. Stops at two vertices or when no step is
+    left, and returns what is left, as neighbour sets, and the steps in
+    order, as (vertex, its neighbours when it went).
     """
-    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
-    work = [v for v in g.vertices if len(nbrs[v]) <= 2 and v not in keep]
+    nbrs = {v: set(adj[v]) for v in adj}
+    work = [v for v in nbrs if len(nbrs[v]) <= 2 and v not in keep]
     steps = []
     while work and len(nbrs) > 2:
         v = work.pop()
@@ -403,30 +404,74 @@ def _reduce(g, keep=()):
     return nbrs, steps
 
 
-def _sp_reducible(g):
-    """True when g has no K_4 minor; for the cubic K_4 that is the same
-    as no K_4 subdivision. Any graph reduces to nothing, in any order of
-    steps, exactly when it has no K_4 minor (Duffin 1965)."""
-    return len(_reduce(g)[0]) <= 2
+def _sp_reducible(adj):
+    """True when adj, a Graph or a dict of neighbour sets, has no K_4
+    minor; for the cubic K_4 that is the same as no K_4 subdivision. Any
+    graph reduces to nothing, in any order of steps, exactly when it has
+    no K_4 minor (Duffin 1965)."""
+    return len(_reduce(adj)[0]) <= 2
+
+
+def _is_k4_subdivision(adj):
+    """True when the edges of adj form one K_4 subdivision: its
+    non-isolated part is connected, four vertices have degree 3 and the
+    others degree 2."""
+    degrees = [len(ns) for ns in adj.values() if ns]
+    if degrees.count(3) != 4 or degrees.count(2) != len(degrees) - 4:
+        return False
+    start = next(v for v, ns in adj.items() if ns)
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(degrees)
 
 
 def _extract_k4(g):
     # Shrink to an edge-minimal subgraph that still embeds the pattern;
     # what remains is the subdivision itself, so the roles fall out of
-    # the degree sequence. One pass over the edges, in sorted order, is
-    # as good as restarting after every removal: containing a K_4
-    # subdivision is monotone, so an edge whose removal loses the
-    # pattern loses it from every smaller h as well, and a restart
-    # would only keep it again.
-    h = g
-    for e in g.edges():
-        cand = h.without_edge(*e)
-        if not _sp_reducible(cand):
-            h = cand
-    h = h.induced([v for v in h.vertices if h.degree(v) > 0])
-    branch = sorted(v for v in h.vertices if h.degree(v) == 3)
-    if len(branch) != 4 or any(h.degree(v) not in (2, 3) for v in h.vertices):
+    # the degree sequence. The result is that of one pass over the edges
+    # in sorted order, dropping each edge whose removal keeps a K_4
+    # subdivision; containing one is monotone, so a restart after a
+    # removal would only keep the same edges again. The pass tests runs
+    # of consecutive edges at once. If h minus a whole run still holds a
+    # subdivision, so does h minus each prefix of the run, and the pass
+    # would drop every edge of it: drop the run and double the next one.
+    # Otherwise halve the run; a single edge that loses the pattern is
+    # kept. That takes O(k log m) reductions for k kept edges.
+    # The pass stops as soon as h is a subdivision: connected, four
+    # vertices of degree 3, the rest of degree 2. h always holds one, S;
+    # an edge of h outside S would meet S, h being connected, at a vertex
+    # of higher degree in h than in S, a fifth of degree 3 or one of
+    # degree 4. So h is S, no edge of which can go, and the pass would
+    # keep every edge left.
+    h = {v: set(g.neighbors(v)) for v in g.vertices}
+    edges = g.edges()
+    i, size = 0, 1
+    done = _is_k4_subdivision(h)
+    while not done and i < len(edges):
+        run = edges[i:i + size]
+        for u, v in run:
+            h[u].discard(v)
+            h[v].discard(u)
+        if not _sp_reducible(h):
+            i += len(run)
+            size *= 2
+            done = _is_k4_subdivision(h)
+        else:
+            for u, v in run:
+                h[u].add(v)
+                h[v].add(u)
+            if size == 1:
+                i += 1
+            else:
+                size //= 2
+    if not _is_k4_subdivision(h):
         raise AssertionError("the K_4 minimisation did not end in a subdivision")
+    h = Graph({v: frozenset(ns) for v, ns in h.items() if ns})
+    branch = sorted(v for v in h.vertices if h.degree(v) == 3)
     chains = {}
     for v in branch:
         for w in h.sorted_neighbors(v):
@@ -460,8 +505,10 @@ def has_k4_subdivision(g):
 
 def _k4_witness(g, bcf):
     for blk in sorted(bcf.blocks, key=min):
-        if len(blk) >= 4 and not _sp_reducible(g.induced(blk)):
-            return _extract_k4(g.induced(blk))
+        if len(blk) >= 4:
+            sub = g.induced(blk)
+            if not _sp_reducible(sub):
+                return _extract_k4(sub)
     return None
 
 

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zvsearch
-from zvsearch import cli, solver
+from zvsearch import cli, gsp, solver
 from zvsearch.cli import main
+from zvsearch.forbidden import ForbiddenWitness, embedded, pattern_check
 from zvsearch.game import is_aligned, is_successful, simulate
 from zvsearch.graphs import Graph, cycle_graph, generate, parse_edge_list, path_graph
 from zvsearch.gsp import tree_from_record
@@ -114,6 +115,19 @@ def test_classify_no(capsys):
     assert doc["verdict"] == "NO"
     assert doc["family"] == "F1"
     assert doc["witness"]["family"] == "F1"
+
+
+def test_classify_a_long_k4_grid(capsys, monkeypatch):
+    """The K_4 minimisation drops runs of edges and so makes few
+    reductions; one per edge made grid:3,1000 take over 20 s."""
+    calls = []
+    real = gsp._sp_reducible
+    monkeypatch.setattr(gsp, "_sp_reducible", lambda adj: calls.append(adj) or real(adj))
+    doc = run_json(capsys, "classify", "grid:3,1000")
+    assert doc["verdict"] == "NO" and doc["family"] == "F1"
+    w = ForbiddenWitness.from_record(doc["witness"])
+    assert pattern_check(w) and embedded(w, generate("grid:3,1000"))
+    assert len(calls) <= 150
 
 
 def record_depth(rec):
