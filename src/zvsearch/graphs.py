@@ -110,7 +110,9 @@ class Graph:
 
     def induced(self, keep):
         keep = set(keep)
-        missing = keep - set(self._adj)
+        # one lookup per kept vertex: a peel that takes one block at a
+        # time must not copy all n vertices per call
+        missing = {v for v in keep if v not in self._adj}
         if missing:
             raise InputError(f"not vertices: {sorted(missing)}")
         return Graph({v: self._adj[v] & keep for v in keep})

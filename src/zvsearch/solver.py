@@ -34,9 +34,18 @@ visits only the sets that can start a layout no wider than a greedy
 one: it grows them one layer of set sizes at a time, by one vertex
 each, and takes each new set's boundary (the part of it that one round
 with the set protected leaves dirty) from the same per-byte
-neighbourhood tables and round map as the closure. The boundary
-profile reads two uint8 tables over all 2^n sets, the popcount and the
-boundary size, filled from the round map one block of masks at a time.
+neighbourhood tables and round map as the closure.
+
+The boundary profile, the sizes of the sets whose boundary is smaller
+than k, has two engines. One reads two uint8 tables over all 2^n sets,
+the popcount and the boundary size, filled from the round map one block
+of masks at a time. The other visits the separators instead, the sets B
+of fewer than k vertices: a set with boundary B is B plus components of
+G - B, so each B adds |B| plus the subset sums of those components'
+sizes. There are sum over r < k of C(n, r) of them, far fewer than 2^n
+on the sparse graphs where k is small, and no table is needed, so it
+works at any n. The profile takes the tables only when they are
+cheaper.
 
 Plus the boundary-gap certificate: a size i such that no set of size
 strictly between i-k and i has boundary below k. No width-k search can
@@ -50,8 +59,8 @@ simulation pass somewhere in the tests.
 
 numpy is imported inside the functions that use it, so importing this
 module, or the package, does not load it: callers that never run one
-of the engines above (the classifier, synthesis, verification) never
-pay for numpy's import.
+of the numpy engines above (the classifier, synthesis, verification, a
+boundary profile from separators) never pay for numpy's import.
 """
 
 from __future__ import annotations
@@ -67,8 +76,14 @@ from .game import is_monotonic, is_successful, simulate
 
 # Largest n for the subset tables: one uint8 array of 2^n entries for
 # the separation DP, two for the boundary profile, 4 MB each at n = 22;
-# beyond that, refuse.
+# beyond that, refuse. 2^_MASK_CAP also bounds the separators that a
+# boundary profile enumerates instead.
 _MASK_CAP = 22
+
+# Table entries per separator at which boundary_profile's two engines
+# cost about the same: a separator costs one search of G - B in pure
+# Python, a table entry a few numpy operations.
+_TABLE_RATIO = 256
 
 # Picks per batch of the round map: enough rows to amortise numpy's
 # per-call cost, few enough that a state's temporaries stay under a few
@@ -700,15 +715,143 @@ def monotonic_inspection_number(g, mask_cap=_MASK_CAP):
 
 
 def boundary_profile(g, k, mask_cap=_MASK_CAP):
-    """Set of sizes |C| over all vertex sets C with boundary below k."""
-    import numpy as np
+    """Set of sizes |C| over all vertex sets C with boundary below k.
+
+    Two engines give the same set: the subset tables (_table_profile),
+    2^n entries, and the separators (_separator_profile), the S sets B
+    with |B| < k. The tables are taken when n <= mask_cap and
+    _TABLE_RATIO * S >= 2^n, the separators otherwise. The separators
+    are counted before they are enumerated: more than 2^mask_cap of them
+    raise ResourceLimitError, so mask_cap bounds the vertex sets either
+    engine visits. When n <= mask_cap, S <= 2^n, and nothing is refused
+    that the tables answer."""
     if g.n == 0:
         raise InputError("empty graph")
     if k < 0:
         raise InputError("k must be >= 0")
+    count = sum(math.comb(g.n, r) for r in range(min(k, g.n + 1)))
+    if g.n <= mask_cap and _TABLE_RATIO * count >= 1 << g.n:
+        return _table_profile(g, k, mask_cap)
+    if count > 1 << mask_cap:
+        raise ResourceLimitError(
+            f"boundary profile needs {count} separators, "
+            f"more than 2^{mask_cap}",
+            budget=1 << mask_cap,
+            used=count,
+        )
+    return _separator_profile(g, k)
+
+
+def _table_profile(g, k, mask_cap):
+    """boundary_profile read from the two subset tables."""
+    import numpy as np
     pc, bnd = _mask_tables(g, mask_cap)
-    hit = bnd < k
-    return frozenset(int(i) for i in np.unique(pc[hit]))
+    return frozenset(int(i) for i in np.unique(pc[bnd < k]))
+
+
+def _separator_profile(g, k):
+    """boundary_profile from the separators B, the sets with |B| < k.
+
+    A set C with boundary B is B plus a union of components of G - B:
+    a vertex of C - B has every neighbour in C. Conversely, B plus any
+    union of components of G - B has its boundary inside B. So the
+    profile is every |B| + s, s a subset sum of the component sizes of
+    G - B, kept as the bits of one int. A set B of the largest size,
+    top, is taken as B' plus a vertex v past the last vertex of B', so
+    that one search of G - B' (_cut_pieces) serves every such v: G - B
+    has the components of G - B' other than v's, plus the pieces that
+    v's component falls into without v. Stops once every size 0..n is
+    in."""
+    n = g.n
+    top = min(k - 1, n)
+    if top < 0:
+        return frozenset()
+    adj = [list(_bits(m)) for m in g.masks()[1]]
+    every = (1 << n + 1) - 1
+    prof = 0
+    # B' runs over the sets below top, or the empty set alone at top = 0
+    for r in range(max(top, 1)):
+        for sep in combinations(range(n), r):
+            gone = [False] * n
+            for v in sep:
+                gone[v] = True
+            comps, pieces = _cut_pieces(adj, gone)
+            sizes = [len(members) for members in comps]
+            prof |= _subset_sums(sizes) << r
+            if r + 1 == top:
+                after = sep[-1] + 1 if sep else 0
+                others = {}
+                for c, members in zip(sizes, comps):
+                    if c not in others:
+                        rest = list(sizes)
+                        rest.remove(c)
+                        others[c] = _subset_sums(rest)
+                    for v in members:
+                        if v >= after:
+                            prof |= _subset_sums(pieces[v], others[c]) << top
+            if prof == every:
+                return frozenset(range(n + 1))
+    return frozenset(i for i in range(n + 1) if prof >> i & 1)
+
+
+def _subset_sums(sizes, sums=1):
+    """sums, bit s set for each subset sum s, grown by the sizes."""
+    for s in sizes:
+        sums |= sums << s
+    return sums
+
+
+def _cut_pieces(adj, gone):
+    """(components, pieces) of the graph adj without the vertices marked
+    in gone. components lists the vertices of each; pieces[v] holds the
+    sizes of the components that v's component falls into without v.
+
+    One depth-first search per component: a child w of v whose subtree
+    has no edge to a vertex above v (low[w] >= disc[v]) is a piece of
+    its own, and the rest of the component, if any, is one more. The
+    edge from w back to v may set low[w] to disc[v], which passes the
+    test, so it need not be skipped as a bridge search would."""
+    n = len(adj)
+    disc = [0] * n
+    low = [0] * n
+    size = [1] * n
+    pieces = [[] for _ in range(n)]
+    comps = []
+    t = 0
+    for root in range(n):
+        if gone[root] or disc[root]:
+            continue
+        t += 1
+        disc[root] = low[root] = t
+        members = [root]
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if gone[w]:
+                    continue
+                if not disc[w]:
+                    t += 1
+                    disc[w] = low[w] = t
+                    members.append(w)
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if parent >= 0:
+                    size[parent] += size[v]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] >= disc[parent]:
+                        pieces[parent].append(size[v])
+        comps.append(members)
+        for v in members:
+            rest = len(members) - 1 - sum(pieces[v])
+            if rest:
+                pieces[v].append(rest)
+    return comps, pieces
 
 
 def boundary_gap_certificate(g, k, mask_cap=_MASK_CAP, profile=None):

@@ -428,9 +428,12 @@ def test_state_budget_env(capsys, monkeypatch):
 
 
 def test_subset_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "3")
-    code, _, err = run(capsys, "lowerbound", "cycle:6", "-k", "2")
-    assert code == 2 and "subset tables" in err
+    """cycle:6 with k = 2 has 7 separators, the empty set and each
+    vertex: more than 2^2, so a budget of 2 refuses them."""
+    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "2")
+    code, out, err = run(capsys, "lowerbound", "cycle:6", "-k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("resource limit: boundary profile needs 7 separators")
     for raw, why in (("lots", "must be an integer"), ("0", "must be positive")):
         monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", raw)
         code, out, err = run(capsys, "pathwidth", "cycle:5")
@@ -443,7 +446,7 @@ def test_subset_budget_env(capsys, monkeypatch):
 
 
 def test_subset_budget_ends_with_its_call(capsys, monkeypatch):
-    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "3")
+    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "2")
     code, _, _ = run(capsys, "lowerbound", "cycle:6", "-k", "2")
     assert code == 2
     monkeypatch.delenv("ZVSEARCH_SUBSET_BUDGET")
@@ -455,7 +458,7 @@ def test_subset_budget_past_numpy_limits(capsys, monkeypatch):
     """2^70 entries is past what numpy can index: it refuses before it
     allocates, and the run ends on a budget, not a traceback."""
     monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "100")
-    code, out, err = run(capsys, "lowerbound", "path:70", "-k", "2")
+    code, out, err = run(capsys, "pathwidth", "path:70")
     assert code == 2 and out == ""
     assert err.startswith("resource limit: subset tables for n = 70")
 
@@ -478,20 +481,34 @@ def test_solve_takes_a_greedy_cap_when_tables_do_not_fit(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec, certified", [("cycle:6", True), ("path:4", False)]
+    "spec, certified, builds",
+    [pytest.param("cycle:6", True, [6], id="cycle:6-True"),
+     pytest.param("path:4", False, [4], id="path:4-False"),
+     pytest.param("path:30", False, [], id="path:30-False")],
 )
-def test_lowerbound_builds_tables_once(capsys, monkeypatch, spec, certified):
-    builds = []
+def test_lowerbound_builds_tables_once(capsys, monkeypatch, spec, certified,
+                                       builds):
+    """Small graphs take the subset tables, built once for both the
+    profile and the certificate; path:30 with k = 2 has 31 separators
+    against 2^30 table entries, and takes no table."""
+    built = []
     real = solver._mask_tables
 
     def counted(g, mask_cap):
-        builds.append(g.n)
+        built.append(g.n)
         return real(g, mask_cap)
 
     monkeypatch.setattr(solver, "_mask_tables", counted)
     doc = run_json(capsys, "lowerbound", spec, "-k", "2")
     assert (doc["certificate"] is not None) == certified
-    assert builds == [int(spec.split(":")[1])]
+    assert built == builds
+
+
+def test_lowerbound_above_the_table_cap(capsys):
+    """f3 has 26 vertices: no subset table, and a k = 3 certificate from
+    its 352 separators."""
+    doc = run_json(capsys, "lowerbound", "f3", "-k", "3")
+    assert doc["certificate"]["i"] == 7
 
 
 def test_flag_validation(capsys):

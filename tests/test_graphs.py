@@ -154,6 +154,31 @@ def test_block_cut_forest_barbell():
     ]
 
 
+class CountedAdj(dict):
+    """An adjacency that counts the vertices read by walking it."""
+
+    walked = 0
+
+    def __iter__(self):
+        for v in super().__iter__():
+            self.walked += 1
+            yield v
+
+
+def test_induced_reads_only_the_kept_vertices():
+    """induced looks up each kept vertex instead of walking all n, so a
+    peel that takes one small block at a time stays linear."""
+    adj = CountedAdj(path_graph(1000)._adj)
+    g = Graph(adj)
+    adj.walked = 0
+    sub = g.induced(["4", "3"])
+    assert adj.walked == 0
+    assert sub.vertices == ("3", "4") and sub.edges() == (("3", "4"),)
+    with pytest.raises(InputError, match=r"not vertices: \['x'\]"):
+        g.induced(["3", "x"])
+    assert adj.walked == 0
+
+
 def test_subdivision_labels_and_chains():
     g = path_graph(3)
     sub = subdivide(g, {("0", "1"): 2})
@@ -330,6 +355,7 @@ def test_generate_refuses_specs_over_the_cap(spec, size):
 
 
 def test_refused_arguments_are_input_errors_at_any_size():
+    assert graphs._GENERATORS["path"][2](500000) == graphs._GENERATED_CAP - 1
     for spec in ("grid:1,2000000", "complete:-5000", "tree:-3"):
         with pytest.raises(InputError):
             generate(spec)

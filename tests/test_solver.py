@@ -29,10 +29,14 @@ from zvsearch.graphs import (
     boundary,
     complete_graph,
     cycle_graph,
+    family_f1,
+    family_f2,
     family_f3,
+    generate,
     grid_graph,
     k4_subdivision_example,
     path_graph,
+    subdivide,
 )
 from zvsearch.cli import main
 from zvsearch.solver import (
@@ -40,6 +44,8 @@ from zvsearch.solver import (
     _greedy_bags,
     _mask_tables,
     _merge_bags,
+    _separator_profile,
+    _table_profile,
     _vertex_separation,
     boundary_gap_certificate,
     boundary_profile,
@@ -273,6 +279,92 @@ def test_certificate_on_long_cycle():
     assert cert is not None
     assert cert.i == 3 and cert.profile == frozenset({0, 1, 6})
     assert cert.to_record() == {"k": 2, "i": 3, "profile": [0, 1, 6]}
+
+
+def profile_graphs(rng, sizes, count):
+    """For each n in sizes, the edgeless graph on v0..v{n-1} and count
+    random graphs on them, with edge probabilities from 0.1 to 0.9."""
+    graphs = []
+    for n in sizes:
+        vs = [f"v{i}" for i in range(n)]
+        graphs.append(Graph.from_edges([], vertices=vs))
+        for _ in range(count):
+            p = rng.uniform(0.1, 0.9)
+            edges = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1:]
+                     if rng.random() < p]
+            graphs.append(Graph.from_edges(edges, vertices=vs))
+    return graphs
+
+
+def test_profile_engines_match_brute(rng):
+    """Both engines, and boundary_profile choosing between them, equal
+    the subset enumeration for n <= 12 and every k <= 5."""
+    for g in profile_graphs(rng, range(1, 13), 3):
+        for k in range(6):
+            want = brute_profile(g, k)
+            assert _table_profile(g, k, 22) == want, (sorted(g.edges()), k)
+            assert _separator_profile(g, k) == want, (sorted(g.edges()), k)
+            assert boundary_profile(g, k) == want, (sorted(g.edges()), k)
+
+
+def test_profile_engines_agree(rng):
+    """The separators equal the subset tables for n <= 16 and every
+    k <= 5, k >= n and edgeless graphs included."""
+    graphs = profile_graphs(rng, range(1, 17), 5)
+    graphs += [family_f1(2), family_f2(), grid_graph(4, 4), path_graph(16)]
+    for g in graphs:
+        for k in range(6):
+            assert _separator_profile(g, k) == _table_profile(g, k, 22), (
+                sorted(g.edges()), k)
+
+
+def test_boundary_profile_picks_its_engine(monkeypatch):
+    """Tables when n <= mask_cap and _TABLE_RATIO * S >= 2^n, for the S
+    separators (sets of fewer than k vertices), separators otherwise;
+    more than 2^mask_cap separators are refused before any is visited."""
+    assert solver._TABLE_RATIO == 256
+    built = []
+    real = solver._mask_tables
+
+    def counted(g, mask_cap):
+        built.append(g.n)
+        return real(g, mask_cap)
+
+    monkeypatch.setattr(solver, "_mask_tables", counted)
+    # 256 * 1 >= 2^8 but < 2^9
+    assert boundary_profile(cycle_graph(8), 1) == frozenset({0, 8})
+    assert boundary_profile(cycle_graph(9), 1) == frozenset({0, 9})
+    assert built == [8]
+    assert boundary_profile(complete_graph(14), 13) == (
+        frozenset(range(13)) | {14})
+    assert boundary_profile(path_graph(20), 2) == frozenset(range(21))
+    assert built == [8, 14]
+    # path:10 with k = 2: 11 separators, more than 2^3, at most 2^4
+    assert boundary_profile(path_graph(10), 2, mask_cap=4) == frozenset(range(11))
+    with pytest.raises(ResourceLimitError, match="needs 11 separators") as ex:
+        boundary_profile(path_graph(10), 2, mask_cap=3)
+    assert (ex.value.budget, ex.value.used) == (8, 11)
+    assert built == [8, 14]
+
+
+@pytest.mark.parametrize(
+    "family, c, i",
+    [("f1:0", 1, 6), ("f1:0", 5, 10), ("f1:0", 10, 15),
+     ("f2", 0, 7), ("f2", 1, 8), ("f2", 3, 12),
+     ("f3", 0, 7), ("f3", 1, 8), ("f3", 3, 12)],
+)
+def test_forbidden_subdivisions_have_a_k3_gap(family, c, i):
+    """The NO half of the theorem: no subdivision of K_4 (F1), F2 or F3
+    is searchable with 3 searchers. Here a k = 3 certificate proves it
+    for each graph with every edge subdivided c times, up to 134
+    vertices, far past the subset tables. A certificate is evidence, not
+    a decision procedure: k4sub, whose inspection number is 3, has none,
+    and a graph whose inspection number exceeds 3 may have none either."""
+    base = generate(family)
+    g = subdivide(base, {e: c for e in base.edges()}).derived
+    assert g.n == base.n + c * base.m
+    cert = boundary_gap_certificate(g, 3)
+    assert cert is not None and cert.i == i
 
 
 def test_certificate_sound_on_feasible_pairs(rng):

@@ -1,6 +1,8 @@
 """What a command-line process pays once: the argument parser, built at
 import and shared by every main() call; numpy, loaded only by the solver
-verbs; and the benchmark's tracer, which wraps names that cli imports."""
+verbs that build tables or run the closure (a sparse `lowerbound` does
+neither); and the benchmark's tracer, which wraps names that cli
+imports."""
 
 import argparse
 import contextlib
@@ -102,6 +104,7 @@ NUMPY_PROBE = textwrap.dedent(
     run("classify", "k4sub")
     run("classify", "f1")
     run("gen", "grid:3,4")
+    run("lowerbound", "cycle:30", "-k", "2")
     print("numpy" in sys.modules)
     run("solve", "cycle:5")
     print("numpy" in sys.modules)
