@@ -339,8 +339,8 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         # each budget is read only by the verbs that use it; a subset
-        # budget of c allows 2^c vertex sets, table entries or the
-        # separators of a boundary profile
+        # budget of c allows 2^c table entries, or 2^c search steps of
+        # a boundary profile from separators
         if args.verb in ("solve", "pathwidth", "mono", "lowerbound"):
             args.mask_cap = _env_budget(SUBSET_BUDGET_VAR, _MASK_CAP)
         if args.verb == "solve" and args.budget is None:

@@ -44,8 +44,8 @@ of fewer than k vertices: a set with boundary B is B plus components of
 G - B, so each B adds |B| plus the subset sums of those components'
 sizes. There are sum over r < k of C(n, r) of them, far fewer than 2^n
 on the sparse graphs where k is small, and no table is needed, so it
-works at any n. The profile takes the tables only when they are
-cheaper.
+works at any n that its budget of search steps allows. The profile
+takes the tables only when they are cheaper.
 
 Plus the boundary-gap certificate: a size i such that no set of size
 strictly between i-k and i has boundary below k. No width-k search can
@@ -66,7 +66,7 @@ boundary profile from separators) never pay for numpy's import.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice
@@ -76,14 +76,19 @@ from .game import is_monotonic, is_successful, simulate
 
 # Largest n for the subset tables: one uint8 array of 2^n entries for
 # the separation DP, two for the boundary profile, 4 MB each at n = 22;
-# beyond that, refuse. 2^_MASK_CAP also bounds the separators that a
-# boundary profile enumerates instead.
+# beyond that, refuse. 2^_MASK_CAP also bounds the search steps of a
+# boundary profile from separators.
 _MASK_CAP = 22
 
 # Table entries per separator at which boundary_profile's two engines
 # cost about the same: a separator costs one search of G - B in pure
 # Python, a table entry a few numpy operations.
 _TABLE_RATIO = 256
+
+# Bits of a set of sizes whose shift costs about one step of a search of
+# G - B: either is about 0.25 us, and a shift of n bits about
+# 0.25 * (1 + n / 4096) us.
+_SHIFT_BITS = 4096
 
 # Picks per batch of the round map: enough rows to amortise numpy's
 # per-call cost, few enough that a state's temporaries stay under a few
@@ -720,26 +725,47 @@ def boundary_profile(g, k, mask_cap=_MASK_CAP):
     Two engines give the same set: the subset tables (_table_profile),
     2^n entries, and the separators (_separator_profile), the S sets B
     with |B| < k. The tables are taken when n <= mask_cap and
-    _TABLE_RATIO * S >= 2^n, the separators otherwise. The separators
-    are counted before they are enumerated: more than 2^mask_cap of them
-    raise ResourceLimitError, so mask_cap bounds the vertex sets either
-    engine visits. When n <= mask_cap, S <= 2^n, and nothing is refused
-    that the tables answer."""
-    if g.n == 0:
+    _TABLE_RATIO * S >= 2^n, the separators otherwise.
+
+    The separators' cost is counted before any is visited: one search of
+    G - B' for each set B' below the largest size, each of n + m steps,
+    a step also shifting an (n+1)-bit set of sizes. More than
+    2^mask_cap steps raise ResourceLimitError, so mask_cap bounds the
+    work of either engine, whatever n is. When n <= mask_cap <= 22 the
+    separators are chosen only below 2^n / _TABLE_RATIO, and n + m <
+    256, so nothing is refused that the tables answer."""
+    n = g.n
+    if n == 0:
         raise InputError("empty graph")
     if k < 0:
         raise InputError("k must be >= 0")
-    count = sum(math.comb(g.n, r) for r in range(min(k, g.n + 1)))
-    if g.n <= mask_cap and _TABLE_RATIO * count >= 1 << g.n:
+    if n <= mask_cap and (
+            _TABLE_RATIO * _separator_count(n, k, 1 << n) >= 1 << n):
         return _table_profile(g, k, mask_cap)
-    if count > 1 << mask_cap:
+    limit = 1 << mask_cap
+    searches = _separator_count(n, max(k - 1, 1), limit) if k else 0
+    steps = searches * (n + g.m) * (1 + n // _SHIFT_BITS)
+    if steps > limit:
         raise ResourceLimitError(
-            f"boundary profile needs {count} separators, "
-            f"more than 2^{mask_cap}",
-            budget=1 << mask_cap,
-            used=count,
+            f"boundary profile needs at least {steps} separator search "
+            f"steps, more than 2^{mask_cap}",
+            budget=limit,
+            used=steps,
         )
     return _separator_profile(g, k)
+
+
+def _separator_count(n, k, limit):
+    """Sum over r < k of C(n, r), the sets of fewer than k of n vertices,
+    or the first partial sum above limit."""
+    total = 0
+    term = 1
+    for r in range(min(k, n + 1)):
+        total += term
+        if total > limit:
+            break
+        term = term * (n - r) // (r + 1)
+    return total
 
 
 def _table_profile(g, k, mask_cap):
@@ -766,7 +792,8 @@ def _separator_profile(g, k):
     top = min(k - 1, n)
     if top < 0:
         return frozenset()
-    adj = [list(_bits(m)) for m in g.masks()[1]]
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj = [[index[w] for w in g[v]] for v in g.vertices]
     every = (1 << n + 1) - 1
     prof = 0
     # B' runs over the sets below top, or the empty set alone at top = 0
@@ -776,28 +803,42 @@ def _separator_profile(g, k):
             for v in sep:
                 gone[v] = True
             comps, pieces = _cut_pieces(adj, gone)
-            sizes = [len(members) for members in comps]
-            prof |= _subset_sums(sizes) << r
+            counts = Counter(len(members) for members in comps)
+            prof |= _subset_sums(counts) << r
             if r + 1 == top:
                 after = sep[-1] + 1 if sep else 0
+                # subset sums of the other components, one per size
                 others = {}
-                for c, members in zip(sizes, comps):
+                for members in comps:
+                    c = len(members)
                     if c not in others:
-                        rest = list(sizes)
-                        rest.remove(c)
-                        others[c] = _subset_sums(rest)
+                        counts[c] -= 1
+                        others[c] = _subset_sums(counts)
+                        counts[c] += 1
                     for v in members:
                         if v >= after:
-                            prof |= _subset_sums(pieces[v], others[c]) << top
+                            sums = others[c]
+                            for s in pieces[v]:
+                                sums |= sums << s
+                            prof |= sums << top
             if prof == every:
                 return frozenset(range(n + 1))
     return frozenset(i for i in range(n + 1) if prof >> i & 1)
 
 
-def _subset_sums(sizes, sums=1):
-    """sums, bit s set for each subset sum s, grown by the sizes."""
-    for s in sizes:
-        sums |= sums << s
+def _subset_sums(counts):
+    """Subset sums of a multiset of sizes, counts[size] copies of each,
+    as the bits of an int. The copies of a size are added 1, 2, 4, ...
+    at a time, which reaches every number of them up to counts[size]:
+    so many components of few sizes cost a few shifts, not one each."""
+    sums = 1
+    for size, copies in counts.items():
+        step = 1
+        while copies:
+            take = min(step, copies)
+            sums |= sums << size * take
+            copies -= take
+            step <<= 1
     return sums
 
 
@@ -867,7 +908,14 @@ def boundary_gap_certificate(g, k, mask_cap=_MASK_CAP, profile=None):
     """
     if profile is None:
         profile = boundary_profile(g, k, mask_cap=mask_cap)
+    # one walk up the sorted profile: below is its largest member under i
+    members = sorted(profile)
+    j = 0
+    below = None
     for i in range(1, g.n + 1):
-        if not any(i - k < c < i for c in profile):
+        while j < len(members) and members[j] < i:
+            below = members[j]
+            j += 1
+        if below is None or below <= i - k:
             return BoundaryGapCertificate(k, i, profile)
     return None

@@ -428,12 +428,15 @@ def test_state_budget_env(capsys, monkeypatch):
 
 
 def test_subset_budget_env(capsys, monkeypatch):
-    """cycle:6 with k = 2 has 7 separators, the empty set and each
-    vertex: more than 2^2, so a budget of 2 refuses them."""
-    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "2")
+    """cycle:6 with k = 2 is past tables of 2^3 entries, and its
+    separators take one search of 6 vertices and 6 edges: 12 steps, more
+    than 2^3."""
+    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "3")
     code, out, err = run(capsys, "lowerbound", "cycle:6", "-k", "2")
     assert code == 2 and out == ""
-    assert err.startswith("resource limit: boundary profile needs 7 separators")
+    assert err.startswith(
+        "resource limit: boundary profile needs at least 12 separator search"
+        " steps, more than 2^3")
     for raw, why in (("lots", "must be an integer"), ("0", "must be positive")):
         monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", raw)
         code, out, err = run(capsys, "pathwidth", "cycle:5")
@@ -446,7 +449,7 @@ def test_subset_budget_env(capsys, monkeypatch):
 
 
 def test_subset_budget_ends_with_its_call(capsys, monkeypatch):
-    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "2")
+    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "3")
     code, _, _ = run(capsys, "lowerbound", "cycle:6", "-k", "2")
     assert code == 2
     monkeypatch.delenv("ZVSEARCH_SUBSET_BUDGET")
@@ -504,11 +507,34 @@ def test_lowerbound_builds_tables_once(capsys, monkeypatch, spec, certified,
     assert built == builds
 
 
-def test_lowerbound_above_the_table_cap(capsys):
+def test_lowerbound_above_the_table_cap(capsys, monkeypatch):
     """f3 has 26 vertices: no subset table, and a k = 3 certificate from
-    its 352 separators."""
+    its 352 separators, searched from 27 sets. Neither this nor a long
+    path builds the 2^n neighbour masks."""
+
+    def refused(g):
+        raise AssertionError(f"masks of {g.n} vertices")
+
+    monkeypatch.setattr(Graph, "masks", refused)
     doc = run_json(capsys, "lowerbound", "f3", "-k", "3")
     assert doc["certificate"]["i"] == 7
+    # one search of 20,000 vertices and 19,999 edges, each step shifting
+    # a set of 20,001 bits: 5 steps a vertex or edge, under 2^22
+    doc = run_json(capsys, "lowerbound", "path:20000", "-k", "2")
+    assert doc["certificate"] is None
+    assert doc["profile"] == list(range(20001))
+
+
+def test_lowerbound_refuses_work_that_grows_with_n(capsys):
+    """The budget counts search steps, not separators: path:100000 with
+    k = 2 has 100,001 separators, under 2^22, but its one search costs
+    199,999 steps of 25 each, more than 2^22. It is refused before the
+    search, where the tables used to refuse it for n > 22."""
+    code, out, err = run(capsys, "lowerbound", "path:100000", "-k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(
+        "resource limit: boundary profile needs at least 4999975 separator"
+        " search steps, more than 2^22")
 
 
 def test_flag_validation(capsys):

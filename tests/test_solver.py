@@ -321,7 +321,8 @@ def test_profile_engines_agree(rng):
 def test_boundary_profile_picks_its_engine(monkeypatch):
     """Tables when n <= mask_cap and _TABLE_RATIO * S >= 2^n, for the S
     separators (sets of fewer than k vertices), separators otherwise;
-    more than 2^mask_cap separators are refused before any is visited."""
+    more than 2^mask_cap search steps are refused before any separator
+    is visited."""
     assert solver._TABLE_RATIO == 256
     built = []
     real = solver._mask_tables
@@ -339,12 +340,28 @@ def test_boundary_profile_picks_its_engine(monkeypatch):
         frozenset(range(13)) | {14})
     assert boundary_profile(path_graph(20), 2) == frozenset(range(21))
     assert built == [8, 14]
-    # path:10 with k = 2: 11 separators, more than 2^3, at most 2^4
-    assert boundary_profile(path_graph(10), 2, mask_cap=4) == frozenset(range(11))
-    with pytest.raises(ResourceLimitError, match="needs 11 separators") as ex:
-        boundary_profile(path_graph(10), 2, mask_cap=3)
-    assert (ex.value.budget, ex.value.used) == (8, 11)
+    # path:10 with k = 2: one search of 10 vertices and 9 edges, 19
+    # steps, more than 2^4, at most 2^5; k = 3 adds one per vertex
+    assert boundary_profile(path_graph(10), 2, mask_cap=5) == frozenset(range(11))
+    with pytest.raises(ResourceLimitError, match="at least 19 sep") as ex:
+        boundary_profile(path_graph(10), 2, mask_cap=4)
+    assert (ex.value.budget, ex.value.used) == (16, 19)
+    with pytest.raises(ResourceLimitError, match="at least 209 sep"):
+        boundary_profile(path_graph(10), 3, mask_cap=5)
     assert built == [8, 14]
+
+
+def test_certificate_is_the_first_gap(rng):
+    """The one walk up the sorted profile finds the definition's i: the
+    smallest with no member strictly between i - k and i."""
+    path = path_graph(12)
+    for _ in range(300):
+        profile = frozenset(c for c in range(13) if rng.random() < 0.4)
+        k = rng.randrange(5)
+        want = next((i for i in range(1, 13)
+                     if not any(i - k < c < i for c in profile)), None)
+        cert = boundary_gap_certificate(path, k, profile=profile)
+        assert (cert.i if cert else None) == want, (sorted(profile), k)
 
 
 @pytest.mark.parametrize(
