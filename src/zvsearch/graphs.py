@@ -208,7 +208,7 @@ class Graph:
                     queue.append(w)
         return None
 
-    # -- bitmask view (used by the solvers and the fast simulator)
+    # -- bitmask view (used by the solvers)
 
     def masks(self):
         """(index map, neighbor masks, full mask) over sorted vertices."""
@@ -632,18 +632,13 @@ def _flow_paths(g, sources, sinks, k, split_exempt=()):
     or None if fewer than k exist.
     """
     IN, OUT = 0, 1
-    adjcap = {"S": {}, "T": {}}
+    adjcap = {"S": {}, "T": {}}  # residual capacities
+    cap = {}  # (x, y) -> capacity of each arc of the network
 
-    def ensure(node):
-        if node not in adjcap:
-            adjcap[node] = {}
-
-    def arc(x, y, cap):
-        ensure(x)
-        ensure(y)
-        adjcap[x].setdefault(y, 0)
-        adjcap[y].setdefault(x, 0)
-        adjcap[x][y] += cap
+    def arc(x, y, c):
+        cap[x, y] = c
+        adjcap.setdefault(x, {})[y] = c
+        adjcap.setdefault(y, {}).setdefault(x, 0)
 
     big = g.n + 1
     for v in g.vertices:
@@ -656,25 +651,19 @@ def _flow_paths(g, sources, sinks, k, split_exempt=()):
     for t in sorted(sinks):
         arc((OUT, t), "T", big if t in split_exempt else 1)
 
-    flow = {}
-    found = 0
-    while found < k:
+    for _ in range(k):
         path = _augment(adjcap, "S", "T")
         if path is None:
             return None
         for x, y in zip(path, path[1:]):
             adjcap[x][y] -= 1
             adjcap[y][x] += 1
-            flow[(x, y)] = flow.get((x, y), 0) + 1
-            if flow.get((y, x), 0) > 0:
-                # cancel opposite flow instead of stacking
-                flow[(x, y)] -= 1
-                flow[(y, x)] -= 1
-        found += 1
 
     def take(x, y):
-        if flow.get((x, y), 0) > 0:
-            flow[(x, y)] -= 1
+        # an arc's flow is its capacity less its residual; taking one
+        # unit of it gives the residual back
+        if cap.get((x, y), 0) > adjcap[x][y]:
+            adjcap[x][y] += 1
             return True
         return False
 
@@ -682,21 +671,14 @@ def _flow_paths(g, sources, sinks, k, split_exempt=()):
     for s in sorted(sources):
         while take("S", (IN, s)):
             path = [s]
-            node = (IN, s)
+            node = (OUT, s)
             while True:
-                node = (OUT, node[1])
-                # walk the flow out of this vertex
-                nxt = None
-                for y in sorted((y for (x, y), f in flow.items() if x == node and f > 0), key=str):
-                    nxt = y
+                # follow the least successor, by str, that carries flow
+                nxt = next((y for y in sorted(adjcap[node], key=str) if take(node, y)), None)
+                if nxt is None or nxt == "T":
                     break
-                if nxt == "T" or nxt is None:
-                    if nxt == "T":
-                        flow[(node, "T")] -= 1
-                    break
-                flow[(node, nxt)] -= 1
                 path.append(nxt[1])
-                node = nxt
+                node = (OUT, nxt[1])
             paths.append(path)
     assert len(paths) == k
     return paths

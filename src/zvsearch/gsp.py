@@ -29,13 +29,14 @@ block's tree (a heavy-path layout). Every series run is folded into a
 balanced tree. How deep limbs hang inside limbs sets the size of a
 synthesized host, each level multiplying the subdivision its ball
 sweep demands; on a tree a limb hangs inside at most log2(n) others,
-and a path is one series run.
+and a path is one series run. `gsp_decompose` builds its limbs the same
+way and hangs them all on its terminals' chain with branch nodes.
 """
 
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from itertools import count, pairwise
+from itertools import pairwise
 
 from .errors import InputError
 from .forbidden import (
@@ -707,17 +708,12 @@ def _gsp(g, bcf, a, b):
     Leaf blocks whose interior holds no terminal are peeled off, each
     decomposed from its cut vertex, until a chain of blocks from a to b
     is left; a leaf whose interior holds one stays a leaf, so it leaves
-    the heap for good. Each peeled block's tree takes the limbs at its
-    other vertices in one _merge, and the chain's tree takes the rest in
-    one more, the latest peeled innermost.
+    the heap for good. The classifier's _assemble builds the limbs as
+    series spines; the chain's tree keeps (a, b), every limb hanging on
+    it with a branch node.
     """
     leaves = _Leaves(g, bcf)
-    hanging = {}  # vertex -> limbs hanging there, as (peel order, vertex, tree)
-    order = count()
-
-    def graft(tree, limbs):
-        return _merge(tree, [limb[1:] for limb in sorted(limbs, reverse=True)])
-
+    peeled = []
     while leaves.heap:
         i, cut = leaves.pop()
         blk = leaves.blocks[i]
@@ -727,20 +723,19 @@ def _gsp(g, bcf, a, b):
         tree = _sp(sub, cut, min(sub.neighbors(cut)))
         if tree is None:
             return None
-        limbs = [limb for v in blk if v != cut for limb in hanging.pop(v, ())]
-        hanging.setdefault(cut, []).append((next(order), cut, graft(tree, limbs)))
+        peeled.append((blk, cut, tree))
         leaves.peel(i, cut)
     out = _sp(leaves.rest(g), a, b)
-    if out is None:
-        return None
-    return graft(out, [limb for at in hanging.values() for limb in at])
+    return None if out is None else _assemble(peeled, out, ())
 
 
 def gsp_decompose(g, a, b):
     """Generalized series-parallel tree over the given terminals.
 
     Requires a connected K_4-free graph whose terminals are adjacent or
-    form a two-element separator of one biconnected block.
+    form a two-element separator of one biconnected block. The answer
+    is checked here, once, and a wrong one raises AssertionError, an
+    internal error, also under `python -O`.
     """
     _check_terminals(g, a, b)
     if not g.is_connected():
@@ -757,6 +752,12 @@ def gsp_decompose(g, a, b):
     t = _gsp(g, bcf, a, b)
     if t is None:
         raise AssertionError("the generalized engine found no tree of a valid input")
+    try:
+        ok = recompose(t) == g and t.terminals == (a, b)
+    except InputError:
+        ok = False
+    if not ok:
+        raise AssertionError("the decomposition is not a tree of the graph over its terminals")
     return t
 
 
@@ -1118,8 +1119,10 @@ def _peel(g, bcf):
     return peeled, root
 
 
-def _assemble(peeled, root):
-    """One simple tree from the peeled blocks and the last block's tree.
+def _assemble(peeled, root, ends=None):
+    """One tree from the peeled blocks, given as (block, cut, tree of the
+    block with the cut as first terminal) in peel order, and the tree of
+    what the peel left.
 
     One pass in peel order builds each block's limb: its tree, grafted
     with the limbs hanging at its other vertices, then continued in
@@ -1127,9 +1130,11 @@ def _assemble(peeled, root):
     terminal. A limb is kept as its run of series segments, last first.
     The other limbs are grafted by one _merge, largest innermost: an outer
     branch sweeps a ball as wide as its pendant's search, so the small
-    pendants belong outside. The last block continues into its largest
-    limb at each terminal; the run on its first terminal's side is read
-    backwards, each segment inverted.
+    pendants belong outside. The root continues into its largest limb
+    at each of its terminals in ends (by default both); the run on its
+    first terminal's side is read backwards, each segment inverted.
+    With no ends, every limb hangs on the root with a branch node and
+    the tree keeps the root's terminals.
     """
     hanging = {}  # vertex -> limbs hanging there, as (vertices, order, run)
 
@@ -1150,9 +1155,9 @@ def _assemble(peeled, root):
         run.append(tree)
         size = len(blk) + sum(limb[0] - 1 for limb in limbs)
         hanging.setdefault(cut, []).append((size, order, cut, run))
-    # every limb still hanging hangs from the last block
+    # every limb still hanging hangs from the root
     limbs = [limb for at in hanging.values() for limb in at]
-    tree, heavy = graft(root, limbs, root.terminals)
+    tree, heavy = graft(root, limbs, root.terminals if ends is None else ends)
     head = [_invert(s) for s in heavy.get(root.a, [])]
     return _series(head + [tree] + heavy.get(root.b, [])[::-1])
 

@@ -495,15 +495,9 @@ def _check_floors(floors, graph):
     return out
 
 
-def _restrict(floors, tree):
-    return {e: f for e, f in floors.items() if tree.graph.has_edge(*e)}
-
-
 def _task(tree, floors):
-    inherited = _restrict(floors, tree)
-
     def run(extra):
-        merged = dict(inherited)
+        merged = dict(floors)
         for e, f in extra.items():
             merged[e] = max(merged.get(e, 0), f)
         return _synth(tree, merged)
@@ -557,14 +551,14 @@ def _parallel(tree, floors):
     core = rest[0] if len(rest) == 1 else _fold("parallel", rest)
 
     left, (c, d), right, origin = _split_impl(chosen)
-    b1 = _synth(left, _restrict(floors, left))
+    b1 = _synth(left, floors)
     b = right.terminals[1]
-    rf = _restrict(floors, right)
+    rf = floors
     if right.graph.degree(b) == 1 and right.graph.has_edge(d, b):
         # keep d away from b in the right half's host, as the parallel
         # amalgamation requires
         e = edge_key(d, b)
-        rf[e] = max(rf.get(e, 0), 1)
+        rf = {**floors, e: max(floors.get(e, 0), 1)}
     b2 = _synth(right, rf)
 
     inner = _task(core, floors)
@@ -627,13 +621,11 @@ def _synth(tree, floors):
         return AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
     t0, t1 = tree.children
     if tree.op == "series":
-        return amalgamate_series(
-            _synth(t0, _restrict(floors, t0)), _synth(t1, _restrict(floors, t1))
-        )
+        return amalgamate_series(_synth(t0, floors), _synth(t1, floors))
     if tree.op == "branch":
-        return amalgamate_branch(_task(t0, floors), _synth(t1, _restrict(floors, t1)))
+        return amalgamate_branch(_task(t0, floors), _synth(t1, floors))
     if tree.op == "branch_alt":
-        pendant = _synth(invert(t1), _restrict(floors, t1))
+        pendant = _synth(invert(t1), floors)
         return amalgamate_branch_prime(_task(t0, floors), pendant)
     return _parallel(tree, floors)
 
