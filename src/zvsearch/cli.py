@@ -92,18 +92,41 @@ _scalar = json.JSONEncoder().encode
 _string = json.encoder.encode_basestring_ascii
 
 
-def _flat_list(items, pad):
+def _atom(x):
+    # a scalar as the encoder writes it, or None for a list or a dict,
+    # on which the join in _scalars fails
+    return None if isinstance(x, _NESTED) else _scalar(x)
+
+
+def _scalars(items, pad):
     """A non-empty list of scalars written in one piece, up to its closing
-    bracket, or None if it holds a list or a dict. A list of strings,
-    such as one step of a search, skips the encoder's dispatch on type."""
-    sep = "," + pad
+    bracket, or None if it holds a list or a dict. Strings and exact
+    ints, which make up search steps and tree rows, skip the encoder's
+    dispatch on type; a bool is not an exact int."""
     try:
-        return "[" + pad + sep.join(map(_string, items))
+        return "[" + pad + ("," + pad).join([
+            _string(x) if type(x) is str else int.__repr__(x) if type(x) is int
+            else _atom(x)
+            for x in items
+        ])
     except TypeError:
-        pass
-    if any(isinstance(x, _NESTED) for x in items):
         return None
-    return "[" + pad + sep.join(map(_scalar, items))
+
+
+def _flat_list(items, pad):
+    """A non-empty list written in one piece, up to its closing bracket,
+    when it holds only scalars or only non-empty lists of scalars (the
+    steps of a search, the rows of a tree record); None otherwise."""
+    if not isinstance(items[0], (list, tuple)):
+        return _scalars(items, pad)
+    inner, close = pad + "  ", pad + "]"
+    rows = []
+    for row in items:
+        flat = _scalars(row, inner) if isinstance(row, (list, tuple)) and row else None
+        if flat is None:
+            return None
+        rows.append(flat + close)
+    return "[" + pad + ("," + pad).join(rows)
 
 
 def _emit(doc):
@@ -114,7 +137,8 @@ def _emit(doc):
     is walked on an explicit stack: a decomposition tree nests as deep
     as its graph is long, past the recursion limit that json's own
     encoder runs into. A list of scalars, such as one step of a search,
-    is written in one piece.
+    or of such lists, such as the rows of a tree record, is written in
+    one piece.
     """
     stack = [(doc, "\n")]
     while stack:

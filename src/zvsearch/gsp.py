@@ -245,40 +245,67 @@ def recompose(tree):
 
 
 def tree_to_record(tree):
-    def combine(t, kids):
-        rec = {"op": t.op, "terminals": list(t.terminals)}
-        if kids:
-            rec["children"] = kids
-        return rec
+    """The tree as {"nodes": rows}, one row per node in post-order.
 
-    return _bottom_up(tree, lambda t: t.children, combine)
+    A leaf row is [op, a, b]; an operator row is [op, a, b, i, j], where
+    i and j are the row ids of its first and second child. Children
+    precede their parent, so the root is the last row, and the record
+    nests to the same depth whatever the tree's.
+    """
+    rows = []
+
+    def combine(t, kids):
+        rows.append([t.op, t.a, t.b, *kids])
+        return len(rows) - 1
+
+    _bottom_up(tree, lambda t: t.children, combine)
+    return {"nodes": rows}
 
 
 def tree_from_record(record):
-    """Rebuild a tree from its record: terminals are checked at every
-    node, and the overlap rule by deriving the graph once."""
+    """Rebuild a tree from its record in one forward pass.
 
-    def parts(rec):
-        try:
-            op, (a, b) = rec["op"], rec["terminals"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed tree record: {exc}") from None
-        kids = () if op == "leaf" else rec.get("children")
-        if op != "leaf" and (not isinstance(kids, list) or len(kids) != 2):
-            raise InputError("an operator node needs exactly two children")
-        return op, (a, b), kids
-
-    def combine(rec, kids):
-        op, terminals, _ = parts(rec)
-        out = leaf(*terminals) if op == "leaf" else node(op, *kids)
-        if out.terminals != terminals:
-            raise InputError(
-                f"recorded terminals {terminals} disagree with recomposition "
-                f"{out.terminals}"
-            )
-        return out
-
-    out = _bottom_up(record, lambda rec: parts(rec)[2], combine)
+    The record is untrusted. A row needs a known op and string terminals,
+    and an operator row needs two earlier rows that no other row names;
+    every row but the last must be some row's child, and an operator
+    row's terminals must be those its children compose to. The overlap
+    rule is checked by deriving the graph once.
+    """
+    try:
+        rows = record["nodes"]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed tree record: {exc}") from None
+    if not isinstance(rows, list) or not rows:
+        raise InputError("a tree record needs a non-empty list of nodes")
+    built, used = [], [False] * len(rows)
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) not in (3, 5):
+            raise InputError(f"node {r}: a row is [op, a, b] or [op, a, b, i, j]")
+        op, a, b = row[:3]
+        if op != "leaf" and op not in OPS:
+            raise InputError(f"node {r}: unknown op {op!r}")
+        if (op == "leaf") != (len(row) == 3):
+            raise InputError(f"node {r}: a leaf has no children, an operator two")
+        if type(a) is not str or type(b) is not str:
+            raise InputError(f"node {r}: terminals must be strings")
+        if op == "leaf":
+            out = leaf(a, b)
+        else:
+            for i in row[3:]:
+                if type(i) is not int or not 0 <= i < r:
+                    raise InputError(f"node {r}: child {i!r} is not an earlier row")
+                if used[i]:
+                    raise InputError(f"node {r}: row {i} is already a child")
+                used[i] = True
+            out = node(op, built[row[3]], built[row[4]])
+            if out.terminals != (a, b):
+                raise InputError(
+                    f"node {r}: recorded terminals {[a, b]} disagree with "
+                    f"recomposition {list(out.terminals)}"
+                )
+        built.append(out)
+    if not all(used[:-1]):
+        raise InputError(f"node {used.index(False)}: no row has it as a child")
     recompose(out)
     return out
 
@@ -447,7 +474,8 @@ def _extract_k4(g):
     # an edge of h outside S would meet S, h being connected, at a vertex
     # of higher degree in h than in S, a fifth of degree 3 or one of
     # degree 4. So h is S, no edge of which can go, and the pass would
-    # keep every edge left.
+    # keep every edge left. A vertex the drops leave without neighbours
+    # leaves h, so each reduction copies only the live part.
     h = {v: set(g.neighbors(v)) for v in g.vertices}
     edges = g.edges()
     i, size = 0, 1
@@ -455,16 +483,18 @@ def _extract_k4(g):
     while not done and i < len(edges):
         run = edges[i:i + size]
         for u, v in run:
-            h[u].discard(v)
-            h[v].discard(u)
+            for x, y in ((u, v), (v, u)):
+                h[x].discard(y)
+                if not h[x]:
+                    del h[x]
         if not _sp_reducible(h):
             i += len(run)
             size *= 2
             done = _is_k4_subdivision(h)
         else:
             for u, v in run:
-                h[u].add(v)
-                h[v].add(u)
+                h.setdefault(u, set()).add(v)
+                h.setdefault(v, set()).add(u)
             if size == 1:
                 i += 1
             else:

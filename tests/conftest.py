@@ -65,16 +65,23 @@ def atlas_2_7():
     return connected_atlas(2, 7)
 
 
+@pytest.fixture(scope="session")
+def atlas_2_7_classified(atlas_2_7):
+    """(graph, classification) for every graph of atlas_2_7, classified
+    once per session."""
+    return [(g, classify_topological_3(g)) for g in atlas_2_7]
+
+
 @pytest.fixture
 def rng():
     return random.Random(0x5eed)
 
 
 @pytest.fixture(scope="session")
-def synthesis_corpus(atlas_2_7):
+def synthesis_corpus(atlas_2_7_classified):
     """The YES graphs criterion 07 synthesizes: a seeded sample of 100
     from the atlas, every tree with 2-8 vertices, cycles 3-8 and K_{2,3}."""
-    yes_graphs = [g for g in atlas_2_7 if classify_topological_3(g).verdict == "YES"]
+    yes_graphs = [g for g, cls in atlas_2_7_classified if cls.verdict == "YES"]
     corpus = random.Random(2026).sample(yes_graphs, 100)
     corpus += all_trees(2, 8)
     corpus += [cycle_graph(n) for n in range(3, 9)]

@@ -200,11 +200,10 @@ def test_criterion_05_boundary_certificates(atlas_2_6):
     report(5, f"gap at i={cert.i}; {checked} sound feasible pairs; 2 grid profiles")
 
 
-def test_criterion_06_classifier_coherence(atlas_2_7):
+def test_criterion_06_classifier_coherence(atlas_2_7_classified):
     t0 = time.monotonic()
     yes = no = 0
-    for g in atlas_2_7:
-        cls = classify_topological_3(g)
+    for g, cls in atlas_2_7_classified:
         found = brute_force_forbidden(g)
         if cls.verdict == "YES":
             assert found is None, sorted(g.edges())

@@ -17,7 +17,14 @@ from zvsearch import cli, gsp, solver
 from zvsearch.cli import main
 from zvsearch.forbidden import ForbiddenWitness, embedded, pattern_check
 from zvsearch.game import is_aligned, is_successful, simulate
-from zvsearch.graphs import Graph, cycle_graph, generate, parse_edge_list, path_graph
+from zvsearch.graphs import (
+    Graph,
+    cycle_graph,
+    format_edge_list,
+    generate,
+    parse_edge_list,
+    path_graph,
+)
 from zvsearch.gsp import tree_from_record
 from zvsearch.solver import is_path_decomposition
 
@@ -130,36 +137,56 @@ def test_classify_a_long_k4_grid(capsys, monkeypatch):
     assert len(calls) <= 150
 
 
-def record_depth(rec):
-    depth, stack = 0, [(rec, 1)]
+def json_depth(doc):
+    """How deep lists and dicts nest in a JSON document, without recursion."""
+    depth, stack = 0, [(doc, 0)]
     while stack:
-        rec, d = stack.pop()
-        depth = max(depth, d)
-        stack.extend((c, d + 1) for c in rec.get("children", ()))
+        x, d = stack.pop()
+        if isinstance(x, (dict, list)):
+            depth = max(depth, d + 1)
+            stack.extend((y, d + 1) for y in (x.values() if isinstance(x, dict) else x))
     return depth
+
+
+def check_yes_document(out, g):
+    """A YES classify document nests 4 levels (the document, its tree,
+    the rows, one row), loads at the default recursion limit and
+    rebuilds g with a simple tree."""
+    doc = json.loads(out)
+    assert doc["verdict"] == "YES" and json_depth(doc) == 4
+    tree = tree_from_record(doc["tree"])
+    assert tree.graph == g and tree.simple
 
 
 @pytest.mark.parametrize("spec", ["cycle:1500", "path:600"])
 def test_classify_long_chains(capsys, spec):
-    """Long chains fold into balanced series runs, so their trees nest
-    log-deep: the printed document loads at the default recursion limit."""
+    """The tree record is a flat list of rows, so a document nests to the
+    same depth whatever the graph: it loads at the default recursion
+    limit and rebuilds the input."""
     code, out, err = run(capsys, "classify", spec)
     assert code == 0, err[-2000:]
-    doc = json.loads(out)
-    assert doc["verdict"] == "YES"
-    assert record_depth(doc["tree"]) <= 32
-    tree = tree_from_record(doc["tree"])
-    assert tree.graph == generate(spec) and tree.simple
+    check_yes_document(out, generate(spec))
 
 
 def test_classify_a_long_ladder(capsys):
     """The 2x600 ladder nests its SP tree 600 levels deep; the engine
-    reads the tree off one reduction without recursing, so the run ends
-    at the default recursion limit (its document nests too deep for
-    json.loads there)."""
+    reads the tree off one reduction without recursing, and its flat
+    record loads with json.loads at the default recursion limit."""
     code, out, err = run(capsys, "classify", "grid:2,600")
     assert code == 0 and err == ""
-    assert out.endswith('\n  "verdict": "YES"\n}\n')
+    check_yes_document(out, generate("grid:2,600"))
+
+
+def test_classify_a_wide_parallel_fold(capsys, tmp_path):
+    """K_{2,600} folds 600 parallel parts, one level each, so its tree is
+    about 600 levels deep; read from an edge-list file, as the benchmark
+    does, its document loads with json.loads and rebuilds the input."""
+    g = Graph.from_edges([(s, f"m{i}") for s in "ab" for i in range(600)])
+    f = tmp_path / "k2_600.txt"
+    f.write_text(format_edge_list(g))
+    code, out, err = run(capsys, "classify", str(f))
+    assert code == 0 and err == ""
+    check_yes_document(out, g)
 
 
 @pytest.mark.parametrize(
@@ -342,8 +369,10 @@ json_scalars = (
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
     | st.text(st.characters(codec="utf-8"))
 )
+json_rows = st.lists(json_scalars, min_size=1, max_size=5)
 json_docs = st.recursive(
-    json_scalars | st.lists(st.text(st.characters(codec="utf-8"))),
+    json_scalars | st.lists(st.text(st.characters(codec="utf-8"))) | json_rows
+    | st.lists(json_rows, max_size=4),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=24,
@@ -368,12 +397,17 @@ def test_emit_refuses_keys_that_are_not_strings(capsys, key):
 
 
 def test_emit_matches_json_dumps_on_escapes(capsys):
+    row = ["s", 1, -3, True, False, None, 2.5, "é"]
     doc = {"steps": [["é", 'a"b', "c\\d", "\x00\t\n", "\u2028", "😀"]],
            "mixed": [1, 2.5, True, None, "s", [], {}], "ints": [0, -3],
-           "empty": [], "nested": [[], [[]], {}], "no": {}}
-    cli._emit(doc)
-    out, _ = capsys.readouterr()
-    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+           "empty": [], "nested": [[], [[]], {}], "no": {},
+           "row": row, "rows": [row, [0], ["leaf", "a", "b"]],
+           "nested_row": [row, [row]], "empty_row": [row, []],
+           "tuples": [(1, "a"), ("b", -2)]}
+    for d in (doc, [row, ["leaf", "a", "b"]]):
+        cli._emit(d)
+        out, _ = capsys.readouterr()
+        assert out == json.dumps(d, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_rejects_an_alignment_that_is_not_a_pair(capsys, tmp_path):

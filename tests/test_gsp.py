@@ -148,15 +148,56 @@ def test_tree_record_round_trip():
     assert back.graph == t.graph and back.terminals == t.terminals
 
 
+def test_tree_record_is_flat_rows():
+    t = node("series", leaf("a", "b"), leaf("b", "c"))
+    assert tree_to_record(t) == {
+        "nodes": [["leaf", "a", "b"], ["leaf", "b", "c"], ["series", "a", "c", 0, 1]]
+    }
+
+
+def ab_bc(root="series", i=0, j=1, terminals=("a", "c")):
+    """A record of the path a-b-c with its root row edited."""
+    return {"nodes": [["leaf", "a", "b"], ["leaf", "b", "c"], [root, *terminals, i, j]]}
+
+
+MALFORMED_RECORDS = [
+    ({"tree": []}, "malformed"),
+    ({"nodes": [["leaf", "a"]]}, "a row is"),
+    ({"nodes": [["series", "a", "b"]]}, "an operator two"),
+    (ab_bc(terminals=("a", "b")), "disagree"),
+    (ab_bc(j=7), "not an earlier row"),
+    (ab_bc(j=-1), "not an earlier row"),
+    ({"nodes": [["leaf", "a", "b"], ["series", "a", "c", 0, 2], ["leaf", "b", "c"]]},
+     "not an earlier row"),
+    (ab_bc(j=2), "not an earlier row"),
+    (ab_bc(i=False), "not an earlier row"),
+    (ab_bc(j=1.0), "not an earlier row"),
+    (ab_bc(i=1), "already a child"),
+    ({"nodes": [["leaf", "a", "b"], ["leaf", "b", "c"], ["leaf", "c", "d"],
+                ["series", "a", "c", 0, 1]]}, "no row has it"),
+    ({"nodes": [["leaf", "a", "b", 0, 0], ["leaf", "b", "c"]]}, "a leaf has no children"),
+    ({"nodes": [["leaf", "a", "b"], ["leaf", "b", "c"], ["series", "a", "c", 0]]},
+     "a row is"),
+    (ab_bc(root="glue"), "unknown op"),
+    ({"nodes": [["glue", "a", "b"]]}, "unknown op"),
+    ({"nodes": [["leaf", "a", ["b"]]]}, "strings"),
+    ({"nodes": []}, "non-empty"),
+    ({"nodes": {}}, "non-empty"),
+]
+
+
 def test_tree_record_rejects_malformed():
-    with pytest.raises(InputError):
-        tree_from_record({"op": "leaf"})
-    with pytest.raises(InputError):
-        tree_from_record({"op": "series", "terminals": ["a", "b"], "children": []})
-    rec = tree_to_record(node("series", leaf("a", "b"), leaf("b", "c")))
-    rec["terminals"] = ["a", "b"]
-    with pytest.raises(InputError, match="disagree"):
-        tree_from_record(rec)
+    for record, message in MALFORMED_RECORDS:
+        with pytest.raises(InputError, match=message):
+            tree_from_record(record)
+
+
+def test_tree_records_of_the_atlas_round_trip(atlas_2_7_classified):
+    yes = [cls.tree for _, cls in atlas_2_7_classified if cls.verdict == "YES"]
+    assert len(yes) > 300
+    for tree in yes:
+        rec = tree_to_record(tree)
+        assert tree_to_record(tree_from_record(rec)) == rec
 
 
 # ---------------------------------------------------------------------------
