@@ -11,7 +11,8 @@ graphs that cannot embed one of the forbidden patterns in
 `zvsearch.forbidden`, which the classifier extracts as a witness.
 
 A tree stores no graphs: node() checks only terminals, and `recompose`
-derives a subtree's graph on demand, checking the overlap rule.
+derives a subtree's graph on demand, checking the overlap rule on the
+children's vertex sets and building the graph once from the leaf edges.
 Complexity counts a subtree's terminal-to-terminal bipaths and is set
 from the children when a node is built: a leaf is bridged (a bridge
 separates its terminals) and counts 0, a series node is bridged when
@@ -21,7 +22,8 @@ child that keeps both terminals. "Simple" means every subtree has
 complexity at most one.
 
 One series-parallel reduction does two jobs: it decides K_4-freeness,
-and replayed, its steps build every SP tree. The classifier's trees
+and replayed, its steps build every SP tree; on a graph of one block
+the classifier runs it once for both. The classifier's trees
 are series spines: it peels pendant blocks off one block-cut forest,
 runs each block in series into its largest limb, counted in vertices,
 and hangs the other limbs on with branch nodes in one pass over the
@@ -89,7 +91,7 @@ def _glue(op, first, second):
     """The terminal rule of composition, on terminal pairs alone.
 
     Returns the terminals of the result and the set of vertices the two
-    parts must share, which _union checks wherever graphs are glued.
+    parts must share, which compose and recompose check.
     """
     if op not in OPS:
         raise InputError(f"unknown composition {op!r} (have {OPS})")
@@ -127,7 +129,7 @@ def compose(op, first, second):
 def _union(op, glued, first, second):
     # The overlap rule of composition, on adjacency maps (vertex -> set of
     # neighbours) that may share only the glued vertices. The larger map
-    # absorbs the smaller, so folding a whole tree costs O(n log n).
+    # absorbs the smaller.
     small, big = sorted((first, second), key=len)
     if {v for v in small if v in big} != glued:
         raise InputError(f"{op} composition allows overlap only at {sorted(glued)}")
@@ -218,11 +220,13 @@ def _bottom_up(root, kids, combine):
     # subtree before the next child's, so the values form a stack.
     order, stack = [], [root]
     while stack:
-        order.append(stack.pop())
-        stack.extend(kids(order[-1]))
+        t = stack.pop()
+        ts = kids(t)
+        order.append((t, len(ts)))
+        stack.extend(ts)
     values = []
-    for t in reversed(order):
-        cut = len(values) - len(kids(t))
+    for t, k in reversed(order):
+        cut = len(values) - k
         values[cut:] = [combine(t, values[cut:])]
     return values[0]
 
@@ -230,17 +234,31 @@ def _bottom_up(root, kids, combine):
 def recompose(tree):
     """Fold the tree bottom-up into its graph, which it returns and keeps.
 
-    This is where the overlap rule is checked: children that share more
-    than their glued vertices raise InputError.
+    This is where the overlap rule is checked: children whose vertex
+    sets share more than their glued vertices raise InputError. The fold
+    carries each subtree's vertex set, the larger absorbing the smaller,
+    and collects the leaf edges; the graph is built from them once.
     """
-
-    def combine(t, parts):
-        if t.is_leaf:
-            return {t.a: {t.b}, t.b: {t.a}}
-        _, glued = _glue(t.op, *(c.terminals for c in t.children))
-        return _union(t.op, glued, *parts)
-
-    tree._graph = _freeze(_bottom_up(tree, lambda t: t.children, combine))
+    order, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        order.append(t)
+        stack.extend(t.children)
+    edges, parts = [], []
+    for t in reversed(order):  # left to right, children before parents
+        if t.op == "leaf":
+            edges.append((t.a, t.b))
+            parts.append({t.a, t.b})
+            continue
+        c0, c1 = t.children
+        _, glued = _glue(t.op, (c0.a, c0.b), (c1.a, c1.b))
+        second, first = parts.pop(), parts.pop()
+        small, big = (second, first) if len(second) < len(first) else (first, second)
+        if small & big != glued:
+            raise InputError(f"{t.op} composition allows overlap only at {sorted(glued)}")
+        big |= small
+        parts.append(big)
+    tree._graph = Graph.from_edges(edges)
     return tree._graph
 
 
@@ -727,8 +745,20 @@ class _Leaves:
             self.push(j)
 
     def rest(self, g):
-        """The graph the peel has left."""
+        """The graph the peel has left: g itself until a block is peeled."""
+        if len(self.alive) == len(self.blocks):
+            return g
         return g.induced(set().union(*(self.blocks[i] for i in self.alive)))
+
+    def tree(self, g, i, cut):
+        """SP tree of block i from cut to cut's least neighbour in it; a
+        bridge, the commonest block, is a leaf without a subgraph."""
+        blk = self.blocks[i]
+        if len(blk) == 2:
+            (other,) = blk - {cut}
+            return leaf(cut, other)
+        sub = g.induced(blk)
+        return _sp(sub, cut, min(sub.neighbors(cut)))
 
 
 def _gsp(g, bcf, a, b):
@@ -749,8 +779,7 @@ def _gsp(g, bcf, a, b):
         blk = leaves.blocks[i]
         if {a, b} & (blk - {cut}):
             continue
-        sub = g.induced(blk)
-        tree = _sp(sub, cut, min(sub.neighbors(cut)))
+        tree = leaves.tree(g, i, cut)
         if tree is None:
             return None
         peeled.append((blk, cut, tree))
@@ -1117,7 +1146,9 @@ def _peel(g, bcf):
     Returns the peeled blocks in order, as (block, cut, simple tree of
     the block with the cut as first terminal), and a simple tree of the
     last block; or the pattern refuting g. Each round takes the first
-    two leaf blocks and peels the one _pendant picks.
+    two leaf blocks, which must be K_4-free, and peels the one _pendant
+    picks. Returns None when the last block holds a K_4 subdivision: its
+    reduction, which builds its tree, then stops short (Duffin).
     """
     leaves = _Leaves(g, bcf)
     trees = {}
@@ -1127,8 +1158,7 @@ def _peel(g, bcf):
         built = []
         for i, cut in pair:
             if i not in trees:
-                sub = g.induced(leaves.blocks[i])
-                trees[i] = _sp(sub, cut, min(sub.neighbors(cut)))
+                trees[i] = leaves.tree(g, i, cut)
                 assert trees[i] is not None
             built.append((leaves.blocks[i], cut, trees[i]))
         got = _pendant(g, built, lambda: leaves.rest(g))
@@ -1140,8 +1170,10 @@ def _peel(g, bcf):
         peeled.append((leaves.blocks[i], cut, tree))
         leaves.peel(i, cut)
     last = leaves.rest(g)
-    root = _sp(last, *last.edges()[0])
-    assert root is not None
+    v = last.vertices[0]  # with its least neighbour, the least edge
+    root = _sp(last, v, min(last.neighbors(v)))
+    if root is None:
+        return None
     if not root.simple:
         root = _rebuild_block(last, root, _minimal_complex_nodes(root)[0].a)
         if isinstance(root, ForbiddenWitness):
@@ -1196,23 +1228,35 @@ def build_simple_gsp(g):
     """A simple decomposition of g, or the forbidden pattern preventing
     one.
 
-    Pendant blocks are peeled off and decomposed from their cut vertex;
-    a complex pendant tree either re-anchors at its cut (when the cut
-    touches the complex core) or certifies a pattern. At most two
-    pendant blocks ever need attention: two complex ones already refute
-    the graph. The tree is then assembled as series spines: each block
-    continues in series into its largest limb, and only the other limbs
-    hang on with branch nodes, so a path becomes one series run and on
-    a tree a limb hangs inside at most log2(n) others. The answer is
-    checked here, once, and a wrong one raises AssertionError, an
-    internal error, also under `python -O`.
+    A graph of several blocks is first tested for a K_4 subdivision,
+    block by block. A graph of one block is not: the one reduction that
+    builds its tree fails exactly when it holds one, and only then is
+    the F1 witness extracted. Pendant blocks are peeled off and
+    decomposed from their cut vertex; a complex pendant tree either
+    re-anchors at its cut (when the cut touches the complex core) or
+    certifies a pattern. At most two pendant blocks ever need attention:
+    two complex ones already refute the graph. The tree is then
+    assembled as series spines: each block continues in series into its
+    largest limb, and only the other limbs hang on with branch nodes, so
+    a path becomes one series run and on a tree a limb hangs inside at
+    most log2(n) others. The answer is checked here, once, and a wrong
+    one raises AssertionError, an internal error, also under `python
+    -O`; the check folds the tree's vertex sets and builds its graph
+    once (see recompose).
     """
     if g.n < 2:
         raise InputError("classification needs at least two vertices")
     if not g.is_connected():
         raise InputError("classification needs a connected graph")
     bcf = block_cut_forest(g)
-    out = _k4_witness(g, bcf) or _peel(g, bcf)
+    one_block = len(bcf.blocks) == 1
+    out = None if one_block else _k4_witness(g, bcf)
+    if out is None:
+        out = _peel(g, bcf)
+        if out is None:
+            if not one_block:
+                raise AssertionError("the peel met a K_4 subdivision the block test missed")
+            out = _extract_k4(g)
     if not isinstance(out, ForbiddenWitness):
         out = _assemble(*out)
     if isinstance(out, GspTree):
@@ -1247,8 +1291,6 @@ class Classification:
 def classify_topological_3(g):
     """Decide whether every subdivision of g can be searched with three
     pursuers, with a decomposition or a witness either way."""
-    if g.n < 2:
-        raise InputError("classification needs at least two vertices")
     out = build_simple_gsp(g)
     if isinstance(out, GspTree):
         return Classification("YES", tree=out)

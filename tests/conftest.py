@@ -11,6 +11,7 @@ import pytest
 
 from zvsearch.graphs import Graph, cycle_graph
 from zvsearch.gsp import classify_topological_3
+from zvsearch.synth import synthesize
 
 
 def from_networkx(ng):
@@ -87,3 +88,17 @@ def synthesis_corpus(atlas_2_7_classified):
     corpus += [cycle_graph(n) for n in range(3, 9)]
     corpus.append(Graph.from_edges([(s, f"m{i}") for s in "ab" for i in range(3)]))
     return corpus
+
+
+@pytest.fixture(scope="session")
+def synthesized_corpus(synthesis_corpus):
+    """(graph, classification, bundle) for every graph of synthesis_corpus:
+    the bundle is synthesized once per session from the classifier's
+    tree, or None when the verdict is NO."""
+    out = []
+    for g in synthesis_corpus:
+        cls = classify_topological_3(g)
+        tree = cls.tree
+        bundle = None if tree is None else synthesize(tree.terminal_graph(), tree)
+        out.append((g, cls, bundle))
+    return out

@@ -48,7 +48,7 @@ from zvsearch.solver import (
     monotonic_inspection_number,
     pathwidth,
 )
-from zvsearch.synth import AlignedSearchBundle, clear_ball_inward, clear_ball_outward, synthesize
+from zvsearch.synth import AlignedSearchBundle, clear_ball_inward, clear_ball_outward
 
 from conftest import all_trees, random_connected
 
@@ -244,12 +244,10 @@ def check_bundle(g, bundle, floors=None):
     return 0
 
 
-def test_criterion_07_synthesis_pipeline(synthesis_corpus):
+def test_criterion_07_synthesis_pipeline(synthesized_corpus):
     solver_confirmed = 0
-    for g in synthesis_corpus:
-        cls = classify_topological_3(g)
+    for g, cls, bundle in synthesized_corpus:
         assert cls.verdict == "YES"
-        bundle = synthesize(cls.tree.terminal_graph(), cls.tree)
         solver_confirmed += check_bundle(g, bundle)
 
     # the example graph contains the forbidden pattern itself, so no
@@ -269,7 +267,7 @@ def test_criterion_07_synthesis_pipeline(synthesis_corpus):
     assert ok, why
     assert exists_successful_search(host.derived, 3) is not None
 
-    report(7, f"{len(synthesis_corpus)} bundles + direct example, {solver_confirmed} solver-confirmed")
+    report(7, f"{len(synthesized_corpus)} bundles + direct example, {solver_confirmed} solver-confirmed")
 
 
 def ball_instance(rng):

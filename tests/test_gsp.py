@@ -142,6 +142,48 @@ def test_recompose_refuses_overlapping_children():
         tree_from_record(tree_to_record(clash))
 
 
+def reference_recompose(tree):
+    """recompose as first written: the children's adjacency maps merged
+    node by node, the larger absorbing the smaller."""
+
+    def combine(t, parts):
+        if t.is_leaf:
+            return {t.a: {t.b}, t.b: {t.a}}
+        _, glued = gsp_module._glue(t.op, *(c.terminals for c in t.children))
+        return gsp_module._union(t.op, glued, *parts)
+
+    return gsp_module._freeze(gsp_module._bottom_up(tree, lambda t: t.children, combine))
+
+
+def folded(fold, tree):
+    """The graph fold(tree) returns, or the text of its InputError."""
+    try:
+        return fold(tree)
+    except InputError as ex:
+        return f"error: {ex}"
+
+
+def test_recompose_matches_its_first_form(atlas_2_7_classified):
+    trees = [cls.tree for _, cls in atlas_2_7_classified if cls.verdict == "YES"]
+    trees.append(classify_topological_3(generate("grid:2,40")).tree)
+    for tree in trees:
+        assert recompose(tree) == reference_recompose(tree), tree_to_record(tree)
+    # hand-built bad trees, past node(): two overlaps, an unknown op and a
+    # series node whose second child does not start at the first's end
+    ab, bc, cd = leaf("a", "b"), leaf("b", "c"), leaf("c", "d")
+    bad = [
+        node("series", node("series", ab, bc), node("series", leaf("c", "b"), leaf("b", "z"))),
+        GspTree("twist", "a", "c", (ab, bc)),
+        GspTree("series", "a", "d", (ab, cd)),
+        node("parallel", node("series", ab, bc), node("series", ab, bc)),
+    ]
+    messages = [folded(reference_recompose, t) for t in bad]
+    assert [folded(recompose, t) for t in bad] == messages
+    clauses = ("overlap", "unknown composition", "series composition needs", "overlap")
+    for message, clause in zip(messages, clauses):
+        assert message.startswith("error: ") and clause in message, message
+
+
 def test_tree_record_round_trip():
     t = node("branch", cycle_chain("a", "m", "c", "12"), leaf("a", "t"))
     back = tree_from_record(tree_to_record(t))
@@ -836,6 +878,7 @@ def test_sp_matches_its_first_form(atlas_2_7, rng):
     for g, a, b in cases:
         got = _sp(g, a, b)
         assert record(got) == record(reference_sp(g, a, b)), (sorted(g.edges()), a, b)
+        assert recompose(got) == reference_recompose(got) == g, (sorted(g.edges()), a, b)
         trees.append(got)
     # on a chain of blocks the engine gives the chain's series tree,
     # where the first form needed its chain step
@@ -962,6 +1005,62 @@ def test_classify_derives_graph_once(monkeypatch):
         assert c.verdict == "YES"
         assert calls == [c.tree], spec
         assert c.tree.graph == generate(spec) and len(calls) == 1
+
+
+def count_copies(monkeypatch):
+    """Counters of Graph.induced calls and of series-parallel reductions."""
+    calls = {"induced": 0, "reduce": 0}
+    real_induced, real_reduce = Graph.induced, gsp_module._reduce
+
+    def induced(self, keep):
+        calls["induced"] += 1
+        return real_induced(self, keep)
+
+    def reduce(adj, keep=()):
+        calls["reduce"] += 1
+        return real_reduce(adj, keep)
+
+    monkeypatch.setattr(Graph, "induced", induced)
+    monkeypatch.setattr(gsp_module, "_reduce", reduce)
+    return calls
+
+
+CHORD_CYCLE = Graph.from_edges(
+    [(f"c{i:02d}", f"c{(i + 1) % 12:02d}") for i in range(12)]
+    + [("c00", "c02"), ("c00", "c04"), ("c04", "c08"), ("c08", "c10")]
+)
+
+
+@pytest.mark.parametrize(
+    "spec, induced, reductions",
+    [
+        # bridges peel without a subgraph; the last block is the one copy
+        ("path:200", 1, 0),
+        ("tree:6", 1, 0),
+        # one block: no K_4 test, and the tree's reduction is the only one
+        ("cycle:50", 0, 1),
+        ("grid:2,50", 0, 1),
+        ("chords", 0, 1),
+    ],
+)
+def test_classify_copies_and_reduces_once(monkeypatch, spec, induced, reductions):
+    g = CHORD_CYCLE if spec == "chords" else generate(spec)
+    calls = count_copies(monkeypatch)
+    c = classify_topological_3(g)
+    assert c.verdict == "YES" and c.tree.graph == g
+    assert calls == {"induced": induced, "reduce": reductions}
+
+
+def test_one_block_refutation_reuses_the_failed_reduction(monkeypatch):
+    # the reduction that would build the tree stops short; the witness
+    # is the K_4 block test's, from the same 51 reductions, 50 of them
+    # the minimisation's
+    g = generate("grid:3,20")
+    want = has_k4_subdivision(g).to_record()
+    calls = count_copies(monkeypatch)
+    c = classify_topological_3(g)
+    assert c.verdict == "NO" and c.witness.to_record() == want
+    assert calls == {"induced": 0, "reduce": 51}
 
 
 # ---------------------------------------------------------------------------
@@ -1210,6 +1309,7 @@ def test_gsp_decompose_matches_its_first_form(atlas_2_7):
                 assert got == want, where
                 continue
             assert recompose(got) == g and got.terminals == (a, b), where
+            assert reference_recompose(got) == g, where
             assert meaning(got) == meaning(want), where
             trees += 1
     assert trees > 5000

@@ -29,6 +29,7 @@ from zvsearch.gsp import (
     classify_topological_3,
     leaf,
     node,
+    tree_to_record,
 )
 from zvsearch.synth import (
     AlignedSearchBundle,
@@ -336,13 +337,14 @@ def reference_graft(peeled, root):
     return out
 
 
-def test_spines_never_grow_a_host(synthesis_corpus):
+def test_spines_never_grow_a_host(synthesized_corpus):
     totals = [0, 0]
-    for g in synthesis_corpus:
+    for g, cls, new in synthesized_corpus:
         peeled, root = gsp_module._peel(g, block_cut_forest(g))
         spine = gsp_module._assemble(peeled, root)
+        # the classifier's tree is the spine, synthesized once per session
+        assert tree_to_record(spine) == tree_to_record(cls.tree), sorted(g.edges())
         graft = reference_graft(peeled, root)
-        new = synthesize(spine.terminal_graph(), spine)
         old = synthesize(graft.terminal_graph(), graft)
         assert new.host.n <= old.host.n, sorted(g.edges())
         assert len(new.search) <= len(old.search), sorted(g.edges())
