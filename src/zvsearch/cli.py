@@ -15,6 +15,8 @@ lowerbound), on their first call into it.
 """
 
 import argparse
+import contextlib
+import gc
 import json
 import os
 import sys
@@ -196,6 +198,21 @@ def cmd_mono(args):
     _emit(res.to_record())
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector for the block, and enable it
+    again afterwards only if it was on. synth and verify build tens of
+    thousands of acyclic objects, which reference counting alone frees,
+    and a full collection in the middle of them only walks them."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
 def _verify_bundle(path):
     try:
         rec = json.loads(_read(path))
@@ -212,19 +229,18 @@ def _verify_bundle(path):
             raise InputError(f"no vertex {v!r}")
     # From the empty clean set, a vertex the search never inspects never
     # turns clean: one round keeps only protected vertices clean. So a
-    # host with more vertices than the steps hold fails, and its derived
-    # graph, which a record can make as large as it claims, is not built.
+    # host with more vertices than the steps hold fails, and it is not
+    # numbered: a record can make it as large as it claims.
     if host.n > sum(len(step) for step in bundle.search):
         ok = aligned = False
     else:
         # synthesized searches run to tens of thousands of steps; check
-        # them streaming rather than holding a trace. An aligned search
-        # is a successful one, so the plain check runs only when the
-        # aligned one fails; a step naming a vertex the host lacks raises
-        # unless alignment breaks before it.
-        derived = host.derived
-        aligned = check_aligned_search(derived, bundle.search, a, b)[0]
-        ok = aligned or check_search(derived, bundle.search)[0]
+        # them streaming, on the host's own numbering, rather than
+        # holding a trace. An aligned search is a successful one, so the
+        # plain check runs only when the aligned one fails; a step naming
+        # a vertex the host lacks raises unless alignment breaks before it.
+        aligned = check_aligned_search(host, bundle.search, a, b)[0]
+        ok = aligned or check_search(host, bundle.search)[0]
     _emit(
         {
             "successful": ok,
@@ -237,6 +253,7 @@ def _verify_bundle(path):
     )
 
 
+@_collector_paused()
 def cmd_verify(args):
     if args.bundle is not None:
         if args.graph is not None or args.search is not None:
@@ -273,6 +290,7 @@ def cmd_classify(args):
     _emit(_classified(classify_topological_3(g)))
 
 
+@_collector_paused()
 def cmd_synth(args):
     g, _ = _load_graph(args.graph)
     cls = classify_topological_3(g)

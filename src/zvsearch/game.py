@@ -81,9 +81,9 @@ def _stream_check(g, steps, clean_start, width, a, b):
     in flat containers of ints: `protected` is a bytearray, `unprot` and
     the neighbor lists are lists, `front` is a set. Pass a and b as None
     to skip the alignment conditions; otherwise both must be vertices.
+    g is a Graph or a SubdividedGraph; either gives its own numbering.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [[index[u] for u in g.neighbors(v)] for v in g.vertices]
+    index, nbrs = g.numbered()
     start = set(clean_start)
     extra = start - index.keys()
     if extra:
@@ -143,8 +143,10 @@ def _stream_check(g, steps, clean_start, width, a, b):
 def check_search(g, steps, clean_start=(), width=None):
     """Streaming success check; no trace kept.
 
-    Returns (ok, failure) where failure is None or a short reason string.
-    Cheap enough to run on every synthesized search, including hosts with
+    g is a Graph or a SubdividedGraph; a subdivided host is checked on
+    its own numbering, without building its derived graph. Returns (ok,
+    failure) where failure is None or a short reason string. Cheap
+    enough to run on every synthesized search, including hosts with
     tens of thousands of vertices.
     """
     try:
@@ -156,9 +158,10 @@ def check_search(g, steps, clean_start=(), width=None):
 def check_aligned_search(g, steps, a, b, clean_start=(), width=None):
     """Streaming success-plus-alignment check.
 
-    Same contract as check_search, additionally requiring a in every
-    protected set and b outside every clean set before the last. Raises
-    InputError on vertices the graph does not have.
+    Same contract as check_search, on a Graph or a SubdividedGraph,
+    additionally requiring a in every protected set and b outside every
+    clean set before the last. Raises InputError on vertices the graph
+    does not have.
     """
     for v in (a, b):
         if v not in g:

@@ -80,6 +80,13 @@ class Graph:
     def has_edge(self, u, v):
         return u in self._adj and v in self._adj[u]
 
+    def numbered(self):
+        """(index, nbrs): index maps each vertex to an id, in sorted
+        order, and nbrs[i] lists the ids of vertex i's neighbours."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        nbrs = [[index[u] for u in self._adj[v]] for v in self.vertices]
+        return index, nbrs
+
     def edges(self):
         """All edges as sorted tuples, in sorted order."""
         if self._edges is None:
@@ -394,7 +401,8 @@ class SubdividedGraph:
     base edge and i counting from the lexicographically smaller endpoint.
 
     The derived graph is built on first access to `derived`; size and
-    membership questions are answered from the labels alone.
+    membership questions are answered from the labels alone, and
+    `numbered` gives the streaming checks its vertex ids without it.
     """
 
     __slots__ = ("base", "counts", "_tops", "_derived")
@@ -446,6 +454,33 @@ class SubdividedGraph:
                 adj[v] = frozenset(adj[v])
             self._derived = Graph(adj)
         return self._derived
+
+    def numbered(self):
+        """(index, nbrs) of the derived graph, as Graph.numbered gives
+        them, built from the chains without the graph: the base vertices
+        first in base order, then each base edge's interior in
+        base.edges() order."""
+        index = {v: i for i, v in enumerate(self.base.vertices)}
+        nbrs = [[] for _ in index]
+        for u, v in self.base.edges():
+            iu, iv = index[u], index[v]
+            c = self.counts.get((u, v), 0)
+            if not c:
+                nbrs[iu].append(iv)
+                nbrs[iv].append(iu)
+                continue
+            first = len(nbrs)
+            ids = range(first, first + c)
+            head = f"({u},{v})#"
+            index.update(zip([head + str(i) for i in range(1, c + 1)], ids))
+            nbrs.extend([i - 1, i + 1] for i in ids)
+            nbrs[first][0] = iu
+            nbrs[-1][1] = iv
+            nbrs[iu].append(first)
+            nbrs[iv].append(first + c - 1)
+        # the constructor's collision checks make the labels distinct
+        assert len(index) == len(nbrs) == self.n
+        return index, nbrs
 
     @property
     def n(self):

@@ -7,8 +7,8 @@ bridged side into two halves joined through a long connector path.
 
 The amalgamations are unchecked building blocks: they validate their
 inputs but trust the searches they are handed. `synthesize` re-simulates
-the final bundle once, on the one derived host it builds, and checks its
-floors; nothing it returns is trusted on paper alone.
+the final bundle once, on the host's own vertex numbering, and checks
+its floors; nothing it returns is trusted on paper alone.
 """
 
 from dataclasses import dataclass, field
@@ -637,8 +637,9 @@ def synthesize(tg, tree, floors=None):
     demands minimum interior counts per base edge, which the returned
     host is guaranteed to meet (children may always over-subdivide).
     This is the one place a bundle is checked: the search is re-simulated
-    on the derived host, and a bundle that fails the check or its floors
-    raises AssertionError, an internal error, also under `python -O`.
+    on the host's own numbering, and a bundle that fails the check or its
+    floors raises AssertionError, an internal error, also under
+    `python -O`.
     """
     if not isinstance(tree, GspTree):
         raise InputError("synthesis needs a decomposition tree")
@@ -650,7 +651,7 @@ def synthesize(tg, tree, floors=None):
     bundle = _synth(tree, checked)
     try:
         ok, why = check_aligned_search(
-            bundle.host.derived, bundle.search, *bundle.alignment, width=3
+            bundle.host, bundle.search, *bundle.alignment, width=3
         )
     except InputError as ex:
         ok, why = False, str(ex)

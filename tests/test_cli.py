@@ -1,6 +1,7 @@
 """Command-line round trips, exit codes, environment knobs."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 import zvsearch
 from zvsearch import cli, gsp, solver
 from zvsearch.cli import main
+from zvsearch.errors import ResourceLimitError
 from zvsearch.forbidden import ForbiddenWitness, embedded, pattern_check
 from zvsearch.game import is_aligned, is_successful, simulate
 from zvsearch.graphs import (
     Graph,
     cycle_graph,
+    SubdividedGraph,
     format_edge_list,
     generate,
     parse_edge_list,
@@ -321,6 +324,26 @@ def counting_checks(monkeypatch):
     return calls
 
 
+def forbid_derived(monkeypatch):
+    """Make building a host's derived graph an internal error: synth and
+    verify check a host on its own numbering."""
+
+    def refuse(host):
+        raise AssertionError("derived graph built")
+
+    monkeypatch.setattr(SubdividedGraph, "derived", property(refuse))
+
+
+def test_synth_and_verify_build_no_derived_graph(capsys, monkeypatch, tmp_path):
+    forbid_derived(monkeypatch)
+    bundle = run_json(capsys, "synth", "grid:2,5")
+    f = tmp_path / "bundle.json"
+    f.write_text(json.dumps(bundle))
+    doc = run_json(capsys, "verify", "--bundle", str(f))
+    assert doc["successful"] is True and doc["aligned"] is True
+    assert doc["host_vertices"] == bundle["stats"]["host_vertices"]
+
+
 def test_verify_bundle_checks_once(capsys, monkeypatch, tmp_path):
     """An aligned search is a successful one: a bundle that passes the
     aligned check needs no second walk."""
@@ -328,6 +351,7 @@ def test_verify_bundle_checks_once(capsys, monkeypatch, tmp_path):
     f = tmp_path / "bundle.json"
     f.write_text(json.dumps(bundle))
     calls = counting_checks(monkeypatch)
+    forbid_derived(monkeypatch)
     doc = run_json(capsys, "verify", "--bundle", str(f))
     assert doc["successful"] is True and doc["aligned"] is True
     assert calls == ["check_aligned_search"]
@@ -337,12 +361,14 @@ def test_verify_bundle_answers_match_simulate(capsys, monkeypatch, tmp_path):
     """Sabotaged records of one bundle: the answers are those of
     is_successful and is_aligned on the simulated trace (`aligned` holds
     only for a successful search), and a step naming a vertex the host
-    lacks is an input error."""
+    lacks is an input error. verify answers without the derived graph
+    that the simulations here run on."""
     bundle = run_json(capsys, "synth", "grid:2,4")
     derived = cli.AlignedSearchBundle.from_record(bundle).host.derived
     a, b = bundle["alignment"]
     f = tmp_path / "bundle.json"
     calls = counting_checks(monkeypatch)
+    forbid_derived(monkeypatch)
     for search, want in [
         (bundle["search"][:-1], (False, False)),
         # b comes clean at the end of the search, one step before its end
@@ -363,6 +389,86 @@ def test_verify_bundle_answers_match_simulate(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "verify", "--bundle", str(f))
     assert code == 1 and out == ""
     assert err == "error: step 2: not vertices: ['nowhere']\n"
+
+
+def collector(on):
+    (gc.enable if on else gc.disable)()
+
+
+@pytest.mark.parametrize("was_on", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, tmp_path, was_on):
+    """synth and verify pause the cyclic collector; after an answer, an
+    input error or a blown budget it is on again only if it was on."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("[")
+
+    def blown(*args, **kwargs):
+        raise ResourceLimitError("blown")
+
+    cases = [
+        (("synth", "cycle:4"), 0, "", None),
+        (("verify", "--bundle", str(bad)), 1, "error:", None),
+        (("synth", "cycle:4"), 2, "resource limit:", "synthesize"),
+        (("classify", "cycle:4"), 0, "", None),
+    ]
+    prior = gc.isenabled()
+    try:
+        collector(was_on)
+        for argv, code, prefix, patched in cases:
+            with monkeypatch.context() as m:
+                if patched:
+                    m.setattr(cli, patched, blown)
+                got, _, err = run(capsys, *argv)
+            assert (got, err[:len(prefix)]) == (code, prefix), argv
+            assert gc.isenabled() is was_on, argv
+    finally:
+        collector(prior)
+
+
+def test_only_synth_and_verify_pause_the_collector(capsys, monkeypatch, tmp_path):
+    seen = []
+    for name in ("classify_topological_3", "synthesize", "check_aligned_search"):
+        def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            seen.append((_name, gc.isenabled()))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    bundle = run_json(capsys, "synth", "cycle:4")
+    f = tmp_path / "bundle.json"
+    f.write_text(json.dumps(bundle))
+    run_json(capsys, "verify", "--bundle", str(f))
+    run_json(capsys, "classify", "cycle:4")
+    assert gc.isenabled()
+    assert seen == [
+        ("classify_topological_3", False),
+        ("synthesize", False),
+        ("check_aligned_search", False),
+        ("classify_topological_3", True),
+    ]
+
+
+def test_synth_and_verify_leave_no_cycles(capsys, tmp_path):
+    """With the collector paused, nothing synth or verify leaves behind
+    needs it: reference counting frees all of it."""
+    bundle = run_json(capsys, "synth", "grid:2,5")
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(bundle))
+    search = [list(step) for step in bundle["search"]]
+    search[1].append("nowhere")
+    bad.write_text(json.dumps(dict(bundle, search=search)))
+    argvs = [("synth", "grid:2,5"), ("verify", "--bundle", str(good)),
+             ("verify", "--bundle", str(bad))]
+    for argv in argvs:  # warm-up: first calls fill caches
+        run(capsys, *argv)
+    prior = gc.isenabled()
+    gc.collect()
+    try:
+        gc.disable()
+        for argv in argvs:
+            run(capsys, *argv)
+            assert gc.collect() == 0, argv
+    finally:
+        collector(prior)
 
 
 json_scalars = (

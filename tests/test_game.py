@@ -19,7 +19,16 @@ from zvsearch.game import (
     search_width,
     simulate,
 )
-from zvsearch.graphs import EquivalenceSpec, Graph, cycle_graph, path_graph, quotient
+from zvsearch.graphs import (
+    EquivalenceSpec,
+    Graph,
+    cycle_graph,
+    generate,
+    path_graph,
+    quotient,
+)
+from zvsearch.gsp import classify_topological_3
+from zvsearch.synth import synthesize
 
 
 def reference_stream_check(g, steps, clean_start, width, a, b):
@@ -199,6 +208,48 @@ def test_stream_check_matches_reference(
         steps = steps[:stray_at] + (steps[stray_at] | {"stray"},) + steps[stray_at + 1:]
     args = (g, steps, start, width, a, b)
     assert outcome(_stream_check, *args) == outcome(reference_stream_check, *args)
+
+
+def sabotaged_checks(bundle):
+    """(label, steps, clean_start, width, a, b) for a synthesized bundle:
+    its own check, then searches broken in the ways a record can be."""
+    steps = [frozenset(s) for s in bundle.search]
+    a, b = bundle.alignment
+    (u, v), count = max(bundle.host.counts.items())
+    mid = len(steps) // 2
+    wide = steps[mid] | frozenset(bundle.host.base.vertices[:4])
+
+    def naming(x):
+        return steps[:mid] + [steps[mid] | {x}] + steps[mid + 1:]
+
+    yield "clean", steps, (), 3, a, b
+    yield "truncated", steps[:-1], (), 3, a, b
+    yield "[a] appended", steps + [frozenset([a])], (), 3, a, b
+    yield "over width", steps[:mid] + [wide] + steps[mid + 1:], (), 3, a, b
+    for x in (f"({u},{v})#0", f"({u},{v})#{count + 1}", "nowhere"):
+        yield f"names {x}", naming(x), (), 3, a, b
+    yield "clean start off the host", steps, (a, "nowhere"), 3, a, b
+    # searching b with its neighbours cleans b mid-search; that step
+    # may be wider than 3
+    b_cleaned = bundle.host.derived.neighbors(b) | {b}
+    yield "b cleaned mid-search", steps[:mid] + [b_cleaned] + steps[mid:], (), None, a, b
+
+
+@pytest.mark.parametrize("spec", ["grid:2,4", "cycle:5", "tree:3"])
+def test_stream_check_on_the_host_matches_its_derived_graph(spec):
+    """The host's own numbering gives the same answer, reason or input
+    error as its derived graph, aligned or not, with and without a width;
+    the label-keyed engine on the derived graph is the oracle."""
+    c = classify_topological_3(generate(spec))
+    bundle = synthesize(c.tree.terminal_graph(), c.tree)
+    host, derived = bundle.host, bundle.host.derived
+    for label, steps, start, width, a, b in sabotaged_checks(bundle):
+        for args in ((steps, start, None, None, None), (steps, start, width, a, b)):
+            got = outcome(_stream_check, host, *args)
+            assert got == outcome(_stream_check, derived, *args), label
+            assert got == outcome(reference_stream_check, derived, *args), label
+        # the bundle passes its own aligned check, and every sabotage fails it
+        assert (got == (True, None)) == (label == "clean"), (label, got)
 
 
 def test_check_aligned_width_and_reasons():

@@ -307,25 +307,63 @@ def test_synthesize_honors_floors_on_cycle():
 
 @pytest.mark.parametrize("spec", ["path:8", "cycle:5"])
 def test_synthesize_checks_once(monkeypatch, spec):
+    """One check, on the host itself: its own numbering stands in for
+    the derived graph, which is never built."""
     c = classify_topological_3(generate(spec))
     checked = []
-    built = {}
-    real_derived = SubdividedGraph.derived.fget
+    built = []
 
     def counting_check(g, *args, **kwargs):
         checked.append(g)
         return check_aligned_search(g, *args, **kwargs)
 
-    def counting_derived(host):
-        g = real_derived(host)
-        built[id(g)] = g
-        return g
-
     monkeypatch.setattr(synth_module, "check_aligned_search", counting_check)
-    monkeypatch.setattr(SubdividedGraph, "derived", property(counting_derived))
+    monkeypatch.setattr(SubdividedGraph, "derived", property(built.append))
     bundle = synthesize(c.tree.terminal_graph(), c.tree)
-    assert len(checked) == 1 and len(built) == 1
-    assert checked[0] is bundle.host.derived
+    assert len(checked) == 1 and checked[0] is bundle.host
+    assert built == []
+
+
+def assert_numbered_like_derived(host):
+    """host.numbered() is the derived graph up to the choice of ids: a
+    bijection onto its vertices, with the same neighbour sets."""
+    index, nbrs = host.numbered()
+    g = host.derived
+    assert sorted(index) == list(g.vertices)
+    assert sorted(index.values()) == list(range(g.n)) and len(nbrs) == g.n
+    label = {i: v for v, i in index.items()}
+    for v, i in index.items():
+        assert len(nbrs[i]) == len(set(nbrs[i]))
+        assert {label[j] for j in nbrs[i]} == g.neighbors(v)
+
+
+def test_numbering_matches_derived_on_synthesized_hosts(synthesized_corpus):
+    hosts = [bundle.host for _, _, bundle in synthesized_corpus if bundle is not None]
+    for m in range(3, 7):
+        c = classify_topological_3(generate(f"grid:2,{m}"))
+        hosts.append(synthesize(c.tree.terminal_graph(), c.tree).host)
+    for host in hosts:
+        assert_numbered_like_derived(host)
+
+
+def test_numbering_matches_derived_on_hand_built_hosts():
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("x", "(a,b)#7")])
+    commas = Graph.from_edges([("x,y", "z"), ("x", "y,z")])
+    hosts = [
+        # ("b", "c") and ("x", "(a,b)#7") keep count 0: u and v joined directly
+        SubdividedGraph(g, {("a", "b"): 3, ("c", "d"): 1}),
+        SubdividedGraph(g, {}),
+        edge_host("d", "e", 2),
+        edge_host("d", "e", 1),
+        edge_host("d", "e", 0),
+        SubdividedGraph(commas, {("x,y", "z"): 2}),
+        SubdividedGraph(commas, {("x", "y,z"): 1}),
+    ]
+    for host in hosts:
+        assert_numbered_like_derived(host)
+    # the collision is refused before anything can be numbered
+    with pytest.raises(InputError, match="label collision"):
+        SubdividedGraph(commas, {("x,y", "z"): 1, ("x", "y,z"): 1})
 
 
 def reference_graft(peeled, root):
