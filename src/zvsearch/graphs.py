@@ -276,7 +276,7 @@ def ball(g, v, radius):
 
 
 # ---------------------------------------------------------------------------
-# blocks, cut vertices, bridges
+# blocks and cut vertices
 
 
 @dataclass(frozen=True)
@@ -350,40 +350,6 @@ def block_cut_forest(g):
                     cuts.add(u)
         # a root with 2+ DFS children is a cut vertex; handled above
     return BlockCutForest(tuple(blocks), frozenset(cuts))
-
-
-def bridges(g):
-    """All bridge edges, as sorted tuples in sorted order."""
-    bcf = block_cut_forest(g)
-    out = []
-    for b in bcf.blocks:
-        if len(b) == 2:
-            u, v = sorted(b)
-            out.append((u, v))
-    return sorted(out)
-
-
-def is_bridged(g, a, b):
-    """True iff some bridge separates a from b (a, b connected)."""
-    for v in (a, b):
-        if v not in g:
-            raise InputError(f"no vertex {v!r}")
-    if a == b:
-        return False
-    # same 2-edge-connected component <=> no separating bridge
-    stripped = g
-    for u, v in bridges(g):
-        stripped = stripped.without_edge(u, v)
-    return b not in stripped.component_of(a)
-
-
-def separating_bridges(g, a, b):
-    """Bridges whose removal disconnects a from b."""
-    out = []
-    for u, v in bridges(g):
-        if b not in g.without_edge(u, v).component_of(a):
-            out.append((u, v))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ separates its terminals) and counts 0, a series node is bridged when
 either child is and counts 0 if so and 1 if not, a parallel node is
 never bridged and adds up its children, and a branch node copies the
 child that keeps both terminals. "Simple" means every subtree has
-complexity at most one.
+complexity at most one. The flags locate bridges too: the separating
+bridges of a bridged subtree are its leaf factors, the leaves reached
+through series nodes and branch spines, in order from a to b, so
+synthesis reads the bridge it splits at off the tree.
 
 One series-parallel reduction does two jobs: it decides K_4-freeness,
 and replayed, its steps build every SP tree; on a graph of one block
@@ -47,7 +50,6 @@ from .forbidden import (
     _checked,
     _witness_f2,
     _witness_f3,
-    bipath_problems,
     embedded,
     pattern_check,
 )
@@ -856,22 +858,6 @@ def _merge(tree, limbs):
     return _bottom_up(tree, lambda t: t.children, combine)
 
 
-def merge_block(tree, pendant, c):
-    """Attach a decomposition of a pendant block at its cut vertex c.
-
-    The two graphs may share only c, and c must be a terminal of the
-    pendant tree (it is reoriented if it is the second one).
-    """
-    shared = set(tree.graph.vertices) & set(pendant.graph.vertices)
-    if shared != {c}:
-        raise InputError(f"the graphs must overlap exactly at {c!r}")
-    if c not in pendant.terminals:
-        raise InputError(f"{c!r} is not a terminal of the pendant tree")
-    if pendant.a != c:
-        pendant = _invert(pendant)
-    return _merge(tree, [(c, pendant)])
-
-
 # ---------------------------------------------------------------------------
 # rotation: re-anchoring a parallel join at one terminal
 
@@ -918,46 +904,8 @@ def _rotate(th, tk):
     return _rotate(factors[0], bracket)
 
 
-def rotate_parallel(th, tk):
-    """Rework H joined in parallel with K into one simple tree anchored
-    at the first shared terminal.
-
-    Both inputs must be simple series-parallel trees over the same
-    ordered terminal pair whose union is biconnected. The plain parallel
-    join of two complexity-1 trees is not simple; the rotation trades
-    the second terminal for simplicity.
-    """
-    for t in (th, tk):
-        if any(s.op in ("branch", "branch_alt") for s in t.walk()):
-            raise InputError("rotation takes series-parallel trees only")
-        if not t.simple:
-            raise InputError("rotation takes simple trees only")
-    if th.terminals != tk.terminals:
-        raise InputError("the trees must share their ordered terminals")
-    joined = compose("parallel", th.terminal_graph(), tk.terminal_graph())
-    if not _two_connected(joined.graph):
-        raise InputError("the joined graph must be biconnected")
-    out = _rotate(th, tk)
-    if not (out.simple and out.a == th.a):
-        raise AssertionError("the rotation did not give a simple tree anchored at a")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bipath extraction
-
-
-def extract_bipaths(tree):
-    """Terminal-to-terminal bipaths witnessing the tree's complexity.
-
-    Yields at least complexity-many bipaths for the root node, each one
-    structurally checked against the node's graph.
-    """
-    out = _extract(tree)
-    for bp in out:
-        if bipath_problems(tree.graph, bp) or set(bp.endpoints) != set(tree.terminals):
-            raise AssertionError("an extracted bipath does not fit its tree")
-    return out
 
 
 def _extract(tree):

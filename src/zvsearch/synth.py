@@ -3,7 +3,9 @@
 The builders here realize width-3 searches by recursion over a simple
 GSP decomposition: sweeps that clear a ball around a pinned vertex, one
 amalgamation per composition operation, and a splitter that cuts a
-bridged side into two halves joined through a long connector path.
+bridged side into two halves joined through a long connector path. The
+tree already records which subtrees are bridged, so the splitter reads
+the bridge off the tree and never searches a graph for one.
 
 The amalgamations are unchecked building blocks: they validate their
 inputs but trust the searches they are handed. `synthesize` re-simulates
@@ -20,7 +22,6 @@ from .graphs import (
     SubdividedGraph,
     edge_key,
     grid_graph,
-    separating_bridges,
     subdivision_label,
 )
 from .gsp import (
@@ -29,8 +30,8 @@ from .gsp import (
     _fold,
     invert,
     is_simple,
+    leaf,
     node,
-    subdivide_decomposition,
 )
 
 __all__ = [
@@ -79,10 +80,15 @@ class AlignedSearchBundle:
     def from_record(cls, rec):
         base = Graph.from_edges(tuple(e) for e in rec["base_edges"])
         host = SubdividedGraph(base, {edge_key(u, v): c for u, v, c in rec["counts"]})
+        alignment = rec["alignment"]
+        if type(alignment) is not list or len(alignment) != 2 or any(
+            type(v) is not str for v in alignment
+        ):
+            raise ValueError(f"alignment {alignment!r} is not two vertex labels")
         return cls(
             host,
             tuple(frozenset(step) for step in rec["search"]),
-            tuple(rec["alignment"]),
+            tuple(alignment),
             {edge_key(u, v): c for u, v, c in rec["floors_satisfied"]},
             dict(rec.get("stats", {})),
         )
@@ -409,68 +415,49 @@ def _parallel_bundle(host, terminals, b0, s1, q, s2, sum_edges):
 # bridge splitting
 
 
-def _holds_edge(tree, c, d):
-    return tree.graph.has_edge(c, d)
-
-
-def _split(t, c, d):
-    """Cut subtree t at the edge (c, d), returning decompositions of the
-    two components. A side is None while the cut hugs the boundary of the
-    subtree holding it; series parents reattach the missing context."""
-    if t.is_leaf:
-        assert {t.a, t.b} == {c, d}
-        return None, None
-    t0, t1 = t.children
-    if t.op == "series":
-        if _holds_edge(t0, c, d):
-            left, right = _split(t0, c, d)
-            return left, (t1 if right is None else node("series", right, t1))
-        left, right = _split(t1, c, d)
-        return (t0 if left is None else node("series", t0, left)), right
-    if t.op == "parallel":
-        raise AssertionError("a separating bridge cannot sit inside a parallel node")
-    # branch and branch_alt pendants never separate the outer terminals,
-    # so the cut edge lives in child 0; both cut endpoints are fresh
-    # subdivision labels, hence never equal to the spine's terminals and
-    # neither side collapses away.
-    assert _holds_edge(t0, c, d)
-    left, right = _split(t0, c, d)
-    if t.op == "branch":
-        assert left is not None
-        return node("branch", left, t1), right
-    assert right is not None
-    return left, node("branch_alt", right, t1)
-
-
 def _split_impl(tree):
-    tg = tree.terminal_graph()
-    found = separating_bridges(tg.graph, tg.a, tg.b)
-    if not found:
+    # The separating bridges of a bridged tree are its leaf factors, the
+    # leaves reached through series nodes and branch spines, and they lie
+    # in order along the a-b chain; the first is the one nearest a. The
+    # walk descends into the first bridged child, and only the ancestors
+    # on its path are rebuilt. The leaf (x, y) is cut as if subdivided
+    # twice: the middle edge then has fresh endpoints, so the halves keep
+    # honest, distinct terminals however close the bridge sits to a or b.
+    if not tree.bridged:
         raise InputError(
-            f"no separating bridge between the terminals {tg.a!r} and {tg.b!r}"
+            f"no separating bridge between the terminals {tree.a!r} and {tree.b!r}"
         )
-    dist = tg.graph.distances(tg.a)
-    origin = min(found, key=lambda e: (min(dist[e[0]], dist[e[1]]), e))
-    # Always subdivide the chosen bridge twice. The middle edge then has
-    # fresh endpoints, so the halves keep honest, distinct terminals no
-    # matter how close the bridge sits to a or b.
-    t2 = subdivide_decomposition(tree, {origin: 2})
-    m1 = subdivision_label(origin, 1)
-    m2 = subdivision_label(origin, 2)
-    d2 = t2.graph.distances(tg.a)
-    c, d = (m1, m2) if d2[m1] < d2[m2] else (m2, m1)
-    left, right = _split(t2, c, d)
-    assert left is not None and right is not None
-    assert left.terminals == (tg.a, c) and right.terminals == (d, tg.b)
-    assert is_simple(left) and is_simple(right)
+    path, t = [], tree
+    while not t.is_leaf:
+        first = t.op != "series" or t.children[0].bridged
+        path.append((t, first))
+        t = t.children[0 if first else 1]
+    x, y = t.terminals
+    origin = edge_key(x, y)
+    near, far = (1, 2) if x == origin[0] else (2, 1)
+    c, d = subdivision_label(origin, near), subdivision_label(origin, far)
+    left, right = leaf(x, c), leaf(d, y)
+    for t, first in reversed(path):
+        t0, t1 = t.children
+        if t.op == "series":
+            if first:
+                right = node("series", right, t1)
+            else:
+                left = node("series", t0, left)
+        elif t.op == "branch":
+            left = node("branch", left, t1)
+        else:
+            right = node("branch_alt", right, t1)
     return left, (c, d), right, origin
 
 
 def split_at_bridge(tree):
     """Split a bridged simple decomposition at a separating bridge.
 
-    Picks the bridge nearest the first terminal (ties by edge label),
-    subdivides it twice, and returns the two halves plus the middle edge:
+    The bridge comes from the tree, not from a search of its graph: it is
+    the first leaf factor, the leaf reached through series nodes and
+    branch spines that is nearest the first terminal. It is subdivided
+    twice, and the result is the two halves plus the middle edge:
     (left tree for (G1, a, c), (c, d), right tree for (G2, d, b)).
     """
     if not is_simple(tree):

@@ -9,7 +9,7 @@ import random
 import networkx as nx
 import pytest
 
-from zvsearch.graphs import Graph, cycle_graph
+from zvsearch.graphs import Graph, block_cut_forest, cycle_graph
 from zvsearch.gsp import classify_topological_3
 from zvsearch.synth import synthesize
 
@@ -47,6 +47,33 @@ def leaf_blocks(bcf):
         if len(cuts) <= 1:
             out.append((blk, cuts[0] if cuts else None))
     return out
+
+
+def bridges(g):
+    """All bridge edges, as sorted tuples in sorted order."""
+    return sorted(tuple(sorted(b)) for b in block_cut_forest(g).blocks if len(b) == 2)
+
+
+def is_bridged(g, a, b):
+    """True iff some bridge separates a from b (a, b connected): the
+    oracle for GspTree.bridged, read off the graph."""
+    # same 2-edge-connected component <=> no separating bridge
+    stripped = g
+    for u, v in bridges(g):
+        stripped = stripped.without_edge(u, v)
+    return b not in stripped.component_of(a)
+
+
+def separating_bridges(g, a, b):
+    """Bridges whose removal disconnects a from b."""
+    return [(u, v) for u, v in bridges(g) if b not in g.without_edge(u, v).component_of(a)]
+
+
+def relabeled(g, rng):
+    """g under a random bijection onto fresh labels r0, r1, ..."""
+    names = [f"r{i}" for i in range(g.n)]
+    rng.shuffle(names)
+    return g.relabel(dict(zip(g.vertices, names)))
 
 
 def random_connected(n, rng):

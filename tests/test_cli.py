@@ -517,13 +517,20 @@ def test_emit_matches_json_dumps_on_escapes(capsys):
 
 
 def test_verify_rejects_an_alignment_that_is_not_a_pair(capsys, tmp_path):
-    f = tmp_path / "bundle.json"
-    f.write_text(json.dumps({
+    records = [{
         "base_edges": [["a", "b"]], "counts": [], "search": [["a", "b"]],
-        "alignment": ["a"], "floors_satisfied": []}))
-    code, out, err = run(capsys, "verify", "--bundle", str(f))
-    assert code == 1 and out == ""
-    assert err.startswith(f"error: {f}: not a bundle record")
+        "alignment": ["a"], "floors_satisfied": []}]
+    # labels that do not hash once ended in a traceback from the host's
+    # membership test, and a string passed as its characters
+    synthesized = run_json(capsys, "synth", "path:3")
+    for alignment in ([["0"], "2"], [{"x": 1}, "2"], "02"):
+        records.append({**synthesized, "alignment": alignment})
+    f = tmp_path / "bundle.json"
+    for rec in records:
+        f.write_text(json.dumps(rec))
+        code, out, err = run(capsys, "verify", "--bundle", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {f}: not a bundle record")
 
 
 def test_synth_rejected_graph_reports_family(capsys):

@@ -12,7 +12,6 @@ from zvsearch.graphs import (
     ball,
     block_cut_forest,
     boundary,
-    bridges,
     complete_graph,
     cycle_graph,
     edge_key,
@@ -20,19 +19,17 @@ from zvsearch.graphs import (
     generate,
     grid_graph,
     internally_disjoint_paths,
-    is_bridged,
     k4_subdivision_example,
     parse_edge_list,
     path_graph,
     perfect_binary_tree,
     quotient,
-    separating_bridges,
     subdivide,
     subdivision_label,
     two_disjoint_paths,
 )
 
-from conftest import leaf_blocks
+from conftest import bridges, is_bridged, leaf_blocks, separating_bridges
 
 
 def small_graphs():
@@ -131,7 +128,8 @@ def test_bridges_frozen():
 
 
 def test_separating_bridges_barbell():
-    # two triangles joined by a two-edge path: both path edges separate
+    # the graph-level bridge oracles of the tests; two triangles joined
+    # by a two-edge path: both path edges separate
     g = Graph.from_edges(
         [("a", "b"), ("b", "c"), ("c", "a"),
          ("c", "m"), ("m", "d"),

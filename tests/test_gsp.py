@@ -13,7 +13,13 @@ import pytest
 import zvsearch
 import zvsearch.gsp as gsp_module
 from zvsearch.errors import InputError
-from zvsearch.forbidden import Bipath, ForbiddenWitness, embedded, pattern_check
+from zvsearch.forbidden import (
+    Bipath,
+    ForbiddenWitness,
+    bipath_problems,
+    embedded,
+    pattern_check,
+)
 from zvsearch.graphs import (
     Graph,
     SubdividedGraph,
@@ -24,35 +30,34 @@ from zvsearch.graphs import (
     family_f3,
     generate,
     internally_disjoint_paths,
-    is_bridged,
     k4_subdivision_example,
     path_graph,
 )
 from zvsearch.gsp import (
     Classification,
     GspTree,
+    _extract,
+    _merge,
+    _rotate,
     _sp,
     _sp_reducible,
     classify_topological_3,
     complexity,
     compose,
-    extract_bipaths,
     gsp_decompose,
     has_k4_subdivision,
     invert,
     is_simple,
     leaf,
-    merge_block,
     node,
     recompose,
-    rotate_parallel,
     sp_decompose,
     subdivide_decomposition,
     tree_from_record,
     tree_to_record,
 )
 
-from conftest import from_networkx, leaf_blocks, random_connected
+from conftest import from_networkx, is_bridged, leaf_blocks, random_connected, relabeled
 
 
 def four_cycle(a, tag, b):
@@ -234,6 +239,16 @@ def test_tree_record_rejects_malformed():
             tree_from_record(record)
 
 
+def test_verdict_is_topological(atlas_2_7_classified, rng):
+    """The classification is topological: relabelling a graph and then
+    subdividing one of its edges 1-3 times keeps the verdict."""
+    for g, cls in atlas_2_7_classified:
+        h = relabeled(g, rng)
+        e = rng.choice(h.edges())
+        h = SubdividedGraph(h, {e: rng.randint(1, 3)}).derived
+        assert classify_topological_3(h).verdict == cls.verdict, sorted(g.edges())
+
+
 def test_tree_records_of_the_atlas_round_trip(atlas_2_7_classified):
     yes = [cls.tree for _, cls in atlas_2_7_classified if cls.verdict == "YES"]
     assert len(yes) > 300
@@ -340,21 +355,15 @@ def test_branch_complexity_follows_spine():
 
 
 def test_rotation_restores_simplicity():
+    # the plain parallel join of two complexity-1 trees is not simple;
+    # the rotation trades the second terminal for simplicity
     chain1 = cycle_chain("a", "m1", "c", "12")
     chain2 = cycle_chain("a", "m2", "c", "34")
-    out = rotate_parallel(chain1, chain2)
+    assert not node("parallel", chain1, chain2).simple
+    out = _rotate(chain1, chain2)
     assert is_simple(out)
     assert out.a == "a"
     assert out.graph == chain1.graph.union(chain2.graph)
-
-
-def test_rotation_rejects_bad_inputs():
-    chain = cycle_chain("a", "m", "c", "12")
-    with pytest.raises(InputError, match="ordered terminals"):
-        rotate_parallel(chain, cycle_chain("c", "m2", "a", "34"))
-    branchy = node("branch", leaf("a", "c"), leaf("a", "z"))
-    with pytest.raises(InputError, match="series-parallel"):
-        rotate_parallel(branchy, chain)
 
 
 def test_invert_swaps_terminals():
@@ -369,12 +378,21 @@ def test_invert_swaps_terminals():
         invert(bad)
 
 
+def extract_checked(tree):
+    """The tree's extracted bipaths, each checked against the tree's
+    graph and run between its terminals."""
+    out = _extract(tree)
+    for bp in out:
+        assert bipath_problems(tree.graph, bp) == []
+        assert set(bp.endpoints) == set(tree.terminals)
+    return out
+
+
 def test_extract_bipaths_matches_complexity():
     chain = cycle_chain("a", "m", "c", "12")
-    bips = extract_bipaths(chain)
+    bips = extract_checked(chain)
     assert len(bips) >= 1
-    assert all(set(bp.endpoints) == {"a", "c"} for bp in bips)
-    assert extract_bipaths(four_cycle("a", "0", "b")) == []
+    assert extract_checked(four_cycle("a", "0", "b")) == []
 
 
 def test_subdivide_decomposition_tracks_graph():
@@ -394,20 +412,19 @@ def test_merge_block_hangs_a_pendant():
     pend = node(
         "parallel", leaf("c", "x"), node("series", leaf("c", "y"), leaf("y", "x"))
     )
-    out = merge_block(spine, pend, "c")
+    out = _merge(spine, [("c", pend)])
     assert out.terminals == ("a", "c")
     assert out.graph == spine.graph.union(pend.graph)
     assert is_simple(out)
-    interior = node("series", leaf("u", "c"), leaf("c", "v"))
-    with pytest.raises(InputError, match="not a terminal"):
-        merge_block(spine, interior, "c")
 
 
 def test_merge_block_rejects_overlap():
+    # a pendant sharing more than its cut vertex breaks the overlap rule,
+    # which the merged tree's graph derivation refuses
     spine = node("series", leaf("a", "b"), leaf("b", "c"))
     clash = node("series", leaf("c", "b"), leaf("b", "z"))
     with pytest.raises(InputError, match="overlap"):
-        merge_block(spine, clash, "c")
+        recompose(_merge(spine, [("c", clash)]))
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +864,7 @@ def check_extract(tree):
     returns the number of nodes compared."""
     nodes = [t for t in tree.walk() if not t.bridged]
     for t in nodes:
-        assert extract_bipaths(t) == reference_extract(t), tree_to_record(t)
+        assert extract_checked(t) == reference_extract(t), tree_to_record(t)
     return len(nodes)
 
 

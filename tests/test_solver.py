@@ -57,7 +57,7 @@ from zvsearch.solver import (
     pathwidth,
 )
 
-from conftest import from_networkx, random_connected
+from conftest import from_networkx, random_connected, relabeled
 
 
 def brute_profile(g, k):
@@ -221,6 +221,19 @@ def test_pathwidth_bags_validate():
         w, decomp = pathwidth(g)
         assert decomp.width == w
         assert is_path_decomposition(g, decomp.bags)
+
+
+def test_values_ignore_labels(atlas_2_7, rng):
+    """No value depends on vertex labels: a random relabelling keeps the
+    inspection number (n <= 6), the pathwidth and the boundary profiles
+    (n <= 7)."""
+    for g in atlas_2_7:
+        h = relabeled(g, rng)
+        if g.n <= 6:
+            assert inspection_number(h).value == inspection_number(g).value
+        assert pathwidth(h)[0] == pathwidth(g)[0]
+        for k in (2, 3):
+            assert boundary_profile(h, k) == boundary_profile(g, k)
 
 
 def test_is_path_decomposition_rejects():

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -145,3 +146,36 @@ def test_the_benchmark_tracer_wraps_every_name_cli_imports(capsys):
         "solver.inspection_number",
     }
     assert all(getattr(cli, name) is fn for name, fn in tracer.originals.items())
+
+
+PUBLIC_NAMES = frozenset("""
+    AlignedSearchBundle Bipath BoundaryGapCertificate Classification
+    EquivalenceSpec ForbiddenWitness Graph GspTree InputError
+    PathDecomposition ResourceLimitError SearchTrace SolveResult
+    SubdividedGraph SynthTask TerminalGraph
+    amalgamate_branch amalgamate_branch_prime amalgamate_parallel
+    amalgamate_series ball boundary boundary_gap_certificate
+    boundary_profile brute_force_forbidden build_simple_gsp
+    check_aligned_search check_search classify_topological_3
+    clear_ball_inward clear_ball_outward complexity compose edge_key
+    embedded exists_monotonic_search exists_successful_search
+    format_edge_list generate grid_search gsp_decompose
+    inspection_number invariant_core invariant_hull invert is_aligned
+    is_invariant is_monotonic is_simple is_successful leaf
+    monotonic_inspection_number node parse_edge_list pathwidth
+    pattern_check pattern_problems push_search quotient search_width
+    simulate sp_decompose split_at_bridge subdivide
+    subdivide_decomposition subdivision_label synthesize
+    tree_from_record tree_to_record
+""".split())
+
+
+def test_the_public_surface_is_frozen():
+    """The names the package exports, submodules aside. A change here is
+    a change to the library's interface: a new name joins PUBLIC_NAMES,
+    and a removed one breaks callers."""
+    names = {
+        name for name, value in vars(zvsearch).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == PUBLIC_NAMES

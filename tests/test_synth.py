@@ -27,8 +27,10 @@ from zvsearch.graphs import (
 from zvsearch.gsp import (
     TerminalGraph,
     classify_topological_3,
+    is_simple,
     leaf,
     node,
+    subdivide_decomposition,
     tree_to_record,
 )
 from zvsearch.synth import (
@@ -42,6 +44,8 @@ from zvsearch.synth import (
     split_at_bridge,
     synthesize,
 )
+
+from conftest import separating_bridges
 
 
 def lab(u, v, i):
@@ -156,6 +160,31 @@ def test_parallel_amalgamation_disjointness():
         amalgamate_parallel(main, leaf_bundle("a", "b", 1), leaf_bundle("d", "b", 1))
 
 
+def core_task(tree):
+    """The task of a main side that synthesizes tree under the demands."""
+    tg = tree.terminal_graph()
+    return SynthTask(tg, lambda demand: synthesize(tg, tree, demand))
+
+
+@pytest.mark.parametrize("core", ["leaf", "series"])
+def test_parallel_amalgamation_succeeds(core):
+    tree = leaf("a", "b") if core == "leaf" else node("series", leaf("a", "m"), leaf("m", "b"))
+    sizes = {}
+    for n1 in range(3):
+        for n2 in (1, 2):
+            out = amalgamate_parallel(
+                core_task(tree), leaf_bundle("a", "c", n1), leaf_bundle("d", "b", n2)
+            )
+            assert out.alignment == ("a", "b") and out.stats["op"] == "parallel"
+            ok, why = check_aligned_search(out.host, out.search, "a", "b", width=3)
+            assert ok, why
+            sizes[n1, n2] = (out.host.n, len(out.search))
+    if core == "leaf":
+        assert sizes[0, 1] == (17, 23)
+    else:
+        assert sizes[2, 2] == (25, 33)
+
+
 def test_parallel_keeps_the_core_search_as_built(monkeypatch):
     """The connector sweeps are built on the split edge's final labels,
     so the core search S_0 enters the parallel bundle step for step, the
@@ -203,6 +232,82 @@ def test_split_at_bridge_needs_a_bridge():
     )
     with pytest.raises(InputError, match="no separating bridge"):
         split_at_bridge(square)
+
+
+def _holds_edge(tree, c, d):
+    return tree.graph.has_edge(c, d)
+
+
+def _reference_cut(t, c, d):
+    """Cut subtree t at the edge (c, d), returning decompositions of the
+    two components. A side is None while the cut hugs the boundary of the
+    subtree holding it; series parents reattach the missing context."""
+    if t.is_leaf:
+        assert {t.a, t.b} == {c, d}
+        return None, None
+    t0, t1 = t.children
+    if t.op == "series":
+        if _holds_edge(t0, c, d):
+            left, right = _reference_cut(t0, c, d)
+            return left, (t1 if right is None else node("series", right, t1))
+        left, right = _reference_cut(t1, c, d)
+        return (t0 if left is None else node("series", t0, left)), right
+    if t.op == "parallel":
+        raise AssertionError("a separating bridge cannot sit inside a parallel node")
+    # branch and branch_alt pendants never separate the outer terminals,
+    # so the cut edge lives in child 0; both cut endpoints are fresh
+    # subdivision labels, hence never equal to the spine's terminals and
+    # neither side collapses away.
+    assert _holds_edge(t0, c, d)
+    left, right = _reference_cut(t0, c, d)
+    if t.op == "branch":
+        assert left is not None
+        return node("branch", left, t1), right
+    assert right is not None
+    return left, node("branch_alt", right, t1)
+
+
+def reference_split(tree):
+    """The first form of the split, from the graph: the separating
+    bridge nearest a by BFS (ties by edge label), subdivided twice in a
+    rebuilt tree, which is then cut at the middle edge."""
+    tg = tree.terminal_graph()
+    found = separating_bridges(tg.graph, tg.a, tg.b)
+    if not found:
+        raise InputError(
+            f"no separating bridge between the terminals {tg.a!r} and {tg.b!r}"
+        )
+    dist = tg.graph.distances(tg.a)
+    origin = min(found, key=lambda e: (min(dist[e[0]], dist[e[1]]), e))
+    t2 = subdivide_decomposition(tree, {origin: 2})
+    m1 = subdivision_label(origin, 1)
+    m2 = subdivision_label(origin, 2)
+    d2 = t2.graph.distances(tg.a)
+    c, d = (m1, m2) if d2[m1] < d2[m2] else (m2, m1)
+    left, right = _reference_cut(t2, c, d)
+    assert left.terminals == (tg.a, c) and right.terminals == (d, tg.b)
+    assert is_simple(left) and is_simple(right)
+    return left, (c, d), right, origin
+
+
+def test_split_matches_reference(atlas_2_7_classified):
+    """The split reads its bridge off the tree; the first form searched
+    the graph. Both agree on every bridged simple subtree of the atlas's
+    YES trees and of the short ladders."""
+    trees = [cls.tree for _, cls in atlas_2_7_classified if cls.verdict == "YES"]
+    trees += [classify_topological_3(generate(f"grid:2,{m}")).tree for m in range(3, 9)]
+    checked = 0
+    for tree in trees:
+        for t in tree.walk():
+            if not (t.bridged and t.simple):
+                continue
+            got = synth_module._split_impl(t)
+            want = reference_split(t)
+            assert (got[1], got[3]) == (want[1], want[3]), tree_to_record(t)
+            for g, w in ((got[0], want[0]), (got[2], want[2])):
+                assert tree_to_record(g) == tree_to_record(w), tree_to_record(t)
+            checked += 1
+    assert checked > 1000
 
 
 # ---------------------------------------------------------------------------
