@@ -25,8 +25,10 @@ through series nodes and branch spines, in order from a to b, so
 synthesis reads the bridge it splits at off the tree.
 
 One series-parallel reduction does two jobs: it decides K_4-freeness,
-and replayed, its steps build every SP tree; on a graph of one block
-the classifier runs it once for both. The classifier's trees
+and replayed, its steps build every SP tree. The classifier reduces
+each block of four or more vertices once, its least edge kept, and
+replays that reduction into the block's tree wherever the peel starts
+the block at its least vertex. The classifier's trees
 are series spines: it peels pendant blocks off one block-cut forest,
 runs each block in series into its largest limb, counted in vertices,
 and hangs the other limbs on with branch nodes in one pass over the
@@ -239,7 +241,8 @@ def recompose(tree):
     This is where the overlap rule is checked: children whose vertex
     sets share more than their glued vertices raise InputError. The fold
     carries each subtree's vertex set, the larger absorbing the smaller,
-    and collects the leaf edges; the graph is built from them once.
+    and collects the leaf edges; the graph is built from them once, and
+    leaves that name one edge twice raise InputError too.
     """
     order, stack = [], [tree]
     while stack:
@@ -260,8 +263,11 @@ def recompose(tree):
             raise InputError(f"{t.op} composition allows overlap only at {sorted(glued)}")
         big |= small
         parts.append(big)
-    tree._graph = Graph.from_edges(edges)
-    return tree._graph
+    g = Graph.from_edges(edges)
+    if sum(map(g.degree, g.vertices)) != 2 * len(edges):  # g.m would sort
+        raise InputError("the tree's leaves name an edge twice")
+    tree._graph = g
+    return g
 
 
 def tree_to_record(tree):
@@ -551,16 +557,29 @@ def _extract_k4(g):
 
 def has_k4_subdivision(g):
     """A witness embedding of a K_4 subdivision, or None."""
-    return _k4_witness(g, block_cut_forest(g))
+    out = _reduce_blocks(g, block_cut_forest(g))
+    return out if isinstance(out, ForbiddenWitness) else None
 
 
-def _k4_witness(g, bcf):
-    for blk in sorted(bcf.blocks, key=min):
-        if len(blk) >= 4:
-            sub = g.induced(blk)
-            if not _sp_reducible(sub):
-                return _extract_k4(sub)
-    return None
+def _block_graph(g, blk):
+    # the graph of one block of g: g itself when g is that block
+    return g if len(blk) == g.n else g.induced(blk)
+
+
+def _reduce_blocks(g, bcf):
+    """Each block of 4+ vertices of g, by least vertex (ties in forest
+    order), reduced once with its least edge kept: {block index: its
+    reduction}, or the F1 witness of the first block whose reduction
+    stops short. A biconnected block with adjacent kept terminals
+    reduces to their edge exactly when it holds no K_4 subdivision
+    (Duffin 1965); each kept reduction later builds its block's tree."""
+    kept = {}
+    for m, i in sorted((min(b), i) for i, b in enumerate(bcf.blocks) if len(b) >= 4):
+        sub = _block_graph(g, bcf.blocks[i])
+        kept[i] = _reduce(sub, (m, min(sub[m])))
+        if len(kept[i][0]) > 2:
+            return _extract_k4(sub)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +617,12 @@ def _join(run, other, v):
     return run
 
 
-def _sp(g, a, b):
+def _sp(g, a, b, reduction=None):
     """SP tree of (g, a, b) from one series-parallel reduction keeping a
     and b; None when the reduction stops short of the edge ab or deletes
-    a vertex.
+    a vertex. A reduction made already can be passed in; g then only
+    tells which pairs are edges, so it may be any graph that holds this
+    one as a block.
 
     Replayed in order, the steps group the routes between two vertices
     by the edge they reduced to: a direct edge of g and series runs,
@@ -614,9 +635,7 @@ def _sp(g, a, b):
     g that is the SP tree with maximal series and parallel nodes; on a
     chain of blocks from a to b it is the series of its blocks' trees.
     """
-    if g.n == 2:  # a bridge, the commonest block, needs no replay
-        return leaf(a, b) if g.has_edge(a, b) else None
-    left, steps = _reduce(g, (a, b))
+    left, steps = _reduce(g, (a, b)) if reduction is None else reduction
     if len(left) > 2 or b not in left[a] or any(len(ns) < 2 for _, ns in steps):
         return None
     runs, closed = {}, {}  # edge key -> the runs reduced to that edge
@@ -712,11 +731,13 @@ class _Leaves:
     blocks, keyed by least vertex m and then m's least neighbour in the
     block. That orders them as a fresh forest of the remaining graph
     sorted by least vertex would: leaf blocks with the same m both hang
-    from m, and a forest lists them in the order its DFS leaves m.
+    from m, and a forest lists them in the order its DFS leaves m. kept
+    maps blocks to reductions keeping their key, as _reduce_blocks
+    makes them.
     """
 
-    def __init__(self, g, bcf):
-        self.blocks = bcf.blocks
+    def __init__(self, g, bcf, kept):
+        self.blocks, self.kept = bcf.blocks, kept
         self.keys = [(min(blk), min(g.neighbors(min(blk)) & blk)) for blk in self.blocks]
         self.live = [set(blk & bcf.cut_vertices) for blk in self.blocks]
         self.holders = {v: set() for v in bcf.cut_vertices}
@@ -753,14 +774,18 @@ class _Leaves:
         return g.induced(set().union(*(self.blocks[i] for i in self.alive)))
 
     def tree(self, g, i, cut):
-        """SP tree of block i from cut to cut's least neighbour in it; a
-        bridge, the commonest block, is a leaf without a subgraph."""
+        """SP tree of block i from cut to cut's least neighbour in it. A
+        bridge, the commonest block, is a leaf, and a block with a kept
+        reduction from cut replays it, both without a subgraph; any
+        other block is reduced afresh."""
         blk = self.blocks[i]
         if len(blk) == 2:
             (other,) = blk - {cut}
             return leaf(cut, other)
-        sub = g.induced(blk)
-        return _sp(sub, cut, min(sub.neighbors(cut)))
+        if i in self.kept and cut == self.keys[i][0]:
+            return _sp(g, *self.keys[i], self.kept[i])
+        sub = _block_graph(g, blk)
+        return _sp(sub, cut, min(sub[cut]))
 
 
 def _gsp(g, bcf, a, b):
@@ -774,7 +799,7 @@ def _gsp(g, bcf, a, b):
     series spines; the chain's tree keeps (a, b), every limb hanging on
     it with a branch node.
     """
-    leaves = _Leaves(g, bcf)
+    leaves = _Leaves(g, bcf, {})
     peeled = []
     while leaves.heap:
         i, cut = leaves.pop()
@@ -1088,41 +1113,44 @@ def _pendant(g, built, rest):
     )
 
 
-def _peel(g, bcf):
+def _peel(g, bcf, kept):
     """Peel pendant blocks off g, whose forest is bcf, to its last block.
 
     Returns the peeled blocks in order, as (block, cut, simple tree of
     the block with the cut as first terminal), and a simple tree of the
-    last block; or the pattern refuting g. Each round takes the first
-    two leaf blocks, which must be K_4-free, and peels the one _pendant
-    picks. Returns None when the last block holds a K_4 subdivision: its
-    reduction, which builds its tree, then stops short (Duffin).
+    last block from its least edge; or the pattern refuting g. Each
+    round takes the first two leaf blocks and peels the one _pendant
+    picks. Every block is K_4-free, and kept holds the reductions of
+    _reduce_blocks, which build the trees of the blocks the peel starts
+    at their least vertex: the last block, and every pendant hanging
+    from its least vertex. No tree is built twice from one pair.
     """
-    leaves = _Leaves(g, bcf)
+    leaves = _Leaves(g, bcf, kept)
     trees = {}
+
+    def tree(i, cut):
+        if (i, cut) not in trees:
+            trees[i, cut] = leaves.tree(g, i, cut)
+        if trees[i, cut] is None:
+            raise AssertionError("the series-parallel engine found no tree of a K_4-free block")
+        return trees[i, cut]
+
     peeled = []
     while len(leaves.alive) > 1:
         pair = [leaves.pop() for _ in range(2)]
-        built = []
-        for i, cut in pair:
-            if i not in trees:
-                trees[i] = leaves.tree(g, i, cut)
-                assert trees[i] is not None
-            built.append((leaves.blocks[i], cut, trees[i]))
+        built = [(leaves.blocks[i], cut, tree(i, cut)) for i, cut in pair]
         got = _pendant(g, built, lambda: leaves.rest(g))
         if isinstance(got, ForbiddenWitness):
             return got
-        k, tree = got
+        k, pendant = got
         leaves.push(pair[1 - k][0])
         i, cut = pair[k]
-        peeled.append((leaves.blocks[i], cut, tree))
+        peeled.append((leaves.blocks[i], cut, pendant))
         leaves.peel(i, cut)
-    last = leaves.rest(g)
-    v = last.vertices[0]  # with its least neighbour, the least edge
-    root = _sp(last, v, min(last.neighbors(v)))
-    if root is None:
-        return None
+    (i,) = leaves.alive
+    root = tree(i, leaves.keys[i][0])
     if not root.simple:
+        last = _block_graph(g, leaves.blocks[i])
         root = _rebuild_block(last, root, _minimal_complex_nodes(root)[0].a)
         if isinstance(root, ForbiddenWitness):
             return root
@@ -1176,10 +1204,11 @@ def build_simple_gsp(g):
     """A simple decomposition of g, or the forbidden pattern preventing
     one.
 
-    A graph of several blocks is first tested for a K_4 subdivision,
-    block by block. A graph of one block is not: the one reduction that
-    builds its tree fails exactly when it holds one, and only then is
-    the F1 witness extracted. Pendant blocks are peeled off and
+    Each block of four or more vertices is first reduced once, its least
+    edge kept; a reduction that stops short finds a K_4 subdivision, and
+    only then is the F1 witness extracted. The other reductions build
+    the trees of their blocks wherever the peel starts a block at its
+    least vertex. Pendant blocks are peeled off and
     decomposed from their cut vertex; a complex pendant tree either
     re-anchors at its cut (when the cut touches the complex core) or
     certifies a pattern. At most two pendant blocks ever need attention:
@@ -1197,14 +1226,9 @@ def build_simple_gsp(g):
     if not g.is_connected():
         raise InputError("classification needs a connected graph")
     bcf = block_cut_forest(g)
-    one_block = len(bcf.blocks) == 1
-    out = None if one_block else _k4_witness(g, bcf)
-    if out is None:
-        out = _peel(g, bcf)
-        if out is None:
-            if not one_block:
-                raise AssertionError("the peel met a K_4 subdivision the block test missed")
-            out = _extract_k4(g)
+    out = _reduce_blocks(g, bcf)
+    if not isinstance(out, ForbiddenWitness):
+        out = _peel(g, bcf, out)
     if not isinstance(out, ForbiddenWitness):
         out = _assemble(*out)
     if isinstance(out, GspTree):

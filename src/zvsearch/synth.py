@@ -85,9 +85,12 @@ class AlignedSearchBundle:
             type(v) is not str for v in alignment
         ):
             raise ValueError(f"alignment {alignment!r} is not two vertex labels")
+        search = rec["search"]
+        if type(search) is not list or any(type(step) is not list for step in search):
+            raise ValueError("the search is not a list of steps, each a list of labels")
         return cls(
             host,
-            tuple(frozenset(step) for step in rec["search"]),
+            tuple(frozenset(step) for step in search),
             tuple(alignment),
             {edge_key(u, v): c for u, v, c in rec["floors_satisfied"]},
             dict(rec.get("stats", {})),

@@ -533,6 +533,25 @@ def test_verify_rejects_an_alignment_that_is_not_a_pair(capsys, tmp_path):
         assert err.startswith(f"error: {f}: not a bundle record")
 
 
+def test_verify_rejects_a_search_that_is_not_lists_of_labels(capsys, tmp_path):
+    edge = {"base_edges": [["a", "b"]], "counts": [], "search": [["a", "b"]],
+            "alignment": ["a", "b"], "floors_satisfied": []}
+    assert run_json(capsys, "verify", "--bundle", write_json(tmp_path, edge))["successful"]
+    # a string was once read as the step of its characters, or as a
+    # search of one-label steps, and a dict as the search of its keys
+    for search in (["ab"], "abc", [["a", "b"], "b"], {"a": 1}):
+        f = write_json(tmp_path, {**edge, "search": search})
+        code, out, err = run(capsys, "verify", "--bundle", f)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {f}: not a bundle record"), search
+
+
+def write_json(tmp_path, doc):
+    f = tmp_path / "bundle.json"
+    f.write_text(json.dumps(doc))
+    return str(f)
+
+
 def test_synth_rejected_graph_reports_family(capsys):
     doc = run_json(capsys, "synth", "complete:4")
     assert doc["verdict"] == "NO" and doc["family"] == "F1"

@@ -147,6 +147,21 @@ def test_recompose_refuses_overlapping_children():
         tree_from_record(tree_to_record(clash))
 
 
+def test_recompose_refuses_a_repeated_edge():
+    # each graph holds the edge a-b once while its tree names it twice;
+    # the children overlap only at their terminals, so the overlap rule
+    # passes, and the first tree calls the bridge a-b unbridged
+    twice = node("parallel", leaf("a", "b"), leaf("a", "b"))
+    assert not twice.bridged
+    path = node("series", leaf("a", "x"), leaf("x", "b"))
+    again = node("parallel", leaf("a", "b"), node("parallel", leaf("a", "b"), path))
+    for t in (twice, again):
+        with pytest.raises(InputError, match="name an edge twice"):
+            recompose(t)
+        with pytest.raises(InputError, match="name an edge twice"):
+            tree_from_record(tree_to_record(t))
+
+
 def reference_recompose(tree):
     """recompose as first written: the children's adjacency maps merged
     node by node, the larger absorbing the smaller."""
@@ -721,9 +736,9 @@ def count_forests(monkeypatch):
 
 def count_reductions(monkeypatch):
     calls = []
-    real = gsp_module._sp_reducible
+    real = gsp_module._reduce
     monkeypatch.setattr(
-        gsp_module, "_sp_reducible", lambda adj: calls.append(adj) or real(adj)
+        gsp_module, "_reduce", lambda adj, keep=(): calls.append(adj) or real(adj, keep)
     )
     return calls
 
@@ -909,13 +924,13 @@ def test_sp_matches_its_first_form(atlas_2_7, rng):
     assert len(cases) > 6000 and compared > 10000 and complex_trees > 50
 
 
-def test_extract_on_classifier_trees_matches_its_first_form(atlas_2_7, rng):
+def test_extract_on_classifier_trees_matches_its_first_form(atlas_2_7_classified, rng):
     # the classifier's trees hang branch nodes under series nodes, whose
     # pendants the bipaths must leave out
-    graphs = list(atlas_2_7) + [random_block_tree(rng) for _ in range(100)]
+    classified = [cls for _, cls in atlas_2_7_classified]
+    classified += [classify_topological_3(random_block_tree(rng)) for _ in range(100)]
     branchy = compared = 0
-    for g in graphs:
-        c = classify_topological_3(g)
+    for c in classified:
         if c.verdict == "YES":
             compared += check_extract(c.tree)
             branchy += any(
@@ -1048,24 +1063,109 @@ CHORD_CYCLE = Graph.from_edges(
 )
 
 
+def cycle_edges(prefix, n):
+    return [(f"{prefix}{i}", f"{prefix}{(i + 1) % n}") for i in range(n)]
+
+
+def flower(hub, petals=60):
+    """petals 8-cycles sharing the vertex hub."""
+    edges = []
+    for j in range(petals):
+        ring = [hub] + [f"p{j:02d}.{k}" for k in range(1, 8)]
+        edges += [(ring[k], ring[(k + 1) % 8]) for k in range(8)]
+    return Graph.from_edges(edges)
+
+
+COPY_CASES = {
+    "chords": CHORD_CYCLE,
+    "twin 6-cycles": Graph.from_edges(
+        cycle_edges("a", 6) + cycle_edges("b", 6) + [("a0", "b0")]
+    ),
+    "flower hub a": flower("a"),
+    "flower hub z": flower("z"),
+}
+
+
 @pytest.mark.parametrize(
     "spec, induced, reductions",
     [
-        # bridges peel without a subgraph; the last block is the one copy
-        ("path:200", 1, 0),
-        ("tree:6", 1, 0),
-        # one block: no K_4 test, and the tree's reduction is the only one
+        # bridges peel without a subgraph, and so does the last one
+        ("path:200", 0, 0),
+        ("tree:6", 0, 0),
+        # one block: its K_4 test's reduction builds its tree
         ("cycle:50", 0, 1),
         ("grid:2,50", 0, 1),
         ("chords", 0, 1),
+        # a K_4 block: 50 of the reductions are the minimisation's
+        ("grid:3,20", 0, 51),
+        # each block is reduced once, and both pendants start at their
+        # least vertex, so their tests' reductions build their trees
+        ("twin 6-cycles", 2, 2),
+        # every petal starts at the hub; with the hub last, a pendant is
+        # reduced afresh from it, and the last petal replays its test
+        ("flower hub a", 60, 60),
+        ("flower hub z", 120, 120),
     ],
 )
 def test_classify_copies_and_reduces_once(monkeypatch, spec, induced, reductions):
-    g = CHORD_CYCLE if spec == "chords" else generate(spec)
+    g = COPY_CASES[spec] if spec in COPY_CASES else generate(spec)
     calls = count_copies(monkeypatch)
     c = classify_topological_3(g)
-    assert c.verdict == "YES" and c.tree.graph == g
+    assert (c.verdict == "NO") == (spec == "grid:3,20")
+    assert c.verdict == "NO" or c.tree.graph == g
     assert calls == {"induced": induced, "reduce": reductions}
+
+
+def count_touched(monkeypatch):
+    """A counter of the vertices Graph.induced keeps and _reduce reduces."""
+    touched = [0]
+    real_induced, real_reduce = Graph.induced, gsp_module._reduce
+
+    def induced(self, keep):
+        keep = set(keep)
+        touched[0] += len(keep)
+        return real_induced(self, keep)
+
+    def reduce(adj, keep=()):
+        touched[0] += sum(1 for _ in adj)  # a Graph or a dict
+        return real_reduce(adj, keep)
+
+    monkeypatch.setattr(Graph, "induced", induced)
+    monkeypatch.setattr(gsp_module, "_reduce", reduce)
+    return touched
+
+
+def six_cycle_chain(n):
+    """n 6-cycles, each joined to the next by a bridge."""
+    edges = []
+    for i in range(n):
+        edges += cycle_edges(f"c{i:03d}.", 6)
+        if i:
+            edges.append((f"c{i - 1:03d}.3", f"c{i:03d}.0"))
+    return Graph.from_edges(edges)
+
+
+@pytest.mark.parametrize(
+    "family, build, sizes",
+    [
+        ("path", lambda n: generate(f"path:{n}"), (250, 1000)),
+        ("tree", lambda h: generate(f"tree:{h}"), (5, 7)),
+        ("sun", lambda n: sun(n), (50, 200)),  # sun is defined below
+        ("grid:2", lambda n: generate(f"grid:2,{n}"), (50, 200)),
+        ("6-cycle chain", six_cycle_chain, (10, 40)),
+    ],
+)
+def test_classify_work_grows_linearly(monkeypatch, family, build, sizes):
+    # counting, not timing: from one size to one with 4x the vertices,
+    # linear work grows 4x and quadratic work 16x
+    small, big = map(build, sizes)
+    assert big.n >= 3.9 * small.n
+    touched = count_touched(monkeypatch)
+    assert classify_topological_3(small).verdict == "YES"
+    at_small, touched[0] = touched[0], 0
+    assert classify_topological_3(big).verdict == "YES"
+    assert touched[0] <= 5 * at_small, (at_small, touched[0])
+    assert at_small > 0 or family in ("path", "tree")  # bridges copy nothing
 
 
 def test_one_block_refutation_reuses_the_failed_reduction(monkeypatch):
@@ -1202,13 +1302,16 @@ def double_stars():
                                 (z, ends[2]), (z, ends[3])])
 
 
-def test_peel_matches_its_first_form(atlas_2_7, rng):
+def test_peel_matches_its_first_form(atlas_2_7_classified, rng):
     trees = [random_block_tree(rng) for _ in range(300)]
     refuted_trees = 0
-    for i, g in enumerate(list(atlas_2_7) + trees + list(double_stars())):
-        got = classify_topological_3(g).to_record()
+    classified = atlas_2_7_classified + [
+        (g, classify_topological_3(g)) for g in trees + list(double_stars())
+    ]
+    for i, (g, cls) in enumerate(classified):
+        got = cls.to_record()
         assert json.dumps(got) == json.dumps(reference_record(g)), sorted(g.edges())
-        refuted_trees += i >= len(atlas_2_7) and got["verdict"] == "NO"
+        refuted_trees += i >= len(atlas_2_7_classified) and got["verdict"] == "NO"
     # block trees of series-parallel blocks hold no K_4 subdivision, so
     # their NO answers come from the peel itself
     assert refuted_trees > 30
@@ -1360,14 +1463,18 @@ def test_gsp_decompose_builds_one_forest(monkeypatch):
 # so the tree misses every limb off a spine; "witness" makes every
 # witness look foreign to the graph. "sp" makes the series-parallel
 # engine find no tree, and sp_decompose must refuse to return None;
-# "gsp" does the same to gsp_decompose.
+# "gsp" does the same to gsp_decompose, and "peel" to the classifier's
+# peel, on a pendant block of the paw (a triangle with a pendant edge)
+# and on the last block of a cycle.
 SABOTAGE = """
 import sys
 
 import zvsearch.gsp as gsp
-from zvsearch.graphs import generate
+from zvsearch.graphs import Graph, generate
 
 spec, how = sys.argv[1:]
+PAW = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
+g = Graph.from_edges(PAW) if spec == "paw" else generate(spec)
 run = gsp.classify_topological_3
 if how in ("spine", "limbs"):
     gsp._assemble = lambda *args: args[1]
@@ -1375,14 +1482,15 @@ if how in ("spine", "limbs"):
         run = lambda g: gsp.gsp_decompose(g, *g.edges()[0])
 elif how == "merge":
     gsp._merge = lambda tree, limbs: tree
-elif how in ("sp", "gsp"):
-    gsp._sp = lambda g, a, b: None
-    decompose = gsp.sp_decompose if how == "sp" else gsp.gsp_decompose
-    run = lambda g: decompose(g, *g.edges()[0])
+elif how in ("sp", "gsp", "peel"):
+    gsp._sp = lambda *args: None
+    if how != "peel":
+        decompose = gsp.sp_decompose if how == "sp" else gsp.gsp_decompose
+        run = lambda g: decompose(g, *g.edges()[0])
 else:
     gsp.embedded = lambda witness, g: False
 try:
-    run(generate(spec))
+    run(g)
 except AssertionError as ex:
     print("refused:", ex)
 else:
@@ -1401,6 +1509,8 @@ else:
         ("cycle:5", "sp", "series-parallel engine"),
         ("cycle:5", "gsp", "generalized engine"),
         ("tree:2", "gsp", "generalized engine"),
+        ("paw", "peel", "series-parallel engine"),
+        ("cycle:5", "peel", "series-parallel engine"),
     ],
 )
 def test_sabotaged_classification_is_refused_under_O(spec, how, why):

@@ -483,7 +483,8 @@ def reference_graft(peeled, root):
 def test_spines_never_grow_a_host(synthesized_corpus):
     totals = [0, 0]
     for g, cls, new in synthesized_corpus:
-        peeled, root = gsp_module._peel(g, block_cut_forest(g))
+        bcf = block_cut_forest(g)
+        peeled, root = gsp_module._peel(g, bcf, gsp_module._reduce_blocks(g, bcf))
         spine = gsp_module._assemble(peeled, root)
         # the classifier's tree is the spine, synthesized once per session
         assert tree_to_record(spine) == tree_to_record(cls.tree), sorted(g.edges())
