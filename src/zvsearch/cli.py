@@ -40,7 +40,7 @@ from .solver import (
     monotonic_inspection_number,
     pathwidth,
 )
-from .synth import AlignedSearchBundle, synthesize
+from .synth import AlignedSearchBundle, _rooted, synthesize
 
 STATE_BUDGET_VAR = "ZVSEARCH_STATE_BUDGET"
 SUBSET_BUDGET_VAR = "ZVSEARCH_SUBSET_BUDGET"
@@ -292,6 +292,16 @@ def cmd_classify(args):
 
 @_collector_paused()
 def cmd_synth(args):
+    """Classify the graph; for a YES graph, build and print a verified
+    bundle, else print the classification.
+
+    Between the one classification and the one synthesis, the size of
+    each candidate tree's bundle is planned without building it (see
+    synth._rooted): the classifier's tree, or that tree's assembly
+    rerooted at an edge of its last block, whichever plans the smallest
+    host. A plan past the host cap ends the run with a resource limit
+    before anything is built.
+    """
     g, _ = _load_graph(args.graph)
     cls = classify_topological_3(g)
     if cls.verdict != "YES":
@@ -303,7 +313,8 @@ def cmd_synth(args):
             floors[(u, v)] = int(c)
         except ValueError:
             raise InputError(f"floor count must be an integer, got {c!r}")
-    bundle = synthesize(cls.tree.terminal_graph(), cls.tree, floors or None)
+    tree = _rooted(g, cls.tree, floors)
+    bundle = synthesize(tree.terminal_graph(), tree, floors or None)
     _emit(bundle.to_record())
 
 

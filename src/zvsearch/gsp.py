@@ -1200,6 +1200,27 @@ def _assemble(peeled, root, ends=None):
     return _series(head + [tree] + heavy.get(root.b, [])[::-1])
 
 
+def _root_block(g):
+    """What the classifier's peel of g, a YES graph, leaves: the peeled
+    blocks, as _peel returns them, and the graph of the last block (g
+    itself when g is one block)."""
+    bcf = block_cut_forest(g)
+    if len(bcf.blocks) == 1:
+        return [], g
+    peeled, root = _peel(g, bcf, _reduce_blocks(g, bcf))
+    return peeled, root.graph
+
+
+def _rootings(peeled, block):
+    """The classifier's assembly of the peeled blocks onto block, whose
+    tree is taken from each edge of block in turn, in sorted order,
+    wherever that tree is simple."""
+    for u, v in block.edges():
+        root = _sp(block, u, v)
+        if root.simple:
+            yield _assemble(peeled, root)
+
+
 def build_simple_gsp(g):
     """A simple decomposition of g, or the forbidden pattern preventing
     one.

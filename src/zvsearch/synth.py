@@ -11,11 +11,19 @@ The amalgamations are unchecked building blocks: they validate their
 inputs but trust the searches they are handed. `synthesize` re-simulates
 the final bundle once, on the host's own vertex numbering, and checks
 its floors; nothing it returns is trusted on paper alone.
+
+A bundle's size follows from its tree by arithmetic, and `_plan` works
+it out without building anything: the interior count of every base
+edge and the search length, node for node as `_synth` would build
+them. The command line plans before it builds (`_rooted`): it weighs
+the classifier's tree against the same assembly rerooted at each edge
+of the last block, builds the one with the smallest planned host, and
+refuses a plan past `_HOST_CAP` before allocating it.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .game import check_aligned_search, is_successful, simulate
 from .graphs import (
     Graph,
@@ -28,10 +36,14 @@ from .gsp import (
     GspTree,
     TerminalGraph,
     _fold,
+    _invert,
+    _root_block,
+    _rootings,
     invert,
     is_simple,
     leaf,
     node,
+    recompose,
 )
 
 __all__ = [
@@ -418,21 +430,24 @@ def _parallel_bundle(host, terminals, b0, s1, q, s2, sum_edges):
 # bridge splitting
 
 
-def _split_impl(tree):
+def _split_impl(tree, last=False):
     # The separating bridges of a bridged tree are its leaf factors, the
     # leaves reached through series nodes and branch spines, and they lie
-    # in order along the a-b chain; the first is the one nearest a. The
-    # walk descends into the first bridged child, and only the ancestors
-    # on its path are rebuilt. The leaf (x, y) is cut as if subdivided
-    # twice: the middle edge then has fresh endpoints, so the halves keep
-    # honest, distinct terminals however close the bridge sits to a or b.
+    # in order along the a-b chain; the first is the one nearest a, and
+    # the last (last=True), nearest b, is the first of invert(tree). The
+    # walk descends into the first (last) bridged child, and only the
+    # ancestors on its path are rebuilt. The leaf (x, y) is cut as if
+    # subdivided twice: the middle edge then has fresh endpoints, so the
+    # halves keep honest, distinct terminals however close the bridge
+    # sits to a or b.
     if not tree.bridged:
         raise InputError(
             f"no separating bridge between the terminals {tree.a!r} and {tree.b!r}"
         )
     path, t = [], tree
     while not t.is_leaf:
-        first = t.op != "series" or t.children[0].bridged
+        first = t.op != "series" or (
+            not t.children[1].bridged if last else t.children[0].bridged)
         path.append((t, first))
         t = t.children[0 if first else 1]
     x, y = t.terminals
@@ -618,6 +633,257 @@ def _synth(tree, floors):
         pendant = _synth(invert(t1), floors)
         return amalgamate_branch_prime(_task(t0, floors), pendant)
     return _parallel(tree, floors)
+
+
+# ---------------------------------------------------------------------------
+# the size model
+
+# Planned host vertices or search steps past which synth refuses to
+# build. Building and printing a bundle takes about 0.6 KB per step:
+# K_{2,6} from the classifier's root, 515,641 host vertices and
+# 1,033,433 steps, peaked at 650 MB.
+_HOST_CAP = 500_000
+
+
+class _OverCap(Exception):
+    pass
+
+
+def _ends(tree, end):
+    """The neighbours of tree's first (end 0) or second (end 1) terminal
+    in its graph, read off the leaves below the nodes that keep it as a
+    terminal, without the graph."""
+    out, stack = [], [(tree, end)]
+    while stack:
+        t, end = stack.pop()
+        if t.op == "leaf":
+            out.append(t.a if end else t.b)
+            continue
+        t0, t1 = t.children
+        if t.op == "series":
+            stack.append((t1, 1) if end else (t0, 0))
+            continue
+        stack.append((t0, end))
+        if t.op == "parallel":
+            stack.append((t1, end))
+        elif (t.op == "branch") != bool(end):
+            stack.append((t1, 0))
+    return out
+
+
+class _Plan:
+    """The sizes _synth would build, planned on Python ints (see _plan).
+    A class rather than closures, so that a plan leaves no reference
+    cycle for the paused collector."""
+
+    __slots__ = ("room", "steps_cap", "counts", "orders", "interior")
+
+    def __init__(self, room, steps_cap):
+        self.room, self.steps_cap = room, steps_cap
+        self.counts, self.orders = {}, {}
+        self.interior = 0  # the counts planned so far
+
+    def order(self, t):
+        # vertices of t's graph; the entry keeps t alive, so no other
+        # node can take its id
+        got = self.orders.get(id(t))
+        if got is None:
+            n = 2
+            if t.op != "leaf":
+                n = self.order(t.children[0]) + self.order(t.children[1])
+                n -= 2 if t.op == "parallel" else 1
+            self.orders[id(t)] = got = (n, t)
+        return got[0]
+
+    def grow(self, by):
+        self.interior += by
+        if self.interior > self.room:
+            raise _OverCap
+
+    def demanded(self, floors, at, ends, value, merged=None):
+        # floors, or merged, with value demanded on the edges from at to
+        # its neighbours ends, which the plan has yet to reach: they will
+        # add at least value each to the interior
+        if self.interior + len(ends) * value > self.room:
+            raise _OverCap
+        merged = dict(floors) if merged is None else merged
+        for u in ends:
+            e = edge_key(at, u)
+            merged[e] = max(merged.get(e, 0), value)
+        return merged
+
+    def node(self, t, floors, flip):
+        """The search length of t, or of invert(t) when flip."""
+        op = t.op
+        if op == "leaf":
+            e = edge_key(t.a, t.b)
+            c = self.counts[e] = floors.get(e, 0)
+            if c:
+                self.grow(c)
+                return c
+            return 1
+        t0, t1 = t.children
+        if op == "series":
+            if flip:
+                t0, t1 = t1, t0
+            length = self.node(t0, floors, flip) + self.node(t1, floors, flip)
+        elif op == "parallel":
+            length = self.parallel(t, floors, flip)
+        else:
+            # the pendant hangs at t0's first terminal under a branch node
+            # and at its second under branch_alt; inverting swaps the tags
+            glue = 0 if op == "branch" else 1
+            r = self.node(t1, floors, bool(glue) != flip)
+            ends = _ends(t0, glue)
+            d = len(ends)
+            if glue == flip:  # built by amalgamate_branch
+                demand = (1 << (d - 1)) * r + 1
+                length = ((1 << d) - 1) * r + r
+            else:  # built by amalgamate_branch_prime, radius r + 1
+                demand = (1 << (d - 1)) * (r + 1)
+                length = r + ((1 << d) - 1) * (r + 1)
+            merged = self.demanded(floors, t0.terminals[glue], ends, demand)
+            length += self.node(t0, merged, flip)
+        if length > self.steps_cap:
+            raise _OverCap
+        return length
+
+    def parallel(self, t, floors, flip):
+        """_parallel on t, or on invert(t) when flip: the split halves,
+        the core under the demands at both terminals, the padding and
+        the connector. Inverting inverts every piece, and the split of an
+        inverted piece at its first bridge is the inversion of the split
+        at its last, with the halves swapped."""
+        pieces = _pieces(t)
+        bridged = [p for p in pieces if p.bridged]
+        # _piece_key: a leaf has the fewest vertices, and only one piece
+        # can be the edge ab; labels break a tie
+        chosen = next((p for p in bridged if p.op == "leaf"), None)
+        if chosen is None:
+            least = min(map(self.order, bridged))
+            tied = [p for p in bridged if self.order(p) == least]
+            chosen = tied[0] if len(tied) == 1 else min(tied, key=_labels)
+        rest = [p for p in pieces if p is not chosen]
+        core = rest[0] if len(rest) == 1 else _fold("parallel", rest)
+        at_a = 1 if flip else 0  # the end of t that is the first terminal
+        a, b = t.terminals[at_a], t.terminals[1 - at_a]
+        if chosen.op == "leaf":
+            # the edge ab splits into the leaves a-c and d-b, searched in
+            # one step each, and d-b carries one interior vertex
+            origin, s1, s2, halves = edge_key(a, b), 1, 1, 1
+            self.grow(1)
+        else:
+            left, (c, d), right, origin = _split_impl(chosen, last=flip)
+            # the halves that hang at a and at b, and b's fresh neighbour
+            h1, h2, fresh = (right, left, c) if flip else (left, right, d)
+            s1 = self.node(h1, floors, flip)
+            rf = floors
+            if _ends(h2, 1 - at_a) == [fresh]:
+                e = edge_key(fresh, b)
+                rf = {**floors, e: max(floors.get(e, 0), 1)}
+            s2 = self.node(h2, rf, flip)
+            # c and d each have one neighbour in their halves, x and y;
+            # the chain x .. c .. d .. y takes the split edge's place
+            (x,), (y,) = _ends(left, 1), _ends(right, 0)
+            halves = self.counts.pop(edge_key(x, c)) + self.counts.pop(edge_key(d, y))
+        a_ends, b_ends = _ends(core, at_a), _ends(core, 1 - at_a)
+        da, db = len(a_ends), len(b_ends)
+        scale = 1 << (max(da, db) - 1)
+        demand_a, demand_b = scale * s1 + 1, scale * (s2 + 1)
+        merged = self.demanded(floors, a, a_ends, demand_a)
+        merged = self.demanded(floors, b, b_ends, demand_b, merged)
+        if b in a_ends:
+            # one edge serving both terminals takes the combined demand
+            e = edge_key(a, b)
+            merged[e] = max(floors.get(e, 0), demand_a + demand_b)
+        s0 = max(self.node(core, merged, flip), floors.get(origin, 0) - 4)
+        self.counts[origin] = halves + s0 + 6
+        self.grow(s0 + 6)
+        return ((1 << da) - 1) * s1 + s1 + 3 * s0 + 6 + s2 + ((1 << db) - 1) * (s2 + 1)
+
+
+def _labels(t):
+    # _piece_key's tie-break, without the graph
+    return sorted(map(str, {v for s in t.walk() if s.op == "leaf" for v in (s.a, s.b)}))
+
+
+def _plan(tree, floors, room=_HOST_CAP, steps_cap=_HOST_CAP, flip=False):
+    """The size of the bundle _synth builds from tree, or from
+    invert(tree) when flip, under floors, a checked floor map, without
+    building it: (interior count per base edge, search length). It
+    returns None as soon as the interior vertices planned so far or a
+    demand pass room, or a search length passes steps_cap.
+
+    It follows _synth node for node on Python ints. It makes no search
+    step, no host and no graph: terminal degrees are read off the leaves
+    (_ends) and vertex counts are summed bottom-up, once per node. The
+    only labels it makes are the two fresh terminals of each split of a
+    piece that is not a single edge.
+    """
+    planner = _Plan(room, steps_cap)
+    try:
+        length = planner.node(tree, floors, flip)
+    except _OverCap:
+        return None
+    return planner.counts, length
+
+
+def _rooted(g, tree, floors):
+    """The tree synth builds for g, a YES graph, given the classifier's
+    tree and unchecked floors.
+
+    The other candidates are the classifier's assembly with the block
+    its peel leaves last, if that block has 4+ vertices, decomposed from
+    each of its edges (gsp._rootings), each read from either end. The
+    tree built has the least planned (host vertices, search steps) among
+    those no worse than the classifier's tree on both; ties keep the
+    classifier's tree, then the first in edge order. There are 2|E(B)|
+    candidates, each planned in O(|E(g)|), so they are tried only when
+    2 |E(B)| |E(g)| is at most the classifier's planned host, or the
+    host cap if that is smaller: the choice never costs more than the
+    build it can save. A plan past the cap raises ResourceLimitError,
+    before anything is built.
+    """
+    def sized(plan):
+        # (host vertices, search steps) of a plan, or None
+        return None if plan is None else (g.n + sum(plan[0].values()), plan[1])
+
+    floors = _check_floors(floors, g)
+    plan = _plan(tree, floors, _HOST_CAP - g.n)
+    # the plan counts each base edge once
+    first, m = sized(plan), g.m if plan is None else len(plan[0])
+    best, chosen = first, (tree, False)
+    limit = _HOST_CAP if first is None else min(first[0], _HOST_CAP)
+    # a block of 4+ vertices has 4+ edges, so with 8 |E(g)| past the
+    # limit the rule fails before the peel runs
+    if m > g.n and 8 * m <= limit:
+        peeled, block = _root_block(g)
+        if block.n >= 4 and 2 * block.m * m <= limit:
+            # a plan stops once it passes the best host so far or the
+            # classifier's length: then it cannot win
+            steps_cap = _HOST_CAP if first is None else first[1]
+            for t in _rootings(peeled, block):
+                for flip in (False, True):
+                    room = (_HOST_CAP if best is None else best[0]) - g.n
+                    got = sized(_plan(t, floors, room, steps_cap, flip))
+                    if got is not None and (best is None or got < best):
+                        best, chosen = got, (t, flip)
+    if best is None:
+        raise ResourceLimitError(
+            f"the planned bundle passes the cap of {_HOST_CAP:,} host vertices "
+            "or search steps", budget=_HOST_CAP,
+        )
+    t, flip = chosen
+    if t is tree:
+        return tree
+    t = _invert(t) if flip else t
+    try:
+        ok = recompose(t) == g and t.simple
+    except InputError:
+        ok = False
+    if not ok:
+        raise AssertionError("the rerooted tree is not a simple tree of the graph")
+    return t
 
 
 def synthesize(tg, tree, floors=None):

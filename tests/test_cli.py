@@ -568,6 +568,36 @@ def test_synth_floor_must_be_integer(capsys):
     assert code == 1 and "integer" in err
 
 
+def k2_edges(m):
+    return "".join(f"x{j} m{i}\n" for j in (0, 1) for i in range(m))
+
+
+@pytest.mark.parametrize("text, floor", [
+    # the best root of K_{2,7} plans 2,277,450 host vertices
+    (k2_edges(7), ()),
+    # a full plan of K_{2,600} would multiply integers of 179,454 bits
+    (k2_edges(600), ()),
+    # the star with 10 leaves would plan 714,737,220 host vertices
+    ("".join(f"c l{i}\n" for i in range(10)), ()),
+    (None, ("--floor", "0", "1", "100000000")),
+], ids=["k2-7", "k2-600", "star-10", "cycle-4-floored"])
+def test_synth_refuses_a_planned_host_past_the_cap(capsys, tmp_path, text, floor):
+    """Refused from the plan, before anything is built: each of these
+    ran out of memory when it was built."""
+    graph = "cycle:4"
+    if text is not None:
+        graph = str(tmp_path / "g.txt")
+        with open(graph, "w") as fh:
+            fh.write(text)
+    start = resource.getrusage(resource.RUSAGE_SELF)
+    code, out, err = run(capsys, "synth", graph, *floor)
+    end = resource.getrusage(resource.RUSAGE_SELF)
+    assert code == 2 and out == ""
+    assert err == ("resource limit: the planned bundle passes the cap of 500,000 "
+                   "host vertices or search steps\n")
+    assert end.ru_utime + end.ru_stime - start.ru_utime - start.ru_stime < 1
+
+
 def test_lowerbound_certificate(capsys):
     doc = run_json(capsys, "lowerbound", "cycle:6", "-k", "2")
     assert doc == {

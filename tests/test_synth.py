@@ -1,6 +1,7 @@
 """Synthesis of aligned searches on subdivisions."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -27,6 +28,7 @@ from zvsearch.graphs import (
 from zvsearch.gsp import (
     TerminalGraph,
     classify_topological_3,
+    invert,
     is_simple,
     leaf,
     node,
@@ -45,7 +47,7 @@ from zvsearch.synth import (
     synthesize,
 )
 
-from conftest import separating_bridges
+from conftest import relabeled, separating_bridges
 
 
 def lab(u, v, i):
@@ -507,11 +509,115 @@ def test_paths_synthesize_without_subdividing():
     assert synthesize(c.tree.terminal_graph(), c.tree).host.n <= 150
 
 
+# ---------------------------------------------------------------------------
+# the size model and the root choice
+
+
+def planned(g, tree, floors=None, flip=False):
+    """(host vertices, search length, nonzero counts) as _plan has them."""
+    counts, length = synth_module._plan(tree, floors or {}, flip=flip)
+    return g.n + sum(counts.values()), length, {e: c for e, c in counts.items() if c}
+
+
+def built(bundle):
+    return bundle.host.n, len(bundle.search), bundle.host.counts
+
+
+def k2(m):
+    """K_{2,m} with its hubs labelled last."""
+    return Graph.from_edges([(h, f"m{i}") for h in ("x", "y") for i in range(m)])
+
+
+def named(spec):
+    """A generator spec, or k2:m for k2(m)."""
+    kind, m = spec.split(":")
+    return k2(int(m)) if kind == "k2" else generate(spec)
+
+
+def test_plan_equals_build_on_the_corpus(synthesized_corpus):
+    checked = 0
+    for g, cls, bundle in synthesized_corpus:
+        if bundle is not None:
+            assert planned(g, cls.tree) == built(bundle), sorted(g.edges())
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("spec", [f"grid:2,{m}" for m in range(3, 7)]
+                         + [f"k2:{m}" for m in range(3, 6)])
+def test_plan_equals_build_on_every_root(spec):
+    """Every candidate the root choice plans, read from either end."""
+    g = named(spec)
+    peeled, block = gsp_module._root_block(g)
+    trees = list(gsp_module._rootings(peeled, block))
+    assert len(trees) == block.m
+    for t in trees:
+        for flip in (False, True):
+            tree = invert(t) if flip else t
+            bundle = synthesize(tree.terminal_graph(), tree)
+            assert planned(g, t, flip=flip) == built(bundle), (tree_to_record(t), flip)
+
+
+@pytest.mark.parametrize("spec", ["cycle:4", "path:6"])
+def test_plan_equals_build_under_floors(spec):
+    g = generate(spec)
+    tree = classify_topological_3(g).tree
+    edges = g.edges()
+    floor_maps = [{e: f} for e in edges for f in (1, 7, 40)]
+    floor_maps += [{e: 3 for e in edges}, {e: 2 * i + 1 for i, e in enumerate(edges)}]
+    for floors in floor_maps:
+        bundle = synthesize(tree.terminal_graph(), tree, floors)
+        assert planned(g, tree, floors) == built(bundle), floors
+
+
+def test_a_plan_stops_at_the_cap():
+    g = generate("cycle:4")
+    tree = classify_topological_3(g).tree
+    assert synth_module._plan(tree, {("0", "1"): 10**8}) is None
+    assert synth_module._plan(tree, {}, steps_cap=20) is None
+    assert synth_module._plan(tree, {}, room=10) is None
+    assert synth_module._plan(tree, {})[1] == 26
+
+
+def chosen_size(g):
+    """The planned (host vertices, search length) of the tree synth
+    builds for g; nothing is built."""
+    tree = synth_module._rooted(g, classify_topological_3(g).tree, {})
+    return planned(g, tree)[:2]
+
+
+@pytest.mark.parametrize("spec, host, steps", [
+    ("grid:2,5", 233, 428),
+    ("grid:2,6", 351, 653),
+    ("grid:2,7", 694, 1328),
+    ("grid:2,8", 1037, 2003),
+    ("k2:3", 69, 118),
+    ("k2:4", 342, 662),
+    ("k2:5", 2871, 5737),
+    ("k2:6", 52607, 105392),
+])
+def test_the_root_choice_ignores_labels(spec, host, steps):
+    g, rng = named(spec), random.Random(23)
+    sizes = {chosen_size(relabeled(g, rng)) for _ in range(10)}
+    assert sizes == {chosen_size(g)} == {(host, steps)}
+
+
+@pytest.mark.parametrize("spec, lo, hi", [("grid:2,3", 63, 98), ("grid:2,4", 115, 216)])
+def test_small_ladders_keep_their_ranges(spec, lo, hi):
+    """The cost rule may leave these to the labels, within the range the
+    labels gave before the choice."""
+    g, rng = generate(spec), random.Random(23)
+    for _ in range(10):
+        assert lo <= chosen_size(relabeled(g, rng))[0] <= hi
+
+
 # Run under python -O, where asserts are stripped: a broken amalgamation
 # must still be caught by the final check. "drop" loses the last step of
 # every inward ball sweep; "stray" adds a vertex the host does not have,
 # which the checker rejects with an InputError that must surface as the
-# internal error, not as a bad-input answer.
+# internal error, not as a bad-input answer. "lose" hands the root choice
+# a candidate that plans smaller but lacks one edge of the graph, which
+# the choice must refuse before anything is built from it.
 SABOTAGE = """
 import sys
 
@@ -530,10 +636,16 @@ def clear_ball_inward(*args):
     return (steps[0] | {"stray"},) + steps[1:]
 
 
-synth.clear_ball_inward = clear_ball_inward
-c = classify_topological_3(generate(spec))
+g = generate(spec)
+if how == "lose":
+    lost = classify_topological_3(g.without_edge(*g.edges()[0])).tree
+    synth._rootings = lambda peeled, block: iter([lost])
+else:
+    synth.clear_ball_inward = clear_ball_inward
+c = classify_topological_3(g)
 try:
-    synth.synthesize(c.tree.terminal_graph(), c.tree)
+    tree = synth._rooted(g, c.tree, {})
+    synth.synthesize(tree.terminal_graph(), tree)
 except AssertionError as ex:
     print("refused:", ex)
 else:
@@ -541,10 +653,16 @@ else:
 """
 
 
-# tree:3 and cycle:5 each run inward sweeps (a path runs none).
-@pytest.mark.parametrize("spec", ["tree:3", "cycle:5"])
-@pytest.mark.parametrize("how", ["drop", "stray"])
-def test_sabotaged_synthesis_is_refused_under_O(spec, how):
+# tree:3 and cycle:5 each run inward sweeps (a path runs none); grid:2,5
+# is rerooted, and the tree that lacks its edge v0-v1 plans smaller than
+# the classifier's.
+@pytest.mark.parametrize("how, spec", [
+    (how, spec) for how in ("drop", "stray") for spec in ("tree:3", "cycle:5")
+] + [("lose", "grid:2,5")])
+def test_sabotaged_synthesis_is_refused_under_O(how, spec):
+    why = "bundle failed verification"
+    if how == "lose":
+        why = "the rerooted tree is not a simple tree of the graph"
     root = os.path.dirname(os.path.dirname(zvsearch.__file__))
     env = dict(os.environ, PYTHONPATH=root)
     proc = subprocess.run(
@@ -555,7 +673,7 @@ def test_sabotaged_synthesis_is_refused_under_O(spec, how):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("refused: bundle failed verification"), proc.stdout
+    assert proc.stdout.startswith("refused: " + why), proc.stdout
 
 
 def test_bundle_record_round_trip():
