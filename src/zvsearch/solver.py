@@ -19,15 +19,18 @@ otherwise, so every n has a cap. When every width below the cap fails,
 the merged bag sweep, replayed from the clean start, is the witness.
 
 The first two engines are one breadth-first closure (_closure) over one
-batched round map. A state's picks are enumerated in
-itertools.combinations order, gathered through a cached index table
-when one chunk holds them all, and mapped a fixed-size chunk at a time
-as numpy mask arrays: N(outside) comes from per-byte neighbourhood
-tables, one gather per byte of the mask instead of a loop over
-vertices, and each chunk's distinct clean sets are handled in the order
-of their first picks. That keeps the BFS order, the witnesses and the
-explored-state counts of the pick-by-pick loop, which the tests keep as
-the reference.
+batched round map, which maps a batch of frontier states at a time.
+Their picks are read off one cached table per (n, j), the masks of
+itertools.combinations(range(n), j): a state's own are the entries
+disjoint from it, in the order combinations gives its dirty vertices.
+A batch holds at most a fixed number of table rows, and a state whose
+picks outgrow one batch streams them from combinations alone, a chunk
+at a time. Masks are numpy arrays: N(outside) comes from per-byte
+neighbourhood tables, one gather per byte of the mask instead of a loop
+over vertices, and each state's distinct clean sets are handled in the
+order of their first picks. That keeps the BFS order, the witnesses,
+the explored-state counts and the state at which a budget runs out of
+the pick-by-pick loop, which the tests keep as the reference.
 
 The vertex-separation DP keeps one uint8 entry per vertex set, but
 visits only the sets that can start a layout no wider than a greedy
@@ -90,9 +93,10 @@ _TABLE_RATIO = 256
 # 0.25 * (1 + n / 4096) us.
 _SHIFT_BITS = 4096
 
-# Picks per batch of the round map: enough rows to amortise numpy's
-# per-call cost, few enough that a state's temporaries stay under a few
-# MB whatever n and k are.
+# Rows per batch of the round map, pick-table rows of a batch of states
+# or streamed picks of one state: enough to amortise numpy's per-call
+# cost, few enough that a batch's temporaries stay under a few MB
+# whatever n and k are.
 _CHUNK = 1 << 14
 
 # Masks per block of the subset tables, and entries per block of the
@@ -198,31 +202,71 @@ def _replay(parents, state):
     return steps
 
 
-def _pick_chunks(dirty, j, tables):
-    """The j-subsets of dirty in itertools.combinations order, as index
-    arrays of at most _CHUNK rows. When one chunk holds them all, they
-    are dirty gathered through the table of combinations(range(|dirty|),
-    j), which tables caches per (|dirty|, j) for one closure; a longer
-    stream is built chunk by chunk."""
+# a solve of many graphs meets many (n, j): the bench solve corpus about 50
+@lru_cache(maxsize=64)
+def _pick_table(n, j, dtype):
+    """The masks of combinations(range(n), j), in that order. Those of a
+    state's picks are the entries disjoint from the state, in the order
+    of combinations(dirty, j). Shared, so read-only."""
     import numpy as np
-    d = dirty.size
-    if math.comb(d, j) <= _CHUNK:
-        table = tables.get((d, j))
-        if table is None:
+    bits = np.array([1 << i for i in range(n)], dtype=dtype)
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), j)),
+                       dtype=np.intp)
+    table = np.bitwise_or.reduce(bits[flat.reshape(-1, j)], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def _distinct(nxts, pos, n):
+    """Indices of the first row of each distinct (pos, clean set) pair,
+    in row order. pos is the row's state in its batch, or None for rows
+    of one state."""
+    import numpy as np
+    key = nxts if pos is None else pos.astype(nxts.dtype) << n | nxts
+    _, first = np.unique(key, return_index=True)
+    first.sort()
+    return first
+
+
+def _batch_rows(batch, table, full, tables, n):
+    """The distinct clean sets of each state of a batch, mapped in one
+    go, each with the mask of its first pick, in the order of their
+    first picks. A state's picks are the table entries disjoint from it,
+    so one (states x table) filter finds them all."""
+    import numpy as np
+    states = np.array(batch, dtype=table.dtype)
+    pos, col = ((table & states[:, None]) == 0).nonzero()
+    picks = table[col]
+    nxts = _round_map(picks | states[pos], full, tables)
+    first = _distinct(nxts, pos, n)
+    ends = np.bincount(pos[first], minlength=len(batch)).cumsum().tolist()
+    nxts = nxts[first].tolist()
+    picks = picks[first].tolist()
+    return [zip(nxts[a:b], picks[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+def _streamed_rows(state, sizes, bits, full, tables, chunk):
+    """The distinct clean sets of one state that the pick table does not
+    serve, and their first picks' masks: the j-subsets of its dirty
+    vertices for each j in sizes, in combinations order, mapped chunk
+    rows at a time, each chunk's sets in the order of their first
+    rows."""
+    import numpy as np
+    dirty = [i for i in range(len(bits)) if not state >> i & 1]
+    for j in sizes:
+        combos = combinations(dirty, j)
+        while True:
             flat = np.fromiter(
-                chain.from_iterable(combinations(range(d), j)), dtype=np.intp
+                chain.from_iterable(islice(combos, chunk)), dtype=np.intp
             )
-            table = tables[d, j] = flat.reshape(-1, j)
-        yield dirty[table]
-        return
-    combos = combinations(dirty.tolist(), j)
-    while True:
-        flat = np.fromiter(
-            chain.from_iterable(islice(combos, _CHUNK)), dtype=np.intp
-        )
-        yield flat.reshape(-1, j)
-        if flat.size < _CHUNK * j:
-            return
+            if not flat.size:
+                break
+            picks = np.bitwise_or.reduce(bits[flat.reshape(-1, j)], axis=1)
+            nxts = _round_map(picks | state, full, tables)
+            first = _distinct(nxts, None, len(bits))
+            yield from zip(nxts[first].tolist(), picks[first].tolist())
+            if flat.size < chunk * j:
+                break
 
 
 def _closure(g, k, clean_start, state_budget, prune, monotone):
@@ -234,19 +278,30 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
     (padding can overshoot into a state with no monotonic continuation)
     and must keep every visited state instead of a maximal antichain.
 
-    A state's picks are taken in itertools.combinations order, _CHUNK at
-    a time, as rows of a numpy index array (see _pick_chunks), and mapped
-    in one batch: OR the pick bits into the state, then take N(outside)
-    from the byte tables, one gather per byte of the mask. The chunk's
-    distinct clean sets (np.unique, put back in the order of their first
-    rows) then go through the loop body of a pick-by-pick search (the
-    witness check, then the monotone, parent and antichain checks). A
-    later row with the same clean set is a no-op in that search: the set
-    is already a parent, or it is still dominated, since an archive
-    member only ever leaves for a superset. So the BFS order, the
-    witnesses and the count of expanded states are those of the
-    pick-by-pick search. Masks are uint64 up to 64 vertices and Python
-    ints in an object array above that.
+    Picks are taken from the table of every pick of the graph, the masks
+    of combinations(range(n), j) for the step sizes j (j-major in
+    monotone mode, see _pick_table), when it has at most _CHUNK rows.
+    Frontier states are then popped into a batch while it holds at most
+    _CHUNK table rows, and the batch is mapped in one go: OR each
+    state's picks into it, take N(outside) from the byte tables, one
+    gather per byte of the mask, and keep the first row of each distinct
+    (state, clean set) pair. A larger table, or a plain-mode state with
+    fewer than k dirty vertices, whose one pick is all of them, has its
+    picks streamed from itertools.combinations alone, _CHUNK rows at a
+    time.
+
+    Each state then takes its distinct clean sets, in the order of their
+    first rows, through the loop body of a pick-by-pick search: the
+    witness check, then the monotone, parent and antichain checks. A
+    later row with the same clean set is a no-op in that search: the
+    set is already a parent, or it is still dominated, since an archive
+    member only ever leaves for a superset. States are counted against
+    the budget one by one as the loop reaches them, so the BFS order,
+    the witnesses, the count of expanded states and the state at which
+    the budget runs out are those of the pick-by-pick search. Masks are
+    uint64 up to 64 vertices and Python ints in object arrays above
+    that; a batch's (state, clean set) keys share one uint64 only while
+    its states fit in the bits above n.
 
     Returns (steps or None, states expanded).
     """
@@ -257,56 +312,65 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
         return [], 0
     if k == 0:
         return None, 0
-    if k >= g.n:
+    n = g.n
+    if k >= n:
         return [frozenset(g.vertices)], 1
 
-    dtype = np.uint64 if g.n <= 64 else object
-    bits = np.array([1 << i for i in range(g.n)], dtype=dtype)
-    tables = _round_tables(tuple(nbr), g.n, dtype)
+    chunk = _CHUNK
+    dtype = np.uint64 if n <= 64 else object
+    bits = np.array([1 << i for i in range(n)], dtype=dtype)
+    tables = _round_tables(tuple(nbr), n, dtype)
+    sizes = range(1, k + 1) if monotone else (k,)
+    rows = sum(math.comb(n, j) for j in sizes)
+    table = None
+    if rows <= chunk:
+        table = np.concatenate([_pick_table(n, j, dtype) for j in sizes])
+        per_batch = chunk // rows
+        if dtype is np.uint64:
+            per_batch = min(per_batch, 1 << 64 - n)
+
+    def batched(state):
+        """Whether the table holds exactly the state's picks."""
+        return table is not None and (monotone or n - state.bit_count() >= k)
+
     vs = g.vertices
     parents = {start: None}
     frontier = deque([start])
     archive = [start]
     expanded = 0
-    pick_tables = {}
     while frontier:
-        state = frontier.popleft()
-        expanded += 1
-        if expanded > state_budget:
-            raise ResourceLimitError(
-                f"solver state budget exhausted at k={k}",
-                budget=state_budget,
-                used=expanded,
-            )
-        dirty = np.array(
-            [i for i in range(g.n) if not state >> i & 1], dtype=np.intp
-        )
-        top = min(k, dirty.size)
-        sizes = range(1, top + 1) if monotone else (top,)
-        for j in sizes:
-            for picks in _pick_chunks(dirty, j, pick_tables):
-                protected = np.bitwise_or.reduce(bits[picks], axis=1) | state
-                nxts, rows = np.unique(
-                    _round_map(protected, full, tables), return_index=True
+        batch = [frontier.popleft()]
+        if batched(batch[0]):
+            while frontier and len(batch) < per_batch and batched(frontier[0]):
+                batch.append(frontier.popleft())
+            mapped = _batch_rows(batch, table, full, tables, n)
+        else:
+            state = batch[0]
+            steps = sizes if monotone else (min(k, n - state.bit_count()),)
+            mapped = [_streamed_rows(state, steps, bits, full, tables, chunk)]
+        for state, state_rows in zip(batch, mapped):
+            expanded += 1
+            if expanded > state_budget:
+                raise ResourceLimitError(
+                    f"solver state budget exhausted at k={k}",
+                    budget=state_budget,
+                    used=expanded,
                 )
-                order = np.argsort(rows)
-                for nxt, row in zip(nxts[order].tolist(), rows[order].tolist()):
-                    if nxt == full:
-                        pick = picks[row].tolist()
-                        parents[nxt] = (state, frozenset(vs[i] for i in pick))
-                        return _replay(parents, nxt), expanded
-                    if monotone and (nxt & state != state or nxt == state):
+            for nxt, pick in state_rows:
+                if nxt == full:
+                    parents[nxt] = state, frozenset(vs[i] for i in _bits(pick))
+                    return _replay(parents, nxt), expanded
+                if monotone and (nxt & state != state or nxt == state):
+                    continue
+                if nxt in parents:
+                    continue
+                if prune and not monotone:
+                    if any(other | nxt == other for other in archive):
                         continue
-                    if nxt in parents:
-                        continue
-                    if prune and not monotone:
-                        if any(other | nxt == other for other in archive):
-                            continue
-                        archive[:] = [o for o in archive if o | nxt != nxt]
-                        archive.append(nxt)
-                    pick = picks[row].tolist()
-                    parents[nxt] = (state, frozenset(vs[i] for i in pick))
-                    frontier.append(nxt)
+                    archive[:] = [o for o in archive if o | nxt != nxt]
+                    archive.append(nxt)
+                parents[nxt] = state, frozenset(vs[i] for i in _bits(pick))
+                frontier.append(nxt)
     return None, expanded
 
 
@@ -373,7 +437,16 @@ def inspection_number(
     top = cap - 1 if k_max is None else min(cap - 1, k_max)
     states = 0
     for k in range(1, top + 1):
-        steps, used = _closure(g, k, clean_start, state_budget, True, False)
+        try:
+            steps, used = _closure(g, k, clean_start, state_budget, True,
+                                   False)
+        except ResourceLimitError as ex:
+            raise ResourceLimitError(
+                f"{ex} (budget {state_budget} states per width, "
+                f"{states} states expanded at k < {k})",
+                budget=ex.budget,
+                used=ex.used,
+            ) from None
         states += used
         if steps is not None:
             return SolveResult(

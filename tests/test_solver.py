@@ -186,8 +186,14 @@ def test_k_max_stops_early():
 
 
 def test_state_budget_raises():
-    with pytest.raises(ResourceLimitError):
+    """grid:3,3 fails k = 1 and 2 in one state each, then blows the
+    budget at k = 3; the message says how far the run got."""
+    with pytest.raises(ResourceLimitError) as ex:
         inspection_number(grid_graph(3, 3), state_budget=3)
+    assert str(ex.value) == (
+        "solver state budget exhausted at k=3 (budget 3 states per width, "
+        "2 states expanded at k < 3)")
+    assert (ex.value.budget, ex.value.used) == (3, 4)
 
 
 def test_bad_inputs():
@@ -452,17 +458,99 @@ def test_closure_matches_reference_across_chunks():
     assert assert_matches_reference(g, 5) == (None, 2)
 
 
+def recorded_batches(monkeypatch):
+    """(states, table rows) of each batch _closure maps, in order."""
+    sizes = []
+    batch_rows = solver._batch_rows
+
+    def recorded(batch, table, *args):
+        sizes.append((len(batch), len(table)))
+        return batch_rows(batch, table, *args)
+
+    monkeypatch.setattr(solver, "_batch_rows", recorded)
+    return sizes
+
+
 def test_small_chunks_match_reference(rng, monkeypatch):
     """Chunks of a few rows put duplicates and dominated clean sets on
-    every side of a chunk boundary."""
-    monkeypatch.setattr(solver, "_CHUNK", 5)
-    for _ in range(8):
-        g = random_connected(rng.randint(5, 9), rng)
-        for k in (2, 3):
-            for mode in ("prune", "exhaustive", "monotone"):
-                assert_matches_reference(
-                    g, k, prune=mode == "prune", monotone=mode == "monotone"
-                )
+    every side of a chunk boundary: at 5 rows every state streams its
+    picks in several chunks, and at 40 and 400 rows batches of a few
+    states fill a chunk and end between states."""
+    graphs = [random_connected(rng.randint(5, 9), rng) for _ in range(8)]
+    graphs += [path_graph(8), cycle_graph(7), grid_graph(2, 4)]
+    sizes = recorded_batches(monkeypatch)
+    for chunk in (5, 40, 400):
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
+        sizes.clear()
+        for g in graphs:
+            for k in (2, 3):
+                for prune, monotone in ((True, False), (False, False),
+                                        (False, True)):
+                    assert_matches_reference(
+                        g, k, prune=prune, monotone=monotone)
+        assert all(states * rows <= chunk for states, rows in sizes)
+        if chunk == 5:
+            assert not sizes  # every table is longer: all picks stream
+        else:
+            assert max(s for s, rows in sizes if s == chunk // rows) > 1
+
+
+def test_goal_inside_a_batch_matches_reference(monkeypatch):
+    """path:9 at k = 2 reaches the full set at the first state of a
+    batch of six: the five after it are mapped but never expanded."""
+    sizes = recorded_batches(monkeypatch)
+    steps, explored = assert_matches_reference(path_graph(9), 2)
+    assert steps is not None and explored == 22
+    assert sizes[-1][0] == 6
+    assert sum(states for states, _ in sizes) == explored + 5
+
+
+@pytest.mark.parametrize("mode", ["prune", "exhaustive", "monotone"])
+def test_budget_runs_out_where_the_reference_does(rng, mode):
+    """Let E be the states the reference expands. A budget of E answers
+    as the reference does, and a budget of E - 1 raises at the E-th
+    state, though a batch maps states past the budget before the loop
+    reaches them."""
+    prune, monotone = mode == "prune", mode == "monotone"
+    graphs = [random_connected(rng.randint(4, 10), rng) for _ in range(12)]
+    graphs += [path_graph(9), cycle_graph(8), grid_graph(3, 3)]
+    for g in graphs:
+        for k in range(1, min(4, g.n)):
+            want = reference_closure(g, k, (), prune, monotone)
+            used = want[1]
+            assert _closure(g, k, (), used, prune, monotone) == want
+            with pytest.raises(ResourceLimitError) as ex:
+                _closure(g, k, (), used - 1, prune, monotone)
+            assert (ex.value.budget, ex.value.used) == (used - 1, used)
+
+
+def test_closure_batches_stay_within_a_chunk(monkeypatch):
+    """C(26, 4) = 14,950 picks fill all but 1,434 rows of a chunk, so on
+    grid:2,13 at k = 4, whose frontier holds up to 252 states, every
+    batch is one state. No round map gets more than _CHUNK rows, and the
+    traced peak stays under 4 MiB."""
+    g = grid_graph(2, 13)
+    assert math.comb(g.n, 4) <= solver._CHUNK < 2 * math.comb(g.n, 4)
+    sizes = recorded_batches(monkeypatch)
+    rows = []
+    round_map = solver._round_map
+
+    def recorded(protected, *args):
+        rows.append(len(protected))
+        return round_map(protected, *args)
+
+    monkeypatch.setattr(solver, "_round_map", recorded)
+    _closure(g, 1, (), 10, True, False)  # byte tables, outside the trace
+    tracemalloc.start()
+    try:
+        steps, explored = _closure(g, 4, (), 10**9, True, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert steps is not None and explored == 1571
+    assert {states for states, _ in sizes} == {1}
+    assert max(rows) <= solver._CHUNK
+    assert peak < 4 << 20, peak
 
 
 # Run under python -O, where asserts are stripped: a decomposition that
