@@ -25,19 +25,22 @@ itertools.combinations(range(n), j): a state's own are the entries
 disjoint from it, in the order combinations gives its dirty vertices.
 A batch holds at most a fixed number of table rows, and a state whose
 picks outgrow one batch streams them from combinations alone, a chunk
-at a time. Masks are numpy arrays: N(outside) comes from per-byte
-neighbourhood tables, one gather per byte of the mask instead of a loop
-over vertices, and each state's distinct clean sets are handled in the
-order of their first picks. That keeps the BFS order, the witnesses,
-the explored-state counts and the state at which a budget runs out of
-the pick-by-pick loop, which the tests keep as the reference.
+at a time. Masks are numpy arrays: N(outside) comes from neighbourhood
+tables, one gather per chunk of up to 11 bits of the mask (two chunks
+up to 22 vertices) instead of a loop over vertices, and each state's
+distinct clean sets are handled in the order of their first picks. That
+keeps the BFS order, the witnesses, the explored-state counts and the
+state at which a budget runs out of the pick-by-pick loop, which the
+tests keep as the reference.
 
 The vertex-separation DP keeps one uint8 entry per vertex set, but
 visits only the sets that can start a layout no wider than a greedy
 one: it grows them one layer of set sizes at a time, by one vertex
 each, and takes each new set's boundary (the part of it that one round
-with the set protected leaves dirty) from the same per-byte
-neighbourhood tables and round map as the closure.
+with the set protected leaves dirty) from the same neighbourhood
+tables as the closure. The boundary alone decides whether a set is
+kept, and sets its value unless it is below the value of the set it
+grew from: only those few sets read their predecessors.
 
 The boundary profile, the sizes of the sets whose boundary is smaller
 than k, has two engines. One reads two uint8 tables over all 2^n sets,
@@ -158,19 +161,25 @@ class BoundaryGapCertificate:
 
 @lru_cache(maxsize=2)
 def _round_tables(nbr, n, dtype):
-    """Per-byte neighbourhood tables: tables[b][x] is the union of nbr[v]
-    over the vertices v = 8*b + t for the bits t set in x. Each table
-    doubles once per vertex of its byte, so the last one has 2^(n mod 8)
-    entries when n is not a multiple of 8.
+    """Neighbourhood tables, one per chunk of the mask's bits:
+    tables[c][x] is the union of nbr[v] over the vertices v = w*c + t
+    for the bits t set in x. uint64 masks split into ceil(n/11) chunks
+    of equal width w <= 11, so n <= 11 takes one gather and n <= 22 two,
+    each from a table of at most 2^11 entries. Object masks, above 64
+    vertices, keep bytes (w = 8): their entries are Python ints of n
+    bits, and 2^11 of them per chunk would cost eight times the memory.
+    Each table doubles once per vertex of its chunk, so the last one is
+    smaller when w does not divide n.
 
     nbr is a tuple, so that one solve builds the tables once for the
     separation DP and every width of the closure. The tables are shared,
     so they are read-only."""
     import numpy as np
+    width = 8 if dtype is object else math.ceil(n / math.ceil(n / 11))
     tables = []
-    for base in range(0, n, 8):
+    for base in range(0, n, width):
         row = np.zeros(1, dtype=dtype)
-        for v in range(base, min(base + 8, n)):
+        for v in range(base, min(base + width, n)):
             row = np.concatenate((row, row | nbr[v]))
         row.flags.writeable = False
         tables.append(row)
@@ -178,11 +187,23 @@ def _round_tables(nbr, n, dtype):
 
 
 def _reach(masks, tables):
-    """The neighbourhood of each mask, one gather per byte."""
+    """The neighbourhood of each mask, one gather per chunk of its bits;
+    the first table, always full, has 2^w entries for chunks of w bits.
+    The masks hold no vertex at or above n, so the last chunk needs no
+    mask of its own. A uint64 chunk indexes its table as a view, since
+    it is far below 2^63; object masks convert."""
     import numpy as np
-    reach = tables[0][(masks & 0xFF).astype(np.intp)]
-    for b in range(1, len(tables)):
-        reach |= tables[b][((masks >> 8 * b) & 0xFF).astype(np.intp)]
+    width = tables[0].size.bit_length() - 1
+    last = len(tables) - 1
+    for c, table in enumerate(tables):
+        part = masks >> width * c if c else masks
+        if c < last:
+            part = part & (1 << width) - 1
+        part = part.astype(np.intp) if part.dtype == object else part.view(np.intp)
+        if c:
+            reach |= table[part]
+        else:
+            reach = table[part]
     return reach
 
 
@@ -283,12 +304,12 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
     monotone mode, see _pick_table), when it has at most _CHUNK rows.
     Frontier states are then popped into a batch while it holds at most
     _CHUNK table rows, and the batch is mapped in one go: OR each
-    state's picks into it, take N(outside) from the byte tables, one
-    gather per byte of the mask, and keep the first row of each distinct
-    (state, clean set) pair. A larger table, or a plain-mode state with
-    fewer than k dirty vertices, whose one pick is all of them, has its
-    picks streamed from itertools.combinations alone, _CHUNK rows at a
-    time.
+    state's picks into it, take N(outside) from the neighbourhood
+    tables, one gather per chunk of the mask, and keep the first row of
+    each distinct (state, clean set) pair. A larger table, or a
+    plain-mode state with fewer than k dirty vertices, whose one pick is
+    all of them, has its picks streamed from itertools.combinations
+    alone, _CHUNK rows at a time.
 
     Each state then takes its distinct clean sets, in the order of their
     first rows, through the loop body of a pick-by-pick search: the
@@ -627,7 +648,7 @@ def _mask_tables(g, mask_cap):
     The boundary of a set is the part of it with a neighbour outside, so
     it is the popcount minus that of the set's clean part after one round
     with the set protected: the round map of the closure, on the same
-    byte tables, filled _BLOCK masks at a time."""
+    neighbourhood tables, filled _BLOCK masks at a time."""
     import numpy as np
     n = g.n
     _check_mask_cap(n, mask_cap)
@@ -657,8 +678,13 @@ def _vertex_separation(g, mask_cap):
 
     f is one uint8 entry per subset, 255 where nothing was written.
     Candidates come _BLOCK entries at a time (see _extend). The next
-    layer's sets hold 255 until their first candidate arrives, so f
-    itself tells a new set from one met before. The peel at the end
+    layer's sets hold 255 until their first candidate arrives, and that
+    candidate writes the set's boundary at once, above U or not, so f
+    itself tells a new set from one met before and no set is valued
+    twice. Only a kept set whose boundary is below the f of the set it
+    grew from reads its predecessors; every other set's f is its
+    boundary. The boundary comes from the neighbourhood tables of the
+    closure, one gather per chunk of up to 11 bits. The peel at the end
     compares against values <= U only, where f is exact, so it picks
     the layout of the full-table DP."""
     import numpy as np
@@ -709,24 +735,39 @@ def _extend(f, sets, bound, bits, tags, full, tables):
     f <= bound, and a set met in an earlier block holds its value. Each
     new set gets the vertex of its column as a tag in f; one tag
     survives per set, since its rows add distinct vertices, and the row
-    that reads its own tag back stands for the set. The set then takes
-    f = max(boundary, least f of its predecessors), read from the layer
-    below; for v outside the set the read hits the layer above, still
-    255. A set above bound keeps its value, not always exact: any value
-    above bound tells the next layer and the peel the same."""
+    that reads its own tag back stands for the set.
+
+    Each new set then takes its boundary, from the neighbourhood tables,
+    into f. Its f is max(boundary, least f of its predecessors), and the
+    parent S of its row is a predecessor with f[S] <= bound, so f <=
+    bound exactly when the boundary is: a set above bound keeps its
+    boundary, not always its f, but any value above bound tells a later
+    block, the next layer and the peel the same. A kept set whose
+    boundary is at least f[S] has f = boundary already. Only the others
+    read their n predecessors, from the layer below; for v outside the
+    set the read hits the layer above, still 255."""
     import numpy as np
     grown = sets[:, None] | bits
     at = (f[grown] == 255).ravel().nonzero()[0]
     cand = grown.ravel()[at]
     tag = tags[at]
     f[cand] = tag
-    cand = cand[f[cand] == tag]
-    best = f[bits[:, None] ^ cand].min(axis=0)
+    won = f[cand] == tag
+    cand = cand[won]
     cand64 = cand.view(np.uint64)
     boundary = np.bitwise_count(cand64 & _reach(full ^ cand64, tables))
-    value = np.maximum(best, boundary)
-    f[cand] = value
-    return cand[value <= bound]
+    f[cand] = boundary
+    low = (boundary < f[sets][at[won] // bits.size]).nonzero()[0]
+    if low.size:
+        below = cand[low]
+        f[below] = np.maximum(_least_predecessor(f, below, bits), boundary[low])
+    return cand[boundary <= bound]
+
+
+def _least_predecessor(f, masks, bits):
+    """The least f[S - v] over v in S, for each set S in masks, with the
+    layer above S still 255 in f: S ^ v for v outside S reads it."""
+    return f[bits[:, None] ^ masks].min(axis=0)
 
 
 def pathwidth(g, mask_cap=_MASK_CAP):

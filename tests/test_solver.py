@@ -882,6 +882,96 @@ def test_vertex_separation_matches_reference(rng):
     assert _vertex_separation(LOOSE_BOUND, 22)[0] == 2
 
 
+def spy_valuations(monkeypatch):
+    """Counts, per _vertex_separation run, the sets the DP keeps and the
+    sets that read their predecessors, and lists the outsides whose
+    neighbourhoods it gathers, one per set whose boundary it takes."""
+    runs = []
+    extend, least, reach = solver._extend, solver._least_predecessor, solver._reach
+    separation = solver._vertex_separation
+
+    def spy_separation(g, mask_cap):
+        runs.append({"kept": 0, "read": 0, "valued": []})
+        return separation(g, mask_cap)
+
+    def spy_extend(*args):
+        kept = extend(*args)
+        runs[-1]["kept"] += kept.size
+        return kept
+
+    def spy_least(f, masks, bits):
+        runs[-1]["read"] += masks.size
+        return least(f, masks, bits)
+
+    def spy_reach(masks, tables):
+        runs[-1]["valued"] += masks.tolist()
+        return reach(masks, tables)
+
+    monkeypatch.setattr(solver, "_vertex_separation", spy_separation)
+    monkeypatch.setattr(solver, "_extend", spy_extend)
+    monkeypatch.setattr(solver, "_least_predecessor", spy_least)
+    monkeypatch.setattr(solver, "_reach", spy_reach)
+    return runs
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_vertex_separation_reads_predecessors_only_below_the_parent(
+        rng, monkeypatch, block):
+    """The step keeps a set on its boundary alone and reads the
+    predecessors of a kept set only when its boundary is below the value
+    of the set it grew from. Both branches run on the oracle's corpus,
+    with blocks of 3 sets too, where most sets of a layer are met again
+    in a later block: every set is still valued once. A complete graph
+    keeps every set and reads only for the full one, whose boundary is 0
+    below its parents' n - 2; LOOSE_BOUND keeps sets above its answer."""
+    if block is not None:
+        monkeypatch.setattr(solver, "_BLOCK", block)
+    top = 10 if block else 14
+    graphs = [random_connected(n, rng) for n in range(2, top + 1)]
+    if not block:
+        graphs += [grid_graph(4, 5)] + sparse_graphs(rng)
+    graphs += [LOOSE_BOUND, complete_graph(8)]
+    want = [reference_vertex_separation(g) for g in graphs]
+    runs = spy_valuations(monkeypatch)
+    for g, expect in zip(graphs, want):
+        assert solver._vertex_separation(g, 22) == expect, sorted(g.edges())
+    assert len(runs) == len(graphs)
+    for g, run in zip(graphs, runs):
+        assert len(set(run["valued"])) == len(run["valued"]), sorted(g.edges())
+        assert run["read"] <= run["kept"] <= len(run["valued"]), sorted(g.edges())
+    assert sum(0 < run["read"] < run["kept"] for run in runs) > len(graphs) // 2
+    loose, complete = runs[-2:]
+    assert 0 < loose["read"] < loose["kept"]
+    assert (complete["kept"], complete["read"]) == (255, 1)
+    assert len(complete["valued"]) == 255
+
+
+def test_reach_matches_union_of_neighbourhoods_at_every_chunk_layout(rng):
+    """uint64 masks split into ceil(n/11) equal chunks, one table each;
+    object masks, above 64 vertices, keep ceil(n/8) byte tables, whose
+    Python-int entries would cost eight times the memory in 11-bit ones.
+    n runs across every change of layout: 11/12, 22/23, 64/65."""
+    for n in range(1, 67):
+        nbr = tuple(rng.getrandbits(n) & ~(1 << v) for v in range(n))
+        dtype = np.uint64 if n <= 64 else object
+        tables = solver._round_tables(nbr, n, dtype)
+        width = 8 if n > 64 else math.ceil(n / math.ceil(n / 11))
+        assert len(tables) == math.ceil(n / width), n
+        assert [t.size for t in tables[:-1]] == [1 << width] * (len(tables) - 1)
+        assert tables[-1].size == 1 << n - width * (len(tables) - 1)
+        masks = ([0, (1 << n) - 1] + [1 << v for v in range(n)]
+                 + [rng.getrandbits(n) for _ in range(40)])
+        got = solver._reach(np.array(masks, dtype=dtype), tables)
+        want = []
+        for m in masks:
+            union = 0
+            for v in range(n):
+                if m >> v & 1:
+                    union |= nbr[v]
+            want.append(union)
+        assert [int(x) for x in got] == want, n
+
+
 def test_vertex_separation_memory_stays_near_its_table():
     """The DP keeps one byte per subset and the frontier's sets: on a
     22-cycle, whose frontier is tiny, the traced peak stays under twice
