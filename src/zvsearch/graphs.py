@@ -361,6 +361,14 @@ def subdivision_label(edge, i):
     return f"({u},{v})#{i}"
 
 
+def _chain(edge, count, start):
+    # the vertices of the sorted base edge subdivided count times,
+    # endpoints included, from its endpoint start
+    u, v = edge
+    ch = [u, *[subdivision_label(edge, i) for i in range(1, count + 1)], v]
+    return ch if start == u else ch[::-1]
+
+
 class SubdividedGraph:
     """A base graph with each edge replaced by a path of `count` new
     interior vertices. Interior labels are "(u,v)#i" with (u, v) the sorted
@@ -480,18 +488,15 @@ class SubdividedGraph:
     def chain(self, edge):
         """Vertices of the subdivided edge in order, endpoints included,
         starting at the smaller endpoint."""
-        u, v = edge_key(*edge)
-        c = self.counts.get((u, v), 0)
-        return [u] + [subdivision_label((u, v), i) for i in range(1, c + 1)] + [v]
+        e = edge_key(*edge)
+        return _chain(e, self.counts.get(e, 0), e[0])
 
     def chain_from(self, edge, end):
         """Same chain, oriented to start at `end`."""
-        ch = self.chain(edge)
-        if ch[0] == end:
-            return ch
-        if ch[-1] == end:
-            return ch[::-1]
-        raise InputError(f"{end!r} is not an endpoint of {edge}")
+        e = edge_key(*edge)
+        if end not in e:
+            raise InputError(f"{end!r} is not an endpoint of {edge}")
+        return _chain(e, self.counts.get(e, 0), end)
 
     def __repr__(self):
         return f"SubdividedGraph(base_n={self.base.n}, derived_n={self.n})"

@@ -126,28 +126,19 @@ def compose(op, first, second):
     InputError naming the violated clause.
     """
     terminals, glued = _glue(op, first.terminals, second.terminals)
-    adj = _union(op, glued, _thaw(first.graph), _thaw(second.graph))
-    return TerminalGraph(_freeze(adj), *terminals)
+    _overlap(op, glued, set(first.graph.vertices), set(second.graph.vertices))
+    return TerminalGraph(first.graph.union(second.graph), *terminals)
 
 
-def _union(op, glued, first, second):
-    # The overlap rule of composition, on adjacency maps (vertex -> set of
-    # neighbours) that may share only the glued vertices. The larger map
-    # absorbs the smaller.
-    small, big = sorted((first, second), key=len)
-    if {v for v in small if v in big} != glued:
+def _overlap(op, glued, first, second):
+    # The overlap rule of composition, on the parts' vertex sets, which
+    # may share only the glued vertices: their union, the larger set
+    # absorbing the smaller.
+    small, big = (second, first) if len(second) < len(first) else (first, second)
+    if small & big != glued:
         raise InputError(f"{op} composition allows overlap only at {sorted(glued)}")
-    for v, ns in small.items():
-        big.setdefault(v, set()).update(ns)
+    big |= small
     return big
-
-
-def _thaw(g):
-    return {v: set(g.neighbors(v)) for v in g.vertices}
-
-
-def _freeze(adj):
-    return Graph({v: frozenset(ns) for v, ns in adj.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +249,7 @@ def recompose(tree):
         c0, c1 = t.children
         _, glued = _glue(t.op, (c0.a, c0.b), (c1.a, c1.b))
         second, first = parts.pop(), parts.pop()
-        small, big = (second, first) if len(second) < len(first) else (first, second)
-        if small & big != glued:
-            raise InputError(f"{t.op} composition allows overlap only at {sorted(glued)}")
-        big |= small
-        parts.append(big)
+        parts.append(_overlap(t.op, glued, first, second))
     g = Graph.from_edges(edges)
     if sum(map(g.degree, g.vertices)) != 2 * len(edges):  # g.m would sort
         raise InputError("the tree's leaves name an edge twice")

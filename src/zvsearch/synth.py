@@ -1,26 +1,31 @@
 """Constructive synthesis of aligned 3-searches on subdivisions.
 
-The builders here realize width-3 searches by recursion over a simple
-GSP decomposition: sweeps that clear a ball around a pinned vertex, one
+Width-3 searches are built over a simple GSP decomposition from a few
+schedules: sweeps that clear a ball around a pinned vertex, one
 amalgamation per composition operation, and a splitter that cuts a
 bridged side into two halves joined through a long connector path. The
 tree already records which subtrees are bridged, so the splitter reads
 the bridge off the tree and never searches a graph for one.
 
-The amalgamations are unchecked building blocks: they validate their
-inputs but trust the searches they are handed. `synthesize` re-simulates
-the final bundle once, on the host's own vertex numbering, and checks
-its floors; nothing it returns is trusted on paper alone.
+`synthesize` runs one walker over the tree (`_Walk`). It reads terminal
+degrees off the leaves and lays every step on the final host's labels,
+so it derives no inner node's graph and makes one host, the final one.
+The same walker in plan mode (`_plan`) counts the steps instead of
+making them: the interior count of every base edge and the search
+length, without building anything. The command line plans before it
+builds (`_rooted`): it weighs the classifier's tree against the same
+assembly rerooted at each edge of the last block, builds the one with
+the smallest planned host, and refuses a plan past `_HOST_CAP` before
+allocating it.
 
-A bundle's size follows from its tree by arithmetic, and `_plan` works
-it out without building anything: the interior count of every base
-edge and the search length, node for node as `_synth` would build
-them. The command line plans before it builds (`_rooted`): it weighs
-the classifier's tree against the same assembly rerooted at each edge
-of the last block, builds the one with the smallest planned host, and
-refuses a plan past `_HOST_CAP` before allocating it.
+The public amalgamations compose bundles and tasks from the same
+schedules. They are unchecked building blocks: they validate their
+inputs but trust the searches they are handed. `synthesize`
+re-simulates the final bundle once, on the host's own vertex numbering,
+and checks its floors; nothing it returns is trusted on paper alone.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import InputError, ResourceLimitError
@@ -28,6 +33,7 @@ from .game import check_aligned_search, is_successful, simulate
 from .graphs import (
     Graph,
     SubdividedGraph,
+    _chain,
     edge_key,
     grid_graph,
     subdivision_label,
@@ -39,7 +45,6 @@ from .gsp import (
     _invert,
     _root_block,
     _rootings,
-    invert,
     is_simple,
     leaf,
     node,
@@ -63,7 +68,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlignedSearchBundle:
-    """A subdivided host plus a verified 3-search aligned to (a, b).
+    """A subdivided host plus a 3-search aligned to (a, b), verified only
+    where synthesize or `verify --bundle` has replayed it.
 
     floors_satisfied maps every base edge to the interior count the host
     actually carries, so callers can confirm their demands were met.
@@ -115,8 +121,9 @@ class SynthTask:
 
     `base` names the terminal graph the side stands for; `run` takes a
     floor map (base edge -> minimum interior count) and must return a
-    verified bundle on a subdivision meeting it. Amalgamations that pin a
-    terminal compute their floor demands from `base` before calling run.
+    bundle on a subdivision meeting it, which the amalgamation trusts.
+    Amalgamations that pin a terminal compute their floor demands from
+    `base` before calling run.
     """
 
     base: TerminalGraph
@@ -147,10 +154,125 @@ def _merge_hosts(*hosts):
 
 
 # ---------------------------------------------------------------------------
+# step schedules
+#
+# Each schedule is written once, here, and shared by the public building
+# blocks below, which read chains off hosts, and by the walker, which
+# reads them off its counts. The composite schedules (_hang and
+# _parallel_search) take their parts as steps or, in plan mode, as step
+# counts: `+` joins either.
+
+
+def _size(steps):
+    # the length of a schedule's part: its steps, or their count
+    return steps if type(steps) is int else len(steps)
+
+
+def _slide(pin, q, start, span):
+    """span steps that pin `pin` and slide a window of two along the
+    chain q, from q[start] and q[start + 1] on."""
+    return tuple(frozenset({pin, q[i], q[i + 1]}) for i in range(start, start + span))
+
+
+def _need(d, r, outward):
+    """The interior vertices each of the d edges at a ball's center
+    must carry for a sweep of radius r: 2^(d-1) r, and one more for the
+    outward sweep."""
+    return (1 << (d - 1)) * r + int(outward) if d else 0
+
+
+def _demand(at, ends, need):
+    # need on every edge from at to one of ends
+    return {edge_key(at, u): need for u in ends}
+
+
+def _ball_out(w, chains, r):
+    """The outward sweep at w along chains, sorted by their far ends:
+    chain i (from 1) runs 2^(d-i) r steps."""
+    d = len(chains)
+    return tuple(
+        step
+        for i, ch in enumerate(chains, start=1)
+        for step in _slide(w, ch, 1, (1 << (d - i)) * r)
+    )
+
+
+def _ball_in(v, chains, r):
+    """The inward sweep at v along chains, sorted by their far ends:
+    chain i (from 1) is walked down to v from its vertex 2^(i-1) r."""
+    steps = ()
+    for i, ch in enumerate(chains):
+        span = (1 << i) * r
+        steps += _slide(v, ch[span + 1 : 0 : -1], 0, span)
+    return steps
+
+
+def _hang(s0, s1, ball, at, outward):
+    """The branch schedules. Outward, the pendant S_1 hangs at the
+    first terminal, at: the ball there, S_1, then the main search S_0.
+    Otherwise it hangs at the second, at: S_0 with at withheld from its
+    last step, S_1, then the ball at at."""
+    if outward:
+        return ball + s1 + s0
+    if type(s0) is tuple:
+        s0 = s0[:-1] + (s0[-1] - {at},)
+    return s0 + s1 + ball
+
+
+def _parallel_demand(a, b, a_ends, b_ends, r1, r2):
+    """The demands of a parallel amalgamation on the main side, whose
+    terminals a and b have the neighbours a_ends and b_ends there: the
+    balls of radius r1 = |S_1| out at a and r2 + 1 = |S_2| + 1 in at b,
+    both at the larger degree. An edge ab serves both terminals and
+    takes the sum. Returns the demands and the edges that took a sum."""
+    d = max(len(a_ends), len(b_ends))
+    demand = _demand(a, a_ends, _need(d, r1, True))
+    need_b, summed = _need(d, r2 + 1, False), []
+    for u in b_ends:
+        e = edge_key(b, u)
+        if e in demand:
+            demand[e] += need_b
+            summed.append(e)
+        else:
+            demand[e] = need_b
+    return demand, summed
+
+
+def _parallel_search(a, b, ball_a, s1, q, s0, s2, ball_b):
+    """The parallel schedule, on steps or, with q None, on step counts:
+
+        ball out at a, S_1, sweep the connector q away from c, S_0,
+        sweep q toward d, ({d}), S_2, ball in at b.
+
+    q runs from c to d through |S_0| + 4 interior vertices. Returns the
+    search and its checkpoint, the number of steps through ({d})."""
+    length = _size(s0)
+    if q is None:
+        away, toward, handover = length + 3, length + 2, 1
+    else:
+        away, toward = _slide(a, q, 0, length + 3), _slide(b, q, 3, length + 2)
+        handover = (frozenset({q[-1]}),)
+    head = ball_a + s1 + away + s0 + toward + handover
+    return head + s2 + ball_b, _size(head)
+
+
+def _parallel_stats(length, checkpoint, summed, padded):
+    # a parallel bundle's own stats, S_0 being length steps long
+    stats = {"op": "parallel", "connector_count": length + 4, "checkpoint_step": checkpoint}
+    if summed:
+        stats["floor_sum_edges"] = sorted(summed)
+    if padded:
+        stats["padded_steps"] = padded
+    return stats
+
+
+# ---------------------------------------------------------------------------
 # ball clearing
 
 
-def _sweep_chains(host, center, radius, need, direction):
+def _sweep_chains(host, center, r, outward):
+    # the chains at center, sorted by their far ends, once each is
+    # known to have room for the sweep
     base = host.base
     if center not in base:
         raise InputError(f"{center!r} is not a base vertex of the host")
@@ -160,12 +282,14 @@ def _sweep_chains(host, center, radius, need, direction):
     )
     if not chains:
         raise InputError(f"{center!r} is isolated, nothing to sweep")
+    need = _need(len(chains), r, outward)
     for ch in chains:
         if len(ch) - 2 < need:
             e = edge_key(ch[0], ch[-1])
             raise InputError(
                 f"edge {e} carries {len(ch) - 2} interior vertices but the "
-                f"{direction} sweep of radius {radius} needs at least {need}"
+                f"{'outward' if outward else 'inward'} sweep of radius {r} "
+                f"needs at least {need}"
             )
     return chains
 
@@ -182,14 +306,7 @@ def clear_ball_outward(host, w, v, r):
     """
     if w == v:
         raise InputError("ball clearing needs distinct pinned and avoided vertices")
-    d = host.base.degree(w)
-    need = (1 << (d - 1)) * r + 1 if d else 0
-    chains = _sweep_chains(host, w, r, need, "outward")
-    steps = []
-    for i, ch in enumerate(chains, start=1):
-        for t in range(1, (1 << (d - i)) * r + 1):
-            steps.append(frozenset({w, ch[t], ch[t + 1]}))
-    return tuple(steps)
+    return _ball_out(w, _sweep_chains(host, w, r, True), r)
 
 
 def clear_ball_inward(host, v, w, r):
@@ -204,15 +321,7 @@ def clear_ball_inward(host, v, w, r):
     """
     if v == w:
         raise InputError("ball clearing needs distinct pinned and avoided vertices")
-    d = host.base.degree(v)
-    need = (1 << (d - 1)) * r if d else 0
-    chains = _sweep_chains(host, v, r, need, "inward")
-    steps = []
-    for i, ch in enumerate(chains, start=1):
-        span = (1 << (i - 1)) * r
-        for t in range(1, span + 1):
-            steps.append(frozenset({v, ch[span - t + 1], ch[span - t + 2]}))
-    return tuple(steps)
+    return _ball_in(v, _sweep_chains(host, v, r, False), r)
 
 
 # ---------------------------------------------------------------------------
@@ -247,31 +356,7 @@ def amalgamate_branch(task0, b1):
     from scratch. The ball requires every edge at the shared vertex to be
     subdivided 2^(d-1) * |S_1| + 1 times, which is demanded from task0.
     """
-    a, b = task0.base.terminals
-    if b1.alignment[0] != a:
-        raise InputError(
-            f"pendant alignment {b1.alignment} does not start at the shared "
-            f"terminal {a!r}"
-        )
-    if set(task0.base.graph.vertices) & set(b1.host.base.vertices) != {a}:
-        raise InputError("branch amalgamation allows overlap only at the shared terminal")
-    r = len(b1.search)
-    d = task0.base.graph.degree(a)
-    demand = {
-        edge_key(a, u): (1 << (d - 1)) * r + 1
-        for u in task0.base.graph.neighbors(a)
-    }
-    b0 = task0.run(demand)
-    _require_overlap(b0.host, b1.host, {a}, "branch")
-    host = _merge_hosts(b0.host, b1.host)
-    search = clear_ball_outward(b0.host, a, b, r) + tuple(b1.search) + tuple(b0.search)
-    stats = {
-        "op": "branch",
-        "host_vertices": host.n,
-        "search_length": len(search),
-        "ball_radius": r,
-    }
-    return AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
+    return _amalgamate_branch(task0, b1, True)
 
 
 def amalgamate_branch_prime(task0, b1):
@@ -282,29 +367,33 @@ def amalgamate_branch_prime(task0, b1):
     pendant is cleared; an inward sweep of radius |S_1| + 1 finishes the
     job. The pendant bundle must be aligned into the shared terminal.
     """
+    return _amalgamate_branch(task0, b1, False)
+
+
+def _amalgamate_branch(task0, b1, outward):
+    # the pendant b1 hangs at the first terminal (outward) or the second
     a, b = task0.base.terminals
-    if b1.alignment[1] != b:
+    at, end, name = (a, "start", "branch") if outward else (b, "end", "branch-prime")
+    if b1.alignment[0 if outward else 1] != at:
         raise InputError(
-            f"pendant alignment {b1.alignment} does not end at the shared "
-            f"terminal {b!r}"
+            f"pendant alignment {b1.alignment} does not {end} at the shared "
+            f"terminal {at!r}"
         )
-    if set(task0.base.graph.vertices) & set(b1.host.base.vertices) != {b}:
-        raise InputError(
-            "branch-prime amalgamation allows overlap only at the shared terminal"
-        )
-    r = len(b1.search) + 1
-    d = task0.base.graph.degree(b)
-    demand = {
-        edge_key(b, u): (1 << (d - 1)) * r for u in task0.base.graph.neighbors(b)
-    }
-    b0 = task0.run(demand)
-    _require_overlap(b0.host, b1.host, {b}, "branch-prime")
-    assert b0.search and b in b0.search[-1], "main search must touch b last"
-    trimmed = tuple(b0.search[:-1]) + (b0.search[-1] - {b},)
+    g0 = task0.base.graph
+    if set(g0.vertices) & set(b1.host.base.vertices) != {at}:
+        raise InputError(f"{name} amalgamation allows overlap only at the shared terminal")
+    r = len(b1.search) + (0 if outward else 1)
+    b0 = task0.run(_demand(at, g0.neighbors(at), _need(g0.degree(at), r, outward)))
+    _require_overlap(b0.host, b1.host, {at}, name)
+    if outward:
+        ball = clear_ball_outward(b0.host, a, b, r)
+    else:
+        assert b0.search and b in b0.search[-1], "main search must touch b last"
+        ball = clear_ball_inward(b0.host, b, a, r)
     host = _merge_hosts(b0.host, b1.host)
-    search = trimmed + tuple(b1.search) + clear_ball_inward(b0.host, b, a, r)
+    search = _hang(tuple(b0.search), tuple(b1.search), ball, at, outward)
     stats = {
-        "op": "branch_prime",
+        "op": "branch" if outward else "branch_prime",
         "host_vertices": host.n,
         "search_length": len(search),
         "ball_radius": r,
@@ -316,41 +405,18 @@ def amalgamate_parallel(task0, b1, b2):
     """Run two pendant bundles and a main bundle in parallel position.
 
     b1 hangs at a with free end c, b2 hangs at b with free end d, and a
-    fresh connector path from c to d ties them together. The schedule is
-
-        ball out at a, S_1, sweep connector away from c, S_0,
-        sweep connector toward d, ({d}), S_2, ball in at b.
-
-    The connector is long enough (|S_0| + 4 interior vertices) that the
-    front parked on it survives S_0's erosion; the singleton {d} step
-    hands the connector's end over to S_2's pinned terminal.
+    fresh connector path from c to d ties them together, on the schedule
+    of _parallel_search. The connector is long enough (|S_0| + 4
+    interior vertices) that the front parked on it survives S_0's
+    erosion; the singleton {d} step hands the connector's end over to
+    S_2's pinned terminal.
     """
-    b0, sum_edges = _parallel_main(task0, b1, b2)
-    c = b1.alignment[1]
-    d = b2.alignment[0]
-    connector = SubdividedGraph(
-        Graph.from_edges([(c, d)]), {edge_key(c, d): len(b0.search) + 4}
-    )
-    _require_overlap(b1.host, connector, {c}, "parallel")
-    _require_overlap(b2.host, connector, {d}, "parallel")
-    _require_overlap(b0.host, connector, set(), "parallel")
-    host = _merge_hosts(b0.host, b1.host, b2.host, connector)
-    q = connector.chain_from((c, d), c)
-    return _parallel_bundle(
-        host, task0.base.terminals, b0, b1.search, q, b2.search, sum_edges
-    )
-
-
-def _parallel_main(task0, b1, b2):
-    """Check the pieces of a parallel amalgamation and run the main task
-    with the ball demands at both terminals. Returns the main bundle and
-    the edges that took both terminals' demands."""
     a, b = task0.base.terminals
+    c, d = b1.alignment[1], b2.alignment[0]
     if b1.alignment[0] != a:
         raise InputError(f"first pendant {b1.alignment} does not start at {a!r}")
     if b2.alignment[1] != b:
         raise InputError(f"second pendant {b2.alignment} does not end at {b!r}")
-    d = b2.alignment[0]
     g0 = task0.base.graph
     if set(g0.vertices) & set(b1.host.base.vertices) != {a}:
         raise InputError("parallel amalgamation: first pendant may share only a")
@@ -366,63 +432,35 @@ def _parallel_main(task0, b1, b2):
             f"parallel amalgamation: {d!r} is the only neighbor of {b!r} in "
             "the second pendant's host; subdivide the pendant between them"
         )
-
-    delta = max(g0.degree(a), g0.degree(b))
-    demand_a = (1 << (delta - 1)) * len(b1.search) + 1
-    demand_b = (1 << (delta - 1)) * (len(b2.search) + 1)
-    demand = {}
-    for u in g0.neighbors(a):
-        demand[edge_key(a, u)] = demand_a
-    sum_edges = []
-    for u in g0.neighbors(b):
-        e = edge_key(b, u)
-        if e in demand:
-            # one edge serving both terminals takes the combined demand
-            demand[e] += demand_b
-            sum_edges.append(e)
-        else:
-            demand[e] = demand_b
+    r1, r2 = len(b1.search), len(b2.search)
+    demand, summed = _parallel_demand(
+        a, b, g0.neighbors(a), g0.neighbors(b), r1, r2
+    )
     b0 = task0.run(demand)
     _require_overlap(b0.host, b1.host, {a}, "parallel")
     _require_overlap(b0.host, b2.host, {b}, "parallel")
-    return b0, sum_edges
-
-
-def _parallel_bundle(host, terminals, b0, s1, q, s2, sum_edges):
-    """The parallel schedule as a bundle on host: the main bundle b0, the
-    pendant searches s1 and s2, and q the connector's chain from c to d,
-    each under the labels host gives them."""
-    a, b = terminals
     length = len(b0.search)
-    s_a = clear_ball_outward(b0.host, a, b, len(s1))
-    s_pa = tuple(
-        frozenset({a, q[t - 1], q[t]}) for t in range(1, length + 4)
+    connector = SubdividedGraph(
+        Graph.from_edges([(c, d)]), {edge_key(c, d): length + 4}
     )
-    s_pb = tuple(
-        frozenset({b, q[t + 2], q[t + 3]}) for t in range(1, length + 3)
+    _require_overlap(b1.host, connector, {c}, "parallel")
+    _require_overlap(b2.host, connector, {d}, "parallel")
+    _require_overlap(b0.host, connector, set(), "parallel")
+    host = _merge_hosts(b0.host, b1.host, b2.host, connector)
+    search, checkpoint = _parallel_search(
+        a,
+        b,
+        clear_ball_outward(b0.host, a, b, r1),
+        tuple(b1.search),
+        connector.chain_from((c, d), c),
+        tuple(b0.search),
+        tuple(b2.search),
+        clear_ball_inward(b0.host, b, a, r2 + 1),
     )
-    s_b = clear_ball_inward(b0.host, b, a, len(s2) + 1)
-    search = (
-        s_a
-        + tuple(s1)
-        + s_pa
-        + tuple(b0.search)
-        + s_pb
-        + (frozenset({q[-1]}),)
-        + tuple(s2)
-        + s_b
-    )
-    stats = {
-        "op": "parallel",
-        "host_vertices": host.n,
-        "search_length": len(search),
-        "connector_count": length + 4,
-        "checkpoint_step": len(s_a) + len(s1) + len(s_pa) + length + len(s_pb) + 1,
-    }
-    if sum_edges:
-        stats["floor_sum_edges"] = sorted(sum_edges)
-    if b0.stats.get("padded_steps"):
-        stats["padded_steps"] = b0.stats["padded_steps"]
+    stats = {"host_vertices": host.n, "search_length": len(search)}
+    stats.update(_parallel_stats(
+        length, checkpoint, summed, b0.stats.get("padded_steps", 0)
+    ))
     return AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
 
 
@@ -485,7 +523,17 @@ def split_at_bridge(tree):
 
 
 # ---------------------------------------------------------------------------
-# the synthesizer
+# the walker
+
+# Planned host vertices or search steps past which synth refuses to
+# build. Building and printing a bundle takes about 0.6 KB per step:
+# K_{2,6} from the classifier's root, 515,641 host vertices and
+# 1,033,433 steps, peaked at 650 MB.
+_HOST_CAP = 500_000
+
+
+class _OverCap(Exception):
+    pass
 
 
 def _check_floors(floors, graph):
@@ -498,30 +546,6 @@ def _check_floors(floors, graph):
             raise InputError(f"negative floor on {k}")
         out[k] = int(f)
     return out
-
-
-def _task(tree, floors):
-    def run(extra):
-        merged = dict(floors)
-        for e, f in extra.items():
-            merged[e] = max(merged.get(e, 0), f)
-        return _synth(tree, merged)
-
-    return SynthTask(tree.terminal_graph(), run)
-
-
-def _padded(bundle, extra):
-    """Prefix singleton steps pinning the first terminal, lengthening the
-    search without disturbing success or alignment."""
-    if extra <= 0:
-        return bundle
-    a = bundle.alignment[0]
-    search = (frozenset({a}),) * extra + tuple(bundle.search)
-    stats = dict(bundle.stats)
-    stats["padded_steps"] = stats.get("padded_steps", 0) + extra
-    return AlignedSearchBundle(
-        bundle.host, search, bundle.alignment, bundle.floors_satisfied, stats
-    )
 
 
 def _pieces(tree):
@@ -539,114 +563,6 @@ def _pieces(tree):
         if len(inner) > 1:
             return [node(tree.op, inner[0], tree.children[1])] + inner[1:]
     return [tree]
-
-
-def _piece_key(piece):
-    return piece.graph.n, sorted(map(str, piece.graph.vertices))
-
-
-def _parallel(tree, floors):
-    pieces = _pieces(tree)
-    bridged = [p for p in pieces if p.bridged]
-    # a simple tree allows at most one piece of complexity 1, and every
-    # complexity-0 piece is bridged, so there is always a candidate
-    assert bridged, "no bridged piece in a simple parallel composition"
-    chosen = min(bridged, key=_piece_key)
-    rest = [p for p in pieces if p is not chosen]
-    core = rest[0] if len(rest) == 1 else _fold("parallel", rest)
-
-    left, (c, d), right, origin = _split_impl(chosen)
-    b1 = _synth(left, floors)
-    b = right.terminals[1]
-    rf = floors
-    if right.graph.degree(b) == 1 and right.graph.has_edge(d, b):
-        # keep d away from b in the right half's host, as the parallel
-        # amalgamation requires
-        e = edge_key(d, b)
-        rf = {**floors, e: max(floors.get(e, 0), 1)}
-    b2 = _synth(right, rf)
-
-    inner = _task(core, floors)
-    need = floors.get(origin, 0)
-
-    def run(extra):
-        got = inner.run(extra)
-        # the split edge's floor is carried by the connector path, whose
-        # interior count is |S_0| + 4; pad the core search if it is short
-        return _padded(got, need - 4 - len(got.search))
-
-    b0, sum_edges = _parallel_main(SynthTask(inner.base, run), b1, b2)
-
-    # The origin chain x .. c .. d .. y becomes the split edge's own chain.
-    # Its labels are fixed once |S_0| fixes the connector's length, so the
-    # connector sweeps are built on them and only the pendants' searches,
-    # which hold x .. c and d .. y under the halves' labels, are renamed.
-    x, y = origin if c == subdivision_label(origin, 1) else origin[::-1]
-    to_c = b1.host.chain_from((x, c), x)[1:]
-    from_d = b2.host.chain_from((d, y), d)[:-1]
-    total = len(to_c) + len(b0.search) + 4 + len(from_d)
-    labels = [subdivision_label(origin, i) for i in range(1, total + 1)]
-    if x != origin[0]:
-        labels.reverse()
-    q = labels[len(to_c) - 1 : total - len(from_d) + 1]
-    s1 = _renamed(b1.search, dict(zip(to_c, labels)))
-    s2 = _renamed(b2.search, dict(zip(from_d, labels[total - len(from_d) :])))
-    counts = {}
-    for h in (b0.host, b1.host, b2.host):
-        counts.update((e, n) for e, n in h.counts.items() if tree.graph.has_edge(*e))
-    counts[origin] = total
-    host = SubdividedGraph(tree.graph, counts)
-    bundle = _parallel_bundle(host, tree.terminals, b0, s1, q, s2, sum_edges)
-    bundle.stats["split_edge"] = list(origin)
-    return bundle
-
-
-def _renamed(steps, remap):
-    keys = frozenset(remap)
-    return tuple(
-        step if keys.isdisjoint(step) else frozenset(remap.get(v, v) for v in step)
-        for step in steps
-    )
-
-
-def _synth(tree, floors):
-    a, b = tree.terminals
-    if tree.is_leaf:
-        e = edge_key(a, b)
-        count = floors.get(e, 0)
-        host = SubdividedGraph(tree.graph, {e: count})
-        if count == 0:
-            search = (frozenset({a, b}),)
-        else:
-            q = host.chain_from(e, a)
-            search = tuple(
-                frozenset({a, q[t], q[t + 1]}) for t in range(1, count + 1)
-            )
-        stats = {"op": "leaf", "host_vertices": host.n, "search_length": len(search)}
-        return AlignedSearchBundle(host, search, (a, b), _attained(host), stats)
-    t0, t1 = tree.children
-    if tree.op == "series":
-        return amalgamate_series(_synth(t0, floors), _synth(t1, floors))
-    if tree.op == "branch":
-        return amalgamate_branch(_task(t0, floors), _synth(t1, floors))
-    if tree.op == "branch_alt":
-        pendant = _synth(invert(t1), floors)
-        return amalgamate_branch_prime(_task(t0, floors), pendant)
-    return _parallel(tree, floors)
-
-
-# ---------------------------------------------------------------------------
-# the size model
-
-# Planned host vertices or search steps past which synth refuses to
-# build. Building and printing a bundle takes about 0.6 KB per step:
-# K_{2,6} from the classifier's root, 515,641 host vertices and
-# 1,033,433 steps, peaked at 650 MB.
-_HOST_CAP = 500_000
-
-
-class _OverCap(Exception):
-    pass
 
 
 def _ends(tree, end):
@@ -671,17 +587,34 @@ def _ends(tree, end):
     return out
 
 
-class _Plan:
-    """The sizes _synth would build, planned on Python ints (see _plan).
-    A class rather than closures, so that a plan leaves no reference
-    cycle for the paused collector."""
+def _labels(t):
+    # the sorted vertex labels of t, without the graph
+    return sorted(map(str, {v for s in t.walk() if s.op == "leaf" for v in (s.a, s.b)}))
 
-    __slots__ = ("room", "steps_cap", "counts", "orders", "interior")
 
-    def __init__(self, room, steps_cap):
-        self.room, self.steps_cap = room, steps_cap
+def _renamed(steps, remap):
+    keys = frozenset(remap)
+    return tuple(
+        step if keys.isdisjoint(step) else frozenset(remap.get(v, v) for v in step)
+        for step in steps
+    )
+
+
+class _Walk:
+    """One walk over a simple tree, with no graph and no host. In build
+    mode each node returns its search steps; in plan mode (see _plan)
+    their count, on Python ints. Both modes put every base edge's
+    interior count into `counts`, and `stats` holds the last node's own
+    stats. A class rather than closures, so that a walk leaves no
+    reference cycle for the paused collector."""
+
+    __slots__ = ("build", "room", "steps_cap", "counts", "orders", "interior", "stats")
+
+    def __init__(self, build, room, steps_cap):
+        self.build, self.room, self.steps_cap = build, room, steps_cap
         self.counts, self.orders = {}, {}
-        self.interior = 0  # the counts planned so far
+        self.interior = 0  # the counts walked so far
+        self.stats = None
 
     def order(self, t):
         # vertices of t's graph; the entry keeps t alive, so no other
@@ -700,132 +633,182 @@ class _Plan:
         if self.interior > self.room:
             raise _OverCap
 
-    def demanded(self, floors, at, ends, value, merged=None):
-        # floors, or merged, with value demanded on the edges from at to
-        # its neighbours ends, which the plan has yet to reach: they will
-        # add at least value each to the interior
-        if self.interior + len(ends) * value > self.room:
+    def demanded(self, floors, demand):
+        # floors with demand merged in; the demanded edges, which the walk
+        # has yet to reach, will add at least their demands to the interior
+        merged, total = dict(floors), self.interior
+        for e, f in demand.items():
+            total += f
+            if f > merged.get(e, 0):
+                merged[e] = f
+        if total > self.room:
             raise _OverCap
-        merged = dict(floors) if merged is None else merged
-        for u in ends:
-            e = edge_key(at, u)
-            merged[e] = max(merged.get(e, 0), value)
         return merged
 
     def node(self, t, floors, flip):
-        """The search length of t, or of invert(t) when flip."""
+        """The search of the bundle built from t, or from invert(t) when
+        flip, under floors."""
         op = t.op
         if op == "leaf":
+            # the window slides from a down the edge's chain, or with no
+            # interior vertex one step holds the edge
             e = edge_key(t.a, t.b)
             c = self.counts[e] = floors.get(e, 0)
             if c:
                 self.grow(c)
-                return c
-            return 1
-        t0, t1 = t.children
+            if not self.build:
+                return c or 1
+            a, b = (t.b, t.a) if flip else (t.a, t.b)
+            self.stats = {"op": "leaf"}
+            return _slide(a, _chain(e, c, a), 1, c) if c else (frozenset({a, b}),)
         if op == "series":
-            if flip:
-                t0, t1 = t1, t0
-            length = self.node(t0, floors, flip) + self.node(t1, floors, flip)
+            t0, t1 = t.children[::-1] if flip else t.children
+            search = self.node(t0, floors, flip) + self.node(t1, floors, flip)
+            if self.build:
+                self.stats = {"op": "series"}
         elif op == "parallel":
-            length = self.parallel(t, floors, flip)
+            search = self.parallel(t, floors, flip)
         else:
-            # the pendant hangs at t0's first terminal under a branch node
-            # and at its second under branch_alt; inverting swaps the tags
-            glue = 0 if op == "branch" else 1
-            r = self.node(t1, floors, bool(glue) != flip)
-            ends = _ends(t0, glue)
-            d = len(ends)
-            if glue == flip:  # built by amalgamate_branch
-                demand = (1 << (d - 1)) * r + 1
-                length = ((1 << d) - 1) * r + r
-            else:  # built by amalgamate_branch_prime, radius r + 1
-                demand = (1 << (d - 1)) * (r + 1)
-                length = r + ((1 << d) - 1) * (r + 1)
-            merged = self.demanded(floors, t0.terminals[glue], ends, demand)
-            length += self.node(t0, merged, flip)
-        if length > self.steps_cap:
+            search = self.branch(t, floors, flip)
+        if not self.build and search > self.steps_cap:
             raise _OverCap
-        return length
+        return search
+
+    def ball(self, at, ends, r, outward):
+        # the ball sweep at at over its edges to ends, on the chains the
+        # walk has given them; either sweep's runs add up to (2^d - 1) r
+        if not self.build:
+            return ((1 << len(ends)) - 1) * r
+        chains = []
+        for u in sorted(ends, key=str):
+            e = edge_key(at, u)
+            chains.append(_chain(e, self.counts[e], at))
+        return (_ball_out if outward else _ball_in)(at, chains, r)
+
+    def branch(self, t, floors, flip):
+        # the pendant hangs at t0's first terminal under a branch node
+        # and at its second under branch_alt; inverting swaps the tags,
+        # so a branch_alt's pendant is walked inverted
+        t0, t1 = t.children
+        glue = 0 if t.op == "branch" else 1
+        s1 = self.node(t1, floors, bool(glue) != flip)
+        # the pendant hangs at the first terminal (amalgamate_branch) or
+        # at the second (amalgamate_branch_prime, radius |S_1| + 1)
+        outward = glue == flip
+        at, ends = t0.terminals[glue], _ends(t0, glue)
+        r = _size(s1) + (0 if outward else 1)
+        demand = _demand(at, ends, _need(len(ends), r, outward))
+        s0 = self.node(t0, self.demanded(floors, demand), flip)
+        if self.build:
+            self.stats = {"op": "branch" if outward else "branch_prime", "ball_radius": r}
+        return _hang(s0, s1, self.ball(at, ends, r, outward), at, outward)
+
+    def chosen(self, pieces):
+        """The piece to split: a bridged one of the fewest vertices, the
+        least labels breaking a tie. A leaf has the fewest, and only one
+        piece can be the edge ab. A simple tree allows at most one piece
+        of complexity 1, and every complexity-0 piece is bridged, so
+        there is always a candidate."""
+        for p in pieces:
+            if p.op == "leaf":
+                return p
+        bridged = [p for p in pieces if p.bridged]
+        least = min(map(self.order, bridged))
+        tied = [p for p in bridged if self.order(p) == least]
+        return tied[0] if len(tied) == 1 else min(tied, key=_labels)
 
     def parallel(self, t, floors, flip):
-        """_parallel on t, or on invert(t) when flip: the split halves,
-        the core under the demands at both terminals, the padding and
-        the connector. Inverting inverts every piece, and the split of an
-        inverted piece at its first bridge is the inversion of the split
-        at its last, with the halves swapped."""
+        """The parallel amalgamation of t, or of invert(t) when flip. The
+        chosen piece is split at a bridge into the pendants S_1 at a and
+        S_2 at b; the other pieces form the core S_0, walked under the
+        demands at both terminals. Inverting inverts every piece, and the
+        split of an inverted piece at its first bridge is the inversion
+        of the split at its last, with the halves swapped."""
         pieces = _pieces(t)
-        bridged = [p for p in pieces if p.bridged]
-        # _piece_key: a leaf has the fewest vertices, and only one piece
-        # can be the edge ab; labels break a tie
-        chosen = next((p for p in bridged if p.op == "leaf"), None)
-        if chosen is None:
-            least = min(map(self.order, bridged))
-            tied = [p for p in bridged if self.order(p) == least]
-            chosen = tied[0] if len(tied) == 1 else min(tied, key=_labels)
+        chosen = self.chosen(pieces)
         rest = [p for p in pieces if p is not chosen]
         core = rest[0] if len(rest) == 1 else _fold("parallel", rest)
         at_a = 1 if flip else 0  # the end of t that is the first terminal
         a, b = t.terminals[at_a], t.terminals[1 - at_a]
-        if chosen.op == "leaf":
-            # the edge ab splits into the leaves a-c and d-b, searched in
-            # one step each, and d-b carries one interior vertex
-            origin, s1, s2, halves = edge_key(a, b), 1, 1, 1
-            self.grow(1)
-        else:
-            left, (c, d), right, origin = _split_impl(chosen, last=flip)
-            # the halves that hang at a and at b, and b's fresh neighbour
-            h1, h2, fresh = (right, left, c) if flip else (left, right, d)
-            s1 = self.node(h1, floors, flip)
-            rf = floors
-            if _ends(h2, 1 - at_a) == [fresh]:
-                e = edge_key(fresh, b)
-                rf = {**floors, e: max(floors.get(e, 0), 1)}
-            s2 = self.node(h2, rf, flip)
-            # c and d each have one neighbour in their halves, x and y;
-            # the chain x .. c .. d .. y takes the split edge's place
-            (x,), (y,) = _ends(left, 1), _ends(right, 0)
-            halves = self.counts.pop(edge_key(x, c)) + self.counts.pop(edge_key(d, y))
+        left, (c, d), right, origin = _split_impl(chosen, last=flip)
+        # the halves that hang at a and at b, and their fresh ends, which
+        # the connector joins
+        h1, h2, c1, c2 = (right, left, d, c) if flip else (left, right, c, d)
+        s1 = self.node(h1, floors, flip)
+        rf = floors
+        if _ends(h2, 1 - at_a) == [c2]:
+            # keep c2 away from b in the second pendant's host, as the
+            # parallel amalgamation requires
+            e = edge_key(c2, b)
+            rf = {**floors, e: max(floors.get(e, 0), 1)}
+        s2 = self.node(h2, rf, flip)
         a_ends, b_ends = _ends(core, at_a), _ends(core, 1 - at_a)
-        da, db = len(a_ends), len(b_ends)
-        scale = 1 << (max(da, db) - 1)
-        demand_a, demand_b = scale * s1 + 1, scale * (s2 + 1)
-        merged = self.demanded(floors, a, a_ends, demand_a)
-        merged = self.demanded(floors, b, b_ends, demand_b, merged)
-        if b in a_ends:
-            # one edge serving both terminals takes the combined demand
-            e = edge_key(a, b)
-            merged[e] = max(floors.get(e, 0), demand_a + demand_b)
-        s0 = max(self.node(core, merged, flip), floors.get(origin, 0) - 4)
-        self.counts[origin] = halves + s0 + 6
-        self.grow(s0 + 6)
-        return ((1 << da) - 1) * s1 + s1 + 3 * s0 + 6 + s2 + ((1 << db) - 1) * (s2 + 1)
-
-
-def _labels(t):
-    # _piece_key's tie-break, without the graph
-    return sorted(map(str, {v for s in t.walk() if s.op == "leaf" for v in (s.a, s.b)}))
+        r1, r2 = _size(s1), _size(s2)
+        demand, summed = _parallel_demand(a, b, a_ends, b_ends, r1, r2)
+        s0 = self.node(core, self.demanded(floors, demand), flip)
+        # the split edge's floor is carried by the connector, whose
+        # interior count is |S_0| + 4: a short S_0 is padded with steps
+        # that pin a
+        pad = max(0, floors.get(origin, 0) - 4 - _size(s0))
+        if self.build:
+            # and so were the core's own cores (its stats are the last node's)
+            padded = pad + self.stats.get("padded_steps", 0)
+            s0 = (frozenset({a}),) * pad + s0
+        else:
+            s0 += pad
+        length = _size(s0)
+        # the chain x .. c1 .. c2 .. y takes the split edge's place; c1
+        # is the split edge's first or second label, "(x,y)#1" or "#2"
+        x, y = origin if c1[-1] == "1" else origin[::-1]
+        n1, n2 = self.counts.pop(edge_key(x, c1)), self.counts.pop(edge_key(c2, y))
+        total = self.counts[origin] = n1 + length + 6 + n2
+        self.grow(length + 6)
+        ball_a, ball_b = self.ball(a, a_ends, r1, True), self.ball(b, b_ends, r2 + 1, False)
+        if not self.build:
+            return _parallel_search(a, b, ball_a, s1, None, s0, s2, ball_b)[0]
+        # the pendants hold x .. c1 and c2 .. y under their own labels;
+        # the connector is laid on the split edge's
+        chain = _chain(origin, total, x)
+        s1 = _renamed(s1, dict(zip(_chain(edge_key(x, c1), n1, x)[1:], chain[1:])))
+        s2 = _renamed(s2, dict(zip(_chain(edge_key(c2, y), n2, y)[1:], chain[-2::-1])))
+        q = chain[n1 + 1 : total + 1 - n2]
+        search, checkpoint = _parallel_search(a, b, ball_a, s1, q, s0, s2, ball_b)
+        self.stats = _parallel_stats(length, checkpoint, summed, padded)
+        self.stats["split_edge"] = list(origin)
+        return search
 
 
 def _plan(tree, floors, room=_HOST_CAP, steps_cap=_HOST_CAP, flip=False):
-    """The size of the bundle _synth builds from tree, or from
+    """The size of the bundle synthesize builds from tree, or from
     invert(tree) when flip, under floors, a checked floor map, without
     building it: (interior count per base edge, search length). It
-    returns None as soon as the interior vertices planned so far or a
+    returns None as soon as the interior vertices walked so far or a
     demand pass room, or a search length passes steps_cap.
 
-    It follows _synth node for node on Python ints. It makes no search
-    step, no host and no graph: terminal degrees are read off the leaves
-    (_ends) and vertex counts are summed bottom-up, once per node. The
-    only labels it makes are the two fresh terminals of each split of a
-    piece that is not a single edge.
+    It is the walker in plan mode: the same demands, piece choice,
+    splits and padding, on step counts instead of steps. It makes no
+    search step, no host and no graph: terminal degrees are read off the
+    leaves (_ends) and vertex counts are summed bottom-up, once per node.
+    The only labels it makes are the two fresh terminals of each split.
     """
-    planner = _Plan(room, steps_cap)
+    walk = _Walk(False, room, steps_cap)
     try:
-        length = planner.node(tree, floors, flip)
+        length = walk.node(tree, floors, flip)
     except _OverCap:
         return None
-    return planner.counts, length
+    return walk.counts, length
+
+
+def _bundle(graph, tree, floors, flip):
+    """The unchecked bundle the walker builds from tree, or from
+    invert(tree) when flip, under floors, a checked floor map; graph is
+    tree's graph and becomes the base of the one host it makes."""
+    walk = _Walk(True, math.inf, math.inf)
+    search = walk.node(tree, floors, flip)
+    host = SubdividedGraph(graph, walk.counts)
+    stats = {**walk.stats, "host_vertices": host.n, "search_length": len(search)}
+    alignment = tree.terminals[::-1] if flip else tree.terminals
+    return AlignedSearchBundle(host, search, alignment, _attained(host), stats)
 
 
 def _rooted(g, tree, floors):
@@ -835,6 +818,9 @@ def _rooted(g, tree, floors):
     The other candidates are the classifier's assembly with the block
     its peel leaves last, if that block has 4+ vertices, decomposed from
     each of its edges (gsp._rootings), each read from either end. The
+    walker synthesize builds with plans each one (_plan), the other end
+    with flip, so a plan is the size of what synthesize would build; a
+    candidate chosen from its other end is inverted once, here. The
     tree built has the least planned (host vertices, search steps) among
     those no worse than the classifier's tree on both; ties keep the
     classifier's tree, then the first in edge order. There are 2|E(B)|
@@ -892,7 +878,9 @@ def synthesize(tg, tree, floors=None):
     `tree` must be a simple decomposition of tg; `floors` optionally
     demands minimum interior counts per base edge, which the returned
     host is guaranteed to meet (children may always over-subdivide).
-    This is the one place a bundle is checked: the search is re-simulated
+    One walk of the tree (_Walk) lays out the search, and the one host
+    it makes is the final one. This is the one place a bundle is
+    checked: the search is re-simulated
     on the host's own numbering, and a bundle that fails the check or its
     floors raises AssertionError, an internal error, also under
     `python -O`.
@@ -904,7 +892,7 @@ def synthesize(tg, tree, floors=None):
     if tree.graph != tg.graph or tree.terminals != tg.terminals:
         raise InputError("decomposition does not describe the terminal graph")
     checked = _check_floors(floors or {}, tg.graph)
-    bundle = _synth(tree, checked)
+    bundle = _bundle(tg.graph, tree, checked, False)
     try:
         ok, why = check_aligned_search(
             bundle.host, bundle.search, *bundle.alignment, width=3

@@ -170,9 +170,15 @@ def reference_recompose(tree):
         if t.is_leaf:
             return {t.a: {t.b}, t.b: {t.a}}
         _, glued = gsp_module._glue(t.op, *(c.terminals for c in t.children))
-        return gsp_module._union(t.op, glued, *parts)
+        small, big = sorted(parts, key=len)
+        if {v for v in small if v in big} != glued:
+            raise InputError(f"{t.op} composition allows overlap only at {sorted(glued)}")
+        for v, ns in small.items():
+            big.setdefault(v, set()).update(ns)
+        return big
 
-    return gsp_module._freeze(gsp_module._bottom_up(tree, lambda t: t.children, combine))
+    adj = gsp_module._bottom_up(tree, lambda t: t.children, combine)
+    return Graph({v: frozenset(ns) for v, ns in adj.items()})
 
 
 def folded(fold, tree):

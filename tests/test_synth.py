@@ -1,5 +1,6 @@
 """Synthesis of aligned searches on subdivisions."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import zvsearch
+import zvsearch.cli as cli
 import zvsearch.gsp as gsp_module
 import zvsearch.synth as synth_module
 from zvsearch.errors import InputError
@@ -38,6 +40,8 @@ from zvsearch.gsp import (
 from zvsearch.synth import (
     AlignedSearchBundle,
     SynthTask,
+    amalgamate_branch,
+    amalgamate_branch_prime,
     amalgamate_parallel,
     amalgamate_series,
     clear_ball_inward,
@@ -191,21 +195,22 @@ def test_parallel_keeps_the_core_search_as_built(monkeypatch):
     """The connector sweeps are built on the split edge's final labels,
     so the core search S_0 enters the parallel bundle step for step, the
     same objects, and is never renamed."""
-    cores = []
-    real = synth_module._parallel_main
+    done = []
+    real = synth_module._Walk.node
 
-    def spy(*args):
-        got = real(*args)
-        cores.append(got[0].search)
+    def spy(self, t, floors, flip):
+        got = real(self, t, floors, flip)
+        done.append((t.op, got))
         return got
 
-    monkeypatch.setattr(synth_module, "_parallel_main", spy)
+    monkeypatch.setattr(synth_module._Walk, "node", spy)
     tree = classify_topological_3(generate("grid:2,4")).tree
     bundle = synthesize(tree.terminal_graph(), tree)
-    assert bundle.stats["op"] == "parallel" and len(cores) > 1
-    # the top level's main task runs the nested levels, so it ends last;
+    assert bundle.stats["op"] == "parallel"
+    assert sum(op == "parallel" for op, _ in done) > 1
+    # the top level walks its pendants, then its core, then ends itself;
     # S_0 ends where the sweep toward d, |S_0| + 2 steps, and {d} begin
-    core = cores[-1]
+    core = done[-2][1]
     end = bundle.stats["checkpoint_step"] - 1 - (len(core) + 2)
     got = bundle.search[end - len(core) : end]
     assert len(got) == len(core) and all(x is y for x, y in zip(got, core))
@@ -510,6 +515,207 @@ def test_paths_synthesize_without_subdividing():
 
 
 # ---------------------------------------------------------------------------
+# the first form of the synthesizer
+
+
+def reference_task(tree, floors):
+    """The task of a main side: tree synthesized under floors and the
+    demands the amalgamation passes in."""
+
+    def run(extra):
+        merged = dict(floors)
+        for e, f in extra.items():
+            merged[e] = max(merged.get(e, 0), f)
+        return reference_synth(tree, merged)
+
+    return SynthTask(tree.terminal_graph(), run)
+
+
+def reference_padded(bundle, extra):
+    """The bundle with extra singleton steps pinning its first terminal
+    in front."""
+    if extra <= 0:
+        return bundle
+    a = bundle.alignment[0]
+    stats = dict(bundle.stats)
+    stats["padded_steps"] = stats.get("padded_steps", 0) + extra
+    return AlignedSearchBundle(
+        bundle.host, (frozenset({a}),) * extra + bundle.search,
+        bundle.alignment, bundle.floors_satisfied, stats,
+    )
+
+
+def reference_parallel(tree, floors):
+    """A parallel node as first built: the bridged piece of the fewest
+    vertices (least labels on a tie) split at its first bridge, the
+    other pieces as the core, padded to the split edge's floor, joined
+    by amalgamate_parallel; the connector path x .. c .. d .. y is then
+    relabelled as the split edge's own chain."""
+    pieces = synth_module._pieces(tree)
+    chosen = min(
+        (p for p in pieces if p.bridged),
+        key=lambda p: (p.graph.n, sorted(map(str, p.graph.vertices))),
+    )
+    rest = [p for p in pieces if p is not chosen]
+    core = rest[0] if len(rest) == 1 else gsp_module._fold("parallel", rest)
+    left, (c, d), right, origin = synth_module._split_impl(chosen)
+    b1 = reference_synth(left, floors)
+    b = right.terminals[1]
+    rf = floors
+    if right.graph.degree(b) == 1 and right.graph.has_edge(d, b):
+        e = edge_key(d, b)
+        rf = {**floors, e: max(floors.get(e, 0), 1)}
+    b2 = reference_synth(right, rf)
+    inner = reference_task(core, floors)
+    need = floors.get(origin, 0)
+
+    def run(extra):
+        got = inner.run(extra)
+        return reference_padded(got, need - 4 - len(got.search))
+
+    out = amalgamate_parallel(SynthTask(inner.base, run), b1, b2)
+    x, y = origin if c == subdivision_label(origin, 1) else origin[::-1]
+    path = out.host.chain_from((x, c), x)
+    path += out.host.chain_from((c, d), c)[1:] + out.host.chain_from((d, y), d)[1:]
+    counts = {e: n for e, n in out.host.counts.items() if tree.graph.has_edge(*e)}
+    counts[origin] = len(path) - 2
+    host = SubdividedGraph(tree.graph, counts)
+    remap = dict(zip(path, host.chain_from(origin, x)))
+    search = tuple(frozenset(remap.get(v, v) for v in step) for step in out.search)
+    stats = {**out.stats, "split_edge": list(origin)}
+    return AlignedSearchBundle(
+        host, search, out.alignment, {e: host.count(e) for e in host.base.edges()}, stats
+    )
+
+
+def reference_synth(tree, floors):
+    """The first form of synthesize's build, under floors, a checked
+    floor map: a bundle for every node, composed from the public
+    amalgamations, with a branch_alt pendant built from its inversion."""
+    a, b = tree.terminals
+    if tree.is_leaf:
+        e = edge_key(a, b)
+        count = floors.get(e, 0)
+        host = SubdividedGraph(tree.graph, {e: count})
+        if count == 0:
+            search = (frozenset({a, b}),)
+        else:
+            q = host.chain_from(e, a)
+            search = tuple(frozenset({a, q[t], q[t + 1]}) for t in range(1, count + 1))
+        stats = {"op": "leaf", "host_vertices": host.n, "search_length": len(search)}
+        return AlignedSearchBundle(host, search, (a, b), {e: count}, stats)
+    t0, t1 = tree.children
+    if tree.op == "series":
+        return amalgamate_series(reference_synth(t0, floors), reference_synth(t1, floors))
+    if tree.op == "branch":
+        return amalgamate_branch(reference_task(t0, floors), reference_synth(t1, floors))
+    if tree.op == "branch_alt":
+        pendant = reference_synth(invert(t1), floors)
+        return amalgamate_branch_prime(reference_task(t0, floors), pendant)
+    return reference_parallel(tree, floors)
+
+
+def assert_matches_first_form(tree, floors=None):
+    """synthesize on tree against reference_synth, record for record;
+    returns the bundle."""
+    g = tree.graph
+    bundle = synthesize(tree.terminal_graph(), tree, floors)
+    want = reference_synth(tree, synth_module._check_floors(floors or {}, g))
+    assert bundle.to_record() == want.to_record(), (tree_to_record(tree), floors)
+    return bundle
+
+
+def test_synthesize_matches_its_first_form_on_the_corpus(synthesized_corpus):
+    """And building a tree read from its other end (flip) is building
+    its inversion."""
+    for g, cls, bundle in synthesized_corpus:
+        want = reference_synth(cls.tree, {})
+        assert bundle.to_record() == want.to_record(), sorted(g.edges())
+        flipped = assert_matches_first_form(invert(cls.tree))
+        got = synth_module._bundle(g, cls.tree, {}, True)
+        assert got.to_record() == flipped.to_record(), sorted(g.edges())
+
+
+@pytest.mark.parametrize("spec", [f"grid:2,{m}" for m in range(3, 7)]
+                         + [f"k2:{m}" for m in range(3, 6)])
+def test_synthesize_matches_its_first_form_on_every_root(spec):
+    """Every candidate the root choice weighs, read from either end."""
+    g = named(spec)
+    peeled, block = gsp_module._root_block(g)
+    for t in gsp_module._rootings(peeled, block):
+        assert_matches_first_form(t)
+        flipped = assert_matches_first_form(invert(t))
+        got = synth_module._bundle(g, t, {}, True)
+        assert got.to_record() == flipped.to_record(), tree_to_record(t)
+
+
+@pytest.mark.parametrize("spec", ["cycle:4", "path:6"])
+def test_synthesize_matches_its_first_form_under_floors(spec):
+    g = generate(spec)
+    tree = classify_topological_3(g).tree
+    for floors in floor_maps(g):
+        assert_matches_first_form(tree, floors)
+
+
+# stdout of `synth` at the commit before the walker replaced the
+# recursive builder: the full sha256 of each document
+SYNTH_STDOUT = {
+    "grid:2,3": "17d5a88791e97fcac59d2b65c1d011f687bf2738d8c52f523d09b6eb76c3eed1",
+    "grid:2,5": "e51b68703a4ad612ace17079efd8620e627fb25c5814e01f40ad49e9c271f60c",
+    "grid:2,8": "01be5180ad2fbcaf96541f289240e471f2f9d133fb279498421eb510de2dd2c6",
+    "tree:3": "8a813ddc52f65e591686e6ea7c6337723fe7e648c524e0180bacb6c67f798db5",
+    "tree:5": "6b1286dc5bd0c3a8f08095722c5920f040d227dbfcf53b8008a2261a213528ed",
+    "cycle:3": "997a13304a3d4672038b01ab7ab780c631d34caf0130ad7659fddb5e99e6b826",
+    "cycle:5": "a98548ab4c3087499a16a9592eed87d49d2248716ae77db5aa0c0f6b4d6e39e2",
+    "path:12": "681dc80ff1b8b802ee5d89d4734cff0116cf503be69e5ef88e4bc585f85ab0ec",
+    "cycle:4 --floor 0 1 40":
+        "f742c2d284ff8aa277b1c17531cbcd9a812b4ef4d182c17c4cc4975c471f2373",
+    "cycle:4 --floor 2 3 40":
+        "c6c1c2bf834ce4fb38387e827bb9d8aef63bd604d9bf6dfce2bf30c3a5cf459c",
+    "path:6 --floor 2 3 7":
+        "b0ba2a4ecfffb95d1e78f81abbdb9c84d057afda3ca136f4d9fd67a130f763a7",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SYNTH_STDOUT))
+def test_synth_output_is_frozen(args, capsys):
+    assert cli.main(["synth", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SYNTH_STDOUT[args]
+
+
+@pytest.mark.parametrize("spec, floors", [
+    ("tree:5", {}), ("grid:2,6", {}), ("cycle:4", {("0", "1"): 40}),
+])
+def test_synthesize_makes_one_host(monkeypatch, spec, floors):
+    """The walker derives no inner node's graph: one host, the final
+    one, no recomposition and no inversion."""
+    g = generate(spec)
+    tree = synth_module._rooted(g, classify_topological_3(g).tree, floors)
+    tg = tree.terminal_graph()
+    calls = []
+    real_init = SubdividedGraph.__init__
+
+    def init(self, *args):
+        calls.append("host")
+        real_init(self, *args)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SubdividedGraph, "__init__", init)
+    for module in (gsp_module, synth_module):
+        for name in ("recompose", "invert", "_invert"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    synthesize(tg, tree, floors)
+    assert calls == ["host"]
+
+
+# ---------------------------------------------------------------------------
 # the size model and the root choice
 
 
@@ -558,14 +764,19 @@ def test_plan_equals_build_on_every_root(spec):
             assert planned(g, t, flip=flip) == built(bundle), (tree_to_record(t), flip)
 
 
+def floor_maps(g):
+    """One floor of 1, 7 or 40 on each edge in turn, 3 on every edge, and
+    odd floors on every edge."""
+    edges = g.edges()
+    maps = [{e: f} for e in edges for f in (1, 7, 40)]
+    return maps + [{e: 3 for e in edges}, {e: 2 * i + 1 for i, e in enumerate(edges)}]
+
+
 @pytest.mark.parametrize("spec", ["cycle:4", "path:6"])
 def test_plan_equals_build_under_floors(spec):
     g = generate(spec)
     tree = classify_topological_3(g).tree
-    edges = g.edges()
-    floor_maps = [{e: f} for e in edges for f in (1, 7, 40)]
-    floor_maps += [{e: 3 for e in edges}, {e: 2 * i + 1 for i, e in enumerate(edges)}]
-    for floors in floor_maps:
+    for floors in floor_maps(g):
         bundle = synthesize(tree.terminal_graph(), tree, floors)
         assert planned(g, tree, floors) == built(bundle), floors
 
@@ -611,7 +822,7 @@ def test_small_ladders_keep_their_ranges(spec, lo, hi):
         assert lo <= chosen_size(relabeled(g, rng))[0] <= hi
 
 
-# Run under python -O, where asserts are stripped: a broken amalgamation
+# Run under python -O, where asserts are stripped: a broken schedule
 # must still be caught by the final check. "drop" loses the last step of
 # every inward ball sweep; "stray" adds a vertex the host does not have,
 # which the checker rejects with an InputError that must surface as the
@@ -626,10 +837,10 @@ from zvsearch.graphs import generate
 from zvsearch.gsp import classify_topological_3
 
 spec, how = sys.argv[1:]
-real = synth.clear_ball_inward
+real = synth._ball_in
 
 
-def clear_ball_inward(*args):
+def ball_in(*args):
     steps = real(*args)
     if how == "drop":
         return steps[:-1]
@@ -641,7 +852,7 @@ if how == "lose":
     lost = classify_topological_3(g.without_edge(*g.edges()[0])).tree
     synth._rootings = lambda peeled, block: iter([lost])
 else:
-    synth.clear_ball_inward = clear_ball_inward
+    synth._ball_in = ball_in
 c = classify_topological_3(g)
 try:
     tree = synth._rooted(g, c.tree, {})
