@@ -15,8 +15,12 @@ inspection_number runs the closure only below a cap it already holds:
 the largest bag of a path decomposition, whose bag sweep succeeds at
 that width. The decomposition is an optimal one from the subset DP
 below when the tables fit (cap = pathwidth+1), and a greedy layout's
-otherwise, so every n has a cap. When every width below the cap fails,
-the merged bag sweep, replayed from the clean start, is the witness.
+otherwise, so every n has a cap. Nor does it run the closure at the
+widths that a boundary-gap certificate (below) already rules out: from
+an empty clean set it first finds the largest certified width under
+the cap, and closes only the widths above it. When every width below
+the cap is certified or fails, the merged bag sweep, replayed from the
+clean start, is the witness.
 
 The first two engines are one breadth-first closure (_closure) over one
 batched round map, which maps a batch of frontier states at a time.
@@ -43,22 +47,24 @@ kept, and sets its value unless it is below the value of the set it
 grew from: only those few sets read their predecessors.
 
 The boundary profile, the sizes of the sets whose boundary is smaller
-than k, has two engines. One reads two uint8 tables over all 2^n sets,
-the popcount and the boundary size, filled from the round map one block
-of masks at a time. The other visits the separators instead, the sets B
-of fewer than k vertices: a set with boundary B is B plus components of
-G - B, so each B adds |B| plus the subset sums of those components'
-sizes. There are sum over r < k of C(n, r) of them, far fewer than 2^n
-on the sparse graphs where k is small, and no table is needed, so it
-works at any n that its budget of search steps allows. The profile
-takes the tables only when they are cheaper.
+than k, has two engines. One sweeps all 2^n sets a block of masks at a
+time, on the closure's neighbourhood tables, and keeps only the least
+boundary of each set size: the profile at every k is read off those n+1
+numbers. The other visits the separators instead, the sets B of fewer
+than k vertices: a set with boundary B is B plus components of G - B,
+so each B adds |B| plus the subset sums of those components' sizes.
+There are sum over r < k of C(n, r) of them, far fewer than 2^n on the
+sparse graphs where k is small, and it works at any n that its budget
+of search steps allows. The profile takes the sweep only when it is
+cheaper.
 
 Plus the boundary-gap certificate: a size i such that no set of size
 strictly between i-k and i has boundary below k. No width-k search can
 grow its protected set past that gap, so finding one proves the
-inspection number exceeds k. The converse fails (K_4 with k=3 has no
-gap), which is why the certificate is a separate artifact and not part
-of the solver's answer.
+inspection number exceeds k, and every width below k too. The converse
+fails (K_4 with k=3 has no gap), so a certificate only ever skips
+closures: where the largest certified width is the cap less one, it
+settles the value, and the answer names it.
 
 Everything returns replayable witnesses; nothing is trusted without a
 simulation pass somewhere in the tests.
@@ -81,9 +87,9 @@ from .errors import InputError, ResourceLimitError
 from .game import is_monotonic, is_successful, simulate
 
 # Largest n for the subset tables: one uint8 array of 2^n entries for
-# the separation DP, two for the boundary profile, 4 MB each at n = 22;
-# beyond that, refuse. 2^_MASK_CAP also bounds the search steps of a
-# boundary profile from separators.
+# the separation DP, 4 MB at n = 22, and a sweep of 2^n masks for the
+# boundary profile; beyond that, refuse. 2^_MASK_CAP also bounds the
+# search steps of a boundary profile from separators.
 _MASK_CAP = 22
 
 # Table entries per separator at which boundary_profile's two engines
@@ -102,10 +108,18 @@ _SHIFT_BITS = 4096
 # whatever n and k are.
 _CHUNK = 1 << 14
 
-# Masks per block of the subset tables, and entries per block of the
-# separation DP's candidates: their uint64/intp temporaries stay around
-# half a MB, whatever n is.
+# Entries per block of the separation DP's candidates: their intp
+# temporaries stay around half a MB, whatever n is.
 _BLOCK = 1 << 16
+
+# Masks per block of the least-boundary sweep: a block's uint64
+# temporaries stay under a tenth of a MB.
+_SWEEP = 1 << 13
+
+# Largest n for the least-boundary sweep, whatever the subset budget. It
+# keeps nothing per set, so no allocation stops it; 2^32 masks take about
+# 20 s (4-5 ns a mask on 2 vCPUs), and each vertex more doubles that.
+_SWEEP_CAP = 32
 
 # Start vertices the greedy layout tries when no optimal decomposition
 # caps the closure: each costs one pass over the graph.
@@ -122,17 +136,22 @@ class SolveResult:
     witness: object  # tuple of steps, or None
     explored_states: int
     method: str
+    certificate: object = None  # BoundaryGapCertificate that settled it
 
     def to_record(self):
         wit = None
         if self.witness is not None:
             wit = [sorted(s) for s in self.witness]
-        return {
+        doc = {
             "value": self.value,
             "witness": wit,
             "explored_states": self.explored_states,
             "method": self.method,
         }
+        if self.certificate is not None:
+            doc["certificate"] = {"k": self.certificate.k,
+                                  "i": self.certificate.i}
+        return doc
 
 
 @dataclass(frozen=True)
@@ -172,8 +191,8 @@ def _round_tables(nbr, n, dtype):
     smaller when w does not divide n.
 
     nbr is a tuple, so that one solve builds the tables once for the
-    separation DP and every width of the closure. The tables are shared,
-    so they are read-only."""
+    separation DP, the certificate's sweep and every width of the
+    closure. The tables are shared, so they are read-only."""
     import numpy as np
     width = 8 if dtype is object else math.ceil(n / math.ceil(n / 11))
     tables = []
@@ -422,10 +441,16 @@ def inspection_number(
     cap, its largest bag size. The decomposition is an optimal one
     (cap = pathwidth+1) when the graph has at most mask_cap vertices,
     few enough for the DP, and a greedy layout's otherwise. The closure
-    runs only for k < cap. If every such k fails, the answer is the cap,
+    runs only for c < k < cap, where c is the largest width below the
+    cap with a boundary-gap certificate (see _largest_certificate),
+    which proves the answer exceeds c; k = 1 always has one. A certificate
+    bounds searches from an empty clean set only, so with a nonempty
+    clean_start c is 0. If every closure fails, the answer is the cap,
     and the witness is the bag sweep, merged (see _merge_bags) and
-    replayed from clean_start; explored_states then counts the states of
-    the failing widths alone. Disconnected graphs decompose: the
+    replayed from clean_start. explored_states counts the states of the
+    widths the closure ran; when c = cap - 1 it ran none, method names
+    the certificate and certificate holds it. A k_max at or below c
+    gives value None at no cost. Disconnected graphs decompose: the
     searchers finish one component, move on, and nothing recontaminates
     behind them, so the answer is the max over components.
     """
@@ -456,8 +481,10 @@ def inspection_number(
     bags, source = _cap_bags(g, mask_cap)
     cap = max(len(b) for b in bags)
     top = cap - 1 if k_max is None else min(cap - 1, k_max)
+    cert = None if clean_start else _largest_certificate(g, cap - 1, mask_cap)
+    certified = cert.k if cert is not None else 0
     states = 0
-    for k in range(1, top + 1):
+    for k in range(certified + 1, top + 1):
         try:
             steps, used = _closure(g, k, clean_start, state_budget, True,
                                    False)
@@ -481,9 +508,43 @@ def inspection_number(
     steps = _merge_bags(bags, cap)
     if not is_successful(simulate(g, steps, clean_start=clean_start)):
         raise AssertionError("bag sweep failed")
+    if cert is not None and certified == cap - 1:
+        return SolveResult(
+            cap, steps, states,
+            f"bag sweep at {source}, boundary-gap certificate below", cert
+        )
     return SolveResult(
         cap, steps, states, f"bag sweep at {source}, clean-set closure below"
     )
+
+
+def _largest_certificate(g, top, mask_cap):
+    """The boundary-gap certificate of the largest width k <= top that
+    has one, on a connected graph, or None when top < 1.
+
+    Where boundary_profile(g, top) would sweep the subset masks, the one
+    sweep's least boundaries give the profile at every width. Otherwise
+    only top is tried, on the separators, and a ResourceLimitError means
+    no certificate there. Either way k = 1 has one: the sets of a
+    connected graph with no boundary are the empty set and the whole
+    graph, so the profile at k = 1 is {0, n}, with a gap at i = 1."""
+    if top < 1:
+        return None
+    try:
+        if _takes_tables(g.n, top, mask_cap):
+            least = _least_boundaries(g, mask_cap)
+            for k in range(top, 1, -1):
+                cert = boundary_gap_certificate(
+                    g, k, profile=_sizes_below(least, k))
+                if cert is not None:
+                    return cert
+        else:
+            cert = boundary_gap_certificate(g, top, mask_cap=mask_cap)
+            if cert is not None:
+                return cert
+    except ResourceLimitError:
+        pass
+    return boundary_gap_certificate(g, 1, profile=frozenset({0, g.n}))
 
 
 def _cap_bags(g, mask_cap):
@@ -627,7 +688,7 @@ def _subset_array(n):
     except (MemoryError, ValueError) as ex:
         raise ResourceLimitError(
             f"subset tables for n = {n} do not fit in memory "
-            f"(2^{n} bytes each: {ex})",
+            f"(2^{n} bytes: {ex})",
             used=n,
         ) from None
 
@@ -641,28 +702,51 @@ def _check_mask_cap(n, mask_cap):
         )
 
 
-def _mask_tables(g, mask_cap):
-    """(popcount, boundary size) for every subset of a graph with at
-    most mask_cap vertices, as two uint8 arrays indexed by mask.
+def _least_boundaries(g, mask_cap):
+    """least[s], the smallest boundary of any set of s vertices, for s in
+    0..n, of a graph with at most mask_cap and at most _SWEEP_CAP
+    vertices.
 
-    The boundary of a set is the part of it with a neighbour outside, so
-    it is the popcount minus that of the set's clean part after one round
-    with the set protected: the round map of the closure, on the same
-    neighbourhood tables, filled _BLOCK masks at a time."""
+    The boundary of a set is the part of it with a neighbour outside: the
+    set AND the neighbourhood of its outside, from the closure's
+    neighbourhood tables. One sweep visits all 2^n sets, _SWEEP masks a
+    block, and keeps nothing but least. A block's masks are one high
+    part OR each of the 2^w low parts, so a mask's outside is the high
+    part's outside OR the low part's, and its neighbourhood the union
+    of theirs: one gather over the low parts serves every block, one
+    over the high parts the whole sweep, and a block costs a few numpy
+    passes. Its boundaries, taken in the order of their low parts'
+    popcounts, reduce to the least per size in one np.minimum.reduceat.
+    """
     import numpy as np
     n = g.n
     _check_mask_cap(n, mask_cap)
+    if n > _SWEEP_CAP:
+        raise ResourceLimitError(
+            f"a sweep of all 2^{n} vertex sets is past the 2^{_SWEEP_CAP} "
+            f"it takes",
+            budget=_SWEEP_CAP,
+            used=n,
+        )
     _, nbr, full = g.masks()
-    pc = _subset_array(n)
-    bnd = _subset_array(n)
     tables = _round_tables(tuple(nbr), n, np.uint64)
-    for lo in range(0, 1 << n, _BLOCK):
-        hi = min(lo + _BLOCK, 1 << n)
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        count = np.bitwise_count(masks)
-        pc[lo:hi] = count
-        bnd[lo:hi] = count - np.bitwise_count(_round_map(masks, full, tables))
-    return pc, bnd
+    size = min(_SWEEP, 1 << n)
+    w = size.bit_length() - 1
+    low = np.arange(size, dtype=np.uint64)
+    low_reach = _reach(low ^ np.uint64(size - 1), tables)
+    highs = np.arange(0, 1 << n, size, dtype=np.uint64)
+    high_reach = _reach(highs ^ np.uint64(full & ~(size - 1)), tables)
+    count = np.bitwise_count(low)
+    order = np.argsort(count, kind="stable")
+    starts = np.searchsorted(count[order], np.arange(w + 1))
+    least = np.full(n + 1, n, dtype=np.uint8)
+    for hi, reach, h in zip(highs.tolist(), high_reach.tolist(),
+                            np.bitwise_count(highs).tolist()):
+        masks = low | np.uint64(hi)
+        bnd = np.bitwise_count(masks & (low_reach | np.uint64(reach)))
+        np.minimum(least[h:h + w + 1], np.minimum.reduceat(bnd[order], starts),
+                   out=least[h:h + w + 1])
+    return least.tolist()
 
 
 def _vertex_separation(g, mask_cap):
@@ -836,10 +920,13 @@ def monotonic_inspection_number(g, mask_cap=_MASK_CAP):
 def boundary_profile(g, k, mask_cap=_MASK_CAP):
     """Set of sizes |C| over all vertex sets C with boundary below k.
 
-    Two engines give the same set: the subset tables (_table_profile),
-    2^n entries, and the separators (_separator_profile), the S sets B
-    with |B| < k. The tables are taken when n <= mask_cap and
-    _TABLE_RATIO * S >= 2^n, the separators otherwise.
+    Two engines give the same set: a sweep of the 2^n subset masks
+    (_table_profile), and the separators (_separator_profile), the S
+    sets B with |B| < k. The sweep is taken when n <= mask_cap and
+    _TABLE_RATIO * S >= 2^n, the separators otherwise. The sweep's
+    least boundary per size gives the profile at every k at once, which
+    is how inspection_number reads its certificates; it refuses n above
+    _SWEEP_CAP whatever mask_cap is.
 
     The separators' cost is counted before any is visited: one search of
     G - B' for each set B' below the largest size, each of n + m steps,
@@ -853,8 +940,7 @@ def boundary_profile(g, k, mask_cap=_MASK_CAP):
         raise InputError("empty graph")
     if k < 0:
         raise InputError("k must be >= 0")
-    if n <= mask_cap and (
-            _TABLE_RATIO * _separator_count(n, k, 1 << n) >= 1 << n):
+    if _takes_tables(n, k, mask_cap):
         return _table_profile(g, k, mask_cap)
     limit = 1 << mask_cap
     searches = _separator_count(n, max(k - 1, 1), limit) if k else 0
@@ -867,6 +953,12 @@ def boundary_profile(g, k, mask_cap=_MASK_CAP):
             used=steps,
         )
     return _separator_profile(g, k)
+
+
+def _takes_tables(n, k, mask_cap):
+    """Whether boundary_profile(g, k) sweeps the subset masks."""
+    return n <= mask_cap and (
+        _TABLE_RATIO * _separator_count(n, k, 1 << n) >= 1 << n)
 
 
 def _separator_count(n, k, limit):
@@ -883,10 +975,13 @@ def _separator_count(n, k, limit):
 
 
 def _table_profile(g, k, mask_cap):
-    """boundary_profile read from the two subset tables."""
-    import numpy as np
-    pc, bnd = _mask_tables(g, mask_cap)
-    return frozenset(int(i) for i in np.unique(pc[bnd < k]))
+    """boundary_profile read from one sweep of the subset masks."""
+    return _sizes_below(_least_boundaries(g, mask_cap), k)
+
+
+def _sizes_below(least, k):
+    """The sizes s whose least boundary least[s] is below k."""
+    return frozenset(s for s, b in enumerate(least) if b < k)
 
 
 def _separator_profile(g, k):

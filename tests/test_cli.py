@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -614,8 +615,10 @@ def test_lowerbound_no_gap(capsys):
 
 
 def test_state_budget_env(capsys, monkeypatch):
+    """k4sub has value 3 below its cap of 4, and is certified at k = 2
+    only: its closure at k = 3 expands 26 states, more than 2."""
     monkeypatch.setenv("ZVSEARCH_STATE_BUDGET", "2")
-    code, _, err = run(capsys, "solve", "grid:3,3")
+    code, _, err = run(capsys, "solve", "k4sub")
     assert code == 2 and err.startswith("resource limit:")
 
     monkeypatch.setenv("ZVSEARCH_STATE_BUDGET", "lots")
@@ -666,17 +669,46 @@ def test_solve_takes_a_greedy_cap_when_tables_do_not_fit(capsys, monkeypatch):
     """Subset tables numpy refuses leave the scan capped by a greedy
     layout, as for any n above the subset budget, while a blown state
     budget still ends it. 2^70 bytes is past what numpy can index, so it
-    refuses on any host. grid:3,8 has 24 vertices: its greedy cap is 4,
-    and the closure at k = 3 expands 19 states before it fails."""
+    refuses on any host. tree:4 has 31 vertices: its greedy cap is 4,
+    its value 3, and it is certified at k = 1 only, so the closure at
+    k = 2 expands 145 states before it fails."""
     default = run(capsys, "solve", "path:70")
     monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "100")
     assert run(capsys, "solve", "path:70") == default
     doc = json.loads(default[1])
     assert default[0] == 0 and doc["value"] == 2
     assert "greedy layout" in doc["method"]
+    monkeypatch.delenv("ZVSEARCH_SUBSET_BUDGET")
     monkeypatch.setenv("ZVSEARCH_STATE_BUDGET", "5")
-    code, out, err = run(capsys, "solve", "grid:3,8")
-    assert code == 2 and out == "" and "state budget" in err
+    code, out, err = run(capsys, "solve", "tree:4")
+    assert code == 2 and out == "" and "state budget exhausted at k=2" in err
+
+
+def test_subset_budget_does_not_lift_the_sweep_cap(capsys, monkeypatch):
+    """A subset budget of 100 lets complete:40 take the subset masks at
+    k = 39, but a sweep of 2^40 of them is past the 2^32 it takes: the
+    run ends at once on a budget, not after hours of sweeping."""
+    monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "100")
+    code, out, err = run(capsys, "lowerbound", "complete:40", "-k", "39")
+    assert code == 2 and out == ""
+    assert err.startswith(
+        "resource limit: a sweep of all 2^40 vertex sets is past the 2^32")
+
+
+def test_solve_answers_grid_5_5_from_its_certificate(capsys):
+    """grid:5,5 (25 vertices) has a greedy cap of 6, and the separators
+    certify k = 5 with a gap at i = 15: solve answers 6 with the merged
+    bag sweep it printed when every width below ran the closure (1,818
+    states), and lowerbound reports the same gap."""
+    doc = run_json(capsys, "solve", "grid:5,5")
+    assert doc["value"] == 6 and doc["explored_states"] == 0
+    assert doc["certificate"] == {"k": 5, "i": 15}
+    assert "boundary-gap certificate" in doc["method"]
+    witness = json.dumps(doc["witness"]).encode()
+    assert hashlib.sha256(witness).hexdigest() == (
+        "e57947f80848d8947a2adcd442a002e041829ae4c5be787727fc7fb568f8f4cb")
+    bound = run_json(capsys, "lowerbound", "grid:5,5", "-k", "5")
+    assert bound["certificate"]["i"] == 15
 
 
 @pytest.mark.parametrize(
@@ -687,17 +719,17 @@ def test_solve_takes_a_greedy_cap_when_tables_do_not_fit(capsys, monkeypatch):
 )
 def test_lowerbound_builds_tables_once(capsys, monkeypatch, spec, certified,
                                        builds):
-    """Small graphs take the subset tables, built once for both the
-    profile and the certificate; path:30 with k = 2 has 31 separators
-    against 2^30 table entries, and takes no table."""
+    """Small graphs sweep the subset masks, once for both the profile
+    and the certificate; path:30 with k = 2 has 31 separators against
+    2^30 masks, and takes no sweep."""
     built = []
-    real = solver._mask_tables
+    real = solver._least_boundaries
 
     def counted(g, mask_cap):
         built.append(g.n)
         return real(g, mask_cap)
 
-    monkeypatch.setattr(solver, "_mask_tables", counted)
+    monkeypatch.setattr(solver, "_least_boundaries", counted)
     doc = run_json(capsys, "lowerbound", spec, "-k", "2")
     assert (doc["certificate"] is not None) == certified
     assert built == builds

@@ -5,6 +5,7 @@ enumeration before the closure-based solver existed; keep them in sync
 with nothing.
 """
 
+import importlib.util
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -42,7 +44,7 @@ from zvsearch.cli import main
 from zvsearch.solver import (
     _closure,
     _greedy_bags,
-    _mask_tables,
+    _least_boundaries,
     _merge_bags,
     _separator_profile,
     _table_profile,
@@ -186,14 +188,15 @@ def test_k_max_stops_early():
 
 
 def test_state_budget_raises():
-    """grid:3,3 fails k = 1 and 2 in one state each, then blows the
-    budget at k = 3; the message says how far the run got."""
+    """tree:4 (value 3, greedy cap 4) is certified at k = 1 only: it
+    fails k = 2 in 145 states, then blows the budget at k = 3; the
+    message says how far the run got."""
     with pytest.raises(ResourceLimitError) as ex:
-        inspection_number(grid_graph(3, 3), state_budget=3)
+        inspection_number(generate("tree:4"), state_budget=200)
     assert str(ex.value) == (
-        "solver state budget exhausted at k=3 (budget 3 states per width, "
-        "2 states expanded at k < 3)")
-    assert (ex.value.budget, ex.value.used) == (3, 4)
+        "solver state budget exhausted at k=3 (budget 200 states per width, "
+        "145 states expanded at k < 3)")
+    assert (ex.value.budget, ex.value.used) == (200, 201)
 
 
 def test_bad_inputs():
@@ -344,13 +347,13 @@ def test_boundary_profile_picks_its_engine(monkeypatch):
     is visited."""
     assert solver._TABLE_RATIO == 256
     built = []
-    real = solver._mask_tables
+    real = solver._least_boundaries
 
     def counted(g, mask_cap):
         built.append(g.n)
         return real(g, mask_cap)
 
-    monkeypatch.setattr(solver, "_mask_tables", counted)
+    monkeypatch.setattr(solver, "_least_boundaries", counted)
     # 256 * 1 >= 2^8 but < 2^9
     assert boundary_profile(cycle_graph(8), 1) == frozenset({0, 8})
     assert boundary_profile(cycle_graph(9), 1) == frozenset({0, 9})
@@ -603,12 +606,12 @@ def test_monotonic_inspection_explores_no_states():
 def reference_inspection_number(g, clean_start=()):
     """The scan inspection_number replaced: the closure at every k up to
     pathwidth+1, the cap included, on a connected graph. Returns (value,
-    steps, states explored), each width's states counted."""
+    steps, states explored at each width from k = 1 on)."""
     cap = pathwidth(g)[0] + 1
-    states = 0
+    states = []
     for k in range(1, cap + 1):
         steps, used = _closure(g, k, clean_start, 10**9, True, False)
-        states += used
+        states.append(used)
         if steps is not None:
             return k, tuple(steps), states
     raise AssertionError("no search at pathwidth+1")
@@ -620,16 +623,28 @@ def random_clean_start(g, rng):
 
 def assert_matches_full_scan(g, clean_start, mask_cap=22):
     res = inspection_number(g, clean_start=clean_start, mask_cap=mask_cap)
-    value, steps, states = reference_inspection_number(g, clean_start)
+    value, steps, per_width = reference_inspection_number(g, clean_start)
+    states = sum(per_width)
     where = (sorted(g.edges()), sorted(clean_start))
     assert res.value == value, where
     assert search_width(res.witness) <= value, where
     assert is_successful(simulate(g, res.witness, clean_start=clean_start)), where
+    # the widths a certificate settles, k = 1 at least, are skipped; a
+    # clean start takes no certificate
+    skipped = range(1, value) if g.m and not clean_start else [0]
     if res.method.startswith("clean-set closure"):
-        # the value came from the closure: the full scan's witness and count
-        assert (res.witness, res.explored_states) == (steps, states), where
+        # the value came from the closure: the full scan's witness, and
+        # its count at the widths above the certified ones
+        assert res.witness == steps, where
+        assert res.explored_states in [sum(per_width[c:]) for c in skipped], where
+    elif "certificate" in res.method:
+        assert res.method.startswith("bag sweep"), where
+        assert res.certificate.k == value - 1 and res.explored_states == 0, where
     else:
         assert res.method.startswith("bag sweep"), where
+        assert res.certificate is None, where
+        assert res.explored_states in [
+            sum(per_width[c:-1]) for c in skipped], where
         assert res.explored_states < states or states == 0, where
     return res
 
@@ -681,15 +696,41 @@ def test_merged_sweep_is_no_longer_and_replays(rng):
     assert _merge_bags(pathwidth(path_graph(2))[1].bags, 2) == (frozenset("01"),)
 
 
+# K_4 on v0..v3 with three pendant vertices at v0: value 4, pathwidth 3,
+# and a boundary-gap certificate at k = 1 only.
+K4_PENDANTS = Graph.from_edges(
+    (f"v{u}", f"v{w}") for u, w in [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (2, 3)])
+
+
 def test_k_max_below_the_cap_gives_up():
-    """grid:3,3 has value 4 and pathwidth 3: k_max = 3 runs the closure
-    at k = 1, 2, 3 and stops; k_max = 4 answers the cap."""
-    full = inspection_number(grid_graph(3, 3))
+    """K4_PENDANTS has value 4 and pathwidth 3: k_max = 3 runs the
+    closure at k = 2 and 3, above its certified k = 1, and stops; k_max
+    = 4 answers the cap."""
+    g = K4_PENDANTS
+    full = inspection_number(g)
     assert full.value == 4 and full.method.startswith("bag sweep")
-    stopped = inspection_number(grid_graph(3, 3), k_max=3)
+    assert full.certificate is None
+    stopped = inspection_number(g, k_max=3)
     assert stopped.value is None and stopped.witness is None
-    assert stopped.explored_states == full.explored_states
-    assert inspection_number(grid_graph(3, 3), k_max=4) == full
+    assert stopped.explored_states == full.explored_states == 16
+    assert inspection_number(g, k_max=4) == full
+
+
+def test_k_max_at_a_certified_width_runs_no_closure(monkeypatch):
+    """A k_max at or below the largest certified width stops before any
+    closure: grid:3,3 is certified at k = 3, K4_PENDANTS at k = 1."""
+
+    def refused(*args):
+        raise AssertionError("closure ran")
+
+    monkeypatch.setattr(solver, "_closure", refused)
+    for g, top in ((grid_graph(3, 3), 3), (K4_PENDANTS, 1)):
+        for k_max in range(1, top + 1):
+            res = inspection_number(g, k_max=k_max)
+            assert (res.value, res.witness, res.explored_states) == (None, None, 0)
+            assert res.certificate is None
+    assert inspection_number(grid_graph(3, 3), k_max=4).value == 4
 
 
 # Run under python -O, where asserts are stripped: a bag sweep that loses
@@ -730,14 +771,71 @@ def test_sabotaged_cap_sweep_is_refused_under_O(spec, mask_cap):
 
 @pytest.mark.parametrize("spec", ["cycle:66", "cycle:200"])
 def test_solve_long_cycles(capsys, spec):
-    """Above the subset budget the greedy layout caps the scan at 3, so
-    only k = 1 and k = 2 run the closure, one state each."""
+    """Above the subset budget the greedy layout caps the scan at 3, and
+    the separators certify k = 2 (a gap at i = 3), so no width runs the
+    closure."""
     assert main(["solve", spec]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["value"] == 3 and doc["explored_states"] == 2
+    assert doc["value"] == 3 and doc["explored_states"] == 0
+    assert doc["certificate"] == {"k": 2, "i": 3}
     g = cycle_graph(int(spec.split(":")[1]))
     assert is_successful(simulate(g, doc["witness"]))
     assert search_width(doc["witness"]) == 3
+
+
+def solve_corpus(seeds):
+    """The graphs of the benchmark's solve workload (bench/corpus.py) for
+    each seed."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("solve_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    graphs = []
+    for seed in seeds:
+        for item in corpus.build("solve", seed)[0]:
+            graphs.append(generate(item["spec"]) if "spec" in item
+                          else Graph.from_edges(item["edges"]))
+    return graphs
+
+
+def test_certificates_are_sound_on_the_atlas_and_the_solve_corpus(atlas_2_7):
+    """No width at or above the value the closure finds has a
+    boundary-gap certificate, and the largest one the solver takes lies
+    below that value: on every connected graph of 2-7 vertices and on
+    the benchmark's solve corpus, seeds 0-2."""
+    graphs = list(atlas_2_7) + solve_corpus((0, 1, 2))
+    assert len(graphs) == 995 + 3 * 108
+    for g in graphs:
+        value, _, _ = reference_inspection_number(g)
+        cap = pathwidth(g)[0] + 1
+        assert solver._largest_certificate(g, cap - 1, 22).k < value
+        for k in range(value, g.n + 1):
+            assert boundary_gap_certificate(g, k) is None, (sorted(g.edges()), k)
+
+
+def test_a_clean_start_takes_no_certificate(rng, monkeypatch):
+    """The certificate bounds searches from an empty clean set: with a
+    nonempty one the closure runs at every width below the cap, as
+    before there was a certificate, and gives the full scan's value,
+    witness and count."""
+
+    def refused(*args):
+        raise AssertionError("certificate taken")
+
+    monkeypatch.setattr(solver, "_largest_certificate", refused)
+    graphs = [grid_graph(3, 3), cycle_graph(6), K4_PENDANTS]
+    graphs += [random_connected(rng.randint(3, 9), rng) for _ in range(20)]
+    for g in graphs:
+        start = random_clean_start(g, rng) or {g.vertices[0]}
+        res = inspection_number(g, clean_start=start)
+        value, steps, per_width = reference_inspection_number(g, start)
+        where = (sorted(g.edges()), sorted(start))
+        assert res.value == value and res.certificate is None, where
+        if res.method.startswith("clean-set closure"):
+            assert (res.witness, res.explored_states) == (
+                steps, sum(per_width)), where
+        else:
+            assert res.explored_states == sum(per_width[:-1]), where
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +845,8 @@ def test_solve_long_cycles(capsys, spec):
 
 def reference_mask_tables(g):
     """(popcount, boundary size) of every subset, one int64 pass over all
-    masks per vertex: the oracle for solver._mask_tables."""
+    masks per vertex: the oracle for solver._least_boundaries and for
+    the separation DP."""
     n = g.n
     _, nbr, _ = g.masks()
     masks = np.arange(1 << n, dtype=np.int64)
@@ -813,18 +912,22 @@ def random_graph(n, rng):
     return Graph.from_edges(edges, vertices=vs)
 
 
-def assert_tables_match(g):
-    pc, bnd = _mask_tables(g, 22)
-    want_pc, want_bnd = reference_mask_tables(g)
-    assert pc.dtype == bnd.dtype == np.uint8
-    assert np.array_equal(pc, want_pc), sorted(g.edges())
-    assert np.array_equal(bnd, want_bnd), sorted(g.edges())
+def reference_least_boundaries(g):
+    """The least boundary per set size, read off the reference tables."""
+    pc, bnd = reference_mask_tables(g)
+    return [int(bnd[pc == s].min()) for s in range(g.n + 1)]
+
+
+def assert_tables_match(g, want=None):
+    if want is None:
+        want = reference_least_boundaries(g)
+    assert _least_boundaries(g, 22) == want, sorted(g.edges())
 
 
 def test_mask_tables_match_reference(rng):
     """n 1-20: a last byte table that is not full for most n, and from
-    n = 17 on more than one block of masks."""
-    assert 1 << 17 > solver._BLOCK
+    n = 14 on more than one block of masks."""
+    assert 1 << 14 > solver._SWEEP
     for n in range(1, 21):
         for _ in range(3 if n <= 12 else 1):
             assert_tables_match(random_graph(n, rng))
@@ -832,10 +935,25 @@ def test_mask_tables_match_reference(rng):
     assert_tables_match(grid_graph(4, 5))
 
 
+def test_least_boundaries_match_reference_at_every_block_size(
+        rng, monkeypatch):
+    """Every block size from one mask to all 2^n, for n 1-16: blocks of
+    1 leave every bit to the high part, blocks of 2^n to the low part,
+    and n from 12 on splits each part's neighbourhood gather over two
+    tables."""
+    for n in range(1, 17):
+        g = random_graph(n, rng)
+        want = reference_least_boundaries(g)
+        for bits in range(n + 1):
+            monkeypatch.setattr(solver, "_SWEEP", 1 << bits)
+            assert_tables_match(g, want)
+
+
 def test_small_blocks_match_reference(rng, monkeypatch):
-    """Blocks of 3 masks end every table on a partial block, and leave
-    the DP one frontier set per block, so that most sets of a layer are
-    met again in a later block."""
+    """Blocks of 2 masks sweep each graph's sets in 2^(n-1) blocks, and
+    blocks of 3 DP entries leave the DP one frontier set per block, so
+    that most sets of a layer are met again in a later block."""
+    monkeypatch.setattr(solver, "_SWEEP", 2)
     monkeypatch.setattr(solver, "_BLOCK", 3)
     for n in range(1, 11):
         assert_tables_match(random_graph(n, rng))
