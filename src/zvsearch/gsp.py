@@ -10,19 +10,21 @@ that do can be searched with three pursuers after subdivision, and
 graphs that cannot embed one of the forbidden patterns in
 `zvsearch.forbidden`, which the classifier extracts as a witness.
 
-A tree stores no graphs: node() checks only terminals, and `recompose`
-derives a subtree's graph on demand, checking the overlap rule on the
-children's vertex sets and building the graph once from the leaf edges.
-Complexity counts a subtree's terminal-to-terminal bipaths and is set
-from the children when a node is built: a leaf is bridged (a bridge
-separates its terminals) and counts 0, a series node is bridged when
-either child is and counts 0 if so and 1 if not, a parallel node is
-never bridged and adds up its children, and a branch node copies the
-child that keeps both terminals. "Simple" means every subtree has
-complexity at most one. The flags locate bridges too: the separating
-bridges of a bridged subtree are its leaf factors, the leaves reached
-through series nodes and branch spines, in order from a to b, so
-synthesis reads the bridge it splits at off the tree.
+A tree stores no graphs: node() checks only terminals and sums vertex
+and edge counts, an inner node's edges are read off its leaves, and
+`recompose` derives the graph of a root that is checked (so a NO answer
+derives none), enforcing the overlap rule on the children's vertex sets
+and building the graph once from the leaf edges. Complexity counts a
+subtree's terminal-to-terminal bipaths and is set from the children
+when a node is built: a leaf is bridged (a bridge separates its
+terminals) and counts 0, a series node is bridged when either child is
+and counts 0 if so and 1 if not, a parallel node is never bridged and
+adds up its children, and a branch node copies the child that keeps
+both terminals. "Simple" means every subtree has complexity at most
+one. The flags locate bridges too: the separating bridges of a bridged
+subtree are its leaf factors, the leaves reached through series nodes
+and branch spines, in order from a to b, so synthesis reads the bridge
+it splits at off the tree.
 
 One series-parallel reduction does two jobs: it decides K_4-freeness,
 and replayed, its steps build every SP tree. The classifier reduces
@@ -149,13 +151,15 @@ class GspTree:
     """One node of a decomposition: an operator or a single-edge leaf.
 
     A node stores its operator, terminals and children. `bridged`,
-    `complexity` and `simple` follow from the children's in O(1) when
-    the node is built; `graph`, the recomposition of the subtree, is
-    derived on first access.
+    `complexity`, `simple` and the subtree's vertex and edge counts `n`
+    and `m` follow from the children's in O(1) when the node is built;
+    the counts are exact when the overlap rule holds, which `recompose`
+    checks at every root the package trusts. `graph`, the recomposition
+    of the subtree, is derived on first access.
     """
 
     __slots__ = ("op", "a", "b", "children", "bridged", "complexity", "simple",
-                 "_graph")
+                 "n", "m", "_graph")
 
     def __init__(self, op, a, b, children=()):
         if a == b:
@@ -164,8 +168,11 @@ class GspTree:
         self._graph = None
         if op == "leaf":
             self.bridged, self.complexity, self.simple = True, 0, True
+            self.n, self.m = 2, 1
             return
         c0, c1 = children
+        self.n = c0.n + c1.n - (2 if op == "parallel" else 1)
+        self.m = c0.m + c1.m
         if op == "series":
             self.bridged = c0.bridged or c1.bridged
             self.complexity = 0 if self.bridged else 1
@@ -206,6 +213,11 @@ def leaf(u, v):
 def node(op, child0, child1):
     terminals, _ = _glue(op, child0.terminals, child1.terminals)
     return GspTree(op, *terminals, (child0, child1))
+
+
+def _leaf_edges(tree):
+    # the edge keys of tree's graph, without it; their union is its vertex set
+    return {edge_key(t.a, t.b) for t in tree.walk() if t.op == "leaf"}
 
 
 def _bottom_up(root, kids, combine):
@@ -890,10 +902,6 @@ def _flatten(tree, ops):
     return out
 
 
-def _size(tree):
-    return tree.graph.n + tree.graph.m
-
-
 def _rotate(th, tk):
     # Both trees share ordered terminals (a, b) and overlap exactly
     # there; both are simple. Returns a simple tree of the union whose
@@ -901,7 +909,7 @@ def _rotate(th, tk):
     # The smaller side is unwound: series combs are folded into the
     # other side as inverted factors, parallel nodes shed a complexity-0
     # child, and a bare leaf finally joins in parallel.
-    if _size(th) > _size(tk):
+    if th.n + th.m > tk.n + tk.m:
         th, tk = tk, th
     if th.op == "leaf":
         return node("parallel", th, tk)
@@ -973,7 +981,8 @@ def _witness_pair(g, n0, n1):
     t1 = {n1.a, n1.b}
     if t0 == t1:
         return _witness_f2([bips0[0], bips0[1], bips1[0]])
-    interiors = (set(n0.graph.vertices) - t0) | (set(n1.graph.vertices) - t1)
+    v0, v1 = (set().union(*_leaf_edges(n)) for n in (n0, n1))
+    interiors = (v0 - t0) | (v1 - t1)
     pq = two_disjoint_paths(g.without_vertices(interiors), t0, t1)
     assert pq is not None, "connector paths missing between complex cores"
     p, q = pq
@@ -998,8 +1007,8 @@ def _witness_cross_block(g, blk_h, cut_h, m_h, blk_k, cut_k, m_k):
     bips_k = _extract(m_k)[:2]
     s0, t0 = m_h.terminals
     s1, t1 = m_k.terminals
-    int_h = set(m_h.graph.vertices) - {s0, t0}
-    int_k = set(m_k.graph.vertices) - {s1, t1}
+    int_h = set().union(*_leaf_edges(m_h)) - {s0, t0}
+    int_k = set().union(*_leaf_edges(m_k)) - {s1, t1}
     gh = g.induced(blk_h)
     gk = g.induced(blk_k)
     corridor = g.shortest_path(
@@ -1043,10 +1052,10 @@ def _rebuild_block(g, tree, target):
     s, t = m.terminals
     fresh = _sp(g, s, t)
     assert fresh is not None
-    m_edges = set(m.graph.edges())
+    m_edges = _leaf_edges(m)
     outside = []
     for piece in _flatten(fresh, ("parallel",)):
-        piece_edges = set(piece.graph.edges())
+        piece_edges = _leaf_edges(piece)
         if piece_edges <= m_edges:
             continue
         assert not piece_edges & m_edges, "piece straddles the complex core"

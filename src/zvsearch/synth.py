@@ -43,6 +43,7 @@ from .gsp import (
     TerminalGraph,
     _fold,
     _invert,
+    _leaf_edges,
     _root_block,
     _rootings,
     is_simple,
@@ -589,7 +590,7 @@ def _ends(tree, end):
 
 def _labels(t):
     # the sorted vertex labels of t, without the graph
-    return sorted(map(str, {v for s in t.walk() if s.op == "leaf" for v in (s.a, s.b)}))
+    return sorted(map(str, set().union(*_leaf_edges(t))))
 
 
 def _renamed(steps, remap):
@@ -608,25 +609,13 @@ class _Walk:
     stats. A class rather than closures, so that a walk leaves no
     reference cycle for the paused collector."""
 
-    __slots__ = ("build", "room", "steps_cap", "counts", "orders", "interior", "stats")
+    __slots__ = ("build", "room", "steps_cap", "counts", "interior", "stats")
 
     def __init__(self, build, room, steps_cap):
         self.build, self.room, self.steps_cap = build, room, steps_cap
-        self.counts, self.orders = {}, {}
+        self.counts = {}
         self.interior = 0  # the counts walked so far
         self.stats = None
-
-    def order(self, t):
-        # vertices of t's graph; the entry keeps t alive, so no other
-        # node can take its id
-        got = self.orders.get(id(t))
-        if got is None:
-            n = 2
-            if t.op != "leaf":
-                n = self.order(t.children[0]) + self.order(t.children[1])
-                n -= 2 if t.op == "parallel" else 1
-            self.orders[id(t)] = got = (n, t)
-        return got[0]
 
     def grow(self, by):
         self.interior += by
@@ -713,8 +702,8 @@ class _Walk:
             if p.op == "leaf":
                 return p
         bridged = [p for p in pieces if p.bridged]
-        least = min(map(self.order, bridged))
-        tied = [p for p in bridged if self.order(p) == least]
+        least = min(p.n for p in bridged)
+        tied = [p for p in bridged if p.n == least]
         return tied[0] if len(tied) == 1 else min(tied, key=_labels)
 
     def parallel(self, t, floors, flip):
@@ -788,7 +777,7 @@ def _plan(tree, floors, room=_HOST_CAP, steps_cap=_HOST_CAP, flip=False):
     It is the walker in plan mode: the same demands, piece choice,
     splits and padding, on step counts instead of steps. It makes no
     search step, no host and no graph: terminal degrees are read off the
-    leaves (_ends) and vertex counts are summed bottom-up, once per node.
+    leaves (_ends) and vertex counts off the nodes (GspTree.n).
     The only labels it makes are the two fresh terminals of each split.
     """
     walk = _Walk(False, room, steps_cap)

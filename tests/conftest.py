@@ -4,13 +4,15 @@ The exhaustive small-graph sweeps come from the networkx atlas, which is a
 test-only dependency; the library itself never imports it.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from zvsearch.graphs import Graph, block_cut_forest, cycle_graph
-from zvsearch.gsp import classify_topological_3
+from zvsearch.graphs import Graph, block_cut_forest, cycle_graph, generate
+from zvsearch.gsp import classify_topological_3, recompose
 from zvsearch.synth import synthesize
 
 
@@ -29,6 +31,31 @@ def connected_atlas(lo, hi):
         if lo <= ng.number_of_nodes() <= hi and nx.is_connected(ng):
             out.append(from_networkx(ng))
     return out
+
+
+def bench_corpus(workload, seeds):
+    """The graphs of one benchmark workload (bench/corpus.py) for each
+    seed."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    graphs = []
+    for seed in seeds:
+        for item in corpus.build(workload, seed)[0]:
+            graphs.append(generate(item["spec"]) if "spec" in item
+                          else Graph.from_edges(item["edges"]))
+    return graphs
+
+
+def check_counts(tree):
+    """Every node's vertex and edge counts (n, m) are those of its
+    recomposed graph; returns the number of nodes checked."""
+    nodes = list(tree.walk())
+    for t in nodes:
+        g = recompose(t)
+        assert (t.n, t.m) == (g.n, g.m), (t.op, t.terminals)
+    return len(nodes)
 
 
 def all_trees(lo, hi):

@@ -57,7 +57,15 @@ from zvsearch.gsp import (
     tree_to_record,
 )
 
-from conftest import from_networkx, is_bridged, leaf_blocks, random_connected, relabeled
+from conftest import (
+    bench_corpus,
+    check_counts,
+    from_networkx,
+    is_bridged,
+    leaf_blocks,
+    random_connected,
+    relabeled,
+)
 
 
 def four_cycle(a, tag, b):
@@ -271,11 +279,16 @@ def test_verdict_is_topological(atlas_2_7_classified, rng):
 
 
 def test_tree_records_of_the_atlas_round_trip(atlas_2_7_classified):
+    """Records round trip, and every node of the atlas trees and of the
+    trees rebuilt from their records counts its graph's vertices and
+    edges."""
     yes = [cls.tree for _, cls in atlas_2_7_classified if cls.verdict == "YES"]
     assert len(yes) > 300
     for tree in yes:
         rec = tree_to_record(tree)
-        assert tree_to_record(tree_from_record(rec)) == rec
+        back = tree_from_record(rec)
+        assert tree_to_record(back) == rec
+        assert check_counts(tree) == check_counts(back)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +327,14 @@ def reference_complexity(t):
 
 
 def check_structural(tree):
-    """bridged, complexity and simple agree with the graph-based
-    reference at every node; returns the number of nodes checked."""
+    """bridged, complexity, simple and the vertex and edge counts agree
+    with the graph-based reference at every node; returns the number of
+    nodes checked."""
     nodes = list(tree.walk())
-    for t in reversed(nodes):  # children first, so recompose reuses them
-        assert t.bridged == is_bridged(recompose(t), t.a, t.b), (t.op, t.terminals)
+    for t in reversed(nodes):  # children first, so a failure names the least subtree
+        g = recompose(t)
+        assert (t.n, t.m) == (g.n, g.m), (t.op, t.terminals)
+        assert t.bridged == is_bridged(g, t.a, t.b), (t.op, t.terminals)
         assert t.complexity == reference_complexity(t), (t.op, t.terminals)
         want = all(reference_complexity(s) <= 1 for s in t.walk())
         assert t.simple == want and is_simple(t) == want
@@ -341,7 +357,16 @@ def k4_free_block_trees(g):
 ORACLE_SPECS = ["cycle:7", "path:9", "tree:4", "grid:2,6", "f1", "f2", "f3"]
 
 
-def test_structural_complexity_matches_graphs(rng):
+def test_structural_complexity_matches_graphs(monkeypatch, rng):
+    # the trees the re-anchoring returns are checked too
+    rebuilt = []
+    for name in ("_rebuild_block", "_rotate"):
+        def spy(*args, real=getattr(gsp_module, name)):
+            out = real(*args)
+            if isinstance(out, GspTree):
+                rebuilt.append(out)
+            return out
+        monkeypatch.setattr(gsp_module, name, spy)
     graphs = [generate(s) for s in ORACLE_SPECS]
     graphs += [random_connected(rng.randint(4, 15), rng) for _ in range(40)]
     # a block the classifier must re-anchor, with pendants hanging off it
@@ -350,6 +375,14 @@ def test_structural_complexity_matches_graphs(rng):
     )
     for hang in ("a", "m", "1p"):
         graphs.append(twin.union(four_cycle(hang, "5", "z").graph))
+    # two bipaths from a to b, closed by the edge ab or by a path a-c-b,
+    # with or without pendants: the tree from a is complex at a, and the
+    # classifier re-anchors it there
+    names = {"0": "a", "1": "b"}
+    strands = [(names.get(u, f"x{u}"), names.get(v, f"x{v}")) for u, v in _bipaths(2)]
+    for close in ([("a", "b")], [("a", "c"), ("c", "b")]):
+        for hang in ([], [("Z", "a")], [("b", "y"), ("y", "z"), ("z", "b")]):
+            graphs.append(Graph.from_edges(strands + close + hang))
     # branch nodes whose spine and pendant differ in complexity
     checked = check_structural(
         node("branch", cycle_chain("a", "m", "c", "12"), leaf("a", "t"))
@@ -365,6 +398,8 @@ def test_structural_complexity_matches_graphs(rng):
         for tree in k4_free_block_trees(g):
             checked += check_structural(tree)
             complex_trees += not tree.simple
+    assert len(rebuilt) > 20, len(rebuilt)
+    checked += sum(map(check_structural, rebuilt))
     # the corpus must reach both sides of the recurrence
     assert checked > 1000 and complex_trees > 0
 
@@ -1043,6 +1078,31 @@ def test_classify_derives_graph_once(monkeypatch):
         assert c.verdict == "YES"
         assert calls == [c.tree], spec
         assert c.tree.graph == generate(spec) and len(calls) == 1
+
+
+def test_only_the_checked_root_derives_a_graph(monkeypatch, atlas_2_7):
+    """No node below the root the classifier checks derives a graph, and
+    a NO answer derives none: on the atlas and on the benchmark's
+    classify corpus, seeds 0-2."""
+    calls = []
+    real = gsp_module.recompose
+
+    def counting(tree):
+        calls.append(tree)
+        return real(tree)
+
+    monkeypatch.setattr(gsp_module, "recompose", counting)
+    verdicts = {"YES": 0, "NO": 0}
+    for g in list(atlas_2_7) + bench_corpus("classify", (0, 1, 2)):
+        calls.clear()
+        out = gsp_module.build_simple_gsp(g)
+        if isinstance(out, GspTree):
+            assert calls == [out], sorted(g.edges())
+            verdicts["YES"] += 1
+        else:
+            assert calls == [], sorted(g.edges())
+            verdicts["NO"] += 1
+    assert min(verdicts.values()) > 200, verdicts
 
 
 def count_copies(monkeypatch):

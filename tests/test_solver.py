@@ -5,7 +5,6 @@ enumeration before the closure-based solver existed; keep them in sync
 with nothing.
 """
 
-import importlib.util
 import itertools
 import json
 import math
@@ -14,7 +13,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import deque
-from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -59,7 +57,7 @@ from zvsearch.solver import (
     pathwidth,
 )
 
-from conftest import from_networkx, random_connected, relabeled
+from conftest import bench_corpus, from_networkx, random_connected, relabeled
 
 
 def brute_profile(g, k):
@@ -783,27 +781,12 @@ def test_solve_long_cycles(capsys, spec):
     assert search_width(doc["witness"]) == 3
 
 
-def solve_corpus(seeds):
-    """The graphs of the benchmark's solve workload (bench/corpus.py) for
-    each seed."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("solve_corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    graphs = []
-    for seed in seeds:
-        for item in corpus.build("solve", seed)[0]:
-            graphs.append(generate(item["spec"]) if "spec" in item
-                          else Graph.from_edges(item["edges"]))
-    return graphs
-
-
 def test_certificates_are_sound_on_the_atlas_and_the_solve_corpus(atlas_2_7):
     """No width at or above the value the closure finds has a
     boundary-gap certificate, and the largest one the solver takes lies
     below that value: on every connected graph of 2-7 vertices and on
     the benchmark's solve corpus, seeds 0-2."""
-    graphs = list(atlas_2_7) + solve_corpus((0, 1, 2))
+    graphs = list(atlas_2_7) + bench_corpus("solve", (0, 1, 2))
     assert len(graphs) == 995 + 3 * 108
     for g in graphs:
         value, _, _ = reference_inspection_number(g)

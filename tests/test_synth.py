@@ -51,7 +51,7 @@ from zvsearch.synth import (
     synthesize,
 )
 
-from conftest import relabeled, separating_bridges
+from conftest import check_counts, relabeled, separating_bridges
 
 
 def lab(u, v, i):
@@ -309,6 +309,8 @@ def test_split_matches_reference(atlas_2_7_classified):
             if not (t.bridged and t.simple):
                 continue
             got = synth_module._split_impl(t)
+            check_counts(got[0])
+            check_counts(got[2])
             want = reference_split(t)
             assert (got[1], got[3]) == (want[1], want[3]), tree_to_record(t)
             for g, w in ((got[0], want[0]), (got[2], want[2])):
