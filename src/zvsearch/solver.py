@@ -31,11 +31,17 @@ A batch holds at most a fixed number of table rows, and a state whose
 picks outgrow one batch streams them from combinations alone, a chunk
 at a time. Masks are numpy arrays: N(outside) comes from neighbourhood
 tables, one gather per chunk of up to 11 bits of the mask (two chunks
-up to 22 vertices) instead of a loop over vertices, and each state's
-distinct clean sets are handled in the order of their first picks. That
-keeps the BFS order, the witnesses, the explored-state counts and the
-state at which a budget runs out of the pick-by-pick loop, which the
-tests keep as the reference.
+up to 22 vertices) instead of a loop over vertices. Each batch then
+does in numpy what the pick-by-pick search does row by row. Rows whose
+clean set is a parent already go first (a byte per vertex set up to 16
+vertices, a sorted array above), then every row of a set but its first
+(row numbers scattered over the 2^n sets, np.unique above 16
+vertices), then the sets inside a member of the antichain archive, a
+uint64 array tested in one broadcast; one more broadcast orders the
+few that are left. Parents hold pick masks, and only the witness's
+steps become vertex sets. That keeps the BFS order, the witnesses, the
+explored-state counts and the state at which a budget runs out of the
+pick-by-pick loop, which the tests keep as the reference.
 
 The vertex-separation DP keeps one uint8 entry per vertex set, but
 visits only the sets that can start a layout no wider than a greedy
@@ -92,10 +98,11 @@ from .game import is_monotonic, is_successful, simulate
 # search steps of a boundary profile from separators.
 _MASK_CAP = 22
 
-# Table entries per separator at which boundary_profile's two engines
-# cost about the same: a separator costs one search of G - B in pure
-# Python, a table entry a few numpy operations.
-_TABLE_RATIO = 256
+# Masks of the sweep per search step of the separators at which
+# boundary_profile's two engines cost about the same: a step of a search
+# of G - B takes about 0.2 us in pure Python, a mask of the sweep 4-5 ns
+# (2 vCPUs).
+_TABLE_RATIO = 48
 
 # Bits of a set of sizes whose shift costs about one step of a search of
 # G - B: either is about 0.25 us, and a shift of n bits about
@@ -107,6 +114,16 @@ _SHIFT_BITS = 4096
 # cost, few enough that a batch's temporaries stay under a few MB
 # whatever n and k are.
 _CHUNK = 1 << 14
+
+# Largest n whose masks fit one uint64; above it, masks are Python ints
+# in object arrays.
+_WORD_BITS = 64
+
+# Largest n for which the closure keeps a byte per vertex set to say
+# which sets are parents, and a slot per set for a row number to dedupe a
+# batch: 2^16 bytes plus 2^16 intp entries, about half a MB. Above it,
+# the parents are one sorted array.
+_TABLE_BITS = 16
 
 # Entries per block of the separation DP's candidates: their intp
 # temporaries stay around half a MB, whatever n is.
@@ -233,11 +250,13 @@ def _round_map(protected, full, tables):
     return protected & ~_reach(full ^ protected, tables)
 
 
-def _replay(parents, state):
+def _replay(parents, state, vs):
+    """The steps from the clean start to state, each read off the mask of
+    the pick that reached the next state."""
     steps = []
     while parents[state] is not None:
-        state, step = parents[state]
-        steps.append(step)
+        state, pick = parents[state]
+        steps.append(frozenset(vs[i] for i in _bits(pick)))
     steps.reverse()
     return steps
 
@@ -257,40 +276,21 @@ def _pick_table(n, j, dtype):
     return table
 
 
-def _distinct(nxts, pos, n):
-    """Indices of the first row of each distinct (pos, clean set) pair,
-    in row order. pos is the row's state in its batch, or None for rows
-    of one state."""
-    import numpy as np
-    key = nxts if pos is None else pos.astype(nxts.dtype) << n | nxts
-    _, first = np.unique(key, return_index=True)
-    first.sort()
-    return first
-
-
-def _batch_rows(batch, table, full, tables, n):
-    """The distinct clean sets of each state of a batch, mapped in one
-    go, each with the mask of its first pick, in the order of their
-    first picks. A state's picks are the table entries disjoint from it,
-    so one (states x table) filter finds them all."""
-    import numpy as np
-    states = np.array(batch, dtype=table.dtype)
+def _batch_rows(states, table, full, tables):
+    """(pos, clean sets, pick masks) of every pick of a batch of states,
+    mapped in one go, in the order of the pick-by-pick search: pos is the
+    row's state in the batch. A state's picks are the table entries
+    disjoint from it, so one (states x table) filter finds them all."""
     pos, col = ((table & states[:, None]) == 0).nonzero()
     picks = table[col]
-    nxts = _round_map(picks | states[pos], full, tables)
-    first = _distinct(nxts, pos, n)
-    ends = np.bincount(pos[first], minlength=len(batch)).cumsum().tolist()
-    nxts = nxts[first].tolist()
-    picks = picks[first].tolist()
-    return [zip(nxts[a:b], picks[a:b]) for a, b in zip([0] + ends, ends)]
+    return pos, _round_map(picks | states[pos], full, tables), picks
 
 
 def _streamed_rows(state, sizes, bits, full, tables, chunk):
-    """The distinct clean sets of one state that the pick table does not
-    serve, and their first picks' masks: the j-subsets of its dirty
-    vertices for each j in sizes, in combinations order, mapped chunk
-    rows at a time, each chunk's sets in the order of their first
-    rows."""
+    """(pos, clean sets, pick masks) of the picks of one state that the
+    pick table does not serve, chunk rows at a time: the j-subsets of its
+    dirty vertices for each j in sizes, in combinations order. pos is 0,
+    the state's place in its batch of one."""
     import numpy as np
     dirty = [i for i in range(len(bits)) if not state >> i & 1]
     for j in sizes:
@@ -303,10 +303,107 @@ def _streamed_rows(state, sizes, bits, full, tables, chunk):
                 break
             picks = np.bitwise_or.reduce(bits[flat.reshape(-1, j)], axis=1)
             nxts = _round_map(picks | state, full, tables)
-            first = _distinct(nxts, None, len(bits))
-            yield from zip(nxts[first].tolist(), picks[first].tolist())
+            yield np.zeros(picks.size, dtype=np.intp), nxts, picks
             if flat.size < chunk * j:
                 break
+
+
+class _Parents:
+    """The clean sets a closure has made parents, tested a batch at a
+    time. Up to _TABLE_BITS vertices a byte per set of the 2^n says which
+    are in, and a slot per set for a row number dedupes a batch in linear
+    time; above, the parents are one sorted array, and np.unique
+    dedupes."""
+
+    def __init__(self, n, start, dtype):
+        import numpy as np
+        if n <= _TABLE_BITS:
+            self.table = np.zeros(1 << n, dtype=np.bool_)
+            self.table[start] = True
+            self.slots = np.empty(1 << n, dtype=np.intp)
+        else:
+            self.table = None
+            self.sorted = np.array([start], dtype=dtype)
+
+    def absent(self, sets):
+        """Whether each of sets is no parent yet."""
+        import numpy as np
+        if self.table is not None:
+            return ~self.table[sets.view(np.intp)]
+        at = np.searchsorted(self.sorted, sets)
+        return self.sorted[np.minimum(at, self.sorted.size - 1)] != sets
+
+    def first(self, sets):
+        """The index of the first of each distinct set, in order. Row
+        numbers are scattered in reverse, so that the first row of a set
+        is the one written last: numpy writes a one-dimensional fancy
+        assignment in index order."""
+        import numpy as np
+        if self.table is None:
+            _, first = np.unique(sets, return_index=True)
+            first.sort()
+            return first
+        keys = sets.view(np.intp)
+        rows = np.arange(keys.size)
+        self.slots[keys[::-1]] = rows[::-1]
+        return (self.slots[keys] == rows).nonzero()[0]
+
+    def add(self, sets):
+        """Make sets, none of them in yet, parents."""
+        import numpy as np
+        if self.table is not None:
+            self.table[sets.view(np.intp)] = True
+        else:
+            sets = np.sort(sets)
+            self.sorted = np.insert(
+                self.sorted, np.searchsorted(self.sorted, sets), sets)
+
+
+def _inside(sets, others):
+    """Whether each of sets lies inside some member of others, tested in
+    broadcasts of at most _CHUNK pairs."""
+    import numpy as np
+    out = np.zeros(sets.size, dtype=np.bool_)
+    if others.size:
+        outside = ~others
+        step = max(1, _CHUNK // others.size)
+        for lo in range(0, sets.size, step):
+            out[lo:lo + step] = (
+                (sets[lo:lo + step, None] & outside) == 0).any(axis=1)
+    return out
+
+
+def _antichain(sets, archive):
+    """(accepted, archive) for a batch's new clean sets, distinct, none a
+    parent, in row order: the indices of the sets that the pick-by-pick
+    search would add to the antichain archive, and the archive after
+    them.
+
+    That search drops a set inside an archive member, else removes the
+    members inside it and appends it. A member leaves only for a superset,
+    so a set inside a member before the batch is still inside one when
+    the search reaches it. A set inside an earlier set of the batch is
+    dropped too: that set was accepted, or lies inside an accepted one in
+    turn. So one broadcast of the sets against the archive and
+    themselves, in row chunks of at most _CHUNK pairs, settles the batch.
+    Each set contains itself, so the first set that contains it is a
+    member or an earlier set unless it is itself, and then it is
+    accepted; it stays in the archive when no other set contains it. A
+    member leaves when one of those contains it."""
+    import numpy as np
+    old = archive.size
+    outside = ~np.concatenate((archive, sets))
+    accepted = np.empty(sets.size, dtype=np.bool_)
+    top = np.empty(sets.size, dtype=np.bool_)
+    step = max(1, _CHUNK // outside.size)
+    for lo in range(0, sets.size, step):
+        hit = (sets[lo:lo + step, None] & outside) == 0
+        own = np.arange(old + lo, old + lo + hit.shape[0])
+        accepted[lo:lo + step] = hit.argmax(axis=1) == own
+        top[lo:lo + step] = hit.sum(axis=1) == 1
+    top = sets[top]
+    archive = np.concatenate((archive[~_inside(archive, top)], top))
+    return accepted.nonzero()[0], archive
 
 
 def _closure(g, k, clean_start, state_budget, prune, monotone):
@@ -323,25 +420,31 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
     monotone mode, see _pick_table), when it has at most _CHUNK rows.
     Frontier states are then popped into a batch while it holds at most
     _CHUNK table rows, and the batch is mapped in one go: OR each
-    state's picks into it, take N(outside) from the neighbourhood
-    tables, one gather per chunk of the mask, and keep the first row of
-    each distinct (state, clean set) pair. A larger table, or a
+    state's picks into it, and take N(outside) from the neighbourhood
+    tables, one gather per chunk of the mask. A larger table, or a
     plain-mode state with fewer than k dirty vertices, whose one pick is
     all of them, has its picks streamed from itertools.combinations
     alone, _CHUNK rows at a time.
 
-    Each state then takes its distinct clean sets, in the order of their
-    first rows, through the loop body of a pick-by-pick search: the
-    witness check, then the monotone, parent and antichain checks. A
-    later row with the same clean set is a no-op in that search: the
-    set is already a parent, or it is still dominated, since an archive
-    member only ever leaves for a superset. States are counted against
-    the budget one by one as the loop reaches them, so the BFS order,
-    the witnesses, the count of expanded states and the state at which
-    the budget runs out are those of the pick-by-pick search. Masks are
-    uint64 up to 64 vertices and Python ints in object arrays above
-    that; a batch's (state, clean set) keys share one uint64 only while
-    its states fit in the bits above n.
+    Each batch of rows then does in numpy what the pick-by-pick search
+    does row by row. A row is a no-op there when its clean set was a
+    parent before the batch (see _Parents), or, in monotone mode, when
+    it does not grow its state. So is every later row of a set met in
+    the batch, from any of its states: the first one made the set a
+    parent or left it inside the antichain, and an archive member only
+    ever leaves for a superset. The first row left that reaches the full
+    set ends the search once the states up to its own are counted; the
+    rows before it add no state the witness passes through. Otherwise,
+    in prune mode, _antichain keeps the rows the antichain test would.
+    What is left are the states the search adds, in its order, each
+    with its parent and the mask of its pick; steps become vertex sets
+    only when the witness is replayed. States are counted against the
+    budget up to the last one a batch expands, so the BFS order, the
+    witnesses, the count of expanded states and the state at which the
+    budget runs out are those of the pick-by-pick search. Masks are
+    uint64 up to _WORD_BITS vertices and Python ints in object arrays
+    above that, which take the same numpy operations on the sorted
+    parents' path.
 
     Returns (steps or None, states expanded).
     """
@@ -357,7 +460,7 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
         return [frozenset(g.vertices)], 1
 
     chunk = _CHUNK
-    dtype = np.uint64 if n <= 64 else object
+    dtype = np.uint64 if n <= _WORD_BITS else object
     bits = np.array([1 << i for i in range(n)], dtype=dtype)
     tables = _round_tables(tuple(nbr), n, dtype)
     sizes = range(1, k + 1) if monotone else (k,)
@@ -366,51 +469,63 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
     if rows <= chunk:
         table = np.concatenate([_pick_table(n, j, dtype) for j in sizes])
         per_batch = chunk // rows
-        if dtype is np.uint64:
-            per_batch = min(per_batch, 1 << 64 - n)
 
     def batched(state):
         """Whether the table holds exactly the state's picks."""
         return table is not None and (monotone or n - state.bit_count() >= k)
 
-    vs = g.vertices
     parents = {start: None}
+    met = _Parents(n, start, dtype)
+    archive = np.array([start], dtype=dtype)
     frontier = deque([start])
-    archive = [start]
     expanded = 0
     while frontier:
         batch = [frontier.popleft()]
         if batched(batch[0]):
             while frontier and len(batch) < per_batch and batched(frontier[0]):
                 batch.append(frontier.popleft())
-            mapped = _batch_rows(batch, table, full, tables, n)
+            states = np.array(batch, dtype=dtype)
+            mapped = [_batch_rows(states, table, full, tables)]
         else:
             state = batch[0]
+            states = np.array(batch, dtype=dtype)
             steps = sizes if monotone else (min(k, n - state.bit_count()),)
-            mapped = [_streamed_rows(state, steps, bits, full, tables, chunk)]
-        for state, state_rows in zip(batch, mapped):
-            expanded += 1
-            if expanded > state_budget:
-                raise ResourceLimitError(
-                    f"solver state budget exhausted at k={k}",
-                    budget=state_budget,
-                    used=expanded,
-                )
-            for nxt, pick in state_rows:
-                if nxt == full:
-                    parents[nxt] = state, frozenset(vs[i] for i in _bits(pick))
-                    return _replay(parents, nxt), expanded
-                if monotone and (nxt & state != state or nxt == state):
-                    continue
-                if nxt in parents:
-                    continue
-                if prune and not monotone:
-                    if any(other | nxt == other for other in archive):
-                        continue
-                    archive[:] = [o for o in archive if o | nxt != nxt]
-                    archive.append(nxt)
-                parents[nxt] = state, frozenset(vs[i] for i in _bits(pick))
-                frontier.append(nxt)
+            mapped = _streamed_rows(state, steps, bits, full, tables, chunk)
+        counted = 0
+        for pos, nxts, picks in mapped:
+            keep = met.absent(nxts)
+            if monotone:
+                held = states[pos]
+                keep &= (nxts & held == held) & (nxts != held)
+            at = keep.nonzero()[0]
+            if at.size > 1:
+                at = at[met.first(nxts[at])]
+            new = nxts[at]
+            # the full set is never a parent: its first row is in at
+            goal = at[new == full][:1]
+            reached = int(pos[goal[0]]) + 1 if goal.size else len(batch)
+            if reached > counted:
+                expanded += reached - counted
+                counted = reached
+                if expanded > state_budget:
+                    raise ResourceLimitError(
+                        f"solver state budget exhausted at k={k}",
+                        budget=state_budget,
+                        used=state_budget + 1,
+                    )
+            if goal.size:
+                parents[full] = batch[reached - 1], int(picks[goal[0]])
+                return _replay(parents, full, g.vertices), expanded
+            if not at.size:
+                continue
+            if prune and not monotone:
+                accepted, archive = _antichain(new, archive)
+                at, new = at[accepted], new[accepted]
+            met.add(new)
+            new = new.tolist()
+            parents.update(zip(new, zip(states[pos[at]].tolist(),
+                                        picks[at].tolist())))
+            frontier.extend(new)
     return None, expanded
 
 
@@ -522,28 +637,32 @@ def _largest_certificate(g, top, mask_cap):
     """The boundary-gap certificate of the largest width k <= top that
     has one, on a connected graph, or None when top < 1.
 
-    Where boundary_profile(g, top) would sweep the subset masks, the one
-    sweep's least boundaries give the profile at every width. Otherwise
-    only top is tried, on the separators, and a ResourceLimitError means
-    no certificate there. Either way k = 1 has one: the sets of a
-    connected graph with no boundary are the empty set and the whole
-    graph, so the profile at k = 1 is {0, n}, with a gap at i = 1."""
+    The widths are tried from top down. Where boundary_profile(g, top)
+    would sweep the subset masks, the one sweep's least boundaries give
+    the profile at every width. Otherwise each width takes the
+    separators, and one that their step budget refuses has no
+    certificate; a smaller width costs fewer steps, so the walk goes on.
+    Either way k = 1 has one: the sets of a connected graph with no
+    boundary are the empty set and the whole graph, so the profile at
+    k = 1 is {0, n}, with a gap at i = 1."""
     if top < 1:
         return None
     try:
-        if _takes_tables(g.n, top, mask_cap):
-            least = _least_boundaries(g, mask_cap)
-            for k in range(top, 1, -1):
-                cert = boundary_gap_certificate(
-                    g, k, profile=_sizes_below(least, k))
-                if cert is not None:
-                    return cert
-        else:
-            cert = boundary_gap_certificate(g, top, mask_cap=mask_cap)
-            if cert is not None:
-                return cert
+        least = (_least_boundaries(g, mask_cap)
+                 if _takes_tables(g, top, mask_cap) else None)
     except ResourceLimitError:
-        pass
+        top = 1
+    for k in range(top, 1, -1):
+        if least is not None:
+            cert = boundary_gap_certificate(
+                g, k, profile=_sizes_below(least, k))
+        else:
+            try:
+                cert = boundary_gap_certificate(g, k, mask_cap=mask_cap)
+            except ResourceLimitError:
+                continue
+        if cert is not None:
+            return cert
     return boundary_gap_certificate(g, 1, profile=frozenset({0, g.n}))
 
 
@@ -783,11 +902,15 @@ def _vertex_separation(g, mask_cap):
     bound, _ = _greedy_layout(g)
     tables = _round_tables(tuple(nbr), n, np.uint64)
     bits = np.array([1 << v for v in range(n)], dtype=np.intp)
+    full = np.uint64(full)
     # no layer holds more than C(n, n/2) sets
     rows = max(1, min(_BLOCK // n, math.comb(n, n // 2)))
     tags = np.tile(np.arange(n, dtype=np.uint8), rows)
     frontier = np.zeros(1, dtype=np.intp)
     for _ in range(n):
+        if frontier.size <= rows:
+            frontier = _extend(f, frontier, bound, bits, tags, full, tables)
+            continue
         frontier = np.concatenate([
             _extend(f, frontier[lo:lo + rows], bound, bits, tags, full, tables)
             for lo in range(0, frontier.size, rows)
@@ -921,30 +1044,29 @@ def boundary_profile(g, k, mask_cap=_MASK_CAP):
     """Set of sizes |C| over all vertex sets C with boundary below k.
 
     Two engines give the same set: a sweep of the 2^n subset masks
-    (_table_profile), and the separators (_separator_profile), the S
-    sets B with |B| < k. The sweep is taken when n <= mask_cap and
-    _TABLE_RATIO * S >= 2^n, the separators otherwise. The sweep's
-    least boundary per size gives the profile at every k at once, which
-    is how inspection_number reads its certificates; it refuses n above
-    _SWEEP_CAP whatever mask_cap is.
+    (_table_profile), and the separators (_separator_profile), the sets
+    B with |B| < k. The separators' cost is counted before any is
+    visited: one search of G - B' for each set B' below the largest
+    size, each of n + m steps, a step also shifting an (n+1)-bit set of
+    sizes. The sweep is taken when n <= mask_cap and 2^n is at most
+    _TABLE_RATIO times those steps, the separators otherwise. The
+    sweep's least boundary per size gives the profile at every k at
+    once, which is how inspection_number reads its certificates; it
+    refuses n above _SWEEP_CAP whatever mask_cap is.
 
-    The separators' cost is counted before any is visited: one search of
-    G - B' for each set B' below the largest size, each of n + m steps,
-    a step also shifting an (n+1)-bit set of sizes. More than
-    2^mask_cap steps raise ResourceLimitError, so mask_cap bounds the
-    work of either engine, whatever n is. When n <= mask_cap <= 22 the
-    separators are chosen only below 2^n / _TABLE_RATIO, and n + m <
-    256, so nothing is refused that the tables answer."""
+    More than 2^mask_cap separator steps raise ResourceLimitError, so
+    mask_cap bounds the work of either engine, whatever n is. When n <=
+    mask_cap the separators are chosen only below 2^n / _TABLE_RATIO
+    steps, so nothing is refused that the sweep answers."""
     n = g.n
     if n == 0:
         raise InputError("empty graph")
     if k < 0:
         raise InputError("k must be >= 0")
-    if _takes_tables(n, k, mask_cap):
+    if _takes_tables(g, k, mask_cap):
         return _table_profile(g, k, mask_cap)
     limit = 1 << mask_cap
-    searches = _separator_count(n, max(k - 1, 1), limit) if k else 0
-    steps = searches * (n + g.m) * (1 + n // _SHIFT_BITS)
+    steps = _separator_steps(g, k, limit)
     if steps > limit:
         raise ResourceLimitError(
             f"boundary profile needs at least {steps} separator search "
@@ -955,10 +1077,17 @@ def boundary_profile(g, k, mask_cap=_MASK_CAP):
     return _separator_profile(g, k)
 
 
-def _takes_tables(n, k, mask_cap):
+def _takes_tables(g, k, mask_cap):
     """Whether boundary_profile(g, k) sweeps the subset masks."""
-    return n <= mask_cap and (
-        _TABLE_RATIO * _separator_count(n, k, 1 << n) >= 1 << n)
+    return g.n <= mask_cap and (
+        _TABLE_RATIO * _separator_steps(g, k, 1 << g.n) >= 1 << g.n)
+
+
+def _separator_steps(g, k, limit):
+    """The search steps of _separator_profile(g, k), or a first count of
+    them past limit when the searches alone pass it."""
+    searches = _separator_count(g.n, max(k - 1, 1), limit) if k else 0
+    return searches * (g.n + g.m) * (1 + g.n // _SHIFT_BITS)
 
 
 def _separator_count(n, k, limit):

@@ -670,8 +670,8 @@ def test_solve_takes_a_greedy_cap_when_tables_do_not_fit(capsys, monkeypatch):
     layout, as for any n above the subset budget, while a blown state
     budget still ends it. 2^70 bytes is past what numpy can index, so it
     refuses on any host. tree:4 has 31 vertices: its greedy cap is 4,
-    its value 3, and it is certified at k = 1 only, so the closure at
-    k = 2 expands 145 states before it fails."""
+    its value 3, and the separators certify k = 2, so the closure runs
+    at k = 3 only, where it succeeds after 11,261 states."""
     default = run(capsys, "solve", "path:70")
     monkeypatch.setenv("ZVSEARCH_SUBSET_BUDGET", "100")
     assert run(capsys, "solve", "path:70") == default
@@ -681,7 +681,7 @@ def test_solve_takes_a_greedy_cap_when_tables_do_not_fit(capsys, monkeypatch):
     monkeypatch.delenv("ZVSEARCH_SUBSET_BUDGET")
     monkeypatch.setenv("ZVSEARCH_STATE_BUDGET", "5")
     code, out, err = run(capsys, "solve", "tree:4")
-    assert code == 2 and out == "" and "state budget exhausted at k=2" in err
+    assert code == 2 and out == "" and "state budget exhausted at k=3" in err
 
 
 def test_subset_budget_does_not_lift_the_sweep_cap(capsys, monkeypatch):

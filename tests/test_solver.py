@@ -12,7 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 
 import networkx as nx
 import numpy as np
@@ -115,7 +115,7 @@ def reference_closure(g, k, clean_start, prune, monotone):
                 nxt = _clean_after(nbr, full, protected)
                 if nxt == full:
                     parents[nxt] = (state, frozenset(vs[i] for i in pick))
-                    return solver._replay(parents, nxt), expanded
+                    return replay(parents, nxt), expanded
                 if monotone and (nxt & state != state or nxt == state):
                     continue
                 if nxt in parents:
@@ -128,6 +128,17 @@ def reference_closure(g, k, clean_start, prune, monotone):
                 parents[nxt] = (state, frozenset(vs[i] for i in pick))
                 frontier.append(nxt)
     return None, expanded
+
+
+def replay(parents, state):
+    """The steps from the clean start to state, read back through
+    parents, which maps each state to (its parent, the step)."""
+    steps = []
+    while parents[state] is not None:
+        state, step = parents[state]
+        steps.append(step)
+    steps.reverse()
+    return steps
 
 
 def assert_matches_reference(g, k, clean_start=(), prune=True, monotone=False):
@@ -186,15 +197,25 @@ def test_k_max_stops_early():
 
 
 def test_state_budget_raises():
-    """tree:4 (value 3, greedy cap 4) is certified at k = 1 only: it
-    fails k = 2 in 145 states, then blows the budget at k = 3; the
+    """tree:4 (value 3, greedy cap 4) is certified at k = 2 from the
+    separators, so it closes k = 3 only and blows the budget there. The
+    bench graph rc081-n12 of solve seed 0 is certified at k = 3: it
+    fails k = 4 in 16 states, then blows the budget at k = 5. The
     message says how far the run got."""
     with pytest.raises(ResourceLimitError) as ex:
         inspection_number(generate("tree:4"), state_budget=200)
     assert str(ex.value) == (
         "solver state budget exhausted at k=3 (budget 200 states per width, "
-        "145 states expanded at k < 3)")
+        "0 states expanded at k < 3)")
     assert (ex.value.budget, ex.value.used) == (200, 201)
+    g = bench_corpus("solve", [0])[8 + 81]
+    assert g.n == 12 and g.m == 25
+    with pytest.raises(ResourceLimitError) as ex:
+        inspection_number(g, state_budget=20)
+    assert str(ex.value) == (
+        "solver state budget exhausted at k=5 (budget 20 states per width, "
+        "16 states expanded at k < 5)")
+    assert (ex.value.budget, ex.value.used) == (20, 21)
 
 
 def test_bad_inputs():
@@ -339,11 +360,12 @@ def test_profile_engines_agree(rng):
 
 
 def test_boundary_profile_picks_its_engine(monkeypatch):
-    """Tables when n <= mask_cap and _TABLE_RATIO * S >= 2^n, for the S
-    separators (sets of fewer than k vertices), separators otherwise;
-    more than 2^mask_cap search steps are refused before any separator
-    is visited."""
-    assert solver._TABLE_RATIO == 256
+    """Tables when n <= mask_cap and 2^n <= _TABLE_RATIO * T, for the T
+    search steps of the separators (one search of n + m steps for each
+    set of fewer than k - 1 vertices), separators otherwise; more than
+    2^mask_cap search steps are refused before any separator is
+    visited."""
+    assert solver._TABLE_RATIO == 48
     built = []
     real = solver._least_boundaries
 
@@ -352,14 +374,19 @@ def test_boundary_profile_picks_its_engine(monkeypatch):
         return real(g, mask_cap)
 
     monkeypatch.setattr(solver, "_least_boundaries", counted)
-    # 256 * 1 >= 2^8 but < 2^9
-    assert boundary_profile(cycle_graph(8), 1) == frozenset({0, 8})
+    # one search of 2n steps: 48 * 18 >= 2^9 but 48 * 20 < 2^10
     assert boundary_profile(cycle_graph(9), 1) == frozenset({0, 9})
-    assert built == [8]
+    assert boundary_profile(cycle_graph(10), 1) == frozenset({0, 10})
+    assert built == [9]
     assert boundary_profile(complete_graph(14), 13) == (
         frozenset(range(13)) | {14})
     assert boundary_profile(path_graph(20), 2) == frozenset(range(21))
-    assert built == [8, 14]
+    assert built == [9, 14]
+    # k = 4: 1 + n + C(n, 2) searches of n + C(n, 2) steps, 29,412 at
+    # n = 18, 48 times that >= 2^18; 64,262 at n = 22, < 2^22 / 48
+    assert boundary_profile(complete_graph(18), 4) == frozenset({0, 1, 2, 3, 18})
+    assert boundary_profile(complete_graph(22), 4) == frozenset({0, 1, 2, 3, 22})
+    assert built == [9, 14, 18]
     # path:10 with k = 2: one search of 10 vertices and 9 edges, 19
     # steps, more than 2^4, at most 2^5; k = 3 adds one per vertex
     assert boundary_profile(path_graph(10), 2, mask_cap=5) == frozenset(range(11))
@@ -368,7 +395,7 @@ def test_boundary_profile_picks_its_engine(monkeypatch):
     assert (ex.value.budget, ex.value.used) == (16, 19)
     with pytest.raises(ResourceLimitError, match="at least 209 sep"):
         boundary_profile(path_graph(10), 3, mask_cap=5)
-    assert built == [8, 14]
+    assert built == [9, 14, 18]
 
 
 def test_certificate_is_the_first_gap(rng):
@@ -552,6 +579,141 @@ def test_closure_batches_stay_within_a_chunk(monkeypatch):
     assert {states for states, _ in sizes} == {1}
     assert max(rows) <= solver._CHUNK
     assert peak < 4 << 20, peak
+
+
+# ---------------------------------------------------------------------------
+# the numpy pre-filters of each batch against the pick-by-pick reference
+
+
+@pytest.fixture(scope="module")
+def bench_closures():
+    """The arguments of every closure inspection_number runs on the bench
+    solve corpus, seed 0."""
+    calls = []
+    real = solver._closure
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_closure", recorded)
+        for g in bench_corpus("solve", [0]):
+            inspection_number(g)
+    return calls
+
+
+STAGES = ("parent", "repeat", "archive", "batch", "accepted")
+
+
+def spy_prefilters(monkeypatch):
+    """Counts of the rows each stage of a batch drops or accepts: rows
+    whose clean set was a parent, later rows of a set met in the batch,
+    sets inside a member of the archive before the batch (counted here
+    in pure Python), sets inside an earlier set of the batch, and sets
+    accepted. Each archive after a batch is checked, also in pure
+    Python."""
+    counts = Counter()
+    absent, first, antichain = (solver._Parents.absent, solver._Parents.first,
+                                solver._antichain)
+
+    def spy_absent(self, sets):
+        new = absent(self, sets)
+        counts["parent"] += int(new.size - new.sum())
+        return new
+
+    def spy_first(self, sets):
+        rows = first(self, sets)
+        counts["repeat"] += sets.size - rows.size
+        return rows
+
+    def spy_antichain(sets, archive):
+        accepted, after = antichain(sets, archive)
+        members = archive.tolist()
+        inside = sum(any(s | a == a for a in members) for s in sets.tolist())
+        counts["archive"] += inside
+        counts["batch"] += sets.size - inside - accepted.size
+        counts["accepted"] += accepted.size
+        # the archive stays the maximal sets of the old one and the new
+        every = members + sets[accepted].tolist()
+        assert sorted(after.tolist()) == sorted(
+            x for x in every if not any(x != y and x | y == y for y in every))
+        return accepted, after
+
+    monkeypatch.setattr(solver._Parents, "absent", spy_absent)
+    monkeypatch.setattr(solver._Parents, "first", spy_first)
+    monkeypatch.setattr(solver, "_antichain", spy_antichain)
+    return counts
+
+
+def test_closure_matches_reference_on_the_bench_corpus(
+        bench_closures, monkeypatch):
+    """Every closure that solve runs on the bench corpus (seed 0) gives
+    the reference's witness and count, and each pre-filter of a batch
+    drops rows before the antichain test sees them."""
+    counts = spy_prefilters(monkeypatch)
+    assert len(bench_closures) == 65
+    for g, k, clean_start, _, prune, monotone in bench_closures:
+        assert_matches_reference(g, k, clean_start, prune, monotone)
+    assert min(counts[key] for key in STAGES) > 0, counts
+    # most rows map to a parent; few reach the antichain
+    assert counts["parent"] > 10 * (counts["archive"] + counts["batch"]
+                                    + counts["accepted"])
+
+
+@pytest.mark.parametrize("path", ["scatter", "unique", "object"])
+def test_each_batch_path_matches_reference(
+        bench_closures, rng, monkeypatch, path):
+    """Up to _TABLE_BITS vertices a batch is deduped by scattering row
+    numbers over the 2^n sets and the parents are a byte table; above,
+    np.unique and a sorted array; above _WORD_BITS the masks are object
+    arrays. Lowering those limits forces each path, which must match
+    the reference in every mode."""
+    if path != "scatter":
+        monkeypatch.setattr(solver, "_TABLE_BITS", 0)
+    if path == "object":
+        monkeypatch.setattr(solver, "_WORD_BITS", 0)
+    taken = set()
+    first = solver._Parents.first
+
+    def spy_first(self, sets):
+        taken.add((self.table is not None, sets.dtype))
+        return first(self, sets)
+
+    monkeypatch.setattr(solver._Parents, "first", spy_first)
+    counts = spy_prefilters(monkeypatch)
+    graphs = [random_connected(rng.randint(4, 9), rng) for _ in range(8)]
+    graphs += [path_graph(8), cycle_graph(7), grid_graph(2, 4)]
+    for g in graphs:
+        for k in (2, 3):
+            for prune, monotone in ((True, False), (False, False),
+                                    (False, True)):
+                assert_matches_reference(g, k, prune=prune, monotone=monotone)
+    for g, k, clean_start, _, prune, monotone in bench_closures[:20]:
+        assert_matches_reference(g, k, clean_start, prune, monotone)
+    dtype = np.dtype(object if path == "object" else np.uint64)
+    assert taken == {(path == "scatter", dtype)}
+    assert min(counts[key] for key in STAGES) > 0, counts
+
+
+def test_separators_certify_the_largest_width_below_the_top():
+    """Above the subset budget the separators try each width from the
+    top down. tree:4 (greedy cap 4) fails k = 3 and is certified at
+    k = 2 with a gap at i = 6, so solve closes k = 3 only; tree:5 (cap
+    5) fails k = 4 and 3. With a budget of 2^10 search steps the
+    separators refuse tree:5 at k = 4 (252,125 steps) and k = 3 (8,000),
+    and the walk goes on to k = 2 (125)."""
+    tree4, tree5 = generate("tree:4"), generate("tree:5")
+    for g, top in ((tree4, 3), (tree5, 4)):
+        for mask_cap in (22, 10):
+            cert = solver._largest_certificate(g, top, mask_cap)
+            assert (cert.k, cert.i) == (2, 6)
+    with pytest.raises(ResourceLimitError):
+        boundary_gap_certificate(tree5, 3, mask_cap=10)
+    res = inspection_number(tree4)
+    assert (res.value, res.explored_states) == (3, 11261)
+    assert res.certificate is None
+    assert is_successful(simulate(tree4, res.witness))
 
 
 # Run under python -O, where asserts are stripped: a decomposition that
