@@ -136,11 +136,11 @@ def _emit(doc):
 
     Dict keys must be strings: a key of any other type raises TypeError
     naming it, where json.dumps would have converted it. The document
-    is walked on an explicit stack: a decomposition tree nests as deep
-    as its graph is long, past the recursion limit that json's own
-    encoder runs into. A list of scalars, such as one step of a search,
-    or of such lists, such as the rows of a tree record, is written in
-    one piece.
+    is walked on an explicit stack so that a list of scalars, such as
+    one step of a search, or of such lists, such as the rows of a tree
+    record, is written in one piece, where json's encoder writes it item
+    by item. No document nests deeper than a few levels: trees are
+    written as flat records.
     """
     stack = [(doc, "\n")]
     while stack:
@@ -295,12 +295,13 @@ def cmd_synth(args):
     """Classify the graph; for a YES graph, build and print a verified
     bundle, else print the classification.
 
-    Between the one classification and the one synthesis, the size of
-    each candidate tree's bundle is planned without building it (see
-    synth._rooted): the classifier's tree, or that tree's assembly
-    rerooted at an edge of its last block, whichever plans the smallest
-    host. A plan past the host cap ends the run with a resource limit
-    before anything is built.
+    The graph is classified, and so peeled, once. Between that and the
+    one synthesis, the size of each candidate tree's bundle is planned
+    without building it (see synth._rooted): the classifier's tree, or
+    that tree's assembly rerooted at an edge of its last block, read off
+    the classification's peel, whichever plans the smallest host. A plan
+    past the host cap ends the run with a resource limit before anything
+    is built.
     """
     g, _ = _load_graph(args.graph)
     cls = classify_topological_3(g)
@@ -313,7 +314,7 @@ def cmd_synth(args):
             floors[(u, v)] = int(c)
         except ValueError:
             raise InputError(f"floor count must be an integer, got {c!r}")
-    tree = _rooted(g, cls.tree, floors)
+    tree = _rooted(g, cls, floors)
     bundle = synthesize(tree.terminal_graph(), tree, floors or None)
     _emit(bundle.to_record())
 

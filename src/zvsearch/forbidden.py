@@ -399,7 +399,7 @@ def _brute_f1(g, budget):
 
         if place(0, set()):
             verts, edges = _span(chosen)
-            w = ForbiddenWitness(
+            return ForbiddenWitness(
                 "F1",
                 Graph.from_edges(edges, vertices=verts),
                 {
@@ -407,7 +407,6 @@ def _brute_f1(g, budget):
                     "paths": [list(p) for p in chosen],
                 },
             )
-            return _checked(w)
     return None
 
 
@@ -443,20 +442,22 @@ def _bipaths_between(g, a, b, budget, path_cap=3000):
     return list(found.values())
 
 
+# The packers build a witness from its roles, unchecked: the public call
+# that returns it (brute_force_forbidden, classify_topological_3 and
+# build_simple_gsp, or has_k4_subdivision) checks it once, via _checked.
 def _witness_f2(bips):
     a, b = sorted(bips[0].endpoints)
     verts, edges = _span(_halves(bips))
-    w = ForbiddenWitness(
+    return ForbiddenWitness(
         "F2",
         Graph.from_edges(edges, vertices=verts),
         {"endpoints": [a, b], "bipaths": [bp.to_record() for bp in bips]},
     )
-    return _checked(w)
 
 
 def _witness_f3(pair1, pair2, bips, conns):
     verts, edges = _span(_halves(bips) + list(conns))
-    w = ForbiddenWitness(
+    return ForbiddenWitness(
         "F3",
         Graph.from_edges(edges, vertices=verts),
         {
@@ -465,7 +466,6 @@ def _witness_f3(pair1, pair2, bips, conns):
             "connectors": [list(c) for c in conns],
         },
     )
-    return _checked(w)
 
 
 def _brute_f2(g, budget):
@@ -522,7 +522,8 @@ def brute_force_forbidden(g, budget=1_000_000):
     direct enumeration (quadruple-plus-paths for F1, path pairs filtered
     into bipaths for F2/F3). Intended for cross-checks on small graphs;
     refuses more than 12 vertices, and raises ResourceLimitError when the
-    step budget runs out.
+    step budget runs out. A witness found is checked here, once, and one
+    that fails its pattern raises AssertionError, also under `python -O`.
     """
     if g.n > 12:
         raise InputError("brute-force pattern search is limited to 12 vertices")
@@ -530,5 +531,5 @@ def brute_force_forbidden(g, budget=1_000_000):
     for finder in (_brute_f1, _brute_f2, _brute_f3):
         w = finder(g, tracker)
         if w is not None:
-            return w
+            return _checked(w)
     return None

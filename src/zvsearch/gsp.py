@@ -8,7 +8,10 @@ whether a connected graph admits a *simple* tree, one where no subtree
 mixes two essentially different terminal-to-terminal routings; graphs
 that do can be searched with three pursuers after subdivision, and
 graphs that cannot embed one of the forbidden patterns in
-`zvsearch.forbidden`, which the classifier extracts as a witness.
+`zvsearch.forbidden`, which the classifier extracts as a witness. The
+code that finds a witness packs it; the public call that returns it
+checks it, once. A YES answer keeps its peel, which synthesis re-roots
+from without peeling again.
 
 A tree stores no graphs: node() checks only terminals and sums vertex
 and edge counts, an inner node's edges are read off its leaves, and
@@ -44,7 +47,7 @@ way and hangs them all on its terminals' chain with branch nodes.
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import pairwise
 
 from .errors import InputError
@@ -55,7 +58,6 @@ from .forbidden import (
     _witness_f2,
     _witness_f3,
     embedded,
-    pattern_check,
 )
 from .graphs import (
     Graph,
@@ -500,7 +502,9 @@ def _extract_k4(g):
     # of higher degree in h than in S, a fifth of degree 3 or one of
     # degree 4. So h is S, no edge of which can go, and the pass would
     # keep every edge left. A vertex the drops leave without neighbours
-    # leaves h, so each reduction copies only the live part.
+    # leaves h, so each reduction copies only the live part. The public
+    # call that returns the witness checks it: its F1 pattern holds
+    # exactly when h is a subdivision with six chains.
     h = {v: set(g.neighbors(v)) for v in g.vertices}
     edges = g.edges()
     i, size = 0, 1
@@ -524,8 +528,6 @@ def _extract_k4(g):
                 i += 1
             else:
                 size //= 2
-    if not _is_k4_subdivision(h):
-        raise AssertionError("the K_4 minimisation did not end in a subdivision")
     h = Graph({v: frozenset(ns) for v, ns in h.items() if ns})
     branch = sorted(v for v in h.vertices if h.degree(v) == 3)
     chains = {}
@@ -544,20 +546,19 @@ def _extract_k4(g):
             if key not in chains:
                 chains[key] = path if path[0] < path[-1] else path[::-1]
     paths = sorted(chains.values())
-    if len(paths) != 6:
-        raise AssertionError("the K_4 subdivision does not have six chains")
-    w = ForbiddenWitness(
+    return ForbiddenWitness(
         "F1",
         h,
         {"branch_vertices": branch, "paths": [list(p) for p in paths]},
     )
-    return _checked(w)
 
 
 def has_k4_subdivision(g):
-    """A witness embedding of a K_4 subdivision, or None."""
+    """A witness embedding of a K_4 subdivision, or None. The witness is
+    checked here, once, and one that fails its pattern raises
+    AssertionError, also under `python -O`."""
     out = _reduce_blocks(g, block_cut_forest(g))
-    return out if isinstance(out, ForbiddenWitness) else None
+    return _checked(out) if isinstance(out, ForbiddenWitness) else None
 
 
 def _block_graph(g, blk):
@@ -1196,30 +1197,21 @@ def _assemble(peeled, root, ends=None):
     return _series(head + [tree] + heavy.get(root.b, [])[::-1])
 
 
-def _root_block(g):
-    """What the classifier's peel of g, a YES graph, leaves: the peeled
-    blocks, as _peel returns them, and the graph of the last block (g
-    itself when g is one block)."""
-    bcf = block_cut_forest(g)
-    if len(bcf.blocks) == 1:
-        return [], g
-    peeled, root = _peel(g, bcf, _reduce_blocks(g, bcf))
-    return peeled, root.graph
-
-
-def _rootings(peeled, block):
-    """The classifier's assembly of the peeled blocks onto block, whose
-    tree is taken from each edge of block in turn, in sorted order,
-    wherever that tree is simple."""
+def _rootings(peeled, root):
+    """The classifier's assembly of the peeled blocks onto the last block,
+    given as the peel has them (Classification.peel), with the block's
+    tree taken from each of its edges in turn, in sorted order, wherever
+    that tree is simple."""
+    block = root.graph
     for u, v in block.edges():
-        root = _sp(block, u, v)
-        if root.simple:
-            yield _assemble(peeled, root)
+        tree = _sp(block, u, v)
+        if tree.simple:
+            yield _assemble(peeled, tree)
 
 
 def build_simple_gsp(g):
     """A simple decomposition of g, or the forbidden pattern preventing
-    one.
+    one: the answer classify_topological_3 gives.
 
     Each block of four or more vertices is first reduced once, its least
     edge kept; a reduction that stops short finds a K_4 subdivision, and
@@ -1233,40 +1225,27 @@ def build_simple_gsp(g):
     assembled as series spines: each block continues in series into its
     largest limb, and only the other limbs hang on with branch nodes, so
     a path becomes one series run and on a tree a limb hangs inside at
-    most log2(n) others. The answer is checked here, once, and a wrong
-    one raises AssertionError, an internal error, also under `python
-    -O`; the check folds the tree's vertex sets and builds its graph
-    once (see recompose).
+    most log2(n) others. The answer is checked once, at the end of the
+    classifier, and a wrong one raises AssertionError, an internal error,
+    also under `python -O`: a tree's check folds its vertex sets and
+    builds its graph once (see recompose), and a witness's checks its
+    pattern and that it sits in g. The code that finds a witness packs
+    it without checking it.
     """
-    if g.n < 2:
-        raise InputError("classification needs at least two vertices")
-    if not g.is_connected():
-        raise InputError("classification needs a connected graph")
-    bcf = block_cut_forest(g)
-    out = _reduce_blocks(g, bcf)
-    if not isinstance(out, ForbiddenWitness):
-        out = _peel(g, bcf, out)
-    if not isinstance(out, ForbiddenWitness):
-        out = _assemble(*out)
-    if isinstance(out, GspTree):
-        try:
-            ok = recompose(out) == g and out.simple
-        except InputError:
-            ok = False
-        if not ok:
-            raise AssertionError("the decomposition is not a simple tree of the graph")
-    elif not (pattern_check(out) and embedded(out, g)):
-        raise AssertionError(f"the witness is not an {out.family} pattern of the graph")
-    return out
+    cls = classify_topological_3(g)
+    return cls.tree or cls.witness
 
 
 @dataclass(frozen=True)
 class Classification:
-    """YES with a simple tree, or NO with a pattern witness."""
+    """YES with a simple tree and the peel it was assembled from (as
+    _peel returns it, for synth to re-root from; not in the record), or
+    NO with a pattern witness."""
 
     verdict: str
     tree: object = None
     witness: object = None
+    peel: object = field(default=None, repr=False, compare=False)
 
     def to_record(self):
         out = {"verdict": self.verdict}
@@ -1279,8 +1258,25 @@ class Classification:
 
 def classify_topological_3(g):
     """Decide whether every subdivision of g can be searched with three
-    pursuers, with a decomposition or a witness either way."""
-    out = build_simple_gsp(g)
-    if isinstance(out, GspTree):
-        return Classification("YES", tree=out)
-    return Classification("NO", witness=out)
+    pursuers, with a decomposition or a witness either way, checked here
+    (see build_simple_gsp)."""
+    if g.n < 2:
+        raise InputError("classification needs at least two vertices")
+    if not g.is_connected():
+        raise InputError("classification needs a connected graph")
+    bcf = block_cut_forest(g)
+    out = _reduce_blocks(g, bcf)
+    if not isinstance(out, ForbiddenWitness):
+        out = _peel(g, bcf, out)
+    if isinstance(out, ForbiddenWitness):
+        if not embedded(_checked(out), g):
+            raise AssertionError(f"the witness is not an {out.family} pattern of the graph")
+        return Classification("NO", witness=out)
+    tree = _assemble(*out)
+    try:
+        ok = recompose(tree) == g and tree.simple
+    except InputError:
+        ok = False
+    if not ok:
+        raise AssertionError("the decomposition is not a simple tree of the graph")
+    return Classification("YES", tree=tree, peel=out)

@@ -44,7 +44,6 @@ from .gsp import (
     _fold,
     _invert,
     _leaf_edges,
-    _root_block,
     _rootings,
     is_simple,
     leaf,
@@ -800,13 +799,14 @@ def _bundle(graph, tree, floors, flip):
     return AlignedSearchBundle(host, search, alignment, _attained(host), stats)
 
 
-def _rooted(g, tree, floors):
-    """The tree synth builds for g, a YES graph, given the classifier's
-    tree and unchecked floors.
+def _rooted(g, cls, floors):
+    """The tree synth builds for g, a YES graph, given its classification
+    and unchecked floors.
 
     The other candidates are the classifier's assembly with the block
     its peel leaves last, if that block has 4+ vertices, decomposed from
-    each of its edges (gsp._rootings), each read from either end. The
+    each of its edges (gsp._rootings), each read from either end. They
+    are assembled from the peel cls keeps, so g is peeled once. The
     walker synthesize builds with plans each one (_plan), the other end
     with flip, so a plan is the size of what synthesize would build; a
     candidate chosen from its other end is inverted once, here. The
@@ -824,20 +824,21 @@ def _rooted(g, tree, floors):
         return None if plan is None else (g.n + sum(plan[0].values()), plan[1])
 
     floors = _check_floors(floors, g)
+    tree = cls.tree
     plan = _plan(tree, floors, _HOST_CAP - g.n)
     # the plan counts each base edge once
     first, m = sized(plan), g.m if plan is None else len(plan[0])
     best, chosen = first, (tree, False)
     limit = _HOST_CAP if first is None else min(first[0], _HOST_CAP)
     # a block of 4+ vertices has 4+ edges, so with 8 |E(g)| past the
-    # limit the rule fails before the peel runs
+    # limit the rule fails before the last block's size is read
     if m > g.n and 8 * m <= limit:
-        peeled, block = _root_block(g)
-        if block.n >= 4 and 2 * block.m * m <= limit:
+        peeled, root = cls.peel
+        if root.n >= 4 and 2 * root.m * m <= limit:
             # a plan stops once it passes the best host so far or the
             # classifier's length: then it cannot win
             steps_cap = _HOST_CAP if first is None else first[1]
-            for t in _rootings(peeled, block):
+            for t in _rootings(peeled, root):
                 for flip in (False, True):
                     room = (_HOST_CAP if best is None else best[0]) - g.n
                     got = sized(_plan(t, floors, room, steps_cap, flip))

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import zvsearch
+import zvsearch.forbidden as forbidden_module
 from zvsearch.errors import InputError, ResourceLimitError
 from zvsearch.forbidden import (
     Bipath,
@@ -28,6 +29,8 @@ from zvsearch.graphs import (
     path_graph,
 )
 from zvsearch.gsp import classify_topological_3
+
+from conftest import bench_corpus
 
 
 def two_cycle_bipath():
@@ -165,15 +168,29 @@ def test_pattern_problems_reject_coinciding_pairs():
     assert any("coincide" in p for p in pattern_problems(bad))
 
 
-# Run under python -O, where asserts are stripped: every witness builder
-# must still refuse a witness that fails its pattern check. The sabotage
-# makes pattern_problems report a defect for one family only, so the
-# refusal comes from the builder of that family: _brute_f1 through the
-# brute-force search, and _witness_f2, _witness_f3 and gsp._extract_k4
-# through the classifier, ahead of its own final check. "shape" instead
-# makes every reduction inside gsp._extract_k4 report no K_4 subdivision
-# after an edge removal, so the minimisation removes nothing, and the
-# shape check must refuse what is left.
+def test_each_witness_is_checked_once(monkeypatch):
+    """The packers build witnesses unchecked and the classifier checks
+    each once: one pattern check per NO answer on the benchmark's
+    classify corpus, seed 0."""
+    calls = []
+    real = forbidden_module.pattern_problems
+    monkeypatch.setattr(
+        forbidden_module, "pattern_problems", lambda w: calls.append(w) or real(w)
+    )
+    verdicts = [classify_topological_3(g).verdict for g in bench_corpus("classify", (0,))]
+    assert len(calls) == verdicts.count("NO") == 40
+
+
+# Run under python -O, where asserts are stripped: every public call that
+# returns a witness must still refuse one that fails its pattern check.
+# The packers build witnesses unchecked, so the refusal comes from the
+# one check in the call: brute_force_forbidden ("brute"),
+# classify_topological_3 ("classify") or has_k4_subdivision ("k4"). The
+# sabotage makes pattern_problems report a defect for one family only.
+# "shape" instead makes every reduction inside gsp._extract_k4 report no
+# K_4 subdivision after an edge removal, so the minimisation removes
+# nothing, and the classifier's check must refuse what is left: K_5 has
+# no vertex of degree 3, so the witness has no branch vertices.
 SABOTAGE = """
 import sys
 
@@ -195,7 +212,9 @@ else:
     forbidden.pattern_problems = (
         lambda w: ["sabotaged"] if w.family == family else real(w)
     )
-find = forbidden.brute_force_forbidden if how == "brute" else gsp.classify_topological_3
+find = {"brute": forbidden.brute_force_forbidden, "k4": gsp.has_k4_subdivision}.get(
+    how, gsp.classify_topological_3
+)
 try:
     find(generate(spec))
 except AssertionError as ex:
@@ -212,6 +231,7 @@ else:
         ("f2", "F2", "classify"),
         ("f3", "F3", "classify"),
         ("complete:4", "F1", "classify"),
+        ("complete:4", "F1", "k4"),
         ("complete:5", "F1", "shape"),
     ],
 )
@@ -226,8 +246,6 @@ def test_sabotaged_witness_is_refused_under_O(spec, family, how):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    if how == "shape":
-        want = "refused: the K_4 minimisation did not end in a subdivision"
-    else:
-        want = f"refused: {family} witness fails its pattern: ['sabotaged']"
+    problem = "need four distinct branch vertices" if how == "shape" else "sabotaged"
+    want = f"refused: {family} witness fails its pattern: ['{problem}']"
     assert proc.stdout.startswith(want), proc.stdout

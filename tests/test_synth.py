@@ -643,8 +643,8 @@ def test_synthesize_matches_its_first_form_on_the_corpus(synthesized_corpus):
 def test_synthesize_matches_its_first_form_on_every_root(spec):
     """Every candidate the root choice weighs, read from either end."""
     g = named(spec)
-    peeled, block = gsp_module._root_block(g)
-    for t in gsp_module._rootings(peeled, block):
+    peeled, root = classify_topological_3(g).peel
+    for t in gsp_module._rootings(peeled, root):
         assert_matches_first_form(t)
         flipped = assert_matches_first_form(invert(t))
         got = synth_module._bundle(g, t, {}, True)
@@ -693,7 +693,7 @@ def test_synthesize_makes_one_host(monkeypatch, spec, floors):
     """The walker derives no inner node's graph: one host, the final
     one, no recomposition and no inversion."""
     g = generate(spec)
-    tree = synth_module._rooted(g, classify_topological_3(g).tree, floors)
+    tree = synth_module._rooted(g, classify_topological_3(g), floors)
     tg = tree.terminal_graph()
     calls = []
     real_init = SubdividedGraph.__init__
@@ -756,9 +756,9 @@ def test_plan_equals_build_on_the_corpus(synthesized_corpus):
 def test_plan_equals_build_on_every_root(spec):
     """Every candidate the root choice plans, read from either end."""
     g = named(spec)
-    peeled, block = gsp_module._root_block(g)
-    trees = list(gsp_module._rootings(peeled, block))
-    assert len(trees) == block.m
+    peeled, root = classify_topological_3(g).peel
+    trees = list(gsp_module._rootings(peeled, root))
+    assert len(trees) == root.graph.m
     for t in trees:
         for flip in (False, True):
             tree = invert(t) if flip else t
@@ -795,7 +795,7 @@ def test_a_plan_stops_at_the_cap():
 def chosen_size(g):
     """The planned (host vertices, search length) of the tree synth
     builds for g; nothing is built."""
-    tree = synth_module._rooted(g, classify_topological_3(g).tree, {})
+    tree = synth_module._rooted(g, classify_topological_3(g), {})
     return planned(g, tree)[:2]
 
 
@@ -822,6 +822,46 @@ def test_small_ladders_keep_their_ranges(spec, lo, hi):
     g, rng = generate(spec), random.Random(23)
     for _ in range(10):
         assert lo <= chosen_size(relabeled(g, rng))[0] <= hi
+
+
+# two K_4-free blocks of four vertices and a triangle, joined by bridges;
+# the triangle is the block the peel leaves last, so no other root is weighed
+MULTI_BLOCK = """
+a b
+b c
+c d
+d a
+a c
+d e
+e f
+f g
+g h
+h e
+e g
+h i
+i j
+j k
+k i
+"""
+
+
+def test_synth_peels_once(monkeypatch, tmp_path):
+    """synth re-roots from the classification's peel: one block-cut
+    forest, one set of block reductions and one peel per run."""
+    path = tmp_path / "multi.txt"
+    path.write_text(MULTI_BLOCK)
+    calls = dict.fromkeys(("block_cut_forest", "_reduce_blocks", "_peel"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gsp_module, name, counted(name, getattr(gsp_module, name)))
+    assert cli.main(["synth", str(path)]) == 0
+    assert calls == dict.fromkeys(calls, 1)
 
 
 # Run under python -O, where asserts are stripped: a broken schedule
@@ -852,12 +892,12 @@ def ball_in(*args):
 g = generate(spec)
 if how == "lose":
     lost = classify_topological_3(g.without_edge(*g.edges()[0])).tree
-    synth._rootings = lambda peeled, block: iter([lost])
+    synth._rootings = lambda peeled, root: iter([lost])
 else:
     synth._ball_in = ball_in
 c = classify_topological_3(g)
 try:
-    tree = synth._rooted(g, c.tree, {})
+    tree = synth._rooted(g, c, {})
     synth.synthesize(tree.terminal_graph(), tree)
 except AssertionError as ex:
     print("refused:", ex)
