@@ -13,14 +13,19 @@ Three engines live here:
 
 inspection_number runs the closure only below a cap it already holds:
 the largest bag of a path decomposition, whose bag sweep succeeds at
-that width. The decomposition is an optimal one from the subset DP
-below when the tables fit (cap = pathwidth+1), and a greedy layout's
-otherwise, so every n has a cap. Nor does it run the closure at the
-widths that a boundary-gap certificate (below) already rules out: from
-an empty clean set it first finds the largest certified width under
-the cap, and closes only the widths above it. When every width below
-the cap is certified or fails, the merged bag sweep, replayed from the
-clean start, is the witness.
+that width. It takes a greedy layout's first, of width w. From an empty
+clean set, a boundary-gap certificate (below) at k = w alone settles the
+answer at w+1, with no DP: the inspection number is at most pathwidth+1,
+so w is then the pathwidth. Otherwise, when the tables fit, the subset
+DP below runs as a decision one width under w: it gives an optimal
+layout when the pathwidth is below w, and nothing when it is w, where
+the greedy layout is optimal too (cap = pathwidth+1). Where the tables
+do not fit, the greedy layout caps the scan, so every n has a cap. Nor
+does it run the closure at the widths that a certificate already rules
+out: from an empty clean set it takes the largest certified width under
+the cap, and closes only the widths above it. When every width below the
+cap is certified or fails, the merged bag sweep, replayed from the clean
+start, is the witness.
 
 The first two engines are one breadth-first closure (_closure) over one
 batched round map, which maps a batch of frontier states at a time.
@@ -44,13 +49,14 @@ explored-state counts and the state at which a budget runs out of the
 pick-by-pick loop, which the tests keep as the reference.
 
 The vertex-separation DP keeps one uint8 entry per vertex set, but
-visits only the sets that can start a layout no wider than a greedy
-one: it grows them one layer of set sizes at a time, by one vertex
-each, and takes each new set's boundary (the part of it that one round
-with the set protected leaves dirty) from the same neighbourhood
-tables as the closure. The boundary alone decides whether a set is
-kept, and sets its value unless it is below the value of the set it
-grew from: only those few sets read their predecessors.
+visits only the sets that can start a layout no wider than a bound its
+caller gives, a greedy layout's width or one less: it grows them one
+layer of set sizes at a time, by one vertex each, and takes each new
+set's boundary (the part of it that one round with the set protected
+leaves dirty) from the same neighbourhood tables as the closure. The
+boundary alone decides whether a set is kept, and sets its value unless
+it is below the value of the set it grew from: only those few sets read
+their predecessors.
 
 The boundary profile, the sizes of the sets whose boundary is smaller
 than k, has two engines. One sweeps all 2^n sets a block of masks at a
@@ -138,8 +144,8 @@ _SWEEP = 1 << 13
 # 20 s (4-5 ns a mask on 2 vCPUs), and each vertex more doubles that.
 _SWEEP_CAP = 32
 
-# Start vertices the greedy layout tries when no optimal decomposition
-# caps the closure: each costs one pass over the graph.
+# Start vertices the greedy layout tries, for the cap of a solve and the
+# bound of the separation DP: each costs one pass over the graph.
 _GREEDY_STARTS = 4
 
 
@@ -553,19 +559,27 @@ def inspection_number(
     """Smallest width admitting a successful search, as a SolveResult.
 
     A path decomposition caps the answer: its bag sweep succeeds at width
-    cap, its largest bag size. The decomposition is an optimal one
-    (cap = pathwidth+1) when the graph has at most mask_cap vertices,
-    few enough for the DP, and a greedy layout's otherwise. The closure
-    runs only for c < k < cap, where c is the largest width below the
-    cap with a boundary-gap certificate (see _largest_certificate),
-    which proves the answer exceeds c; k = 1 always has one. A certificate
-    bounds searches from an empty clean set only, so with a nonempty
-    clean_start c is 0. If every closure fails, the answer is the cap,
-    and the witness is the bag sweep, merged (see _merge_bags) and
-    replayed from clean_start. explored_states counts the states of the
-    widths the closure ran; when c = cap - 1 it ran none, method names
-    the certificate and certificate holds it. A k_max at or below c
-    gives value None at no cost. Disconnected graphs decompose: the
+    cap, its largest bag size. A greedy layout's comes first, of width w.
+    From an empty clean set, a boundary-gap certificate at k = w alone
+    proves the answer exceeds w, so it is w+1: the answer is at most
+    pathwidth+1, and w is then the pathwidth. Otherwise, when the graph
+    has at most mask_cap vertices, few enough for the DP, the DP decides
+    whether the pathwidth is below w (see _vertex_separation): if so its
+    layout caps the answer, and if not the greedy one is optimal, so cap
+    = pathwidth+1 either way. Above mask_cap, or when numpy refuses the
+    tables, the greedy layout's width+1 is the cap. method says
+    "pathwidth+1" wherever the DP's tables fit, whether or not the DP
+    ran. The closure runs only for c < k < cap, where c is the largest
+    width below the cap with a boundary-gap certificate (see
+    _largest_certificate), which proves the answer exceeds c; k = 1
+    always has one, and no width from the pathwidth to w - 1 can. A
+    certificate bounds searches from an empty clean set only, so with a
+    nonempty clean_start c is 0. If every closure fails, the answer is
+    the cap, and the witness is the bag sweep, merged (see _merge_bags)
+    and replayed from clean_start. explored_states counts the states of
+    the widths the closure ran; when c = cap - 1 it ran none, method
+    names the certificate and certificate holds it. A k_max at or below
+    c gives value None at no cost. Disconnected graphs decompose: the
     searchers finish one component, move on, and nothing recontaminates
     behind them, so the answer is the max over components.
     """
@@ -593,10 +607,28 @@ def inspection_number(
         return SolveResult(best, tuple(all_steps), states,
                            "clean-set closure per component")
 
-    bags, source = _cap_bags(g, mask_cap)
-    cap = max(len(b) for b in bags)
+    greedy, layout = _greedy_layout(g)
+    certify = None if clean_start or not greedy else _certifier(
+        g, greedy, mask_cap)
+    cert = certify(greedy) if certify is not None else None
+    width, exact = greedy, g.n <= mask_cap
+    if cert is not None:
+        exact = exact and _table_fits(g.n)
+    elif exact:
+        try:
+            below = _vertex_separation(g, mask_cap, greedy - 1)
+        except ResourceLimitError:
+            exact = False
+        else:
+            if below is not None:
+                width, layout = below
+    if cert is None and certify is not None:
+        # no width from the pathwidth to greedy - 1 has one
+        cert = _largest_certificate(g, min(width, greedy - 1), mask_cap,
+                                    certify)
+    source = "pathwidth+1" if exact else "a greedy layout's width+1"
+    cap = width + 1
     top = cap - 1 if k_max is None else min(cap - 1, k_max)
-    cert = None if clean_start else _largest_certificate(g, cap - 1, mask_cap)
     certified = cert.k if cert is not None else 0
     states = 0
     for k in range(certified + 1, top + 1):
@@ -620,7 +652,7 @@ def inspection_number(
             None, None, states, f"clean-set closure below {source}"
         )
     # an explicit raise, so that the replay guards the witness under -O too
-    steps = _merge_bags(bags, cap)
+    steps = _merge_bags(_layout_bags(g, layout), cap)
     if not is_successful(simulate(g, steps, clean_start=clean_start)):
         raise AssertionError("bag sweep failed")
     if cert is not None and certified == cap - 1:
@@ -633,51 +665,67 @@ def inspection_number(
     )
 
 
-def _largest_certificate(g, top, mask_cap):
-    """The boundary-gap certificate of the largest width k <= top that
-    has one, on a connected graph, or None when top < 1.
+def _certifier(g, top, mask_cap):
+    """A function that gives the boundary-gap certificate of a connected
+    graph at a width k, 1 <= k <= top, or None.
 
-    The widths are tried from top down. Where boundary_profile(g, top)
-    would sweep the subset masks, the one sweep's least boundaries give
-    the profile at every width. Otherwise each width takes the
-    separators, and one that their step budget refuses has no
-    certificate; a smaller width costs fewer steps, so the walk goes on.
-    Either way k = 1 has one: the sets of a connected graph with no
-    boundary are the empty set and the whole graph, so the profile at
-    k = 1 is {0, n}, with a gap at i = 1."""
-    if top < 1:
-        return None
-    try:
-        least = (_least_boundaries(g, mask_cap)
-                 if _takes_tables(g, top, mask_cap) else None)
-    except ResourceLimitError:
-        top = 1
-    for k in range(top, 1, -1):
-        if least is not None:
-            cert = boundary_gap_certificate(
-                g, k, profile=_sizes_below(least, k))
-        else:
-            try:
-                cert = boundary_gap_certificate(g, k, mask_cap=mask_cap)
-            except ResourceLimitError:
-                continue
-        if cert is not None:
-            return cert
-    return boundary_gap_certificate(g, 1, profile=frozenset({0, g.n}))
-
-
-def _cap_bags(g, mask_cap):
-    """(bags, name of their width) of the path decomposition that caps
-    the scan of a connected graph: an optimal one when the subset tables
-    fit, a greedy layout's when n > mask_cap or numpy refuses them."""
-    if g.n <= mask_cap:
+    Where boundary_profile(g, top) would sweep the subset masks, the one
+    sweep's least boundaries give the profile at every width; a sweep
+    refused past _SWEEP_CAP leaves k = 1 alone. Otherwise each width
+    takes the separators, and one that their step budget refuses has no
+    certificate. Either way k = 1 has one: the sets of a connected graph
+    with no boundary are the empty set and the whole graph, so the
+    profile at k = 1 is {0, n}, with a gap at i = 1."""
+    least = None
+    swept = _takes_tables(g, top, mask_cap)
+    if swept:
         try:
-            _, decomp = pathwidth(g, mask_cap=mask_cap)
+            least = _least_boundaries(g, mask_cap)
         except ResourceLimitError:
             pass
-        else:
-            return decomp.bags, "pathwidth+1"
-    return _greedy_bags(g), "a greedy layout's width+1"
+
+    def certify(k):
+        if k == 1:
+            return boundary_gap_certificate(g, 1, profile=frozenset({0, g.n}))
+        if least is not None:
+            return boundary_gap_certificate(
+                g, k, profile=_sizes_below(least, k))
+        if swept:
+            return None
+        try:
+            return boundary_gap_certificate(g, k, mask_cap=mask_cap)
+        except ResourceLimitError:
+            return None
+
+    return certify
+
+
+def _largest_certificate(g, top, mask_cap, certify=None):
+    """The boundary-gap certificate of the largest width k <= top that
+    has one, on a connected graph, or None when top < 1. The widths are
+    tried from top down, each by certify, a _certifier of g for top or
+    more; one is made when none is given. A smaller width costs fewer
+    separator steps, so a width their budget refuses does not end the
+    walk, and k = 1 always has a certificate."""
+    if top < 1:
+        return None
+    if certify is None:
+        certify = _certifier(g, top, mask_cap)
+    for k in range(top, 1, -1):
+        cert = certify(k)
+        if cert is not None:
+            return cert
+    return certify(1)
+
+
+def _table_fits(n):
+    """Whether numpy grants the separation DP's table of 2^n bytes. The
+    probe writes nothing to it, so no page of it is touched."""
+    try:
+        _subset_array(n)
+    except ResourceLimitError:
+        return False
+    return True
 
 
 def _bits(m):
@@ -696,22 +744,29 @@ def _boundary_mask(nbr, m, outside):
     return out
 
 
-def _greedy_bags(g):
-    """Bags of a greedy vertex layout of a connected graph, as pathwidth
-    builds them: bag i is the boundary of the first i-1 vertices plus the
-    i-th (see _greedy_layout)."""
-    _, bags = _greedy_layout(g)
-    return tuple(g.from_mask(b) for b in bags)
+def _layout_bags(g, layout):
+    """Bags of a vertex layout of g: bag i is the boundary of the first
+    i-1 vertices plus the i-th."""
+    index, nbr, rest = g.masks()
+    bags = []
+    bnd = 0
+    for v in layout:
+        bag = bnd | 1 << index[v]
+        bags.append(frozenset(g.from_mask(bag)))
+        rest ^= 1 << index[v]
+        bnd = _boundary_mask(nbr, bag, rest)
+    return tuple(bags)
 
 
 def _greedy_layout(g):
-    """(width, bag masks) of the greedy layout of a connected graph.
+    """(width, layout) of the greedy layout of a connected graph.
 
     From each of _GREEDY_STARTS start vertices of least degree, every
     step adds the neighbour of the prefix that leaves the prefix's
     boundary smallest (then the one with the fewest neighbours left
     outside, then the first in label order). The layout with the
-    smallest largest bag wins; its width is that bag's size less one. A
+    smallest largest bag wins (see _layout_bags); its width is that
+    bag's size less one, the largest boundary it adds a vertex to. A
     start is dropped as soon as a bag shows it cannot win.
 
     Adding u keeps a boundary vertex unless u is its last neighbour
@@ -725,19 +780,22 @@ def _greedy_layout(g):
     starts = sorted(range(g.n), key=lambda v: (nbr[v].bit_count(), v))
     best = None
     for v in starts[:_GREEDY_STARTS]:
-        bags = []
+        order = []
+        width = 0
         rest = full
         bnd = ones = 0
         while True:
-            bags.append(bnd | 1 << v)
-            if best is not None and bnd.bit_count() >= best[0]:
+            size = bnd.bit_count()
+            if best is not None and size >= best[0]:
                 break
+            width = max(width, size)
+            order.append(v)
             rest ^= 1 << v
             bnd &= ~(nbr[v] & ones)
             if nbr[v] & rest:
                 bnd |= 1 << v
             if not rest:
-                best = max(b.bit_count() for b in bags) - 1, bags
+                best = width, order
                 break
             ones = reach = 0
             m = bnd
@@ -760,7 +818,8 @@ def _greedy_layout(g):
                 if key is None or k < key:
                     key = k
             v = key & ((1 << shift) - 1)
-    return best
+    width, order = best
+    return width, [g.vertices[v] for v in order]
 
 
 def _merge_bags(bags, cap):
@@ -868,38 +927,41 @@ def _least_boundaries(g, mask_cap):
     return least.tolist()
 
 
-def _vertex_separation(g, mask_cap):
-    """(separation number, layout) of a connected small graph.
+def _vertex_separation(g, mask_cap, bound):
+    """(separation number, layout) of a connected small graph, when the
+    separation number is at most bound; None when it is larger.
 
     f[S] is the best separation of an ordering of S: the larger of S's
     boundary and the least f[S - v] over v in S. It is built one layer of
-    |S| at a time from a frontier, the sets of the layer with f <= U,
-    where U is the greedy layout's width, an upper bound on the answer.
-    A set with f <= U has a predecessor S - v with f <= U, so only the
-    frontier's one-vertex extensions can join the next frontier; no
-    other set is ever visited, and f is exact wherever it is <= U.
+    |S| at a time from a frontier, the sets of the layer with f <= bound.
+    A set with f <= bound has a predecessor S - v with f <= bound, so
+    only the frontier's one-vertex extensions can join the next frontier;
+    no other set is ever visited, and f is exact wherever it is <= bound.
+    pathwidth passes a greedy layout's width, an upper bound on the
+    answer. inspection_number passes one less, as a decision: the
+    frontier then runs empty, at the last layer or before, exactly when
+    the greedy layout is optimal.
 
     f is one uint8 entry per subset, 255 where nothing was written.
     Candidates come _BLOCK entries at a time (see _extend). The next
     layer's sets hold 255 until their first candidate arrives, and that
-    candidate writes the set's boundary at once, above U or not, so f
-    itself tells a new set from one met before and no set is valued
+    candidate writes the set's boundary at once, above bound or not, so
+    f itself tells a new set from one met before and no set is valued
     twice. Only a kept set whose boundary is below the f of the set it
     grew from reads its predecessors; every other set's f is its
     boundary. The boundary comes from the neighbourhood tables of the
     closure, one gather per chunk of up to 11 bits. The peel at the end
-    compares against values <= U only, where f is exact, so it picks
-    the layout of the full-table DP."""
+    compares against values <= f[full] <= bound only, where f is exact,
+    so whatever the bound it picks the layout of the full-table DP."""
     import numpy as np
     n = g.n
     if n == 1:
-        return 0, [g.vertices[0]]
+        return (0, [g.vertices[0]]) if bound >= 0 else None
     _check_mask_cap(n, mask_cap)
     f = _subset_array(n)
     f.fill(255)
     f[0] = 0
     _, nbr, full = g.masks()
-    bound, _ = _greedy_layout(g)
     tables = _round_tables(tuple(nbr), n, np.uint64)
     bits = np.array([1 << v for v in range(n)], dtype=np.intp)
     full = np.uint64(full)
@@ -910,11 +972,14 @@ def _vertex_separation(g, mask_cap):
     for _ in range(n):
         if frontier.size <= rows:
             frontier = _extend(f, frontier, bound, bits, tags, full, tables)
-            continue
-        frontier = np.concatenate([
-            _extend(f, frontier[lo:lo + rows], bound, bits, tags, full, tables)
-            for lo in range(0, frontier.size, rows)
-        ])
+        else:
+            frontier = np.concatenate([
+                _extend(f, frontier[lo:lo + rows], bound, bits, tags, full,
+                        tables)
+                for lo in range(0, frontier.size, rows)
+            ])
+        if not frontier.size:
+            return None
 
     # rebuild a layout: peel the last vertex of an optimal ordering
     layout = []
@@ -991,15 +1056,13 @@ def pathwidth(g, mask_cap=_MASK_CAP):
     comps = g.components()
     for comp in comps:
         sub = g if len(comps) == 1 else g.induced(comp)
-        vs, order = _vertex_separation(sub, mask_cap)
+        if sub.n > 1:
+            # before the greedy pass over a graph the tables refuse
+            _check_mask_cap(sub.n, mask_cap)
+        bound, _ = _greedy_layout(sub)
+        vs, layout = _vertex_separation(sub, mask_cap, bound)
         width = max(width, vs)
-        index, nbr, rest = sub.masks()
-        bnd = 0
-        for v in order:
-            bag = bnd | 1 << index[v]
-            bags.append(frozenset(sub.from_mask(bag)))
-            rest ^= 1 << index[v]
-            bnd = _boundary_mask(nbr, bag, rest)
+        bags.extend(_layout_bags(sub, layout))
     return width, PathDecomposition(tuple(bags))
 
 

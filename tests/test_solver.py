@@ -41,7 +41,8 @@ from zvsearch.graphs import (
 from zvsearch.cli import main
 from zvsearch.solver import (
     _closure,
-    _greedy_bags,
+    _greedy_layout,
+    _layout_bags,
     _least_boundaries,
     _merge_bags,
     _separator_profile,
@@ -830,23 +831,77 @@ def test_greedy_cap_matches_full_scan(rng):
             assert "greedy layout" in res.method
 
 
+def greedy_bags(g):
+    """The bags of g's greedy layout, which caps a solve's scan."""
+    return _layout_bags(g, _greedy_layout(g)[1])
+
+
+def test_labels_follow_the_tables(monkeypatch):
+    """method names pathwidth+1 where the DP's tables fit, whether the
+    DP ran or a certificate at the greedy width settled the answer
+    first: path:70 (certified at k = 1) reads the same with a subset
+    budget of 100, whose 2^70 bytes numpy refuses, as with 22. With the
+    tables refused, cycle:6 (certified at k = 2) and K4_PENDANTS (whose
+    DP runs) name the greedy layout too."""
+    g = path_graph(70)
+    wide = inspection_number(g, mask_cap=100)
+    assert wide.method == inspection_number(g, mask_cap=22).method
+    assert "greedy layout" in wide.method
+    for g in (cycle_graph(6), K4_PENDANTS):
+        assert "pathwidth+1" in inspection_number(g).method
+
+    def refused(n):
+        raise ResourceLimitError("refused")
+
+    monkeypatch.setattr(solver, "_subset_array", refused)
+    for g in (cycle_graph(6), K4_PENDANTS):
+        res = inspection_number(g)
+        assert "greedy layout" in res.method
+        assert res.value == (3 if g.n == 6 else 4)
+
+
+def test_solve_decides_below_the_greedy_width(monkeypatch):
+    """inspection_number never runs the DP at the greedy width: only one
+    below it, and not at all where a certificate at the greedy width
+    settles the answer (most of the bench solve corpus, seed 0). With a
+    clean start no certificate is taken, and the decision still runs one
+    below."""
+    calls = []
+    real = solver._vertex_separation
+
+    def spy(g, mask_cap, bound):
+        calls.append((g, bound))
+        return real(g, mask_cap, bound)
+
+    monkeypatch.setattr(solver, "_vertex_separation", spy)
+    graphs = bench_corpus("solve", (0,))
+    for g in graphs:
+        inspection_number(g)
+    ran = len(calls)
+    assert (len(graphs), ran) == (108, 66)
+    inspection_number(K4_PENDANTS, clean_start={"v4"})
+    assert len(calls) == ran + 1
+    for g, bound in calls:
+        assert bound == _greedy_layout(g)[0] - 1, sorted(g.edges())
+
+
 def test_greedy_bags_form_a_path_decomposition(rng):
     graphs = [path_graph(1), cycle_graph(9), grid_graph(3, 5)]
     graphs += [k4_subdivision_example(), family_f3()]
     graphs += [random_connected(rng.randint(2, 12), rng) for _ in range(40)]
     for g in graphs:
-        bags = _greedy_bags(g)
+        bags = greedy_bags(g)
         assert is_path_decomposition(g, bags), sorted(g.edges())
         if g.n <= 22:
             assert max(len(b) for b in bags) >= pathwidth(g)[0] + 1
     # f3 has 26 vertices and inspection number 4: its greedy cap is tight
-    assert max(len(b) for b in _greedy_bags(family_f3())) == 4
+    assert max(len(b) for b in greedy_bags(family_f3())) == 4
 
 
 def test_merged_sweep_is_no_longer_and_replays(rng):
     for _ in range(40):
         g = random_connected(rng.randint(2, 12), rng)
-        for bags in (pathwidth(g)[1].bags, _greedy_bags(g)):
+        for bags in (pathwidth(g)[1].bags, greedy_bags(g)):
             cap = max(len(b) for b in bags)
             steps = _merge_bags(bags, cap)
             assert len(steps) <= len(bags)
@@ -943,19 +998,59 @@ def test_solve_long_cycles(capsys, spec):
     assert search_width(doc["witness"]) == 3
 
 
+def first_form_solve(g, per_width):
+    """{k_max: (value, method, certificate, explored_states)} of
+    inspection_number as it was when the full DP capped every graph of
+    at most 22 vertices, on a connected one from an empty clean set, for
+    k_max None and 1 up to the value: cap = pathwidth+1, the largest
+    certificate below the cap, and the closure at the widths above it up
+    to the cap less one or k_max. per_width holds the states of the
+    closure at each width from k = 1 up to the value
+    (reference_inspection_number)."""
+    cap = pathwidth(g)[0] + 1
+    cert = solver._largest_certificate(g, cap - 1, 22)
+    value = len(per_width)
+    out = {}
+    for k_max in [None, *range(1, value + 1)]:
+        top = cap - 1 if k_max is None else min(cap - 1, k_max)
+        states = sum(per_width[cert.k:min(top, value)])
+        if value <= top:
+            out[k_max] = value, "clean-set closure below pathwidth+1", None, states
+        elif k_max is not None and k_max < cap:
+            out[k_max] = None, "clean-set closure below pathwidth+1", None, states
+        elif cert.k == cap - 1:
+            out[k_max] = (cap, "bag sweep at pathwidth+1, boundary-gap "
+                          "certificate below", cert, states)
+        else:
+            out[k_max] = (cap, "bag sweep at pathwidth+1, clean-set closure "
+                          "below", None, states)
+    return out
+
+
 def test_certificates_are_sound_on_the_atlas_and_the_solve_corpus(atlas_2_7):
     """No width at or above the value the closure finds has a
     boundary-gap certificate, and the largest one the solver takes lies
     below that value: on every connected graph of 2-7 vertices and on
-    the benchmark's solve corpus, seeds 0-2."""
+    the benchmark's solve corpus, seeds 0-2. On each, inspection_number
+    with the greedy cap and the decision DP gives the value, method,
+    certificate and explored states of its first form, whose full DP
+    capped every graph, at every k_max up to the value too; only its
+    bag-sweep witnesses may differ, and each replays at its width."""
     graphs = list(atlas_2_7) + bench_corpus("solve", (0, 1, 2))
     assert len(graphs) == 995 + 3 * 108
     for g in graphs:
-        value, _, _ = reference_inspection_number(g)
+        value, _, per_width = reference_inspection_number(g)
         cap = pathwidth(g)[0] + 1
         assert solver._largest_certificate(g, cap - 1, 22).k < value
         for k in range(value, g.n + 1):
             assert boundary_gap_certificate(g, k) is None, (sorted(g.edges()), k)
+        for k_max, want in first_form_solve(g, per_width).items():
+            res = inspection_number(g, k_max=k_max)
+            got = res.value, res.method, res.certificate, res.explored_states
+            assert got == want, (sorted(g.edges()), k_max)
+            if res.value is not None:
+                assert is_successful(simulate(g, res.witness)), sorted(g.edges())
+                assert search_width(res.witness) <= value
 
 
 def test_a_clean_start_takes_no_certificate(rng, monkeypatch):
@@ -1039,6 +1134,12 @@ def reference_vertex_separation(g):
     return int(f[(1 << n) - 1]), layout
 
 
+def separation(g):
+    """solver._vertex_separation bounded by the greedy width, as
+    pathwidth runs it: the full DP's (value, layout)."""
+    return solver._vertex_separation(g, 22, _greedy_layout(g)[0])
+
+
 def layout_separation(g, layout):
     """Largest boundary over the prefixes of a vertex order."""
     return max(len(boundary(g, set(layout[:i]))) for i in range(len(layout) + 1))
@@ -1103,7 +1204,7 @@ def test_small_blocks_match_reference(rng, monkeypatch):
     for n in range(1, 11):
         assert_tables_match(random_graph(n, rng))
     for g in [random_connected(n, rng) for n in range(2, 11)] + [LOOSE_BOUND]:
-        assert _vertex_separation(g, 22) == reference_vertex_separation(g), (
+        assert separation(g) == reference_vertex_separation(g), (
             sorted(g.edges()))
 
 
@@ -1134,15 +1235,15 @@ def test_vertex_separation_matches_reference(rng):
     for n in range(1, 21):
         for _ in range(3 if n <= 12 else 1):
             g = random_connected(n, rng) if n > 1 else path_graph(1)
-            assert _vertex_separation(g, 22) == reference_vertex_separation(g), (
+            assert separation(g) == reference_vertex_separation(g), (
                 sorted(g.edges()))
     g = grid_graph(4, 5)
-    assert _vertex_separation(g, 22) == reference_vertex_separation(g)
+    assert separation(g) == reference_vertex_separation(g)
     assert solver._greedy_layout(LOOSE_BOUND)[0] == 3
     for g in sparse_graphs(rng) + [LOOSE_BOUND]:
-        assert _vertex_separation(g, 22) == reference_vertex_separation(g), (
+        assert separation(g) == reference_vertex_separation(g), (
             sorted(g.edges()))
-    assert _vertex_separation(LOOSE_BOUND, 22)[0] == 2
+    assert separation(LOOSE_BOUND)[0] == 2
 
 
 def spy_valuations(monkeypatch):
@@ -1151,11 +1252,11 @@ def spy_valuations(monkeypatch):
     neighbourhoods it gathers, one per set whose boundary it takes."""
     runs = []
     extend, least, reach = solver._extend, solver._least_predecessor, solver._reach
-    separation = solver._vertex_separation
+    real = solver._vertex_separation
 
-    def spy_separation(g, mask_cap):
-        runs.append({"kept": 0, "read": 0, "valued": []})
-        return separation(g, mask_cap)
+    def spy_separation(g, mask_cap, bound):
+        runs.append({"kept": 0, "read": 0, "valued": [], "bound": bound})
+        return real(g, mask_cap, bound)
 
     def spy_extend(*args):
         kept = extend(*args)
@@ -1197,7 +1298,7 @@ def test_vertex_separation_reads_predecessors_only_below_the_parent(
     want = [reference_vertex_separation(g) for g in graphs]
     runs = spy_valuations(monkeypatch)
     for g, expect in zip(graphs, want):
-        assert solver._vertex_separation(g, 22) == expect, sorted(g.edges())
+        assert separation(g) == expect, sorted(g.edges())
     assert len(runs) == len(graphs)
     for g, run in zip(graphs, runs):
         assert len(set(run["valued"])) == len(run["valued"]), sorted(g.edges())
@@ -1251,18 +1352,47 @@ def test_vertex_separation_memory_stays_near_its_table():
 
 
 def test_pathwidth_matches_reference_on_disconnected(rng, monkeypatch):
-    """pathwidth lays out the components one after another; the bags of
-    the reference DP and of the new one must be the same."""
+    """pathwidth lays out the components one after another, each asking
+    the DP with its greedy width as the bound; the bags of the reference
+    DP and of the new one must be the same."""
     graphs = [random_graph(n, rng) for n in range(2, 19)]
     graphs.append(Graph.from_edges(
         list(cycle_graph(7).edges()) + [("a", "b"), ("b", "c")], vertices=["z"]))
     assert sum(len(g.components()) > 1 for g in graphs) > len(graphs) // 2
     got = [pathwidth(g) for g in graphs]
-    monkeypatch.setattr(
-        solver, "_vertex_separation", lambda g, cap: reference_vertex_separation(g)
-    )
+
+    def reference(g, mask_cap, bound):
+        assert bound == _greedy_layout(g)[0]
+        value, layout = reference_vertex_separation(g)
+        return (value, layout) if value <= bound else None
+
+    monkeypatch.setattr(solver, "_vertex_separation", reference)
     for g, result in zip(graphs, got):
         assert result == pathwidth(g), sorted(g.edges())
+
+
+def test_decision_matches_the_full_dp(rng):
+    """Below the greedy width the DP is a decision: at any bound at or
+    above the separation number it gives the full DP's value and layout
+    (the reference's), and below it None, down to a bound of -1. Random
+    graphs of 1-14 vertices, LOOSE_BOUND and the sparse graphs take the
+    reference, and n <= 7 the brute force too."""
+    graphs = [path_graph(1), complete_graph(6), LOOSE_BOUND]
+    graphs += [random_connected(n, rng) for n in range(2, 15)]
+    graphs += [random_connected(rng.randint(2, 7), rng) for _ in range(20)]
+    graphs += sparse_graphs(rng)[::3]
+    below = 0
+    for g in graphs:
+        want = reference_vertex_separation(g)
+        if g.n <= 7:
+            assert want[0] == brute_vertex_separation(g), sorted(g.edges())
+        greedy = _greedy_layout(g)[0]
+        below += want[0] < greedy
+        for bound in range(-1, greedy + 1):
+            got = _vertex_separation(g, 22, bound)
+            expect = want if want[0] <= bound else None
+            assert got == expect, (sorted(g.edges()), bound)
+    assert below >= 2
 
 
 def test_vertex_separation_matches_brute_force(rng):
@@ -1271,7 +1401,7 @@ def test_vertex_separation_matches_brute_force(rng):
     for g in graphs:
         if g.n > 7:
             continue
-        value, layout = _vertex_separation(g, 22)
+        value, layout = separation(g)
         assert value == brute_vertex_separation(g), sorted(g.edges())
         assert sorted(layout) == list(g.vertices)
         assert layout_separation(g, layout) == value
