@@ -295,59 +295,57 @@ def block_cut_forest(g):
     """Iterative Hopcroft-Tarjan biconnected components.
 
     Iterative on purpose: subdivided hosts have induced paths with hundreds
-    of vertices, deep enough to threaten the recursion limit.
+    of vertices, deep enough to threaten the recursion limit. The DFS
+    takes neighbours in sorted order and keeps its vertices on a stack;
+    a child v of u with low[v] >= disc[u] closes a block, u and the
+    vertices above v on the stack.
     """
-    disc, low, parent = {}, {}, {}
+    adj = g._adj
+    disc, low = {}, {}
     blocks = []
     cuts = set()
-    estack = []
     counter = 0
     for root in g.vertices:
         if root in disc:
             continue
-        if not g.neighbors(root):
+        if not adj[root]:
             blocks.append(frozenset([root]))
             continue
         disc[root] = low[root] = counter
         counter += 1
         root_children = 0
-        stack = [(root, iter(g.sorted_neighbors(root)))]
+        vstack = [root]
+        stack = [(root, None, iter(sorted(adj[root])))]
         while stack:
-            v, it = stack[-1]
-            advanced = False
+            v, up, it = stack[-1]
             for w in it:
                 if w not in disc:
-                    estack.append((v, w))
-                    parent[w] = v
                     disc[w] = low[w] = counter
                     counter += 1
+                    vstack.append(w)
                     if v == root:
                         root_children += 1
-                    stack.append((w, iter(g.sorted_neighbors(w))))
-                    advanced = True
+                    stack.append((w, v, iter(sorted(adj[w]))))
                     break
-                if w != parent.get(v) and disc[w] < disc[v]:
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            stack.pop()
-            if not stack:
-                continue
-            u = stack[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                members = set()
-                while True:
-                    e = estack.pop()
-                    members.update(e)
-                    if e == (u, v):
-                        break
-                blocks.append(frozenset(members))
-                if u != root or root_children >= 2:
-                    cuts.add(u)
+                if w != up and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    members = {u}
+                    while True:
+                        x = vstack.pop()
+                        members.add(x)
+                        if x == v:
+                            break
+                    blocks.append(frozenset(members))
+                    if u != root or root_children >= 2:
+                        cuts.add(u)
         # a root with 2+ DFS children is a cut vertex; handled above
     return BlockCutForest(tuple(blocks), frozenset(cuts))
 
@@ -629,33 +627,30 @@ def _augment(adjcap, source, sink):
     return None
 
 
-def _flow_paths(g, sources, sinks, k, split_exempt=()):
+def _flow_paths(g, sources, sinks, k):
     """Up to k vertex-disjoint paths from `sources` to `sinks`.
 
-    Splits every vertex into in/out with unit capacity except those in
-    split_exempt (used for internally-disjoint paths, where the shared
-    endpoints may carry several paths). Returns a list of label paths,
-    or None if fewer than k exist.
+    Splits every vertex into in/out with unit capacity. Returns a list
+    of label paths, or None if fewer than k exist.
     """
     IN, OUT = 0, 1
     adjcap = {"S": {}, "T": {}}  # residual capacities
-    cap = {}  # (x, y) -> capacity of each arc of the network
+    arcs = set()  # the arcs of the network, each of capacity one
 
-    def arc(x, y, c):
-        cap[x, y] = c
-        adjcap.setdefault(x, {})[y] = c
+    def arc(x, y):
+        arcs.add((x, y))
+        adjcap.setdefault(x, {})[y] = 1
         adjcap.setdefault(y, {}).setdefault(x, 0)
 
-    big = g.n + 1
     for v in g.vertices:
-        arc((IN, v), (OUT, v), big if v in split_exempt else 1)
+        arc((IN, v), (OUT, v))
     for u, v in g.edges():
-        arc((OUT, u), (IN, v), 1)
-        arc((OUT, v), (IN, u), 1)
+        arc((OUT, u), (IN, v))
+        arc((OUT, v), (IN, u))
     for s in sorted(sources):
-        arc("S", (IN, s), big if s in split_exempt else 1)
+        arc("S", (IN, s))
     for t in sorted(sinks):
-        arc((OUT, t), "T", big if t in split_exempt else 1)
+        arc((OUT, t), "T")
 
     for _ in range(k):
         path = _augment(adjcap, "S", "T")
@@ -666,9 +661,9 @@ def _flow_paths(g, sources, sinks, k, split_exempt=()):
             adjcap[y][x] += 1
 
     def take(x, y):
-        # an arc's flow is its capacity less its residual; taking one
-        # unit of it gives the residual back
-        if cap.get((x, y), 0) > adjcap[x][y]:
+        # an arc carries flow when its residual is spent; taking the
+        # unit gives the residual back
+        if (x, y) in arcs and not adjcap[x][y]:
             adjcap[x][y] += 1
             return True
         return False
@@ -700,13 +695,6 @@ def two_disjoint_paths(g, xs, ys):
     if not xs or not ys:
         raise InputError("endpoint sets must be nonempty")
     return _flow_paths(g, xs, ys, 2)
-
-
-def internally_disjoint_paths(g, u, v, k=2):
-    """k u-v paths sharing only their endpoints, or None."""
-    if u == v:
-        raise InputError("endpoints must differ")
-    return _flow_paths(g, {u}, {v}, k, split_exempt={u, v})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ graphs that cannot embed one of the forbidden patterns in
 `zvsearch.forbidden`, which the classifier extracts as a witness. The
 code that finds a witness packs it; the public call that returns it
 checks it, once. A YES answer keeps its peel, which synthesis re-roots
-from without peeling again.
+from without peeling again. An F1 witness is minimised inside a
+breadth-first region of its block, the first of 4, 8, 16, ...
+vertices that still holds a K_4 subdivision, and the bipaths of F2
+and F3 witnesses are routes read off the tree's leaves, with no
+max-flow.
 
 A tree stores no graphs: node() checks only terminals and sums vertex
 and edge counts, an inner node's edges are read off its leaves, and
@@ -63,7 +67,6 @@ from .graphs import (
     Graph,
     block_cut_forest,
     edge_key,
-    internally_disjoint_paths,
     subdivision_label,
     two_disjoint_paths,
 )
@@ -468,43 +471,78 @@ def _sp_reducible(adj):
 
 
 def _is_k4_subdivision(adj):
-    """True when the edges of adj form one K_4 subdivision: its
-    non-isolated part is connected, four vertices have degree 3 and the
-    others degree 2."""
-    degrees = [len(ns) for ns in adj.values() if ns]
-    if degrees.count(3) != 4 or degrees.count(2) != len(degrees) - 4:
+    """True when the edges of adj, a Graph or a dict of neighbour sets,
+    form one K_4 subdivision: its non-isolated part is connected, four
+    vertices have degree 3 and the others degree 2."""
+    count = [0] * 4  # vertices of degree 0, 1, 2 and 3
+    for v in adj:
+        d = len(adj[v])
+        if d > 3:
+            return False
+        count[d] += 1
+    if count[1] or count[3] != 4:
         return False
-    start = next(v for v, ns in adj.items() if ns)
+    start = next(v for v in adj if adj[v])
     seen, stack = {start}, [start]
     while stack:
         for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(degrees)
+    return len(seen) == count[2] + 4
+
+
+def _k4_region(block, m):
+    """The part of block, a Graph that does not reduce, that _extract_k4
+    minimises: the first prefix of 4, 8, 16, ... vertices of the block's
+    breadth-first order from m, neighbours in sorted order, whose induced
+    graph does not reduce either. The block itself when it is a K_4
+    subdivision already, which _extract_k4 keeps whole without a
+    reduction, or when no shorter prefix holds one. A prefix is
+    connected, and every graph of minimum degree 3 holds a K_4
+    subdivision (Dirac 1952), so where most degrees are 3 or more the
+    region stays small and near m, however large the block; the
+    prefixes tried before it hold fewer vertices, together, than it."""
+    if _is_k4_subdivision(block):
+        return block
+    order, seen, size, i = [m], {m}, 4, 0
+    while size < block.n:
+        while len(order) < size:
+            for w in block.sorted_neighbors(order[i]):
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+            i += 1
+        region = block.induced(order[:size])
+        if not _sp_reducible(region):
+            return region
+        size *= 2
+    return block
 
 
 def _extract_k4(g):
-    # Shrink to an edge-minimal subgraph that still embeds the pattern;
-    # what remains is the subdivision itself, so the roles fall out of
-    # the degree sequence. The result is that of one pass over the edges
-    # in sorted order, dropping each edge whose removal keeps a K_4
-    # subdivision; containing one is monotone, so a restart after a
-    # removal would only keep the same edges again. The pass tests runs
-    # of consecutive edges at once. If h minus a whole run still holds a
-    # subdivision, so does h minus each prefix of the run, and the pass
-    # would drop every edge of it: drop the run and double the next one.
-    # Otherwise halve the run; a single edge that loses the pattern is
-    # kept. That takes O(k log m) reductions for k kept edges.
+    # Shrink g, a graph that holds a K_4 subdivision (the classifier's
+    # _k4_region of a block), to an edge-minimal subgraph that still
+    # embeds the pattern; what remains is the subdivision itself, so the
+    # roles fall out of the degree sequence. The result is that of one
+    # pass over the edges in sorted order, dropping each edge whose
+    # removal keeps a K_4 subdivision; containing one is monotone, so a
+    # restart after a removal would only keep the same edges again. The
+    # pass tests runs of consecutive edges at once. If h minus a whole
+    # run still holds a subdivision, so does h minus each prefix of the
+    # run, and the pass would drop every edge of it: drop the run and
+    # double the next one. Otherwise halve the run; a single edge that
+    # loses the pattern is kept. That takes O(k log m) reductions for k
+    # kept edges.
     # The pass stops as soon as h is a subdivision: connected, four
     # vertices of degree 3, the rest of degree 2. h always holds one, S;
-    # an edge of h outside S would meet S, h being connected, at a vertex
-    # of higher degree in h than in S, a fifth of degree 3 or one of
-    # degree 4. So h is S, no edge of which can go, and the pass would
-    # keep every edge left. A vertex the drops leave without neighbours
-    # leaves h, so each reduction copies only the live part. The public
-    # call that returns the witness checks it: its F1 pattern holds
-    # exactly when h is a subdivision with six chains.
+    # an edge of h outside S would meet S, h being connected, at a
+    # vertex of higher degree in h than in S, a fifth of degree 3 or one
+    # of degree 4. So h is S, no edge of which can go, and the pass
+    # would keep every edge left. A vertex the drops leave without
+    # neighbours leaves h, so each reduction copies only the live part.
+    # The public call that returns the witness checks it: its F1 pattern
+    # holds exactly when h is a subdivision with six chains.
     h = {v: set(g.neighbors(v)) for v in g.vertices}
     edges = g.edges()
     i, size = 0, 1
@@ -570,15 +608,16 @@ def _reduce_blocks(g, bcf):
     """Each block of 4+ vertices of g, by least vertex (ties in forest
     order), reduced once with its least edge kept: {block index: its
     reduction}, or the F1 witness of the first block whose reduction
-    stops short. A biconnected block with adjacent kept terminals
-    reduces to their edge exactly when it holds no K_4 subdivision
-    (Duffin 1965); each kept reduction later builds its block's tree."""
+    stops short, minimised inside the block's _k4_region. A biconnected
+    block with adjacent kept terminals reduces to their edge exactly
+    when it holds no K_4 subdivision (Duffin 1965); each kept reduction
+    later builds its block's tree."""
     kept = {}
     for m, i in sorted((min(b), i) for i, b in enumerate(bcf.blocks) if len(b) >= 4):
         sub = _block_graph(g, bcf.blocks[i])
         kept[i] = _reduce(sub, (m, min(sub[m])))
         if len(kept[i][0]) > 2:
-            return _extract_k4(sub)
+            return _extract_k4(_k4_region(sub, m))
     return kept
 
 
@@ -929,6 +968,22 @@ def _rotate(th, tk):
 # bipath extraction
 
 
+def _route(tree):
+    """One route from tree.a to tree.b through the tree's graph, read off
+    its leaves: a series node takes both children in order, and any
+    other node its first child, which keeps the node's terminals."""
+    path, stack = [tree.a], [tree]
+    while stack:
+        t = stack.pop()
+        if t.op == "leaf":
+            path.append(t.b)
+        elif t.op == "series":
+            stack.extend(reversed(t.children))
+        else:
+            stack.append(t.children[0])
+    return path
+
+
 def _extract(tree):
     if tree.is_leaf or tree.bridged:
         return []
@@ -937,17 +992,15 @@ def _extract(tree):
     if tree.op in ("branch", "branch_alt"):
         return _extract(tree.children[0])
     # a non-bridged series node: its factors, read through series nodes
-    # and branch spines, are parallel nodes, one per block of its chain,
-    # and a factor's block is its leaves read the same way; take a pair
-    # of internally disjoint routes through every block
+    # and branch spines, are parallel nodes, one per block of its chain.
+    # A factor's two children run between its terminals and share only
+    # them, so a route through each is a pair of internally disjoint
+    # routes through the block
     factors = _flatten(tree, ("series",))
     path1, path2 = [tree.a], [tree.a]
     for f in factors:
-        block = Graph.from_edges(t.terminals for t in _flatten(f, ("series", "parallel")))
-        pair = internally_disjoint_paths(block, f.a, f.b, 2)
-        assert pair is not None
-        path1.extend(pair[0][1:])
-        path2.extend(pair[1][1:])
+        path1.extend(_route(f.children[0])[1:])
+        path2.extend(_route(f.children[1])[1:])
     stops = [f.a for f in factors] + [tree.b]
     return [Bipath(tuple(path1), tuple(path2), tuple(stops))]
 

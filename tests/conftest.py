@@ -11,7 +11,8 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from zvsearch.graphs import Graph, block_cut_forest, cycle_graph, generate
+from zvsearch.errors import InputError
+from zvsearch.graphs import Graph, _flow_paths, block_cut_forest, cycle_graph, generate
 from zvsearch.gsp import classify_topological_3, recompose
 from zvsearch.synth import synthesize
 
@@ -94,6 +95,23 @@ def is_bridged(g, a, b):
 def separating_bridges(g, a, b):
     """Bridges whose removal disconnects a from b."""
     return [(u, v) for u, v in bridges(g) if b not in g.without_edge(u, v).component_of(a)]
+
+
+def internally_disjoint_paths(g, u, v, k=2):
+    """k u-v paths sharing only their endpoints, or None: the direct edge
+    uv, if there is one, and vertex-disjoint paths from u's other
+    neighbours to v's in g without u and v (a common neighbour is a path
+    of one vertex), each extended by u and v."""
+    if u == v:
+        raise InputError("endpoints must differ")
+    direct = [[u, v]] if g.has_edge(u, v) else []
+    need = k - len(direct)
+    if need <= 0:
+        return direct[:k]
+    inner = _flow_paths(
+        g.without_vertices({u, v}), g.neighbors(u) - {v}, g.neighbors(v) - {u}, need
+    )
+    return None if inner is None else direct + [[u, *p, v] for p in inner]
 
 
 def relabeled(g, rng):

@@ -187,10 +187,13 @@ def test_each_witness_is_checked_once(monkeypatch):
 # one check in the call: brute_force_forbidden ("brute"),
 # classify_topological_3 ("classify") or has_k4_subdivision ("k4"). The
 # sabotage makes pattern_problems report a defect for one family only.
-# "shape" instead makes every reduction inside gsp._extract_k4 report no
-# K_4 subdivision after an edge removal, so the minimisation removes
-# nothing, and the classifier's check must refuse what is left: K_5 has
-# no vertex of degree 3, so the witness has no branch vertices.
+# "shape" instead makes the K_4 region the whole block and every
+# reduction inside gsp._extract_k4 report no K_4 subdivision after an
+# edge removal, so the minimisation removes nothing, and the
+# classifier's check must refuse what is left: K_5 has no vertex of
+# degree 3, so the witness has no branch vertices. (K_5's own region is
+# a K_4, a subdivision already, which leaves the minimisation nothing
+# to skip.)
 SABOTAGE = """
 import sys
 
@@ -201,6 +204,7 @@ from zvsearch.graphs import generate
 spec, family, how = sys.argv[1:]
 real = forbidden.pattern_problems
 if how == "shape":
+    gsp._k4_region = lambda block, m: block
     real_extract = gsp._extract_k4
 
     def shape(g):

@@ -18,7 +18,6 @@ from zvsearch.graphs import (
     format_edge_list,
     generate,
     grid_graph,
-    internally_disjoint_paths,
     k4_subdivision_example,
     parse_edge_list,
     path_graph,
@@ -29,7 +28,13 @@ from zvsearch.graphs import (
     two_disjoint_paths,
 )
 
-from conftest import bridges, is_bridged, leaf_blocks, separating_bridges
+from conftest import (
+    bridges,
+    internally_disjoint_paths,
+    is_bridged,
+    leaf_blocks,
+    separating_bridges,
+)
 
 
 def small_graphs():
@@ -150,6 +155,23 @@ def test_block_cut_forest_barbell():
     assert sorted((sorted(blk), cut) for blk, cut in leaves) == [
         (["a", "b", "c"], "c"), (["d", "e", "f"], "d")
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_block_cut_forest_matches_networkx(g):
+    """Blocks and cut vertices against networkx; an isolated vertex is a
+    block of its own, which networkx leaves out."""
+    import networkx as nx
+
+    ng = nx.Graph()
+    ng.add_nodes_from(g.vertices)
+    ng.add_edges_from(g.edges())
+    bcf = block_cut_forest(g)
+    want = {frozenset(b) for b in nx.biconnected_components(ng)}
+    want |= {frozenset([v]) for v in g.vertices if not g.neighbors(v)}
+    assert len(bcf.blocks) == len(want) and set(bcf.blocks) == want
+    assert bcf.cut_vertices == set(nx.articulation_points(ng))
 
 
 class CountedAdj(dict):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import deque
 import os
 import subprocess
 import sys
@@ -14,11 +15,11 @@ import zvsearch
 import zvsearch.gsp as gsp_module
 from zvsearch.errors import InputError
 from zvsearch.forbidden import (
-    Bipath,
     ForbiddenWitness,
     bipath_problems,
     embedded,
     pattern_check,
+    pattern_problems,
 )
 from zvsearch.graphs import (
     Graph,
@@ -29,7 +30,6 @@ from zvsearch.graphs import (
     family_f2,
     family_f3,
     generate,
-    internally_disjoint_paths,
     k4_subdivision_example,
     path_graph,
 )
@@ -734,7 +734,35 @@ SUBDIVISION_AND_CYCLE = Graph.from_edges(
 )
 
 
+def reference_k4_region(block, m):
+    """The K_4 region as first written: the whole breadth-first order of
+    the block from m, by sorted neighbours, then its prefixes of 4, 8,
+    16, ... vertices, each tested block by block with the first-form
+    reduction. A
+    block that holds a K_4 subdivision is the subdivision plus ears,
+    each with one more edge than inner vertices, so it is a subdivision
+    exactly when it has two more edges than vertices."""
+    if block.m == block.n + 2:
+        return block
+    order, queue = [m], deque([m])
+    while queue:
+        for w in block.sorted_neighbors(queue.popleft()):
+            if w not in order:
+                order.append(w)
+                queue.append(w)
+    size = 4
+    while size < block.n:
+        region = block.induced(order[:size])
+        if reference_contains_k4(region):
+            return region
+        size *= 2
+    return block
+
+
 def test_k4_witness_matches_its_first_form(atlas_2_7, rng, monkeypatch):
+    # Where the K_4 region is the whole block, the witness is the first
+    # form's; elsewhere it is the first form's minimisation of the
+    # region, and it sits in the graph
     graphs = list(atlas_2_7) + [generate(f"grid:3,{m}") for m in range(3, 41)]
     graphs += [generate(f"grid:4,{m}") for m in range(4, 9)]
     graphs += [generate(f"complete:{n}") for n in range(5, 9)]
@@ -745,23 +773,41 @@ def test_k4_witness_matches_its_first_form(atlas_2_7, rng, monkeypatch):
     real = gsp_module._is_k4_subdivision
 
     def spy(adj):
-        degrees = [len(ns) for ns in adj.values() if ns]
+        degrees = [len(adj[v]) for v in adj if adj[v]]
         got = real(adj)
         if degrees.count(3) == 4 and degrees.count(2) == len(degrees) - 4 and not got:
             apart.append(adj)
         return got
 
+    regions = []
+    real_region = gsp_module._k4_region
+
+    def region_spy(block, m):
+        regions.append((block, m, real_region(block, m)))
+        return regions[-1][-1]
+
     monkeypatch.setattr(gsp_module, "_is_k4_subdivision", spy)
-    found = 0
+    monkeypatch.setattr(gsp_module, "_k4_region", region_spy)
+    found = whole = 0
     for g in graphs:
-        got, want = has_k4_subdivision(g), reference_k4_witness(g)
-        assert (got is None) == (want is None), sorted(g.edges())
-        if got is not None:
-            record = json.dumps(got.to_record())
+        regions.clear()
+        got = has_k4_subdivision(g)
+        assert (got is None) == (not reference_contains_k4(g)), sorted(g.edges())
+        if got is None:
+            continue
+        found += 1
+        ((block, m, region),) = regions
+        assert m == min(block.vertices) and embedded(got, g)
+        assert region == reference_k4_region(block, m), sorted(g.edges())
+        record = json.dumps(got.to_record())
+        if region is block:
+            whole += 1
+            want = reference_k4_witness(g)
             assert record == json.dumps(want.to_record()), sorted(g.edges())
             assert record == json.dumps(single_pass_k4_witness(g).to_record())
-            found += 1
-    assert found > 900
+        else:
+            assert record == json.dumps(reference_extract_k4(region).to_record())
+    assert found > 900 and whole > 500 and found - whole > 100, (found, whole)
     # the early stop saw the degrees of a subdivision on a split graph
     assert apart
 
@@ -860,8 +906,10 @@ def reference_sp_chain(h, a, b):
 
 
 def reference_extract(tree):
-    """Bipath extraction as first written: a non-bridged series node
-    walks the block path of its recomposed graph."""
+    """Where bipath extraction as first written runs: for each bipath, in
+    order, its stops, the terminals and cut vertices on the block path
+    of a non-bridged series node's recomposed graph, and the edges of
+    each block between two stops."""
     if tree.is_leaf or tree.bridged:
         return []
     if tree.op == "parallel":
@@ -869,13 +917,24 @@ def reference_extract(tree):
     if tree.op in ("branch", "branch_alt"):
         return reference_extract(tree.children[0])
     blocks, cuts = reference_block_path(block_cut_forest(tree.graph), tree.a, tree.b)
-    stops = [tree.a] + cuts + [tree.b]
-    path1, path2 = [tree.a], [tree.a]
-    for blk, u, v in zip(blocks, stops, stops[1:]):
-        pair = internally_disjoint_paths(tree.graph.induced(blk), u, v, 2)
-        path1.extend(pair[0][1:])
-        path2.extend(pair[1][1:])
-    return [Bipath(tuple(path1), tuple(path2), tuple(stops))]
+    return [([tree.a, *cuts, tree.b], [set(tree.graph.induced(b).edges()) for b in blocks])]
+
+
+def check_routes(bp, stops, block_edges):
+    """The bipath stops where the first form did, and between two stops
+    its paths are two internally disjoint routes over that block's
+    edges: it takes one pair of routes through every block."""
+    assert list(bp.primaries) == stops
+    cuts = []
+    for path in (bp.path1, bp.path2):
+        assert len(set(path)) == len(path), path  # simple
+        at = [path.index(v) for v in stops]
+        assert at == sorted(at) and at[0] == 0 and at[-1] == len(path) - 1
+        cuts.append([path[i:j + 1] for i, j in zip(at, at[1:])])
+    for r1, r2, edges in zip(*cuts, block_edges):
+        assert r1 != r2 and not set(r1[1:-1]) & set(r2), (r1, r2)
+        for r in (r1, r2):
+            assert {tuple(sorted(e)) for e in zip(r, r[1:])} <= edges, r
 
 
 def sp_pairs(g):
@@ -916,11 +975,14 @@ def record(tree):
 
 
 def check_extract(tree):
-    """Bipaths of every non-bridged node agree with the block walk;
+    """Bipaths of every non-bridged node run where the block walk says;
     returns the number of nodes compared."""
     nodes = [t for t in tree.walk() if not t.bridged]
     for t in nodes:
-        assert extract_checked(t) == reference_extract(t), tree_to_record(t)
+        got, want = extract_checked(t), reference_extract(t)
+        assert len(got) == len(want), tree_to_record(t)
+        for bp, (stops, block_edges) in zip(got, want):
+            check_routes(bp, stops, block_edges)
     return len(nodes)
 
 
@@ -967,10 +1029,13 @@ def test_sp_matches_its_first_form(atlas_2_7, rng):
 
 def test_extract_on_classifier_trees_matches_its_first_form(atlas_2_7_classified, rng):
     # the classifier's trees hang branch nodes under series nodes, whose
-    # pendants the bipaths must leave out
+    # pendants the bipaths must leave out; the F2 and F3 witnesses are
+    # built from the same routes
     classified = [cls for _, cls in atlas_2_7_classified]
     classified += [classify_topological_3(random_block_tree(rng)) for _ in range(100)]
+    classified += map(classify_topological_3, bench_corpus("classify", (0, 1, 2)))
     branchy = compared = 0
+    families = {"F1": 0, "F2": 0, "F3": 0}
     for c in classified:
         if c.verdict == "YES":
             compared += check_extract(c.tree)
@@ -978,7 +1043,11 @@ def test_extract_on_classifier_trees_matches_its_first_form(atlas_2_7_classified
                 t.op == "series" and any(k.op.startswith("branch") for k in t.children)
                 for t in c.tree.walk()
             )
+        else:
+            assert pattern_problems(c.witness) == []
+            families[c.witness.family] += 1
     assert compared > 1000 and branchy > 100
+    assert families["F2"] > 50 and families["F3"] > 30, families
 
 
 def test_sp_refuses_what_it_cannot_reduce():
@@ -1162,8 +1231,10 @@ COPY_CASES = {
         ("cycle:50", 0, 1),
         ("grid:2,50", 0, 1),
         ("chords", 0, 1),
-        # a K_4 block: 50 of the reductions are the minimisation's
-        ("grid:3,20", 0, 51),
+        # a K_4 block: after its test, three prefixes of its BFS order
+        # are copied and reduced, the third (16 vertices) is the region,
+        # and the other 28 reductions are the region's minimisation
+        ("grid:3,20", 3, 32),
         # each block is reduced once, and both pendants start at their
         # least vertex, so their tests' reductions build their trees
         ("twin 6-cycles", 2, 2),
@@ -1236,14 +1307,26 @@ def test_classify_work_grows_linearly(monkeypatch, family, build, sizes):
 
 def test_one_block_refutation_reuses_the_failed_reduction(monkeypatch):
     # the reduction that would build the tree stops short; the witness
-    # is the K_4 block test's, from the same 51 reductions, 50 of them
-    # the minimisation's
+    # is the K_4 block test's, from the same 32 reductions: the test,
+    # three of the region's prefixes and 28 of its minimisation
     g = generate("grid:3,20")
     want = has_k4_subdivision(g).to_record()
     calls = count_copies(monkeypatch)
     c = classify_topological_3(g)
     assert c.verdict == "NO" and c.witness.to_record() == want
-    assert calls == {"induced": 0, "reduce": 51}
+    assert calls == {"induced": 3, "reduce": 32}
+
+
+def test_a_large_k4_block_is_minimised_in_a_small_region(monkeypatch):
+    # counting, not timing: the block's one K_4 test reduces all of its
+    # 90,000 vertices, and the region adds a few hundred; minimising
+    # the whole block reduced 1.5 million in 106 reductions, every one
+    # of them copying most of the block
+    g = generate("grid:300,300")
+    touched = count_touched(monkeypatch)
+    c = classify_topological_3(g)
+    assert c.verdict == "NO" and c.witness.family == "F1"
+    assert g.n <= touched[0] <= g.n + g.n // 100, touched[0]
 
 
 # ---------------------------------------------------------------------------
