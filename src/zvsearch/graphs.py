@@ -605,99 +605,6 @@ def quotient(g, eq):
 
 
 # ---------------------------------------------------------------------------
-# disjoint paths (Menger via unit-capacity flow, deterministic)
-
-
-def _augment(adjcap, source, sink):
-    """One BFS augmenting path; returns the node path or None."""
-    prev = {source: None}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        if x == sink:
-            path = []
-            while x is not None:
-                path.append(x)
-                x = prev[x]
-            return list(reversed(path))
-        for y in sorted(adjcap[x], key=str):
-            if adjcap[x][y] > 0 and y not in prev:
-                prev[y] = x
-                queue.append(y)
-    return None
-
-
-def _flow_paths(g, sources, sinks, k):
-    """Up to k vertex-disjoint paths from `sources` to `sinks`.
-
-    Splits every vertex into in/out with unit capacity. Returns a list
-    of label paths, or None if fewer than k exist.
-    """
-    IN, OUT = 0, 1
-    adjcap = {"S": {}, "T": {}}  # residual capacities
-    arcs = set()  # the arcs of the network, each of capacity one
-
-    def arc(x, y):
-        arcs.add((x, y))
-        adjcap.setdefault(x, {})[y] = 1
-        adjcap.setdefault(y, {}).setdefault(x, 0)
-
-    for v in g.vertices:
-        arc((IN, v), (OUT, v))
-    for u, v in g.edges():
-        arc((OUT, u), (IN, v))
-        arc((OUT, v), (IN, u))
-    for s in sorted(sources):
-        arc("S", (IN, s))
-    for t in sorted(sinks):
-        arc((OUT, t), "T")
-
-    for _ in range(k):
-        path = _augment(adjcap, "S", "T")
-        if path is None:
-            return None
-        for x, y in zip(path, path[1:]):
-            adjcap[x][y] -= 1
-            adjcap[y][x] += 1
-
-    def take(x, y):
-        # an arc carries flow when its residual is spent; taking the
-        # unit gives the residual back
-        if (x, y) in arcs and not adjcap[x][y]:
-            adjcap[x][y] += 1
-            return True
-        return False
-
-    paths = []
-    for s in sorted(sources):
-        while take("S", (IN, s)):
-            path = [s]
-            node = (OUT, s)
-            while True:
-                # follow the least successor, by str, that carries flow
-                nxt = next((y for y in sorted(adjcap[node], key=str) if take(node, y)), None)
-                if nxt is None or nxt == "T":
-                    break
-                path.append(nxt[1])
-                node = (OUT, nxt[1])
-            paths.append(path)
-    assert len(paths) == k
-    return paths
-
-
-def two_disjoint_paths(g, xs, ys):
-    """Two fully vertex-disjoint paths from the set xs to the set ys, or
-    None. A vertex in both sets yields a zero-length path."""
-    xs, ys = frozenset(xs), frozenset(ys)
-    for v in xs | ys:
-        if v not in g:
-            raise InputError(f"no vertex {v!r}")
-    if not xs or not ys:
-        raise InputError("endpoint sets must be nonempty")
-    return _flow_paths(g, xs, ys, 2)
-
-
-# ---------------------------------------------------------------------------
 # generators
 
 

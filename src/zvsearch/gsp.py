@@ -13,8 +13,9 @@ code that finds a witness packs it; the public call that returns it
 checks it, once. A YES answer keeps its peel, which synthesis re-roots
 from without peeling again. An F1 witness is minimised inside a
 breadth-first region of its block, the first of 4, 8, 16, ...
-vertices that still holds a K_4 subdivision, and the bipaths of F2
-and F3 witnesses are routes read off the tree's leaves, with no
+vertices that still holds a K_4 subdivision, the bipaths of F2 and F3
+witnesses are routes read off the tree's leaves, and the two connectors
+of an F3 witness are BFS paths around both complex cores, with no
 max-flow.
 
 A tree stores no graphs: node() checks only terminals and sums vertex
@@ -68,7 +69,6 @@ from .graphs import (
     block_cut_forest,
     edge_key,
     subdivision_label,
-    two_disjoint_paths,
 )
 
 OPS = ("series", "parallel", "branch", "branch_alt")
@@ -726,8 +726,16 @@ def _sp(g, a, b, reduction=None):
     return _bottom_up(root, kids, combine)[0]
 
 
+def _components(g, bcf):
+    """The number of connected components of g, read off its forest bcf.
+    The blocks and cut vertices of one component form a tree, so its
+    block sizes add up to its vertex count plus its block count less one;
+    an isolated vertex is a block of its own."""
+    return len(bcf.blocks) + g.n - sum(map(len, bcf.blocks))
+
+
 def _two_connected(g):
-    return g.n >= 2 and g.is_connected() and len(block_cut_forest(g).blocks) == 1
+    return g.n >= 2 and len(block_cut_forest(g).blocks) == 1
 
 
 def sp_decompose(g, a, b):
@@ -863,11 +871,11 @@ def gsp_decompose(g, a, b):
     internal error, also under `python -O`.
     """
     _check_terminals(g, a, b)
-    if not g.is_connected():
+    bcf = block_cut_forest(g)
+    if _components(g, bcf) != 1:
         raise InputError("decomposition needs a connected graph")
     if not _sp_reducible(g):
         raise InputError("the graph contains a K_4 subdivision")
-    bcf = block_cut_forest(g)
     if not g.has_edge(a, b) and not any(
         a in blk and b in blk and len(blk) > 3
         and not g.induced(blk - {a, b}).is_connected()
@@ -1019,68 +1027,39 @@ def _minimal_complex_nodes(tree):
 
 
 def _witness_pair(g, n0, n1):
-    """Forbidden pattern from two incomparable complex nodes in one
-    biconnected graph.
+    """Forbidden pattern from two incomparable complex nodes, both in one
+    block of g or each in its own pendant block.
 
     Equal terminal pairs give three bipaths on one endpoint pair; the
     interiors being separated by their terminals makes any third bipath
-    compatible. Distinct pairs get joined by two fully disjoint
-    connector paths, which exist in a biconnected ambient graph once
-    both interiors are cut away.
+    compatible. Distinct pairs get joined by two connectors, BFS paths
+    in g around both cores and the other two terminals, for the first
+    of the two pairings of the terminals where both exist. The pattern
+    lets connectors meet, and one pairing always works: in one block,
+    two disjoint paths join the pairs once both interiors are cut away
+    (Menger), each avoiding the other's ends; across two pendant blocks,
+    each terminal reaches its block's cut vertex around its core, and a
+    corridor outside both blocks joins the cut vertices.
     """
     bips0 = _extract(n0)
     bips1 = _extract(n1)
-    assert len(bips0) >= 2 and len(bips1) >= 2
+    if len(bips0) < 2 or len(bips1) < 2:
+        raise AssertionError("a complex core yields fewer than two bipaths")
     t0 = {n0.a, n0.b}
     t1 = {n1.a, n1.b}
     if t0 == t1:
         return _witness_f2([bips0[0], bips0[1], bips1[0]])
     v0, v1 = (set().union(*_leaf_edges(n)) for n in (n0, n1))
-    interiors = (v0 - t0) | (v1 - t1)
-    pq = two_disjoint_paths(g.without_vertices(interiors), t0, t1)
-    assert pq is not None, "connector paths missing between complex cores"
-    p, q = pq
-    return _witness_f3(
-        (p[0], q[0]),
-        (p[-1], q[-1]),
-        [bips0[0], bips0[1], bips1[0], bips1[1]],
-        (p, q),
-    )
-
-
-def _witness_cross_block(g, blk_h, cut_h, m_h, blk_k, cut_k, m_k):
-    """Four-bipath witness with its cores in two different pendant blocks.
-
-    Neither cut vertex touches its block's complex core, so each core
-    endpoint reaches the cut inside its block while avoiding the
-    core's interior and the opposite endpoint (entering the interior
-    would force an exit through that endpoint). The two routes share
-    the corridor between the cut vertices, which the pattern allows.
-    """
-    bips_h = _extract(m_h)[:2]
-    bips_k = _extract(m_k)[:2]
-    s0, t0 = m_h.terminals
-    s1, t1 = m_k.terminals
-    int_h = set().union(*_leaf_edges(m_h)) - {s0, t0}
-    int_k = set().union(*_leaf_edges(m_k)) - {s1, t1}
-    gh = g.induced(blk_h)
-    gk = g.induced(blk_k)
-    corridor = g.shortest_path(
-        cut_h, cut_k, forbidden=(set(blk_h) | set(blk_k)) - {cut_h, cut_k}
-    )
-    assert corridor is not None
-    legs = {}
-    for key, host, src, cut, avoid in (
-        ("h0", gh, s0, cut_h, int_h | {t0}),
-        ("h1", gh, t0, cut_h, int_h | {s0}),
-        ("k0", gk, s1, cut_k, int_k | {t1}),
-        ("k1", gk, t1, cut_k, int_k | {s1}),
-    ):
-        legs[key] = host.shortest_path(src, cut, forbidden=avoid)
-        assert legs[key] is not None
-    p1 = legs["h0"] + corridor[1:] + legs["k0"][::-1][1:]
-    p2 = legs["h1"] + corridor[1:] + legs["k1"][::-1][1:]
-    return _witness_f3((s0, t0), (s1, t1), bips_h + bips_k, (p1, p2))
+    blocked = v0 | v1
+    x0, x1 = n0.terminals
+    for y0, y1 in (n1.terminals, n1.terminals[::-1]):
+        p = g.shortest_path(x0, y0, forbidden=blocked - {x0, y0})
+        q = p and g.shortest_path(x1, y1, forbidden=blocked - {x1, y1})
+        if q:
+            return _witness_f3(
+                (x0, x1), (y0, y1), [bips0[0], bips0[1], bips1[0], bips1[1]], (p, q)
+            )
+    raise AssertionError("connector paths missing between complex cores")
 
 
 # ---------------------------------------------------------------------------
@@ -1136,18 +1115,18 @@ def _rebuild_block(g, tree, target):
 # the classifier
 
 
-def _pendant(g, built, rest):
+def _pendant(g, built):
     """Which of the first two pendant blocks to peel, given as (block,
     cut, SP tree of the block from the cut): (its position, a simple
     tree of the block with the cut as first terminal), or the pattern
-    refuting g. rest() builds the graph the peel has left."""
+    refuting g."""
     for i, (_, _, tree) in enumerate(built):
         if tree.simple:
             return i, tree
     cores = [_minimal_complex_nodes(tree) for _, _, tree in built]
-    for (blk, _, _), hits in zip(built, cores):
+    for hits in cores:
         if len(hits) >= 2:
-            return _witness_pair(g.induced(blk), hits[0], hits[1])
+            return _witness_pair(g, hits[0], hits[1])
     for i, ((blk, cut, tree), (m,)) in enumerate(zip(built, cores)):
         # the cut is a root terminal of the block tree, and root
         # terminals stay terminals all the way down, so the cut touches
@@ -1157,10 +1136,7 @@ def _pendant(g, built, rest):
             if isinstance(redone, ForbiddenWitness):
                 return redone
             return i, redone
-    (blk_h, cut_h, _), (blk_k, cut_k, _) = built
-    return _witness_cross_block(
-        rest(), blk_h, cut_h, cores[0][0], blk_k, cut_k, cores[1][0]
-    )
+    return _witness_pair(g, cores[0][0], cores[1][0])
 
 
 def _peel(g, bcf, kept):
@@ -1189,7 +1165,7 @@ def _peel(g, bcf, kept):
     while len(leaves.alive) > 1:
         pair = [leaves.pop() for _ in range(2)]
         built = [(leaves.blocks[i], cut, tree(i, cut)) for i, cut in pair]
-        got = _pendant(g, built, lambda: leaves.rest(g))
+        got = _pendant(g, built)
         if isinstance(got, ForbiddenWitness):
             return got
         k, pendant = got
@@ -1315,9 +1291,9 @@ def classify_topological_3(g):
     (see build_simple_gsp)."""
     if g.n < 2:
         raise InputError("classification needs at least two vertices")
-    if not g.is_connected():
-        raise InputError("classification needs a connected graph")
     bcf = block_cut_forest(g)
+    if _components(g, bcf) != 1:
+        raise InputError("classification needs a connected graph")
     out = _reduce_blocks(g, bcf)
     if not isinstance(out, ForbiddenWitness):
         out = _peel(g, bcf, out)

@@ -193,13 +193,15 @@ def test_each_witness_is_checked_once(monkeypatch):
 # classifier's check must refuse what is left: K_5 has no vertex of
 # degree 3, so the witness has no branch vertices. (K_5's own region is
 # a K_4, a subdivision already, which leaves the minimisation nothing
-# to skip.)
+# to skip.) "connector" makes every BFS path come back missing, so
+# gsp._witness_pair finds no connectors for an F3 witness and must say
+# so itself, as an AssertionError that -O keeps.
 SABOTAGE = """
 import sys
 
 import zvsearch.forbidden as forbidden
 import zvsearch.gsp as gsp
-from zvsearch.graphs import generate
+from zvsearch.graphs import Graph, generate
 
 spec, family, how = sys.argv[1:]
 real = forbidden.pattern_problems
@@ -212,6 +214,8 @@ if how == "shape":
         return real_extract(g)
 
     gsp._extract_k4 = shape
+elif how == "connector":
+    Graph.shortest_path = lambda self, source, target, forbidden=(): None
 else:
     forbidden.pattern_problems = (
         lambda w: ["sabotaged"] if w.family == family else real(w)
@@ -234,6 +238,7 @@ else:
         ("f1", "F1", "brute"),
         ("f2", "F2", "classify"),
         ("f3", "F3", "classify"),
+        ("f3", "F3", "connector"),
         ("complete:4", "F1", "classify"),
         ("complete:4", "F1", "k4"),
         ("complete:5", "F1", "shape"),
@@ -250,6 +255,9 @@ def test_sabotaged_witness_is_refused_under_O(spec, family, how):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    problem = "need four distinct branch vertices" if how == "shape" else "sabotaged"
-    want = f"refused: {family} witness fails its pattern: ['{problem}']"
+    if how == "connector":
+        want = "refused: connector paths missing between complex cores"
+    else:
+        problem = "need four distinct branch vertices" if how == "shape" else "sabotaged"
+        want = f"refused: {family} witness fails its pattern: ['{problem}']"
     assert proc.stdout.startswith(want), proc.stdout

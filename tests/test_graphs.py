@@ -25,7 +25,6 @@ from zvsearch.graphs import (
     quotient,
     subdivide,
     subdivision_label,
-    two_disjoint_paths,
 )
 
 from conftest import (
@@ -34,6 +33,7 @@ from conftest import (
     is_bridged,
     leaf_blocks,
     separating_bridges,
+    two_disjoint_paths,
 )
 
 

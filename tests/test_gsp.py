@@ -1,5 +1,6 @@
 """Decomposition trees: composition, complexity, classification."""
 
+import functools
 import itertools
 import json
 from collections import deque
@@ -16,6 +17,8 @@ import zvsearch.gsp as gsp_module
 from zvsearch.errors import InputError
 from zvsearch.forbidden import (
     ForbiddenWitness,
+    _witness_f2,
+    _witness_f3,
     bipath_problems,
     embedded,
     pattern_check,
@@ -37,6 +40,7 @@ from zvsearch.gsp import (
     Classification,
     GspTree,
     _extract,
+    _leaf_edges,
     _merge,
     _rotate,
     _sp,
@@ -65,6 +69,7 @@ from conftest import (
     leaf_blocks,
     random_connected,
     relabeled,
+    two_disjoint_paths,
 )
 
 
@@ -1132,6 +1137,27 @@ def test_classify_input_errors():
         classify_topological_3(Graph.from_edges([("a", "b")], vertices=["a", "b", "z"]))
 
 
+def test_connectivity_is_read_off_the_forest(monkeypatch):
+    # the forest's component count is the BFS's on every atlas graph,
+    # disconnected ones too, and the classifier runs no BFS for it
+    for ng in nx.graph_atlas_g():
+        g = from_networkx(ng)
+        assert gsp_module._components(g, block_cut_forest(g)) == len(g.components())
+    calls = []
+    real = Graph.component_of
+    monkeypatch.setattr(Graph, "component_of", lambda g, v: calls.append(v) or real(g, v))
+    assert classify_topological_3(generate("grid:20,20")).verdict == "NO"
+    assert classify_topological_3(generate("tree:6")).verdict == "YES"
+    assert calls == []
+    two = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("d", "e")])
+    with pytest.raises(InputError, match="classification needs a connected graph"):
+        classify_topological_3(two)
+    with pytest.raises(InputError, match="decomposition needs a connected graph"):
+        gsp_decompose(two, "a", "b")
+    with pytest.raises(InputError, match="needs a biconnected graph"):
+        sp_decompose(Graph.from_edges([("a", "b")], vertices="abz"), "a", "b")
+
+
 def test_classify_derives_graph_once(monkeypatch):
     calls = []
     real = gsp_module.recompose
@@ -1344,7 +1370,7 @@ def reference_peel(g):
         for blk, cut in sorted(leaf_blocks(bcf), key=lambda bc: min(bc[0]))[:2]:
             sub = g.induced(blk)
             built.append((blk, cut, _sp(sub, cut, min(sub.sorted_neighbors(cut)))))
-        got = gsp_module._pendant(g, built, lambda: g)
+        got = gsp_module._pendant(g, built)
         if isinstance(got, ForbiddenWitness):
             return got
         i, tree = got
@@ -1464,6 +1490,144 @@ def test_peel_matches_its_first_form(atlas_2_7_classified, rng):
     # block trees of series-parallel blocks hold no K_4 subdivision, so
     # their NO answers come from the peel itself
     assert refuted_trees > 30
+
+
+# ---------------------------------------------------------------------------
+# F3 connectors against their first form
+
+
+def reference_witness_pair(g, n0, n1):
+    """gsp._witness_pair as first written: connectors from a max-flow on g
+    without both interiors."""
+    bips0 = _extract(n0)
+    bips1 = _extract(n1)
+    assert len(bips0) >= 2 and len(bips1) >= 2
+    t0 = {n0.a, n0.b}
+    t1 = {n1.a, n1.b}
+    if t0 == t1:
+        return _witness_f2([bips0[0], bips0[1], bips1[0]])
+    v0, v1 = (set().union(*_leaf_edges(n)) for n in (n0, n1))
+    interiors = (v0 - t0) | (v1 - t1)
+    pq = two_disjoint_paths(g.without_vertices(interiors), t0, t1)
+    assert pq is not None, "connector paths missing between complex cores"
+    p, q = pq
+    return _witness_f3(
+        (p[0], q[0]),
+        (p[-1], q[-1]),
+        [bips0[0], bips0[1], bips1[0], bips1[1]],
+        (p, q),
+    )
+
+
+def reference_witness_cross_block(g, blk_h, cut_h, m_h, blk_k, cut_k, m_k):
+    """The first form's four-bipath witness with its cores in two pendant
+    blocks: legs from each core endpoint to its block's cut vertex,
+    joined by a corridor between the cut vertices."""
+    bips_h = _extract(m_h)[:2]
+    bips_k = _extract(m_k)[:2]
+    s0, t0 = m_h.terminals
+    s1, t1 = m_k.terminals
+    int_h = set().union(*_leaf_edges(m_h)) - {s0, t0}
+    int_k = set().union(*_leaf_edges(m_k)) - {s1, t1}
+    gh = g.induced(blk_h)
+    gk = g.induced(blk_k)
+    corridor = g.shortest_path(
+        cut_h, cut_k, forbidden=(set(blk_h) | set(blk_k)) - {cut_h, cut_k}
+    )
+    assert corridor is not None
+    legs = {}
+    for key, host, src, cut, avoid in (
+        ("h0", gh, s0, cut_h, int_h | {t0}),
+        ("h1", gh, t0, cut_h, int_h | {s0}),
+        ("k0", gk, s1, cut_k, int_k | {t1}),
+        ("k1", gk, t1, cut_k, int_k | {s1}),
+    ):
+        legs[key] = host.shortest_path(src, cut, forbidden=avoid)
+        assert legs[key] is not None
+    p1 = legs["h0"] + corridor[1:] + legs["k0"][::-1][1:]
+    p2 = legs["h1"] + corridor[1:] + legs["k1"][::-1][1:]
+    return _witness_f3((s0, t0), (s1, t1), bips_h + bips_k, (p1, p2))
+
+
+def reference_pendant(g, built, crossed):
+    """gsp._pendant as first written, with the max-flow inside one block
+    and the legs and corridor across two; crossed counts the calls that
+    reach the cross-block witness. The first form passed the graph the
+    peel had left to that witness; g gives the same paths, since a
+    simple path between two vertices of one block never leaves it."""
+    for i, (_, _, tree) in enumerate(built):
+        if tree.simple:
+            return i, tree
+    cores = [gsp_module._minimal_complex_nodes(tree) for _, _, tree in built]
+    for (blk, _, _), hits in zip(built, cores):
+        if len(hits) >= 2:
+            return reference_witness_pair(g.induced(blk), hits[0], hits[1])
+    for i, ((blk, cut, tree), (m,)) in enumerate(zip(built, cores)):
+        if cut in m.terminals:
+            redone = gsp_module._rebuild_block(g.induced(blk), tree, cut)
+            if isinstance(redone, ForbiddenWitness):
+                return redone
+            return i, redone
+    crossed.append(g)
+    (blk_h, cut_h, _), (blk_k, cut_k, _) = built
+    return reference_witness_cross_block(
+        g, blk_h, cut_h, cores[0][0], blk_k, cut_k, cores[1][0]
+    )
+
+
+def closed_bipaths(tag, rng):
+    """A block with two bipaths between tag+"s" and tag+"t", each through
+    its middle vertex by two routes of 2-3 edges per half, closed by a
+    path from s through the cut vertex tag+"c" to t: its tree from the
+    cut is complex, with a core that the cut does not touch."""
+    s, t, c = f"{tag}s", f"{tag}t", f"{tag}c"
+    edges = []
+    for i in range(2):
+        mid = f"{tag}{i}m"
+        for end, half in ((s, "a"), (t, "b")):
+            for route in "xy":
+                inner = [f"{tag}{i}{half}{route}{j}" for j in range(rng.randint(1, 2))]
+                edges += itertools.pairwise([end, *inner, mid])
+    for end, side in ((s, "l"), (t, "r")):
+        inner = [f"{tag}{side}{j}" for j in range(rng.randint(0, 2))]
+        edges += itertools.pairwise([end, *inner, c])
+    return edges, c
+
+
+def cross_block_graph(rng):
+    """Two closed-bipath pendant blocks joined by a bridge path of 0-4
+    inner vertices, relabelled at random half the time: the peel's two
+    pendants are both complex and neither cut touches its core, so the
+    F3 witness joins cores in two blocks."""
+    edges_h, cut_h = closed_bipaths("h", rng)
+    edges_k, cut_k = closed_bipaths("k", rng)
+    bridge = [cut_h, *(f"z{j}" for j in range(rng.randint(0, 4))), cut_k]
+    g = Graph.from_edges(edges_h + edges_k + list(itertools.pairwise(bridge)))
+    return relabeled(g, rng) if rng.random() < 0.5 else g
+
+
+def test_f3_connectors_match_their_first_form(rng):
+    """Two BFS paths around the cores give the witness the max-flow and
+    the cross-block legs gave: on the F3 graphs of the benchmark's
+    classify corpus, seeds 0-2, and on a family whose F3 witnesses join
+    cores in two pendant blocks."""
+    corpus = [
+        g for g in bench_corpus("classify", (0, 1, 2))
+        if classify_topological_3(g).to_record().get("witness", {}).get("family") == "F3"
+    ]
+    family = [cross_block_graph(rng) for _ in range(200)]
+    crossed = []
+    pendant = functools.partial(reference_pendant, crossed=crossed)
+    for g in corpus + family:
+        got = classify_topological_3(g)
+        with mock.patch.object(gsp_module, "_pendant", pendant), mock.patch.object(
+            gsp_module, "_witness_pair", reference_witness_pair
+        ):
+            want = classify_topological_3(g)
+        assert got.witness.family == "F3"
+        assert json.dumps(got.to_record()) == json.dumps(want.to_record()), sorted(g.edges())
+    assert len(corpus) == 36
+    assert crossed == family
 
 
 def sun(n):
