@@ -564,7 +564,7 @@ def inspection_number(
     proves the answer exceeds w, so it is w+1: the answer is at most
     pathwidth+1, and w is then the pathwidth. Otherwise, when the graph
     has at most mask_cap vertices, few enough for the DP, the DP decides
-    whether the pathwidth is below w (see _vertex_separation): if so its
+    whether the pathwidth is below w (see _optimal_layout): if so its
     layout caps the answer, and if not the greedy one is optimal, so cap
     = pathwidth+1 either way. Above mask_cap, or when numpy refuses the
     tables, the greedy layout's width+1 is the cap. method says
@@ -616,12 +616,9 @@ def inspection_number(
         exact = exact and _table_fits(g.n)
     elif exact:
         try:
-            below = _vertex_separation(g, mask_cap, greedy - 1)
+            width, layout = _optimal_layout(g, mask_cap, (greedy, layout))
         except ResourceLimitError:
             exact = False
-        else:
-            if below is not None:
-                width, layout = below
     if cert is None and certify is not None:
         # no width from the pathwidth to greedy - 1 has one
         cert = _largest_certificate(g, min(width, greedy - 1), mask_cap,
@@ -822,6 +819,18 @@ def _greedy_layout(g):
     return width, [g.vertices[v] for v in order]
 
 
+def _optimal_layout(g, mask_cap, greedy):
+    """(vertex separation, layout) of an optimal layout of a connected
+    graph, from greedy = _greedy_layout(g), of width w.
+
+    The DP runs as a decision one below w (see _vertex_separation): it
+    gives the full DP's value and layout when the separation number is
+    below w, and None when it is w, where the greedy layout is optimal.
+    Its tables refuse a graph past mask_cap with ResourceLimitError."""
+    below = _vertex_separation(g, mask_cap, greedy[0] - 1)
+    return greedy if below is None else below
+
+
 def _merge_bags(bags, cap):
     """Consecutive bags merged while their union has at most cap
     vertices. The merged sweep clears whatever the bag sweep clears: the
@@ -937,10 +946,11 @@ def _vertex_separation(g, mask_cap, bound):
     A set with f <= bound has a predecessor S - v with f <= bound, so
     only the frontier's one-vertex extensions can join the next frontier;
     no other set is ever visited, and f is exact wherever it is <= bound.
-    pathwidth passes a greedy layout's width, an upper bound on the
-    answer. inspection_number passes one less, as a decision: the
-    frontier then runs empty, at the last layer or before, exactly when
-    the greedy layout is optimal.
+    _optimal_layout, for pathwidth and inspection_number alike, passes
+    one less than a greedy layout's width, as a decision: the frontier
+    then runs empty, at the last layer or before, exactly when the
+    greedy layout is optimal. On sparse graphs the sets with f below
+    that width are far fewer than those with f up to it.
 
     f is one uint8 entry per subset, 255 where nothing was written.
     Candidates come _BLOCK entries at a time (see _extend). The next
@@ -1045,9 +1055,14 @@ def _least_predecessor(f, masks, bits):
 def pathwidth(g, mask_cap=_MASK_CAP):
     """(pathwidth, PathDecomposition): exact, via vertex separation.
 
-    Bag i is the boundary of the first i-1 layout vertices plus the i-th
-    vertex itself. Components are laid out one after another. A
-    component of more than mask_cap vertices raises ResourceLimitError.
+    Each component takes an optimal layout (see _optimal_layout): the
+    DP's where the separation number is below a greedy layout's width,
+    the greedy one where it is not. Bag i is the boundary of the first
+    i-1 layout vertices plus the i-th vertex itself, so the largest bag
+    holds the separation number plus one; that is checked with an
+    explicit raise, under python -O too. Components are laid out one
+    after another. A component of more than mask_cap vertices raises
+    ResourceLimitError.
     """
     if g.n == 0:
         raise InputError("empty graph")
@@ -1059,10 +1074,12 @@ def pathwidth(g, mask_cap=_MASK_CAP):
         if sub.n > 1:
             # before the greedy pass over a graph the tables refuse
             _check_mask_cap(sub.n, mask_cap)
-        bound, _ = _greedy_layout(sub)
-        vs, layout = _vertex_separation(sub, mask_cap, bound)
+        vs, layout = _optimal_layout(sub, mask_cap, _greedy_layout(sub))
+        sub_bags = _layout_bags(sub, layout)
+        if max(len(b) for b in sub_bags) - 1 != vs:
+            raise AssertionError("layout bags disagree with their width")
         width = max(width, vs)
-        bags.extend(_layout_bags(sub, layout))
+        bags.extend(sub_bags)
     return width, PathDecomposition(tuple(bags))
 
 
@@ -1086,7 +1103,9 @@ def monotonic_inspection_number(g, mask_cap=_MASK_CAP):
     """Monotonic inspection number as a SolveResult.
 
     Equals pathwidth + 1; the bag sequence of an optimal decomposition,
-    searched in order, is a monotonic search of that width. The witness
+    searched in order, is a monotonic search of that width. The
+    decomposition is pathwidth's: the separation DP runs only as a
+    decision one below a greedy layout's width. The witness
     is simulated before returning, as a cheap self-check that raises
     AssertionError, under python -O too. No clean-set state is explored,
     so explored_states is 0.
@@ -1298,15 +1317,26 @@ def _cut_pieces(adj, gone):
 
 def boundary_gap_certificate(g, k, mask_cap=_MASK_CAP, profile=None):
     """Smallest size i in [1, n] with no profile member strictly between
-    i-k and i, or None.
+    i-k and i, or None; at k = 1, None when g has no edge.
 
-    A width-k search grows its protected set by at most k per step while
-    every intermediate clean set must keep boundary below k; a gap of k
-    consecutive missing sizes under i is therefore unreachable. None
-    means every i is witnessed, which proves nothing about in(G).
-    A caller that has boundary_profile(g, k) already passes it as
-    profile, and no subset table is built.
+    A width-k search grows its clean set by at most k per step, and by
+    exactly k only when it searches k vertices outside the clean set
+    and the protected set has an empty boundary. The sizes of the clean
+    sets it reaches are profile members, so the sizes strictly between
+    i-k and i, all missing, can be crossed only by such a step, and at
+    k >= 2 that step's protected set would put a profile member among
+    them. At k = 1 there is no size between i-1 and i: the step cleans
+    one vertex whose neighbours are all clean already, so the first
+    clean vertex has none, and one searcher never cleans a vertex with
+    a neighbour. So k = 1 proves in(G) > 1 exactly when g has an edge;
+    on an edgeless graph every set has an empty boundary, the profile
+    holds every size, and one searcher succeeds. None means every i is
+    witnessed, which proves nothing about in(G). A caller that has
+    boundary_profile(g, k) already passes it as profile, and no subset
+    table is built.
     """
+    if k == 1 and not g.m:
+        return None
     if profile is None:
         profile = boundary_profile(g, k, mask_cap=mask_cap)
     # one walk up the sorted profile: below is its largest member under i

@@ -1424,7 +1424,9 @@ def reference_record(g):
 
 # block templates: an edge, cycles, a theta, and blocks with two or three
 # bipaths between "0" and "1" (complex SP trees, which the classifier
-# re-anchors or refutes)
+# re-anchors or refutes); two bipaths closed by the edge 0-1 or by a path
+# 0-x-1, with or without one more strand 0-y-1, re-anchor when the block
+# is pendant at one of their middle vertices
 def _bipaths(count):
     edges = []
     for i in range(count):
@@ -1441,6 +1443,9 @@ BLOCKS = [
     [(s, f"m{i}") for s in "01" for i in range(3)],
     _bipaths(2),
     _bipaths(3),
+    _bipaths(2) + [("0", "1")],
+    _bipaths(2) + [("0", "x"), ("x", "1")],
+    _bipaths(2) + [("0", "1"), ("0", "y"), ("y", "1")],
 ]
 
 
@@ -1477,19 +1482,32 @@ def double_stars():
                                 (z, ends[2]), (z, ends[3])])
 
 
-def test_peel_matches_its_first_form(atlas_2_7_classified, rng):
+def test_peel_matches_its_first_form(atlas_2_7_classified, rng, monkeypatch):
     trees = [random_block_tree(rng) for _ in range(300)]
     refuted_trees = 0
-    classified = atlas_2_7_classified + [
-        (g, classify_topological_3(g)) for g in trees + list(double_stars())
-    ]
+    anchored = []
+    rebuild = gsp_module._rebuild_block
+
+    def spy(*args):
+        got = rebuild(*args)
+        anchored.append(not isinstance(got, ForbiddenWitness))
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gsp_module, "_rebuild_block", spy)
+        classified = atlas_2_7_classified + [
+            (g, classify_topological_3(g)) for g in trees + list(double_stars())
+        ]
     for i, (g, cls) in enumerate(classified):
         got = cls.to_record()
         assert json.dumps(got) == json.dumps(reference_record(g)), sorted(g.edges())
         refuted_trees += i >= len(atlas_2_7_classified) and got["verdict"] == "NO"
     # block trees of series-parallel blocks hold no K_4 subdivision, so
-    # their NO answers come from the peel itself
+    # their NO answers come from the peel itself; some of their complex
+    # blocks re-anchor, so the YES branch of _rebuild_block and _rotate
+    # meet the first form too
     assert refuted_trees > 30
+    assert any(anchored), (len(anchored), refuted_trees)
 
 
 # ---------------------------------------------------------------------------

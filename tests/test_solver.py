@@ -441,6 +441,27 @@ def test_certificate_sound_on_feasible_pairs(rng):
             assert boundary_gap_certificate(g, k) is None, (sorted(g.edges()), k)
 
 
+def test_certificates_are_sound_on_every_graph_of_up_to_five_vertices():
+    """Every graph of 1-5 vertices, disconnected and edgeless ones too: a
+    certificate at k proves the inspection number exceeds k. An edgeless
+    graph has none at k = 1, since one searcher sweeps it; a graph with
+    an edge has one."""
+    checked = 0
+    for ng in nx.graph_atlas_g():
+        if not 1 <= ng.number_of_nodes() <= 5:
+            continue
+        g = from_networkx(ng)
+        value = inspection_number(g).value
+        for k in range(g.n + 1):
+            if boundary_gap_certificate(g, k) is not None:
+                assert value > k, (sorted(g.edges()), g.n, k)
+            checked += 1
+        assert (boundary_gap_certificate(g, 1) is None) == (g.m == 0)
+    assert checked == 2 * 1 + 3 * 2 + 4 * 4 + 5 * 11 + 6 * 34
+    assert boundary_gap_certificate(path_graph(1), 1) is None
+    assert boundary_gap_certificate(Graph.from_edges([], ["a", "b"]), 1) is None
+
+
 # ---------------------------------------------------------------------------
 # the batched round map against the pick-by-pick reference
 
@@ -1351,24 +1372,60 @@ def test_vertex_separation_memory_stays_near_its_table():
     assert peak < 8 << 20, peak
 
 
-def test_pathwidth_matches_reference_on_disconnected(rng, monkeypatch):
-    """pathwidth lays out the components one after another, each asking
-    the DP with its greedy width as the bound; the bags of the reference
-    DP and of the new one must be the same."""
+def test_pathwidth_matches_reference_on_disconnected(rng):
+    """pathwidth lays out the components one after another. Each takes
+    the reference DP's value, and its bags where that value is below the
+    greedy width, the greedy layout's bags where it is not; every bag
+    list is a path decomposition of its stated width."""
     graphs = [random_graph(n, rng) for n in range(2, 19)]
     graphs.append(Graph.from_edges(
         list(cycle_graph(7).edges()) + [("a", "b"), ("b", "c")], vertices=["z"]))
+    graphs.append(LOOSE_BOUND)
     assert sum(len(g.components()) > 1 for g in graphs) > len(graphs) // 2
-    got = [pathwidth(g) for g in graphs]
+    below = 0
+    for g in graphs:
+        width, decomp = pathwidth(g)
+        assert is_path_decomposition(g, decomp.bags), sorted(g.edges())
+        assert max(len(b) for b in decomp.bags) == width + 1
+        want_width = 0
+        want_bags = []
+        comps = g.components()
+        for comp in comps:
+            sub = g if len(comps) == 1 else g.induced(comp)
+            value, layout = reference_vertex_separation(sub)
+            greedy, greedy_layout = _greedy_layout(sub)
+            assert value <= greedy
+            below += value < greedy
+            want_width = max(want_width, value)
+            want_bags += _layout_bags(sub, layout if value < greedy
+                                      else greedy_layout)
+        assert (width, decomp.bags) == (want_width, tuple(want_bags)), (
+            sorted(g.edges()))
+    assert below >= 1
 
-    def reference(g, mask_cap, bound):
-        assert bound == _greedy_layout(g)[0]
-        value, layout = reference_vertex_separation(g)
-        return (value, layout) if value <= bound else None
 
-    monkeypatch.setattr(solver, "_vertex_separation", reference)
-    for g, result in zip(graphs, got):
-        assert result == pathwidth(g), sorted(g.edges())
+def test_pathwidth_decides_below_the_greedy_width(rng, monkeypatch):
+    """pathwidth and mono never run the DP at the greedy width: every
+    component of a random, sparse or disconnected graph asks it one
+    below."""
+    calls = []
+    real = solver._vertex_separation
+
+    def spy(g, mask_cap, bound):
+        calls.append((g, bound))
+        return real(g, mask_cap, bound)
+
+    monkeypatch.setattr(solver, "_vertex_separation", spy)
+    graphs = [random_connected(n, rng) for n in range(2, 13)]
+    graphs += sparse_graphs(rng)[::4] + [LOOSE_BOUND]
+    graphs += [random_graph(n, rng) for n in range(2, 15)]
+    comps = sum(len(g.components()) for g in graphs)
+    for g in graphs:
+        pathwidth(g)
+        monotonic_inspection_number(g)
+    assert len(calls) == 2 * comps
+    for g, bound in calls:
+        assert bound == _greedy_layout(g)[0] - 1, sorted(g.edges())
 
 
 def test_decision_matches_the_full_dp(rng):
