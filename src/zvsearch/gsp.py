@@ -35,10 +35,14 @@ and branch spines, in order from a to b, so synthesis reads the bridge
 it splits at off the tree.
 
 One series-parallel reduction does two jobs: it decides K_4-freeness,
-and replayed, its steps build every SP tree. The classifier reduces
-each block of four or more vertices once, its least edge kept, and
-replays that reduction into the block's tree wherever the peel starts
-the block at its least vertex. The classifier's trees
+and replayed, its steps build the block's unrooted S/P tree, which
+roots every SP tree of the block. The classifier reduces each block of
+four or more vertices once, its least edge kept, replays that
+reduction once, and roots the result wherever a tree of the block is
+asked for: a pendant from its cut, the last block from its least edge,
+a re-anchoring's split and each rooting synth weighs. Whether a rooting
+is simple is read off the S/P tree, so only the trees the classifier
+keeps or takes cores from are rendered. The classifier's trees
 are series spines: it peels pendant blocks off one block-cut forest,
 runs each block in series into its largest limb, counted in vertices,
 and hangs the other limbs on with branch nodes in one pass over the
@@ -606,17 +610,17 @@ def _block_graph(g, blk):
 
 def _reduce_blocks(g, bcf):
     """Each block of 4+ vertices of g, by least vertex (ties in forest
-    order), reduced once with its least edge kept: {block index: its
-    reduction}, or the F1 witness of the first block whose reduction
-    stops short, minimised inside the block's _k4_region. A biconnected
-    block with adjacent kept terminals reduces to their edge exactly
-    when it holds no K_4 subdivision (Duffin 1965); each kept reduction
-    later builds its block's tree."""
+    order), reduced once with its least edge kept: {block index: (its
+    graph, its reduction)}, or the F1 witness of the first block whose
+    reduction stops short, minimised inside the block's _k4_region. A
+    biconnected block with adjacent kept terminals reduces to their edge
+    exactly when it holds no K_4 subdivision (Duffin 1965); each kept
+    reduction later builds its block's S/P tree."""
     kept = {}
     for m, i in sorted((min(b), i) for i, b in enumerate(bcf.blocks) if len(b) >= 4):
         sub = _block_graph(g, bcf.blocks[i])
-        kept[i] = _reduce(sub, (m, min(sub[m])))
-        if len(kept[i][0]) > 2:
+        kept[i] = sub, _reduce(sub, (m, min(sub[m])))
+        if len(kept[i][1][0]) > 2:
             return _extract_k4(_k4_region(sub, m))
     return kept
 
@@ -656,23 +660,20 @@ def _join(run, other, v):
     return run
 
 
-def _sp(g, a, b, reduction=None):
-    """SP tree of (g, a, b) from one series-parallel reduction keeping a
-    and b; None when the reduction stops short of the edge ab or deletes
-    a vertex. A reduction made already can be passed in; g then only
-    tells which pairs are edges, so it may be any graph that holds this
-    one as a block.
+def _sp_tree(g, a, b, reduction=None):
+    """The unrooted S/P tree of a block (see _SPTree) from one
+    series-parallel reduction keeping a and b; None when the reduction
+    stops short of the edge ab or deletes a vertex. A reduction made
+    already can be passed in; g then only tells which pairs are edges,
+    so it may be any graph that holds this one as a block.
 
     Replayed in order, the steps group the routes between two vertices
     by the edge they reduced to: a direct edge of g and series runs,
     each run a deque of stops. Splicing out v joins the routes of its
     two edges into a new run; an edge whose routes are one run continues
-    it, a direct edge alone is a leaf segment, and any other group is a
-    parallel segment between two stops. The a-b group is rendered as the
-    direct edge first, then the runs by least interior vertex, parallel
-    nodes folded left and each run a balanced series. On a biconnected
-    g that is the SP tree with maximal series and parallel nodes; on a
-    chain of blocks from a to b it is the series of its blocks' trees.
+    it, a direct edge alone is a leaf segment, and any other group is
+    closed: a parallel segment between two stops. On a chain of blocks
+    from a to b the a-b group is one run, the series of its blocks.
     """
     left, steps = _reduce(g, (a, b)) if reduction is None else reduction
     if len(left) > 2 or b not in left[a] or any(len(ns) < 2 for _, ns in steps):
@@ -691,39 +692,195 @@ def _sp(g, a, b, reduction=None):
     for v, ns in steps:
         x, y = ns
         runs.setdefault(edge_key(x, y), []).append(_join(take(x, v), take(v, y), v))
+    return _SPTree(g, a, b, runs.pop(edge_key(a, b), []), closed)
 
-    def segments(item):
-        _, x, _, run = item
-        return pairwise(run if run[0] == x else reversed(run))
 
-    def kids(item):
-        if item[0] == "parallel":
-            _, x, y, members = item
-            return [("series", x, y, run) for run in members]
-        return [
-            ("parallel", s, t, closed[edge_key(s, t)])
-            for s, t in segments(item)
-            if edge_key(s, t) in closed
-        ]
+class _SPTree:
+    """The unrooted S/P tree of a block, built once from one replayed
+    reduction (see _sp_tree) and rooted wherever a tree is asked for:
+    the SPQR tree of a K_4-free block, which has no R-nodes (Di Battista
+    and Tamassia 1996).
 
-    def combine(item, values):
-        # values: (tree, least interior vertex) of each kid
-        if item[0] == "parallel":
-            _, x, y, _ = item
-            values.sort(key=lambda tv: tv[1])
-            parts = [leaf(x, y)] if g.has_edge(x, y) else []
-            parts += [t for t, _ in values]
-            return _fold("parallel", parts), values[0][1] if values else None
-        inner = iter(values)
-        parts, lows = [], [low for _, low in values]
-        for s, t in segments(item):
-            parts.append(next(inner)[0] if edge_key(s, t) in closed else leaf(s, t))
-            lows.append(t)
-        lows.pop()
-        return _series(parts), min(lows)
+    Its S-nodes are the runs, each a cycle closed by the P-node it is a
+    member of, whose segments are real edges or P-nodes. Its P-nodes
+    are the closed groups and the kept pair (a, b), each two poles with
+    its member runs, plus the real edge between them if there is one;
+    a kept pair holding its own edge and a single run is no P-node, but
+    that run's cycle. rooted(u, v) renders the tree that a reduction of
+    the block keeping u and v, replayed, would root at (u, v), and
+    simple_from(u, v) reads whether it is simple without rendering it.
+    The kept pair renders straight from the replay; any other root,
+    which needs the kept pair adjacent, as the classifier keeps it,
+    walks out over an index made on first use.
+    """
 
-    root = ("parallel", a, b, runs.pop(edge_key(a, b), []))
-    return _bottom_up(root, kids, combine)[0]
+    def __init__(self, graph, a, b, top, closed):
+        self.graph, self.key, self.top, self.closed = graph, edge_key(a, b), top, closed
+        if len(top) > 1:
+            closed[self.key] = top  # last in, so reversed(closed) is top-down
+        self.runs = self.at = self.good = None
+
+    def _index(self):
+        # The runs, numbered top-down (the order of their groups,
+        # reversed, as children close before their parents); where each
+        # P-node other than the kept pair and each edge of a run sits, as
+        # (run, segment); each run's count of real-edge segments; and
+        # each P-node's member runs.
+        if self.runs is not None:
+            return
+        groups = list(reversed(self.closed.items()))
+        if self.key not in self.closed:
+            groups.insert(0, (self.key, self.top))
+        self.runs, self.at, self.real, self.members = [], {}, [], {}
+        for key, group in groups:
+            self.members[key] = []
+            for run in group:
+                j = len(self.runs)
+                self.members[key].append(j)
+                self.runs.append(run)
+                count = 0
+                for i, (s, t) in enumerate(pairwise(run)):
+                    k = edge_key(s, t)
+                    self.at[k] = (j, i)
+                    count += k not in self.closed
+                self.real.append(count)
+
+    def edges(self):
+        """The block's edges, in sorted order."""
+        self._index()
+        keys = {*self.at, *self.closed, self.key}
+        return sorted(k for k in keys if self.graph.has_edge(*k))
+
+    def rooted(self, u, v):
+        """The SP tree from (u, v), with maximal series and parallel
+        nodes: the kept pair, an edge of the block or a P-node's poles;
+        None for any other pair. The parallel node at a pair puts its
+        direct edge first, then its runs by least interior vertex,
+        folded left; each run is a balanced series."""
+        closed, has_edge = self.closed, self.graph.has_edge
+        key = edge_key(u, v)
+        if key == self.key:
+            root = ("parallel", u, v, self.top)
+        else:
+            self._index()
+            if key not in self.at:
+                return None
+            root = ("parallel", u, v, closed.get(key, ()), None, self.at[key])
+        # An item (op, x, y, runs) is a node as the replay built it: a
+        # P-node's member runs, or one run. Walking out from another
+        # root, a parallel item adds skip, its member run toward the
+        # root, and where, the (run, segment) it sits at when that run
+        # lies away from the root. That run's cycle is then a series item
+        # whose last part, (up, run), names the P-node closing it.
+
+        def around(where, x, y):
+            # the cycle of run j less its segment i, from x to y
+            j, i = where
+            run = list(self.runs[j])
+            if run[i] == x:
+                stops = run[i::-1] + run[:i:-1]
+            else:
+                stops = run[i + 1:] + run[:i + 1]
+            return ("series", x, y, stops, (edge_key(run[0], run[-1]), self.runs[j]))
+
+        def segments(x, run):
+            return pairwise(run if run[0] == x else reversed(run))
+
+        def kids(item):
+            if len(item) == 4:
+                op, x, y, members = item
+                if op == "parallel":
+                    return [("series", x, y, run) for run in members]
+                return [
+                    ("parallel", s, t, closed[k])
+                    for s, t in segments(x, members) if (k := edge_key(s, t)) in closed
+                ]
+            if item[0] == "parallel":
+                _, x, y, members, skip, where = item
+                out = [("series", x, y, run) for run in members if run is not skip]
+                if where is not None:
+                    out.append(around(where, x, y))
+                return out
+            _, x, _, stops, (up, run) = item
+            return [
+                ("parallel", s, t, closed[k], run, self.at.get(k))
+                if k == up else ("parallel", s, t, closed[k])
+                for s, t in segments(x, stops) if (k := edge_key(s, t)) in closed
+            ]
+
+        def combine(item, values):
+            # values: (tree, least interior vertex) of each kid
+            op, x, y, run = item[:4]
+            if op == "parallel":
+                values.sort(key=lambda tv: tv[1])
+                parts = [leaf(x, y)] if has_edge(x, y) else []
+                parts += [t for t, _ in values]
+                return _fold("parallel", parts), values[0][1] if values else None
+            inner = iter(values)
+            parts, lows = [], [low for _, low in values]
+            for s, t in segments(x, run):
+                parts.append(next(inner)[0] if edge_key(s, t) in closed else leaf(s, t))
+                lows.append(t)
+            lows.pop()
+            return _series(parts), min(lows)
+
+        return _bottom_up(root, kids, combine)[0]
+
+    def simple_from(self, u, v):
+        """Whether rooted(u, v) is simple, without rendering it.
+
+        A run is bridged exactly when it has a real-edge segment, a
+        parallel node counts its children's complexity and a series node
+        counts at most 1, so the tree is simple exactly when every P-node
+        has at most one non-bridged member run, not counting the one
+        toward the root. A P-node with nb >= 3 non-bridged neighbours in
+        the tree is complex from every root; one with nb = 2 is simple
+        from a root that lies beyond one of those two and from no other.
+        One top-down pass counts, for every node, the P-nodes that a root
+        there leaves complex."""
+        self._index()
+        if self.good is None:
+            self._rate()
+        key = edge_key(u, v)
+        if key in self.closed:
+            return self.good[key]
+        return self.good[self.at[key][0] if key in self.at else 0]
+
+    def _rate(self):
+        # good[j] for run j and good[key] for a P-node: whether a root
+        # there leaves every P-node simple
+        real, at, members = list(self.real), self.at, self.members
+        if self.key not in self.closed and self.top and self.graph.has_edge(*self.key):
+            real[0] += 1  # the single run's cycle closes with the kept edge
+        nb = {
+            k: sum(real[j] == 0 for j in js) + (k in at and real[at[k][0]] == 0)
+            for k, js in members.items() if k in self.closed
+        }
+        # a P-node of nb = 2 whose run toward the kept pair is bridged
+        # leaves complex every root outside its subtree
+        out = {k: c == 2 and k in at and real[at[k][0]] > 0 for k, c in nb.items()}
+        everywhere = sum(c >= 3 for c in nb.values()) + sum(out.values())
+        good, above = {}, [0] * len(self.runs)
+        for k, js in members.items():  # top-down
+            if k not in nb:  # the kept pair's single cycle, the root
+                good[0] = everywhere == 0
+                continue
+            count = (above[at[k][0]] if k in at else 0) - out[k]
+            good[k] = (nb[k] == 2) + count + everywhere == 0
+            for j in js:
+                above[j] = count + (nb[k] == 2 and real[j] > 0)
+                good[j] = above[j] + everywhere == 0
+        self.good = good
+
+
+def _sp(g, a, b):
+    """SP tree of (g, a, b) from one series-parallel reduction keeping a
+    and b: _sp_tree(g, a, b) rooted at (a, b), or None where that is
+    None. On a biconnected g that is the SP tree with maximal series and
+    parallel nodes (see _SPTree.rooted); on a chain of blocks from a to
+    b it is the series of its blocks' trees."""
+    sp = _sp_tree(g, a, b)
+    return None if sp is None else sp.rooted(a, b)
 
 
 def _components(g, bcf):
@@ -779,8 +936,9 @@ class _Leaves:
     block. That orders them as a fresh forest of the remaining graph
     sorted by least vertex would: leaf blocks with the same m both hang
     from m, and a forest lists them in the order its DFS leaves m. kept
-    maps blocks to reductions keeping their key, as _reduce_blocks
-    makes them.
+    maps blocks to their graphs and reductions keeping their key, as
+    _reduce_blocks makes them, and each block's S/P tree is built once,
+    on first use (see sp).
     """
 
     def __init__(self, g, bcf, kept):
@@ -792,6 +950,7 @@ class _Leaves:
             for v in cuts:
                 self.holders[v].add(i)
         self.alive = set(range(len(self.blocks)))
+        self.sps, self.rootings = {}, {}
         self.heap = []
         for i in self.alive:
             self.push(i)
@@ -820,19 +979,75 @@ class _Leaves:
             return g
         return g.induced(set().union(*(self.blocks[i] for i in self.alive)))
 
+    def sp(self, g, i, pair):
+        """Block i's S/P tree, for a block of 3+ vertices, built once:
+        from its kept reduction, or else from a reduction of the block
+        keeping pair, the first pair it is rooted at. A triangle's
+        neighbour sets are read off the block, without a copy of g."""
+        if i not in self.sps:
+            blk = self.blocks[i]
+            if i in self.kept:
+                sub, reduction = self.kept[i]
+                pair = self.keys[i]
+            elif len(blk) == 3:
+                sub, reduction = g, _reduce({v: blk - {v} for v in blk}, pair)
+            else:
+                sub, reduction = _block_graph(g, blk), None
+            self.sps[i] = _sp_tree(sub, *pair, reduction)
+        return self.sps[i]
+
     def tree(self, g, i, cut):
-        """SP tree of block i from cut to cut's least neighbour in it. A
-        bridge, the commonest block, is a leaf, and a block with a kept
-        reduction from cut replays it, both without a subgraph; any
-        other block is reduced afresh."""
-        blk = self.blocks[i]
-        if len(blk) == 2:
-            (other,) = blk - {cut}
-            return leaf(cut, other)
-        if i in self.kept and cut == self.keys[i][0]:
-            return _sp(g, *self.keys[i], self.kept[i])
-        sub = _block_graph(g, blk)
-        return _sp(sub, cut, min(sub[cut]))
+        """Block i rooted from cut to cut's least neighbour in it, made
+        once per pair: a bridge, the commonest block, is a leaf (a
+        _Bridge), and any other block is rooted in its S/P tree when the
+        tree is asked for (a _Rooting)."""
+        got = self.rootings.get((i, cut))
+        if got is None:
+            blk = self.blocks[i]
+            if len(blk) == 2:
+                (other,) = blk - {cut}
+                got = _Bridge(leaf(cut, other))
+            else:
+                m, other = self.keys[i]
+                if cut != m:
+                    other = min(g.neighbors(cut) & blk)
+                got = _Rooting(self.sp(g, i, (cut, other)), cut, other)
+            self.rootings[i, cut] = got
+        return got
+
+
+class _Rooting:
+    """A block's SP tree from the terminal pair (a, b), in the block's S/P
+    tree sp, rendered on first use: simple is read off sp, so a tree
+    that is thrown away is never built."""
+
+    __slots__ = ("sp", "a", "b", "_tree")
+
+    def __init__(self, sp, a, b):
+        self.sp, self.a, self.b, self._tree = sp, a, b, None
+
+    @property
+    def simple(self):
+        return self.sp.simple_from(self.a, self.b)
+
+    @property
+    def tree(self):
+        if self._tree is None:
+            self._tree = self.sp.rooted(self.a, self.b)
+            if self._tree is None:
+                raise AssertionError("the series-parallel engine found no tree of a K_4-free block")
+        return self._tree
+
+
+class _Bridge:
+    """A bridge's rooting, as a _Rooting has it: the leaf, rendered at
+    once, and no S/P tree."""
+
+    __slots__ = ("tree",)
+    simple, sp = True, None
+
+    def __init__(self, tree):
+        self.tree = tree
 
 
 def _gsp(g, bcf, a, b):
@@ -853,10 +1068,7 @@ def _gsp(g, bcf, a, b):
         blk = leaves.blocks[i]
         if {a, b} & (blk - {cut}):
             continue
-        tree = leaves.tree(g, i, cut)
-        if tree is None:
-            return None
-        peeled.append((blk, cut, tree))
+        peeled.append((blk, cut, leaves.tree(g, i, cut).tree))
         leaves.peel(i, cut)
     out = _sp(leaves.rest(g), a, b)
     return None if out is None else _assemble(peeled, out, ())
@@ -1066,32 +1278,37 @@ def _witness_pair(g, n0, n1):
 # re-anchoring a complex block tree (or refuting it)
 
 
-def _rebuild_block(g, tree, target):
-    """Turn a complex SP tree of a biconnected graph into a simple one
-    with `target` as first terminal, or extract a forbidden pattern.
+def _rebuild_block(sp, tree, target):
+    """Turn a complex SP tree of a block, whose S/P tree is sp, into a
+    simple one with `target` as first terminal, or extract a forbidden
+    pattern.
 
     target must be a terminal of the tree's unique minimal complex node
-    (M, s, t). Decomposing g afresh over (s, t) splits it into parallel
-    pieces that lie entirely inside or outside M; a non-bridged outside
-    piece hands a third bipath to M's two and refutes the graph, and
-    bridged outside pieces fold together with M's children into two
-    simple trees that the rotation re-anchors at the target.
+    (M, s, t), a P-node of sp. Rooted at (s, t), sp splits the block
+    into parallel pieces that lie entirely inside or outside M; a
+    non-bridged outside piece hands a third bipath to M's two and
+    refutes the graph, and bridged outside pieces fold together with
+    M's children into two simple trees that the rotation re-anchors at
+    the target. Its checks raise AssertionError, also under python -O.
     """
     hits = _minimal_complex_nodes(tree)
     if len(hits) >= 2:
-        return _witness_pair(g, hits[0], hits[1])
+        return _witness_pair(sp.graph, hits[0], hits[1])
     m = hits[0]
-    assert m.op == "parallel" and target in m.terminals
+    if m.op != "parallel" or target not in m.terminals:
+        raise AssertionError("the target is not a terminal of the complex core")
     s, t = m.terminals
-    fresh = _sp(g, s, t)
-    assert fresh is not None
+    fresh = sp.rooted(s, t)
+    if fresh is None:
+        raise AssertionError("the split at the complex core's terminals is missing")
     m_edges = _leaf_edges(m)
     outside = []
     for piece in _flatten(fresh, ("parallel",)):
         piece_edges = _leaf_edges(piece)
         if piece_edges <= m_edges:
             continue
-        assert not piece_edges & m_edges, "piece straddles the complex core"
+        if piece_edges & m_edges:
+            raise AssertionError("the split has a piece that straddles the complex core")
         if piece.complexity >= 1:
             return _witness_f2(
                 [_extract(m.children[0])[0], _extract(m.children[1])[0],
@@ -1099,7 +1316,7 @@ def _rebuild_block(g, tree, target):
             )
         inner = _minimal_complex_nodes(piece)
         if inner:
-            return _witness_pair(g, m, inner[0])
+            return _witness_pair(sp.graph, m, inner[0])
         outside.append(piece)
     left = _fold("parallel", outside + [m.children[0]])
     right = m.children[1]
@@ -1107,7 +1324,8 @@ def _rebuild_block(g, tree, target):
         out = _rotate(left, right)
     else:
         out = _rotate(_invert(left), _invert(right))
-    assert out.a == target and out.simple
+    if out.a != target or not out.simple:
+        raise AssertionError("the re-anchored tree is not simple from the target")
     return out
 
 
@@ -1117,22 +1335,23 @@ def _rebuild_block(g, tree, target):
 
 def _pendant(g, built):
     """Which of the first two pendant blocks to peel, given as (block,
-    cut, SP tree of the block from the cut): (its position, a simple
+    cut, _Rooting of the block from the cut): (its position, a simple
     tree of the block with the cut as first terminal), or the pattern
-    refuting g."""
-    for i, (_, _, tree) in enumerate(built):
-        if tree.simple:
-            return i, tree
-    cores = [_minimal_complex_nodes(tree) for _, _, tree in built]
+    refuting g. A tree is rendered only when its block is peeled as it
+    is or its complex cores are needed."""
+    for i, (_, _, rooting) in enumerate(built):
+        if rooting.simple:
+            return i, rooting.tree
+    cores = [_minimal_complex_nodes(rooting.tree) for _, _, rooting in built]
     for hits in cores:
         if len(hits) >= 2:
             return _witness_pair(g, hits[0], hits[1])
-    for i, ((blk, cut, tree), (m,)) in enumerate(zip(built, cores)):
+    for i, ((_, cut, rooting), (m,)) in enumerate(zip(built, cores)):
         # the cut is a root terminal of the block tree, and root
         # terminals stay terminals all the way down, so the cut touches
         # the complex core exactly when it is one of the core's terminals
         if cut in m.terminals:
-            redone = _rebuild_block(g.induced(blk), tree, cut)
+            redone = _rebuild_block(rooting.sp, rooting.tree, cut)
             if isinstance(redone, ForbiddenWitness):
                 return redone
             return i, redone
@@ -1143,28 +1362,22 @@ def _peel(g, bcf, kept):
     """Peel pendant blocks off g, whose forest is bcf, to its last block.
 
     Returns the peeled blocks in order, as (block, cut, simple tree of
-    the block with the cut as first terminal), and a simple tree of the
-    last block from its least edge; or the pattern refuting g. Each
-    round takes the first two leaf blocks and peels the one _pendant
-    picks. Every block is K_4-free, and kept holds the reductions of
-    _reduce_blocks, which build the trees of the blocks the peel starts
-    at their least vertex: the last block, and every pendant hanging
-    from its least vertex. No tree is built twice from one pair.
+    the block with the cut as first terminal), a simple tree of the
+    last block from its least edge, and the last block's S/P tree (None
+    when it is a bridge); or the pattern refuting g. Each round takes
+    the first two leaf blocks and peels the one _pendant picks. Every
+    block is K_4-free, and kept holds the reductions of _reduce_blocks.
+    Each block of 3+ vertices has one S/P tree, built from its kept
+    reduction (or, for a triangle, from its one reduction), and every
+    tree of it is rooted there: a pendant's from its cut, the last
+    block's from its least edge, and the re-anchoring's split. No tree
+    is rendered twice from one pair.
     """
     leaves = _Leaves(g, bcf, kept)
-    trees = {}
-
-    def tree(i, cut):
-        if (i, cut) not in trees:
-            trees[i, cut] = leaves.tree(g, i, cut)
-        if trees[i, cut] is None:
-            raise AssertionError("the series-parallel engine found no tree of a K_4-free block")
-        return trees[i, cut]
-
     peeled = []
     while len(leaves.alive) > 1:
         pair = [leaves.pop() for _ in range(2)]
-        built = [(leaves.blocks[i], cut, tree(i, cut)) for i, cut in pair]
+        built = [(leaves.blocks[i], cut, leaves.tree(g, i, cut)) for i, cut in pair]
         got = _pendant(g, built)
         if isinstance(got, ForbiddenWitness):
             return got
@@ -1174,13 +1387,13 @@ def _peel(g, bcf, kept):
         peeled.append((leaves.blocks[i], cut, pendant))
         leaves.peel(i, cut)
     (i,) = leaves.alive
-    root = tree(i, leaves.keys[i][0])
+    first = leaves.tree(g, i, leaves.keys[i][0])
+    root, last = first.tree, first.sp
     if not root.simple:
-        last = _block_graph(g, leaves.blocks[i])
         root = _rebuild_block(last, root, _minimal_complex_nodes(root)[0].a)
         if isinstance(root, ForbiddenWitness):
             return root
-    return peeled, root
+    return peeled, root, last
 
 
 def _assemble(peeled, root, ends=None):
@@ -1226,16 +1439,15 @@ def _assemble(peeled, root, ends=None):
     return _series(head + [tree] + heavy.get(root.b, [])[::-1])
 
 
-def _rootings(peeled, root):
+def _rootings(peeled, last):
     """The classifier's assembly of the peeled blocks onto the last block,
-    given as the peel has them (Classification.peel), with the block's
-    tree taken from each of its edges in turn, in sorted order, wherever
-    that tree is simple."""
-    block = root.graph
-    for u, v in block.edges():
-        tree = _sp(block, u, v)
-        if tree.simple:
-            yield _assemble(peeled, tree)
+    given as the peel has them (Classification.peel), of 3+ vertices: its
+    S/P tree, last, rooted at each of its edges in turn, in sorted order,
+    wherever that tree is simple. A rooting that is not simple is
+    skipped without being rendered."""
+    for u, v in last.edges():
+        if last.simple_from(u, v):
+            yield _assemble(peeled, last.rooted(u, v))
 
 
 def build_simple_gsp(g):
@@ -1245,9 +1457,9 @@ def build_simple_gsp(g):
     Each block of four or more vertices is first reduced once, its least
     edge kept; a reduction that stops short finds a K_4 subdivision, and
     only then is the F1 witness extracted. The other reductions build
-    the trees of their blocks wherever the peel starts a block at its
-    least vertex. Pendant blocks are peeled off and
-    decomposed from their cut vertex; a complex pendant tree either
+    their blocks' S/P trees, one per block, in which every tree of the
+    block is rooted. Pendant blocks are peeled off and
+    rooted at their cut vertex; a complex pendant tree either
     re-anchors at its cut (when the cut touches the complex core) or
     certifies a pattern. At most two pendant blocks ever need attention:
     two complex ones already refute the graph. The tree is then
@@ -1268,8 +1480,9 @@ def build_simple_gsp(g):
 @dataclass(frozen=True)
 class Classification:
     """YES with a simple tree and the peel it was assembled from (as
-    _peel returns it, for synth to re-root from; not in the record), or
-    NO with a pattern witness."""
+    _peel returns it: the peeled blocks, the last block's tree and its
+    S/P tree, for synth to re-root from; not in the record), or NO with
+    a pattern witness."""
 
     verdict: str
     tree: object = None
@@ -1301,7 +1514,8 @@ def classify_topological_3(g):
         if not embedded(_checked(out), g):
             raise AssertionError(f"the witness is not an {out.family} pattern of the graph")
         return Classification("NO", witness=out)
-    tree = _assemble(*out)
+    peeled, root, _ = out
+    tree = _assemble(peeled, root)
     try:
         ok = recompose(tree) == g and tree.simple
     except InputError:

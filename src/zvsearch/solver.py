@@ -562,7 +562,9 @@ def inspection_number(
     cap, its largest bag size. A greedy layout's comes first, of width w.
     From an empty clean set, a boundary-gap certificate at k = w alone
     proves the answer exceeds w, so it is w+1: the answer is at most
-    pathwidth+1, and w is then the pathwidth. Otherwise, when the graph
+    pathwidth+1, and w is then the pathwidth. So is it when the
+    certificate's sweep ran and its least boundaries reach w: every
+    layout has a prefix of boundary w or more. Otherwise, when the graph
     has at most mask_cap vertices, few enough for the DP, the DP decides
     whether the pathwidth is below w (see _optimal_layout): if so its
     layout caps the answer, and if not the greedy one is optimal, so cap
@@ -608,11 +610,13 @@ def inspection_number(
                            "clean-set closure per component")
 
     greedy, layout = _greedy_layout(g)
-    certify = None if clean_start or not greedy else _certifier(
+    certify, least = (None, None) if clean_start or not greedy else _certifier(
         g, greedy, mask_cap)
     cert = certify(greedy) if certify is not None else None
     width, exact = greedy, g.n <= mask_cap
-    if cert is not None:
+    if cert is not None or least is not None and max(least) >= greedy:
+        # the greedy width is the pathwidth: certified, or every layout
+        # has a prefix whose boundary reaches it (see _certifier)
         exact = exact and _table_fits(g.n)
     elif exact:
         try:
@@ -663,8 +667,10 @@ def inspection_number(
 
 
 def _certifier(g, top, mask_cap):
-    """A function that gives the boundary-gap certificate of a connected
-    graph at a width k, 1 <= k <= top, or None.
+    """(certify, least): certify gives the boundary-gap certificate of a
+    connected graph at a width k, 1 <= k <= top, or None, and least is
+    the sweep's least boundaries (see _least_boundaries), or None where
+    no sweep ran.
 
     Where boundary_profile(g, top) would sweep the subset masks, the one
     sweep's least boundaries give the profile at every width; a sweep
@@ -672,7 +678,9 @@ def _certifier(g, top, mask_cap):
     takes the separators, and one that their step budget refuses has no
     certificate. Either way k = 1 has one: the sets of a connected graph
     with no boundary are the empty set and the whole graph, so the
-    profile at k = 1 is {0, n}, with a gap at i = 1."""
+    profile at k = 1 is {0, n}, with a gap at i = 1. The first s
+    vertices of any layout form a set with boundary least[s] or more, so
+    max(least) bounds the vertex separation number from below."""
     least = None
     swept = _takes_tables(g, top, mask_cap)
     if swept:
@@ -694,7 +702,7 @@ def _certifier(g, top, mask_cap):
         except ResourceLimitError:
             return None
 
-    return certify
+    return certify, least
 
 
 def _largest_certificate(g, top, mask_cap, certify=None):
@@ -707,7 +715,7 @@ def _largest_certificate(g, top, mask_cap, certify=None):
     if top < 1:
         return None
     if certify is None:
-        certify = _certifier(g, top, mask_cap)
+        certify, _ = _certifier(g, top, mask_cap)
     for k in range(top, 1, -1):
         cert = certify(k)
         if cert is not None:

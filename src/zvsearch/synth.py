@@ -804,9 +804,11 @@ def _rooted(g, cls, floors):
     and unchecked floors.
 
     The other candidates are the classifier's assembly with the block
-    its peel leaves last, if that block has 4+ vertices, decomposed from
-    each of its edges (gsp._rootings), each read from either end. They
-    are assembled from the peel cls keeps, so g is peeled once. The
+    its peel leaves last, if that block has 4+ vertices, rooted at each
+    of its edges where that is simple (gsp._rootings), each read from
+    either end. They are assembled from the peel cls keeps, whose S/P
+    tree of the last block roots them all, so g is peeled and its
+    blocks reduced once. The
     walker synthesize builds with plans each one (_plan), the other end
     with flip, so a plan is the size of what synthesize would build; a
     candidate chosen from its other end is inverted once, here. The
@@ -833,12 +835,12 @@ def _rooted(g, cls, floors):
     # a block of 4+ vertices has 4+ edges, so with 8 |E(g)| past the
     # limit the rule fails before the last block's size is read
     if m > g.n and 8 * m <= limit:
-        peeled, root = cls.peel
+        peeled, root, last = cls.peel
         if root.n >= 4 and 2 * root.m * m <= limit:
             # a plan stops once it passes the best host so far or the
             # classifier's length: then it cannot win
             steps_cap = _HOST_CAP if first is None else first[1]
-            for t in _rootings(peeled, root):
+            for t in _rootings(peeled, last):
                 for flip in (False, True):
                     room = (_HOST_CAP if best is None else best[0]) - g.n
                     got = sized(_plan(t, floors, room, steps_cap, flip))

@@ -35,19 +35,30 @@ def connected_atlas(lo, hi):
     return out
 
 
-def bench_corpus(workload, seeds):
-    """The graphs of one benchmark workload (bench/corpus.py) for each
-    seed."""
+def _bench_items(workload, seed):
+    # the graph items of one workload's corpus (bench/corpus.py)
     path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("bench_corpus", path)
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
-    graphs = []
-    for seed in seeds:
-        for item in corpus.build(workload, seed)[0]:
-            graphs.append(generate(item["spec"]) if "spec" in item
-                          else Graph.from_edges(item["edges"]))
-    return graphs
+    return corpus.build(workload, seed)[0]
+
+
+def _bench_graph(item):
+    return generate(item["spec"]) if "spec" in item else Graph.from_edges(item["edges"])
+
+
+def bench_corpus(workload, seeds):
+    """The graphs of one benchmark workload (bench/corpus.py) for each
+    seed."""
+    return [_bench_graph(item) for seed in seeds for item in _bench_items(workload, seed)]
+
+
+def bench_graph(workload, seed, name):
+    """The graph of one benchmark workload's corpus for seed that is
+    named name."""
+    (item,) = [item for item in _bench_items(workload, seed) if item["name"] == name]
+    return _bench_graph(item)
 
 
 def check_counts(tree):

@@ -30,6 +30,7 @@ from zvsearch.graphs import (
     block_cut_forest,
     complete_graph,
     cycle_graph,
+    edge_key,
     family_f2,
     family_f3,
     generate,
@@ -63,6 +64,7 @@ from zvsearch.gsp import (
 
 from conftest import (
     bench_corpus,
+    bench_graph,
     check_counts,
     from_networkx,
     is_bridged,
@@ -910,6 +912,101 @@ def reference_sp_chain(h, a, b):
     return gsp_module._series(parts)
 
 
+def replay_sp(g, a, b):
+    """gsp._sp as it was before the S/P tree: one series-parallel
+    reduction keeping a and b, replayed straight into the tree rooted at
+    (a, b), so every pair asked for costs a reduction and a replay. The
+    a-b group is rendered as the direct edge first, then the runs by
+    least interior vertex, parallel nodes folded left and each run a
+    balanced series."""
+    left, steps = gsp_module._reduce(g, (a, b))
+    if len(left) > 2 or b not in left[a] or any(len(ns) < 2 for _, ns in steps):
+        return None
+    runs, closed = {}, {}  # edge key -> the runs reduced to that edge
+
+    def take(x, v):
+        key = edge_key(x, v)
+        got = runs.pop(key, [])
+        if len(got) == 1 and not g.has_edge(x, v):
+            return got[0]
+        if got:
+            closed[key] = got
+        return deque((x, v))
+
+    for v, ns in steps:
+        x, y = ns
+        runs.setdefault(edge_key(x, y), []).append(gsp_module._join(take(x, v), take(v, y), v))
+
+    def segments(item):
+        _, x, _, run = item
+        return itertools.pairwise(run if run[0] == x else reversed(run))
+
+    def kids(item):
+        if item[0] == "parallel":
+            _, x, y, members = item
+            return [("series", x, y, run) for run in members]
+        return [
+            ("parallel", s, t, closed[edge_key(s, t)])
+            for s, t in segments(item)
+            if edge_key(s, t) in closed
+        ]
+
+    def combine(item, values):
+        if item[0] == "parallel":
+            _, x, y, _ = item
+            values.sort(key=lambda tv: tv[1])
+            parts = [leaf(x, y)] if g.has_edge(x, y) else []
+            parts += [t for t, _ in values]
+            return gsp_module._fold("parallel", parts), values[0][1] if values else None
+        inner = iter(values)
+        parts, lows = [], [low for _, low in values]
+        for s, t in segments(item):
+            parts.append(next(inner)[0] if edge_key(s, t) in closed else leaf(s, t))
+            lows.append(t)
+        lows.pop()
+        return gsp_module._series(parts), min(lows)
+
+    root = ("parallel", a, b, runs.pop(edge_key(a, b), []))
+    return gsp_module._bottom_up(root, kids, combine)[0]
+
+
+def reference_rebuild_block(g, tree, target):
+    """gsp._rebuild_block as it was before the S/P tree: the split at the
+    complex core's terminals is a fresh replay_sp of the block g."""
+    hits = gsp_module._minimal_complex_nodes(tree)
+    if len(hits) >= 2:
+        return gsp_module._witness_pair(g, hits[0], hits[1])
+    m = hits[0]
+    assert m.op == "parallel" and target in m.terminals
+    s, t = m.terminals
+    fresh = replay_sp(g, s, t)
+    assert fresh is not None
+    m_edges = _leaf_edges(m)
+    outside = []
+    for piece in gsp_module._flatten(fresh, ("parallel",)):
+        piece_edges = _leaf_edges(piece)
+        if piece_edges <= m_edges:
+            continue
+        assert not piece_edges & m_edges, "piece straddles the complex core"
+        if piece.complexity >= 1:
+            return _witness_f2(
+                [_extract(m.children[0])[0], _extract(m.children[1])[0],
+                 _extract(piece)[0]]
+            )
+        inner = gsp_module._minimal_complex_nodes(piece)
+        if inner:
+            return gsp_module._witness_pair(g, m, inner[0])
+        outside.append(piece)
+    left = gsp_module._fold("parallel", outside + [m.children[0]])
+    right = m.children[1]
+    if target == s:
+        out = _rotate(left, right)
+    else:
+        out = _rotate(gsp_module._invert(left), gsp_module._invert(right))
+    assert out.a == target and out.simple
+    return out
+
+
 def reference_extract(tree):
     """Where bipath extraction as first written runs: for each bipath, in
     order, its stops, the terminals and cut vertices on the block path
@@ -1066,6 +1163,51 @@ def test_sp_refuses_what_it_cannot_reduce():
     pendant = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
     assert _sp(pendant, "a", "b") is None
     assert _sp(Graph.from_edges([("a", "b"), ("c", "d")]), "a", "b") is None
+
+
+def sp_blocks(graphs):
+    """The K_4-free blocks of 3+ vertices of graphs, each edge set once."""
+    out = {}
+    for g in graphs:
+        for blk in block_cut_forest(g).blocks:
+            sub = g.induced(blk)
+            if len(blk) >= 3 and _sp_reducible(sub):
+                out.setdefault(sub.edges(), sub)
+    return list(out.values())
+
+
+def test_rooted_matches_sp(atlas_2_7, rng):
+    """One S/P tree per block, built from its least edge as the
+    classifier keeps it, renders from both ends of an edge (or of a
+    P-node's poles) the tree a fresh reduction replayed there builds,
+    and reads its simplicity without rendering it: at every edge of a
+    block of up to 40 edges, and for time at 12 edges drawn from a
+    larger one (the classify corpus's blocks have up to 200)."""
+    graphs = list(atlas_2_7)
+    graphs += bench_corpus("classify", (0, 1, 2)) + bench_corpus("synth", (0, 1, 2))
+    graphs += [random_biconnected(rng) for _ in range(300)]
+    graphs += [random_block_tree(rng) for _ in range(100)]
+    graphs += [reanchor_graph(rng) for _ in range(100)]
+    rootings = complex_rootings = mixed = 0
+    for sub in sp_blocks(graphs):
+        m = min(sub.vertices)
+        sp = gsp_module._sp_tree(sub, m, min(sub[m]))
+        assert sp.edges() == list(sub.edges())
+        edges = list(sub.edges()) if sub.m <= 40 else rng.sample(sub.edges(), 12)
+        pairs = edges + [k for k in sp.closed if not sub.has_edge(*k)]
+        verdicts = set()
+        for uv in pairs:
+            for u, v in (uv, uv[::-1]):
+                want = replay_sp(sub, u, v)
+                where = (sorted(sub.edges()), u, v)
+                assert record(sp.rooted(u, v)) == record(want), where
+                assert sp.simple_from(u, v) == want.simple, where
+                verdicts.add(want.simple)
+                rootings += 1
+                complex_rootings += not want.simple
+        mixed += len(verdicts) == 2
+    assert rootings > 20000 and complex_rootings > 5000 and mixed > 100, (
+        rootings, complex_rootings, mixed)
 
 
 def test_classifying_a_ladder_builds_one_forest(monkeypatch):
@@ -1265,18 +1407,46 @@ COPY_CASES = {
         # least vertex, so their tests' reductions build their trees
         ("twin 6-cycles", 2, 2),
         # every petal starts at the hub; with the hub last, a pendant is
-        # reduced afresh from it, and the last petal replays its test
+        # rooted at the hub in the S/P tree its test's reduction builds
         ("flower hub a", 60, 60),
-        ("flower hub z", 120, 120),
+        ("flower hub z", 60, 60),
+        # the main block's tree from its cut, its tree from its least
+        # edge and the re-anchoring's split at the core's terminals are
+        # rooted in one S/P tree; each was a copy and a reduction of its own
+        ("f2s13-n130", 1, 1),
+        ("f3s14-n169", 1, 1),
     ],
 )
 def test_classify_copies_and_reduces_once(monkeypatch, spec, induced, reductions):
-    g = COPY_CASES[spec] if spec in COPY_CASES else generate(spec)
+    if spec in COPY_CASES:
+        g = COPY_CASES[spec]
+    elif spec.endswith("-n130") or spec.endswith("-n169"):
+        g = bench_graph("classify", 0, spec)
+    else:
+        g = generate(spec)
     calls = count_copies(monkeypatch)
     c = classify_topological_3(g)
-    assert (c.verdict == "NO") == (spec == "grid:3,20")
+    assert (c.verdict == "NO") == (spec in ("grid:3,20", "f2s13-n130", "f3s14-n169"))
     assert c.verdict == "NO" or c.tree.graph == g
     assert calls == {"induced": induced, "reduce": reductions}
+
+
+def test_classify_reduces_and_copies_each_block_once(monkeypatch):
+    """On every graph of the bench classify corpus (seeds 0-2) that holds
+    no K_4 subdivision, each block of 3+ vertices is reduced at most
+    once and only a block of 4+ vertices is copied, at most once."""
+    checked = 0
+    for g in bench_corpus("classify", (0, 1, 2)):
+        if has_k4_subdivision(g) is not None:
+            continue
+        blocks = block_cut_forest(g).blocks
+        with monkeypatch.context() as patch:
+            calls = count_copies(patch)
+            classify_topological_3(g)
+        assert calls["reduce"] <= sum(len(b) >= 3 for b in blocks), sorted(g.edges())
+        assert calls["induced"] <= sum(len(b) >= 4 for b in blocks), sorted(g.edges())
+        checked += 1
+    assert checked > 150
 
 
 def count_touched(monkeypatch):
@@ -1359,18 +1529,39 @@ def test_a_large_k4_block_is_minimised_in_a_small_region(monkeypatch):
 # the peel loop against its first form
 
 
+def reference_pendant_trees(g, built):
+    """gsp._pendant as it was before the S/P tree: built holds rendered
+    trees, and a complex one re-anchors by reference_rebuild_block."""
+    for i, (_, _, tree) in enumerate(built):
+        if tree.simple:
+            return i, tree
+    cores = [gsp_module._minimal_complex_nodes(tree) for _, _, tree in built]
+    for hits in cores:
+        if len(hits) >= 2:
+            return gsp_module._witness_pair(g, hits[0], hits[1])
+    for i, ((blk, cut, tree), (m,)) in enumerate(zip(built, cores)):
+        if cut in m.terminals:
+            redone = reference_rebuild_block(g.induced(blk), tree, cut)
+            if isinstance(redone, ForbiddenWitness):
+                return redone
+            return i, redone
+    return gsp_module._witness_pair(g, cores[0][0], cores[1][0])
+
+
 def reference_peel(g):
     """The classifier's peel loop as first written: a fresh block-cut
     forest and a copy of the remaining graph for every peel, its leaf
-    blocks sorted by least vertex. Returns what gsp._peel returns."""
+    blocks sorted by least vertex, and a fresh replay_sp for every tree.
+    Returns the peeled blocks and the last block's tree, as the first
+    two parts of what gsp._peel returns."""
     peeled = []
     bcf = block_cut_forest(g)
     while len(bcf.blocks) > 1:
         built = []
         for blk, cut in sorted(leaf_blocks(bcf), key=lambda bc: min(bc[0]))[:2]:
             sub = g.induced(blk)
-            built.append((blk, cut, _sp(sub, cut, min(sub.sorted_neighbors(cut)))))
-        got = gsp_module._pendant(g, built)
+            built.append((blk, cut, replay_sp(sub, cut, min(sub.sorted_neighbors(cut)))))
+        got = reference_pendant_trees(g, built)
         if isinstance(got, ForbiddenWitness):
             return got
         i, tree = got
@@ -1378,9 +1569,9 @@ def reference_peel(g):
         peeled.append((blk, cut, tree))
         g = g.without_vertices(set(blk) - {cut})
         bcf = block_cut_forest(g)
-    root = _sp(g, *g.edges()[0])
+    root = replay_sp(g, *g.edges()[0])
     if not root.simple:
-        root = gsp_module._rebuild_block(
+        root = reference_rebuild_block(
             g, root, gsp_module._minimal_complex_nodes(root)[0].a
         )
         if isinstance(root, ForbiddenWitness):
@@ -1510,6 +1701,55 @@ def test_peel_matches_its_first_form(atlas_2_7_classified, rng, monkeypatch):
     assert any(anchored), (len(anchored), refuted_trees)
 
 
+def reanchor_graph(rng):
+    """Two bipaths between a and b, each through its middle vertex by two
+    routes of 1-2 inner vertices per half (1 at odds of 2 to 1), closed
+    by the edge ab or by a path, with 0-3 more a-b strands, 0-3 pendant
+    paths or cycles at random vertices, and random labels. The block's tree is complex
+    from a root on a strand and simple from one on a bipath, so the
+    classifier re-anchors it wherever the peel roots it on a strand."""
+    edges, fresh = [], (f"n{i}" for i in itertools.count())
+
+    def strand(x, y, inner):
+        edges.extend(itertools.pairwise([x, *(next(fresh) for _ in range(inner)), y]))
+
+    for _ in range(2):
+        mid = next(fresh)
+        for end in "ab":
+            for _ in range(2):
+                strand(end, mid, rng.choice([1, 1, 2]))
+    for inner in [rng.choice([0, 1, 2])] + [rng.randint(1, 4) for _ in range(rng.randint(0, 3))]:
+        strand("a", "b", inner)
+    for _ in range(rng.randint(0, 3)):
+        at = rng.choice(sorted({v for e in edges for v in e}))
+        if rng.random() < 0.5:
+            strand(at, next(fresh), rng.randint(0, 2))
+        else:
+            strand(at, at, rng.randint(2, 3))  # a cycle through at
+    return relabeled(Graph.from_edges(edges), rng)
+
+
+def test_reanchors_match_their_first_form(rng, monkeypatch):
+    """The re-anchorings the S/P tree roots (_rebuild_block's split and
+    _rotate) give the classifier's first form's records, where no bench
+    or atlas graph re-anchors at all."""
+    anchored = []
+    rebuild = gsp_module._rebuild_block
+
+    def spy(*args):
+        got = rebuild(*args)
+        anchored.append(isinstance(got, GspTree))
+        return got
+
+    graphs = [reanchor_graph(rng) for _ in range(300)]
+    for g in graphs:
+        with monkeypatch.context() as patch:
+            patch.setattr(gsp_module, "_rebuild_block", spy)
+            got = classify_topological_3(g).to_record()
+        assert json.dumps(got) == json.dumps(reference_record(g)), sorted(g.edges())
+    assert sum(anchored) >= 40, (sum(anchored), len(anchored))
+
+
 # ---------------------------------------------------------------------------
 # F3 connectors against their first form
 
@@ -1572,7 +1812,9 @@ def reference_pendant(g, built, crossed):
     and the legs and corridor across two; crossed counts the calls that
     reach the cross-block witness. The first form passed the graph the
     peel had left to that witness; g gives the same paths, since a
-    simple path between two vertices of one block never leaves it."""
+    simple path between two vertices of one block never leaves it. The
+    first form rendered every tree it was given."""
+    built = [(blk, cut, rooting.tree) for blk, cut, rooting in built]
     for i, (_, _, tree) in enumerate(built):
         if tree.simple:
             return i, tree
@@ -1582,7 +1824,7 @@ def reference_pendant(g, built, crossed):
             return reference_witness_pair(g.induced(blk), hits[0], hits[1])
     for i, ((blk, cut, tree), (m,)) in enumerate(zip(built, cores)):
         if cut in m.terminals:
-            redone = gsp_module._rebuild_block(g.induced(blk), tree, cut)
+            redone = reference_rebuild_block(g.induced(blk), tree, cut)
             if isinstance(redone, ForbiddenWitness):
                 return redone
             return i, redone
@@ -1691,9 +1933,9 @@ def reference_gsp(g, a, b):
         else:
             break
         sub = g.induced(blk)
-        peeled.append((cut, _sp(sub, cut, min(sub.sorted_neighbors(cut)))))
+        peeled.append((cut, replay_sp(sub, cut, min(sub.sorted_neighbors(cut)))))
         g = g.without_vertices(set(blk) - {cut})
-    out = _sp(g, a, b)
+    out = replay_sp(g, a, b)
     for cut, tree in reversed(peeled):
         if out is None or tree is None:
             return None
@@ -1792,32 +2034,41 @@ def test_gsp_decompose_builds_one_forest(monkeypatch):
 # block's tree and drops every limb; "limbs" does the same to
 # gsp_decompose, whose own check must refuse it; "merge" grafts nothing,
 # so the tree misses every limb off a spine; "witness" makes every
-# witness look foreign to the graph. "sp" makes the series-parallel
-# engine find no tree, and sp_decompose must refuse to return None;
-# "gsp" does the same to gsp_decompose, and "peel" to the classifier's
-# peel, on a pendant block of the paw (a triangle with a pendant edge)
-# and on the last block of a cycle.
+# witness look foreign to the graph. "sp" makes the S/P tree root no
+# tree, and sp_decompose must refuse to return None; "gsp" makes the
+# series-parallel engine find none for gsp_decompose, and "peel" makes
+# the S/P tree root none for the classifier's peel, on a pendant block
+# of the paw (a triangle with a pendant edge) and on the last block of
+# a cycle. "split" roots no tree anywhere but at a block's kept pair, so
+# the re-anchoring of an F2 graph's block finds no split at its complex
+# core's terminals.
 SABOTAGE = """
 import sys
 
 import zvsearch.gsp as gsp
-from zvsearch.graphs import Graph, generate
+from zvsearch.graphs import Graph, edge_key, generate
 
 spec, how = sys.argv[1:]
 PAW = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
 g = Graph.from_edges(PAW) if spec == "paw" else generate(spec)
 run = gsp.classify_topological_3
+rooted = gsp._SPTree.rooted
 if how in ("spine", "limbs"):
     gsp._assemble = lambda *args: args[1]
     if how == "limbs":
         run = lambda g: gsp.gsp_decompose(g, *g.edges()[0])
 elif how == "merge":
     gsp._merge = lambda tree, limbs: tree
-elif how in ("sp", "gsp", "peel"):
+elif how in ("sp", "peel"):
+    gsp._SPTree.rooted = lambda *args: None
+    if how == "sp":
+        run = lambda g: gsp.sp_decompose(g, *g.edges()[0])
+elif how == "gsp":
     gsp._sp = lambda *args: None
-    if how != "peel":
-        decompose = gsp.sp_decompose if how == "sp" else gsp.gsp_decompose
-        run = lambda g: decompose(g, *g.edges()[0])
+    run = lambda g: gsp.gsp_decompose(g, *g.edges()[0])
+elif how == "split":
+    gsp._SPTree.rooted = lambda sp, u, v: (
+        rooted(sp, u, v) if edge_key(u, v) == sp.key else None)
 else:
     gsp.embedded = lambda witness, g: False
 try:
@@ -1842,6 +2093,7 @@ else:
         ("tree:2", "gsp", "generalized engine"),
         ("paw", "peel", "series-parallel engine"),
         ("cycle:5", "peel", "series-parallel engine"),
+        ("f2", "split", "split"),
     ],
 )
 def test_sabotaged_classification_is_refused_under_O(spec, how, why):

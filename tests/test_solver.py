@@ -884,9 +884,11 @@ def test_labels_follow_the_tables(monkeypatch):
 def test_solve_decides_below_the_greedy_width(monkeypatch):
     """inspection_number never runs the DP at the greedy width: only one
     below it, and not at all where a certificate at the greedy width
-    settles the answer (most of the bench solve corpus, seed 0). With a
-    clean start no certificate is taken, and the decision still runs one
-    below."""
+    settles the answer (most of the bench solve corpus, seed 0) or where
+    the certificate's sweep already proves the greedy width optimal (23
+    more graphs there): every layout's prefix of s vertices has boundary
+    least[s] or more. With a clean start no certificate is taken, and
+    the decision still runs one below."""
     calls = []
     real = solver._vertex_separation
 
@@ -899,7 +901,10 @@ def test_solve_decides_below_the_greedy_width(monkeypatch):
     for g in graphs:
         inspection_number(g)
     ran = len(calls)
-    assert (len(graphs), ran) == (108, 66)
+    assert (len(graphs), ran) == (108, 43)
+    for g, bound in calls:
+        _, least = solver._certifier(g, bound + 1, solver._MASK_CAP)
+        assert least is None or max(least) <= bound, sorted(g.edges())
     inspection_number(K4_PENDANTS, clean_start={"v4"})
     assert len(calls) == ran + 1
     for g, bound in calls:

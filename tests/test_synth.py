@@ -493,7 +493,7 @@ def test_spines_never_grow_a_host(synthesized_corpus):
     totals = [0, 0]
     for g, cls, new in synthesized_corpus:
         bcf = block_cut_forest(g)
-        peeled, root = gsp_module._peel(g, bcf, gsp_module._reduce_blocks(g, bcf))
+        peeled, root, _ = gsp_module._peel(g, bcf, gsp_module._reduce_blocks(g, bcf))
         spine = gsp_module._assemble(peeled, root)
         # the classifier's tree is the spine, synthesized once per session
         assert tree_to_record(spine) == tree_to_record(cls.tree), sorted(g.edges())
@@ -643,8 +643,8 @@ def test_synthesize_matches_its_first_form_on_the_corpus(synthesized_corpus):
 def test_synthesize_matches_its_first_form_on_every_root(spec):
     """Every candidate the root choice weighs, read from either end."""
     g = named(spec)
-    peeled, root = classify_topological_3(g).peel
-    for t in gsp_module._rootings(peeled, root):
+    peeled, _, last = classify_topological_3(g).peel
+    for t in gsp_module._rootings(peeled, last):
         assert_matches_first_form(t)
         flipped = assert_matches_first_form(invert(t))
         got = synth_module._bundle(g, t, {}, True)
@@ -756,8 +756,8 @@ def test_plan_equals_build_on_the_corpus(synthesized_corpus):
 def test_plan_equals_build_on_every_root(spec):
     """Every candidate the root choice plans, read from either end."""
     g = named(spec)
-    peeled, root = classify_topological_3(g).peel
-    trees = list(gsp_module._rootings(peeled, root))
+    peeled, root, last = classify_topological_3(g).peel
+    trees = list(gsp_module._rootings(peeled, last))
     assert len(trees) == root.graph.m
     for t in trees:
         for flip in (False, True):
@@ -892,7 +892,7 @@ def ball_in(*args):
 g = generate(spec)
 if how == "lose":
     lost = classify_topological_3(g.without_edge(*g.edges()[0])).tree
-    synth._rootings = lambda peeled, root: iter([lost])
+    synth._rootings = lambda peeled, last: iter([lost])
 else:
     synth._ball_in = ball_in
 c = classify_topological_3(g)
