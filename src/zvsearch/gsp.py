@@ -827,7 +827,8 @@ class _SPTree:
         return _bottom_up(root, kids, combine)[0]
 
     def simple_from(self, u, v):
-        """Whether rooted(u, v) is simple, without rendering it.
+        """Whether rooted(u, v) is simple, without rendering it; False
+        for a pair that rooted refuses.
 
         A run is bridged exactly when it has a real-edge segment, a
         parallel node counts its children's complexity and a series node
@@ -844,7 +845,9 @@ class _SPTree:
         key = edge_key(u, v)
         if key in self.closed:
             return self.good[key]
-        return self.good[self.at[key][0] if key in self.at else 0]
+        if key in self.at:
+            return self.good[self.at[key][0]]
+        return key == self.key and self.good[0]
 
     def _rate(self):
         # good[j] for run j and good[key] for a P-node: whether a root
@@ -1143,7 +1146,7 @@ def _merge(tree, limbs):
 
 
 # ---------------------------------------------------------------------------
-# rotation: re-anchoring a parallel join at one terminal
+# bipath extraction
 
 
 def _flatten(tree, ops):
@@ -1160,32 +1163,6 @@ def _flatten(tree, ops):
         else:
             out.append(t)
     return out
-
-
-def _rotate(th, tk):
-    # Both trees share ordered terminals (a, b) and overlap exactly
-    # there; both are simple. Returns a simple tree of the union whose
-    # first terminal is still a (the second generally moves closer to a).
-    # The smaller side is unwound: series combs are folded into the
-    # other side as inverted factors, parallel nodes shed a complexity-0
-    # child, and a bare leaf finally joins in parallel.
-    if th.n + th.m > tk.n + tk.m:
-        th, tk = tk, th
-    if th.op == "leaf":
-        return node("parallel", th, tk)
-    if th.op == "parallel":
-        c0, c1 = th.children
-        extra, rest = (c1, c0) if c1.complexity == 0 else (c0, c1)
-        return _rotate(rest, node("parallel", extra, tk))
-    factors = _flatten(th, ("series",))
-    bracket = tk
-    for f in reversed(factors[1:]):
-        bracket = node("series", bracket, _invert(f))
-    return _rotate(factors[0], bracket)
-
-
-# ---------------------------------------------------------------------------
-# bipath extraction
 
 
 def _route(tree):
@@ -1286,10 +1263,17 @@ def _rebuild_block(sp, tree, target):
     target must be a terminal of the tree's unique minimal complex node
     (M, s, t), a P-node of sp. Rooted at (s, t), sp splits the block
     into parallel pieces that lie entirely inside or outside M; a
-    non-bridged outside piece hands a third bipath to M's two and
-    refutes the graph, and bridged outside pieces fold together with
-    M's children into two simple trees that the rotation re-anchors at
-    the target. Its checks raise AssertionError, also under python -O.
+    non-bridged outside piece hands a third bipath to M's two, and a
+    complex node inside a piece makes a pair with M; either refutes the
+    graph. Otherwise sp is rooted at the first edge (target, w), w in
+    sorted order, from which it is simple. One exists: M's two children
+    and the outside pieces are then simple and the pieces bridged, and
+    unwinding one side into the other (series factors join inverted,
+    parallel nodes shed a complexity-0 child, a last leaf joins in
+    parallel) gives a simple tree parallel(leaf(target, w), ...). The
+    maximal SP tree from that edge has the same P-nodes and member
+    runs, so it is simple too. The checks raise AssertionError, also
+    under python -O.
     """
     hits = _minimal_complex_nodes(tree)
     if len(hits) >= 2:
@@ -1302,7 +1286,6 @@ def _rebuild_block(sp, tree, target):
     if fresh is None:
         raise AssertionError("the split at the complex core's terminals is missing")
     m_edges = _leaf_edges(m)
-    outside = []
     for piece in _flatten(fresh, ("parallel",)):
         piece_edges = _leaf_edges(piece)
         if piece_edges <= m_edges:
@@ -1317,16 +1300,10 @@ def _rebuild_block(sp, tree, target):
         inner = _minimal_complex_nodes(piece)
         if inner:
             return _witness_pair(sp.graph, m, inner[0])
-        outside.append(piece)
-    left = _fold("parallel", outside + [m.children[0]])
-    right = m.children[1]
-    if target == s:
-        out = _rotate(left, right)
-    else:
-        out = _rotate(_invert(left), _invert(right))
-    if out.a != target or not out.simple:
-        raise AssertionError("the re-anchored tree is not simple from the target")
-    return out
+    for w in sp.graph.sorted_neighbors(target):
+        if sp.simple_from(target, w):
+            return sp.rooted(target, w)
+    raise AssertionError("the re-anchoring found no edge at the target to root a simple tree")
 
 
 # ---------------------------------------------------------------------------

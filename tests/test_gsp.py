@@ -41,9 +41,10 @@ from zvsearch.gsp import (
     Classification,
     GspTree,
     _extract,
+    _flatten,
+    _invert,
     _leaf_edges,
     _merge,
-    _rotate,
     _sp,
     _sp_reducible,
     classify_topological_3,
@@ -367,13 +368,15 @@ ORACLE_SPECS = ["cycle:7", "path:9", "tree:4", "grid:2,6", "f1", "f2", "f3"]
 def test_structural_complexity_matches_graphs(monkeypatch, rng):
     # the trees the re-anchoring returns are checked too
     rebuilt = []
-    for name in ("_rebuild_block", "_rotate"):
-        def spy(*args, real=getattr(gsp_module, name)):
-            out = real(*args)
-            if isinstance(out, GspTree):
-                rebuilt.append(out)
-            return out
-        monkeypatch.setattr(gsp_module, name, spy)
+    rebuild = gsp_module._rebuild_block
+
+    def spy(*args):
+        out = rebuild(*args)
+        if isinstance(out, GspTree):
+            rebuilt.append(out)
+        return out
+
+    monkeypatch.setattr(gsp_module, "_rebuild_block", spy)
     graphs = [generate(s) for s in ORACLE_SPECS]
     graphs += [random_connected(rng.randint(4, 15), rng) for _ in range(40)]
     # a block the classifier must re-anchor, with pendants hanging off it
@@ -405,6 +408,10 @@ def test_structural_complexity_matches_graphs(monkeypatch, rng):
         for tree in k4_free_block_trees(g):
             checked += check_structural(tree)
             complex_trees += not tree.simple
+    # graphs classified only for their re-anchored trees, which the
+    # per-edge walk above would make slow
+    for _ in range(150):
+        classify_topological_3(reanchor_graph(rng))
     assert len(rebuilt) > 20, len(rebuilt)
     checked += sum(map(check_structural, rebuilt))
     # the corpus must reach both sides of the recurrence
@@ -415,18 +422,6 @@ def test_branch_complexity_follows_spine():
     spine = cycle_chain("a", "m", "c", "12")
     t = node("branch", spine, leaf("a", "t"))
     assert complexity(t).value == 1 and is_simple(t)
-
-
-def test_rotation_restores_simplicity():
-    # the plain parallel join of two complexity-1 trees is not simple;
-    # the rotation trades the second terminal for simplicity
-    chain1 = cycle_chain("a", "m1", "c", "12")
-    chain2 = cycle_chain("a", "m2", "c", "34")
-    assert not node("parallel", chain1, chain2).simple
-    out = _rotate(chain1, chain2)
-    assert is_simple(out)
-    assert out.a == "a"
-    assert out.graph == chain1.graph.union(chain2.graph)
 
 
 def test_invert_swaps_terminals():
@@ -970,9 +965,37 @@ def replay_sp(g, a, b):
     return gsp_module._bottom_up(root, kids, combine)[0]
 
 
+def _rotate(th, tk):
+    # Both trees share ordered terminals (a, b) and overlap exactly
+    # there; both are simple. Returns a simple tree of the union whose
+    # first terminal is still a (the second generally moves closer to a).
+    # The smaller side is unwound: series combs are folded into the
+    # other side as inverted factors, parallel nodes shed a complexity-0
+    # child, and a bare leaf finally joins in parallel.
+    if th.n + th.m > tk.n + tk.m:
+        th, tk = tk, th
+    if th.op == "leaf":
+        return node("parallel", th, tk)
+    if th.op == "parallel":
+        c0, c1 = th.children
+        extra, rest = (c1, c0) if c1.complexity == 0 else (c0, c1)
+        return _rotate(rest, node("parallel", extra, tk))
+    factors = _flatten(th, ("series",))
+    bracket = tk
+    for f in reversed(factors[1:]):
+        bracket = node("series", bracket, _invert(f))
+    return _rotate(factors[0], bracket)
+
+
 def reference_rebuild_block(g, tree, target):
     """gsp._rebuild_block as it was before the S/P tree: the split at the
-    complex core's terminals is a fresh replay_sp of the block g."""
+    complex core's terminals is a fresh replay_sp of the block g, and a
+    block that is not refuted is a fresh replay_sp from the first edge
+    (target, w), w in sorted order, that is simple. The rotation the
+    classifier once re-anchored with checks that an answer exists: the
+    bridged outside pieces and the core's children fold into two simple
+    trees, and unwinding one into the other must give a simple tree of
+    the same graph from the target."""
     hits = gsp_module._minimal_complex_nodes(tree)
     if len(hits) >= 2:
         return gsp_module._witness_pair(g, hits[0], hits[1])
@@ -983,7 +1006,7 @@ def reference_rebuild_block(g, tree, target):
     assert fresh is not None
     m_edges = _leaf_edges(m)
     outside = []
-    for piece in gsp_module._flatten(fresh, ("parallel",)):
+    for piece in _flatten(fresh, ("parallel",)):
         piece_edges = _leaf_edges(piece)
         if piece_edges <= m_edges:
             continue
@@ -1000,11 +1023,16 @@ def reference_rebuild_block(g, tree, target):
     left = gsp_module._fold("parallel", outside + [m.children[0]])
     right = m.children[1]
     if target == s:
-        out = _rotate(left, right)
+        rotated = _rotate(left, right)
     else:
-        out = _rotate(gsp_module._invert(left), gsp_module._invert(right))
-    assert out.a == target and out.simple
-    return out
+        rotated = _rotate(_invert(left), _invert(right))
+    assert rotated.a == target and rotated.simple
+    for w in g.sorted_neighbors(target):
+        out = replay_sp(g, target, w)
+        if out.simple:
+            assert rotated.graph == out.graph == g
+            return out
+    raise AssertionError("no edge at the target roots a simple tree")
 
 
 def reference_extract(tree):
@@ -1182,13 +1210,14 @@ def test_rooted_matches_sp(atlas_2_7, rng):
     P-node's poles) the tree a fresh reduction replayed there builds,
     and reads its simplicity without rendering it: at every edge of a
     block of up to 40 edges, and for time at 12 edges drawn from a
-    larger one (the classify corpus's blocks have up to 200)."""
+    larger one (the classify corpus's blocks have up to 200). Any other
+    pair is refused, and rated not simple."""
     graphs = list(atlas_2_7)
     graphs += bench_corpus("classify", (0, 1, 2)) + bench_corpus("synth", (0, 1, 2))
     graphs += [random_biconnected(rng) for _ in range(300)]
     graphs += [random_block_tree(rng) for _ in range(100)]
     graphs += [reanchor_graph(rng) for _ in range(100)]
-    rootings = complex_rootings = mixed = 0
+    rootings = complex_rootings = mixed = refused = 0
     for sub in sp_blocks(graphs):
         m = min(sub.vertices)
         sp = gsp_module._sp_tree(sub, m, min(sub[m]))
@@ -1206,8 +1235,23 @@ def test_rooted_matches_sp(atlas_2_7, rng):
                 rootings += 1
                 complex_rootings += not want.simple
         mixed += len(verdicts) == 2
+        # neither an edge nor a P-node's poles, nor in the block at all
+        poles = {*sub.edges(), *sp.closed}
+        pairs = itertools.combinations(sorted(sub.vertices), 2)
+        others = itertools.islice((k for k in pairs if k not in poles), 3)
+        for u, v in [*others, (m, "not a vertex")]:
+            assert sp.rooted(u, v) is None and not sp.simple_from(u, v), (u, v)
+            refused += 1
     assert rootings > 20000 and complex_rootings > 5000 and mixed > 100, (
         rootings, complex_rootings, mixed)
+    assert refused > 1000, refused
+    # two a-b bipaths, through m and through q, and the edge ab
+    g = Graph.from_edges([("a", "b")] + [
+        e for mid in "mq" for end, x, y in (("a", "x", "y"), ("b", "z", "w"))
+        for inner in (x + mid, y + mid) for e in ((end, inner), (inner, mid))])
+    sp = gsp_module._sp_tree(g, "a", "b")
+    for u, v in (("xm", "ym"), ("m", "q")):
+        assert sp.rooted(u, v) is None and not sp.simple_from(u, v)
 
 
 def test_classifying_a_ladder_builds_one_forest(monkeypatch):
@@ -1695,8 +1739,8 @@ def test_peel_matches_its_first_form(atlas_2_7_classified, rng, monkeypatch):
         refuted_trees += i >= len(atlas_2_7_classified) and got["verdict"] == "NO"
     # block trees of series-parallel blocks hold no K_4 subdivision, so
     # their NO answers come from the peel itself; some of their complex
-    # blocks re-anchor, so the YES branch of _rebuild_block and _rotate
-    # meet the first form too
+    # blocks re-anchor, so the YES branch of _rebuild_block, its rooting
+    # at the target, meets the first form and its rotation too
     assert refuted_trees > 30
     assert any(anchored), (len(anchored), refuted_trees)
 
@@ -1731,8 +1775,10 @@ def reanchor_graph(rng):
 
 def test_reanchors_match_their_first_form(rng, monkeypatch):
     """The re-anchorings the S/P tree roots (_rebuild_block's split and
-    _rotate) give the classifier's first form's records, where no bench
-    or atlas graph re-anchors at all."""
+    its rooting at the target's first simple edge) give the classifier's
+    first form's records, whose oracle cross-checks each against the
+    rotation it once made, where no bench or atlas graph re-anchors at
+    all."""
     anchored = []
     rebuild = gsp_module._rebuild_block
 
@@ -2041,7 +2087,9 @@ def test_gsp_decompose_builds_one_forest(monkeypatch):
 # of the paw (a triangle with a pendant edge) and on the last block of
 # a cycle. "split" roots no tree anywhere but at a block's kept pair, so
 # the re-anchoring of an F2 graph's block finds no split at its complex
-# core's terminals.
+# core's terminals. "reanchor" rates no rooting simple, so the
+# re-anchoring of a block of two a-b bipaths and the edge ab, complex
+# from its least edge ab, finds no edge at a to root it from.
 SABOTAGE = """
 import sys
 
@@ -2049,8 +2097,17 @@ import zvsearch.gsp as gsp
 from zvsearch.graphs import Graph, edge_key, generate
 
 spec, how = sys.argv[1:]
-PAW = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
-g = Graph.from_edges(PAW) if spec == "paw" else generate(spec)
+EDGES = {
+    "paw": [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")],
+    "reanchor": [
+        ("a", "b"),
+        ("a", "xm"), ("xm", "m"), ("a", "ym"), ("ym", "m"),
+        ("m", "zm"), ("zm", "b"), ("m", "wm"), ("wm", "b"),
+        ("a", "xq"), ("xq", "q"), ("a", "yq"), ("yq", "q"),
+        ("q", "zq"), ("zq", "b"), ("q", "wq"), ("wq", "b"),
+    ],
+}
+g = Graph.from_edges(EDGES[spec]) if spec in EDGES else generate(spec)
 run = gsp.classify_topological_3
 rooted = gsp._SPTree.rooted
 if how in ("spine", "limbs"):
@@ -2069,6 +2126,8 @@ elif how == "gsp":
 elif how == "split":
     gsp._SPTree.rooted = lambda sp, u, v: (
         rooted(sp, u, v) if edge_key(u, v) == sp.key else None)
+elif how == "reanchor":
+    gsp._SPTree.simple_from = lambda *args: False
 else:
     gsp.embedded = lambda witness, g: False
 try:
@@ -2094,6 +2153,7 @@ else:
         ("paw", "peel", "series-parallel engine"),
         ("cycle:5", "peel", "series-parallel engine"),
         ("f2", "split", "split"),
+        ("reanchor", "reanchor", "re-anchoring"),
     ],
 )
 def test_sabotaged_classification_is_refused_under_O(spec, how, why):
