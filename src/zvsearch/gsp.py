@@ -37,7 +37,7 @@ it splits at off the tree.
 One series-parallel reduction does two jobs: it decides K_4-freeness,
 and replayed, its steps build the block's unrooted S/P tree, which
 roots every SP tree of the block. The classifier reduces each block of
-four or more vertices once, its least edge kept, replays that
+three or more vertices once, its least edge kept, replays that
 reduction once, and roots the result wherever a tree of the block is
 asked for: a pendant from its cut, the last block from its least edge,
 a re-anchoring's split and each rooting synth weighs. Whether a rooting
@@ -51,7 +51,8 @@ balanced tree. How deep limbs hang inside limbs sets the size of a
 synthesized host, each level multiplying the subdivision its ball
 sweep demands; on a tree a limb hangs inside at most log2(n) others,
 and a path is one series run. `gsp_decompose` builds its limbs the same
-way and hangs them all on its terminals' chain with branch nodes.
+way, from the same block reductions, and hangs them all on its
+terminals' block with branch nodes.
 """
 
 import heapq
@@ -500,15 +501,26 @@ def _k4_region(block, m):
     """The part of block, a Graph that does not reduce, that _extract_k4
     minimises: the first prefix of 4, 8, 16, ... vertices of the block's
     breadth-first order from m, neighbours in sorted order, whose induced
-    graph does not reduce either. The block itself when it is a K_4
-    subdivision already, which _extract_k4 keeps whole without a
-    reduction, or when no shorter prefix holds one. A prefix is
-    connected, and every graph of minimum degree 3 holds a K_4
+    graph does not reduce either; on a block of more than 8 vertices
+    where none does, the same from the least vertex that a reduction of
+    the block leaves, which lies in a graph of minimum degree 3. The
+    block itself when it is a K_4 subdivision already, which _extract_k4
+    keeps whole without a reduction, or when no prefix holds one. A
+    prefix is connected, and every graph of minimum degree 3 holds a K_4
     subdivision (Dirac 1952), so where most degrees are 3 or more the
-    region stays small and near m, however large the block; the
-    prefixes tried before it hold fewer vertices, together, than it."""
+    region stays small and near its start, however large the block; the
+    prefixes tried from one start hold fewer vertices than the block."""
     if _is_k4_subdivision(block):
         return block
+    region = _bfs_region(block, m)
+    if region is None and block.n > 8:
+        region = _bfs_region(block, min(_reduce(block)[0]))
+    return block if region is None else region
+
+
+def _bfs_region(block, m):
+    # the first prefix of 4, 8, 16, ... vertices of block's BFS order
+    # from m, shorter than block, that does not reduce; None if none does
     order, seen, size, i = [m], {m}, 4, 0
     while size < block.n:
         while len(order) < size:
@@ -521,7 +533,7 @@ def _k4_region(block, m):
         if not _sp_reducible(region):
             return region
         size *= 2
-    return block
+    return None
 
 
 def _extract_k4(g):
@@ -609,17 +621,23 @@ def _block_graph(g, blk):
 
 
 def _reduce_blocks(g, bcf):
-    """Each block of 4+ vertices of g, by least vertex (ties in forest
+    """Each block of 3+ vertices of g, by least vertex (ties in forest
     order), reduced once with its least edge kept: {block index: (its
     graph, its reduction)}, or the F1 witness of the first block whose
     reduction stops short, minimised inside the block's _k4_region. A
     biconnected block with adjacent kept terminals reduces to their edge
     exactly when it holds no K_4 subdivision (Duffin 1965); each kept
-    reduction later builds its block's S/P tree."""
+    reduction later builds its block's S/P tree. A triangle's neighbour
+    sets are read off the block, and g stands for its graph, which only
+    tells the S/P tree which pairs are edges."""
     kept = {}
-    for m, i in sorted((min(b), i) for i, b in enumerate(bcf.blocks) if len(b) >= 4):
-        sub = _block_graph(g, bcf.blocks[i])
-        kept[i] = sub, _reduce(sub, (m, min(sub[m])))
+    for m, i in sorted((min(b), i) for i, b in enumerate(bcf.blocks) if len(b) >= 3):
+        blk = bcf.blocks[i]
+        if len(blk) == 3:
+            sub, adj = g, {v: blk - {v} for v in blk}
+        else:
+            sub = adj = _block_graph(g, blk)
+        kept[i] = sub, _reduce(adj, (m, min(adj[m])))
         if len(kept[i][1][0]) > 2:
             return _extract_k4(_k4_region(sub, m))
     return kept
@@ -672,8 +690,7 @@ def _sp_tree(g, a, b, reduction=None):
     each run a deque of stops. Splicing out v joins the routes of its
     two edges into a new run; an edge whose routes are one run continues
     it, a direct edge alone is a leaf segment, and any other group is
-    closed: a parallel segment between two stops. On a chain of blocks
-    from a to b the a-b group is one run, the series of its blocks.
+    closed: a parallel segment between two stops.
     """
     left, steps = _reduce(g, (a, b)) if reduction is None else reduction
     if len(left) > 2 or b not in left[a] or any(len(ns) < 2 for _, ns in steps):
@@ -880,8 +897,7 @@ def _sp(g, a, b):
     """SP tree of (g, a, b) from one series-parallel reduction keeping a
     and b: _sp_tree(g, a, b) rooted at (a, b), or None where that is
     None. On a biconnected g that is the SP tree with maximal series and
-    parallel nodes (see _SPTree.rooted); on a chain of blocks from a to
-    b it is the series of its blocks' trees."""
+    parallel nodes (see _SPTree.rooted)."""
     sp = _sp_tree(g, a, b)
     return None if sp is None else sp.rooted(a, b)
 
@@ -939,9 +955,9 @@ class _Leaves:
     block. That orders them as a fresh forest of the remaining graph
     sorted by least vertex would: leaf blocks with the same m both hang
     from m, and a forest lists them in the order its DFS leaves m. kept
-    maps blocks to their graphs and reductions keeping their key, as
-    _reduce_blocks makes them, and each block's S/P tree is built once,
-    on first use (see sp).
+    maps each block of 3+ vertices to its graph and its reduction keeping
+    its key, as _reduce_blocks makes them, and each block's S/P tree is
+    built from it once, on first use (see sp).
     """
 
     def __init__(self, g, bcf, kept):
@@ -953,8 +969,7 @@ class _Leaves:
             for v in cuts:
                 self.holders[v].add(i)
         self.alive = set(range(len(self.blocks)))
-        self.sps, self.rootings = {}, {}
-        self.heap = []
+        self.sps, self.heap = {}, []
         for i in self.alive:
             self.push(i)
 
@@ -976,104 +991,62 @@ class _Leaves:
             self.live[j].discard(cut)
             self.push(j)
 
-    def rest(self, g):
-        """The graph the peel has left: g itself until a block is peeled."""
-        if len(self.alive) == len(self.blocks):
-            return g
-        return g.induced(set().union(*(self.blocks[i] for i in self.alive)))
-
-    def sp(self, g, i, pair):
-        """Block i's S/P tree, for a block of 3+ vertices, built once:
-        from its kept reduction, or else from a reduction of the block
-        keeping pair, the first pair it is rooted at. A triangle's
-        neighbour sets are read off the block, without a copy of g."""
+    def sp(self, i):
+        """Block i's S/P tree, for a block of 3+ vertices, built once from
+        its kept reduction."""
         if i not in self.sps:
-            blk = self.blocks[i]
-            if i in self.kept:
-                sub, reduction = self.kept[i]
-                pair = self.keys[i]
-            elif len(blk) == 3:
-                sub, reduction = g, _reduce({v: blk - {v} for v in blk}, pair)
-            else:
-                sub, reduction = _block_graph(g, blk), None
-            self.sps[i] = _sp_tree(sub, *pair, reduction)
+            sub, reduction = self.kept[i]
+            self.sps[i] = _sp_tree(sub, *self.keys[i], reduction)
         return self.sps[i]
 
-    def tree(self, g, i, cut):
-        """Block i rooted from cut to cut's least neighbour in it, made
-        once per pair: a bridge, the commonest block, is a leaf (a
-        _Bridge), and any other block is rooted in its S/P tree when the
-        tree is asked for (a _Rooting)."""
-        got = self.rootings.get((i, cut))
-        if got is None:
-            blk = self.blocks[i]
-            if len(blk) == 2:
-                (other,) = blk - {cut}
-                got = _Bridge(leaf(cut, other))
-            else:
-                m, other = self.keys[i]
-                if cut != m:
-                    other = min(g.neighbors(cut) & blk)
-                got = _Rooting(self.sp(g, i, (cut, other)), cut, other)
-            self.rootings[i, cut] = got
-        return got
+    def rooting(self, g, i, cut):
+        """(sp, cut, other): block i's S/P tree, None for a bridge, and
+        the pair its tree from cut is rooted at, cut and cut's least
+        neighbour in the block. Whether that tree is simple is read off
+        sp, and _render builds it only where it is needed."""
+        blk = self.blocks[i]
+        if len(blk) == 2:
+            (other,) = blk - {cut}
+            return None, cut, other
+        m, other = self.keys[i]
+        if cut != m:
+            other = min(g.neighbors(cut) & blk)
+        return self.sp(i), cut, other
 
 
-class _Rooting:
-    """A block's SP tree from the terminal pair (a, b), in the block's S/P
-    tree sp, rendered on first use: simple is read off sp, so a tree
-    that is thrown away is never built."""
-
-    __slots__ = ("sp", "a", "b", "_tree")
-
-    def __init__(self, sp, a, b):
-        self.sp, self.a, self.b, self._tree = sp, a, b, None
-
-    @property
-    def simple(self):
-        return self.sp.simple_from(self.a, self.b)
-
-    @property
-    def tree(self):
-        if self._tree is None:
-            self._tree = self.sp.rooted(self.a, self.b)
-            if self._tree is None:
-                raise AssertionError("the series-parallel engine found no tree of a K_4-free block")
-        return self._tree
+def _render(sp, a, b):
+    """A block's SP tree from (a, b), rooted in its S/P tree sp; a
+    bridge's, sp None, is the leaf ab."""
+    if sp is None:
+        return leaf(a, b)
+    tree = sp.rooted(a, b)
+    if tree is None:
+        raise AssertionError("the series-parallel engine found no tree of a K_4-free block")
+    return tree
 
 
-class _Bridge:
-    """A bridge's rooting, as a _Rooting has it: the leaf, rendered at
-    once, and no S/P tree."""
-
-    __slots__ = ("tree",)
-    simple, sp = True, None
-
-    def __init__(self, tree):
-        self.tree = tree
-
-
-def _gsp(g, bcf, a, b):
+def _gsp(g, bcf, kept, a, b):
     """GSP tree for a connected K_4-free (g, a, b), given g's block-cut
-    forest; None on obstruction.
+    forest and the reductions _reduce_blocks keeps; None on obstruction.
 
     Leaf blocks whose interior holds no terminal are peeled off, each
-    decomposed from its cut vertex, until a chain of blocks from a to b
-    is left; a leaf whose interior holds one stays a leaf, so it leaves
-    the heap for good. The classifier's _assemble builds the limbs as
-    series spines; the chain's tree keeps (a, b), every limb hanging on
-    it with a branch node.
+    decomposed from its cut vertex, until the block holding both
+    terminals is left; a leaf whose interior holds one stays a leaf, so
+    it leaves the heap for good. The classifier's _assemble builds the
+    limbs as series spines; the terminals' block's tree keeps (a, b),
+    every limb hanging on it with a branch node.
     """
-    leaves = _Leaves(g, bcf, {})
+    leaves = _Leaves(g, bcf, kept)
     peeled = []
     while leaves.heap:
         i, cut = leaves.pop()
         blk = leaves.blocks[i]
         if {a, b} & (blk - {cut}):
             continue
-        peeled.append((blk, cut, leaves.tree(g, i, cut).tree))
+        peeled.append((blk, cut, _render(*leaves.rooting(g, i, cut))))
         leaves.peel(i, cut)
-    out = _sp(leaves.rest(g), a, b)
+    (i,) = leaves.alive
+    out = _sp(_block_graph(g, leaves.blocks[i]), a, b)
     return None if out is None else _assemble(peeled, out, ())
 
 
@@ -1081,15 +1054,17 @@ def gsp_decompose(g, a, b):
     """Generalized series-parallel tree over the given terminals.
 
     Requires a connected K_4-free graph whose terminals are adjacent or
-    form a two-element separator of one biconnected block. The answer
-    is checked here, once, and a wrong one raises AssertionError, an
-    internal error, also under `python -O`.
+    form a two-element separator of one biconnected block. The K_4 test
+    reduces each block once, and the peel roots its pendants in those
+    reductions. The answer is checked here, once, and a wrong one raises
+    AssertionError, an internal error, also under `python -O`.
     """
     _check_terminals(g, a, b)
     bcf = block_cut_forest(g)
     if _components(g, bcf) != 1:
         raise InputError("decomposition needs a connected graph")
-    if not _sp_reducible(g):
+    kept = _reduce_blocks(g, bcf)
+    if isinstance(kept, ForbiddenWitness):
         raise InputError("the graph contains a K_4 subdivision")
     if not g.has_edge(a, b) and not any(
         a in blk and b in blk and len(blk) > 3
@@ -1097,7 +1072,7 @@ def gsp_decompose(g, a, b):
         for blk in bcf.blocks
     ):
         raise InputError("terminals must be adjacent or separate one biconnected block")
-    t = _gsp(g, bcf, a, b)
+    t = _gsp(g, bcf, kept, a, b)
     if t is None:
         raise AssertionError("the generalized engine found no tree of a valid input")
     try:
@@ -1255,30 +1230,25 @@ def _witness_pair(g, n0, n1):
 # re-anchoring a complex block tree (or refuting it)
 
 
-def _rebuild_block(sp, tree, target):
-    """Turn a complex SP tree of a block, whose S/P tree is sp, into a
-    simple one with `target` as first terminal, or extract a forbidden
-    pattern.
+def _rebuild_block(sp, m, target):
+    """Turn a complex SP tree of a block, whose S/P tree is sp and whose
+    unique minimal complex node is m, into a simple one with `target` as
+    first terminal, or extract a forbidden pattern.
 
-    target must be a terminal of the tree's unique minimal complex node
-    (M, s, t), a P-node of sp. Rooted at (s, t), sp splits the block
-    into parallel pieces that lie entirely inside or outside M; a
-    non-bridged outside piece hands a third bipath to M's two, and a
-    complex node inside a piece makes a pair with M; either refutes the
-    graph. Otherwise sp is rooted at the first edge (target, w), w in
-    sorted order, from which it is simple. One exists: M's two children
-    and the outside pieces are then simple and the pieces bridged, and
-    unwinding one side into the other (series factors join inverted,
-    parallel nodes shed a complexity-0 child, a last leaf joins in
-    parallel) gives a simple tree parallel(leaf(target, w), ...). The
-    maximal SP tree from that edge has the same P-nodes and member
-    runs, so it is simple too. The checks raise AssertionError, also
+    target must be a terminal of m = (M, s, t), a P-node of sp. Rooted
+    at (s, t), sp splits the block into parallel pieces that lie
+    entirely inside or outside M; a non-bridged outside piece hands a
+    third bipath to M's two, and a complex node inside a piece makes a
+    pair with M; either refutes the graph. Otherwise sp is rooted at the
+    first edge (target, w), w in sorted order, from which it is simple.
+    One exists: M's two children and the outside pieces are then simple
+    and the pieces bridged, and unwinding one side into the other
+    (series factors join inverted, parallel nodes shed a complexity-0
+    child, a last leaf joins in parallel) gives a simple tree
+    parallel(leaf(target, w), ...). The maximal SP tree from that edge
+    has the same P-nodes and member runs, so it is simple too. The checks raise AssertionError, also
     under python -O.
     """
-    hits = _minimal_complex_nodes(tree)
-    if len(hits) >= 2:
-        return _witness_pair(sp.graph, hits[0], hits[1])
-    m = hits[0]
     if m.op != "parallel" or target not in m.terminals:
         raise AssertionError("the target is not a terminal of the complex core")
     s, t = m.terminals
@@ -1311,24 +1281,24 @@ def _rebuild_block(sp, tree, target):
 
 
 def _pendant(g, built):
-    """Which of the first two pendant blocks to peel, given as (block,
-    cut, _Rooting of the block from the cut): (its position, a simple
-    tree of the block with the cut as first terminal), or the pattern
-    refuting g. A tree is rendered only when its block is peeled as it
-    is or its complex cores are needed."""
-    for i, (_, _, rooting) in enumerate(built):
-        if rooting.simple:
-            return i, rooting.tree
-    cores = [_minimal_complex_nodes(rooting.tree) for _, _, rooting in built]
+    """Which of the first two pendant blocks to peel, given as
+    _Leaves.rooting has them, (S/P tree, cut, other): (its position, a
+    simple tree of the block with the cut as first terminal), or the
+    pattern refuting g. A tree is rendered only when its block is peeled
+    as it is or its complex cores are needed."""
+    for i, (sp, cut, other) in enumerate(built):
+        if sp is None or sp.simple_from(cut, other):
+            return i, _render(sp, cut, other)
+    cores = [_minimal_complex_nodes(_render(*rooting)) for rooting in built]
     for hits in cores:
         if len(hits) >= 2:
             return _witness_pair(g, hits[0], hits[1])
-    for i, ((_, cut, rooting), (m,)) in enumerate(zip(built, cores)):
+    for i, ((sp, cut, _), (m,)) in enumerate(zip(built, cores)):
         # the cut is a root terminal of the block tree, and root
         # terminals stay terminals all the way down, so the cut touches
         # the complex core exactly when it is one of the core's terminals
         if cut in m.terminals:
-            redone = _rebuild_block(rooting.sp, rooting.tree, cut)
+            redone = _rebuild_block(sp, m, cut)
             if isinstance(redone, ForbiddenWitness):
                 return redone
             return i, redone
@@ -1343,19 +1313,18 @@ def _peel(g, bcf, kept):
     last block from its least edge, and the last block's S/P tree (None
     when it is a bridge); or the pattern refuting g. Each round takes
     the first two leaf blocks and peels the one _pendant picks. Every
-    block is K_4-free, and kept holds the reductions of _reduce_blocks.
-    Each block of 3+ vertices has one S/P tree, built from its kept
-    reduction (or, for a triangle, from its one reduction), and every
-    tree of it is rooted there: a pendant's from its cut, the last
-    block's from its least edge, and the re-anchoring's split. No tree
-    is rendered twice from one pair.
+    block is K_4-free, and kept holds the reductions of _reduce_blocks:
+    each block of 3+ vertices has one S/P tree, built from its kept
+    reduction, and every tree of it is rooted there: a pendant's from
+    its cut, the last block's from its least edge, and the
+    re-anchoring's split. A rendered tree is scanned for complex cores
+    at most once.
     """
     leaves = _Leaves(g, bcf, kept)
     peeled = []
     while len(leaves.alive) > 1:
         pair = [leaves.pop() for _ in range(2)]
-        built = [(leaves.blocks[i], cut, leaves.tree(g, i, cut)) for i, cut in pair]
-        got = _pendant(g, built)
+        got = _pendant(g, [leaves.rooting(g, i, cut) for i, cut in pair])
         if isinstance(got, ForbiddenWitness):
             return got
         k, pendant = got
@@ -1364,10 +1333,13 @@ def _peel(g, bcf, kept):
         peeled.append((leaves.blocks[i], cut, pendant))
         leaves.peel(i, cut)
     (i,) = leaves.alive
-    first = leaves.tree(g, i, leaves.keys[i][0])
-    root, last = first.tree, first.sp
+    last, a, b = leaves.rooting(g, i, leaves.keys[i][0])
+    root = _render(last, a, b)
     if not root.simple:
-        root = _rebuild_block(last, root, _minimal_complex_nodes(root)[0].a)
+        hits = _minimal_complex_nodes(root)
+        if len(hits) >= 2:
+            return _witness_pair(last.graph, hits[0], hits[1])
+        root = _rebuild_block(last, hits[0], hits[0].a)
         if isinstance(root, ForbiddenWitness):
             return root
     return peeled, root, last
@@ -1431,7 +1403,7 @@ def build_simple_gsp(g):
     """A simple decomposition of g, or the forbidden pattern preventing
     one: the answer classify_topological_3 gives.
 
-    Each block of four or more vertices is first reduced once, its least
+    Each block of three or more vertices is first reduced once, its least
     edge kept; a reduction that stops short finds a K_4 subdivision, and
     only then is the F1 witness extracted. The other reductions build
     their blocks' S/P trees, one per block, in which every tree of the

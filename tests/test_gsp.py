@@ -546,11 +546,14 @@ def test_has_k4_subdivision_frozen():
 
 
 def reference_sp_reducible(g):
-    """The series-parallel reduction as first written: sweep every
-    vertex in sorted order, merging parallel edges and reducing series
-    vertices, until a sweep changes nothing."""
-    if g.n <= 2:
-        return True
+    """True when the first-form reduction leaves at most two vertices."""
+    return g.n <= 2 or len(reference_residue(g)) <= 2
+
+
+def reference_residue(g):
+    """The vertices the series-parallel reduction as first written
+    leaves: sweep every vertex in sorted order, merging parallel edges
+    and reducing series vertices, until a sweep changes nothing."""
     mult = {v: {} for v in g.vertices}
     for u, v in g.edges():
         mult[u][v] = 1
@@ -575,7 +578,7 @@ def reference_sp_reducible(g):
                 mult[x][y] = mult[x].get(y, 0) + 1
                 mult[y][x] = mult[y].get(x, 0) + 1
                 changed = True
-    return len(mult) <= 2
+    return set(mult)
 
 
 def reference_contains_k4(g):
@@ -740,24 +743,28 @@ def reference_k4_region(block, m):
     """The K_4 region as first written: the whole breadth-first order of
     the block from m, by sorted neighbours, then its prefixes of 4, 8,
     16, ... vertices, each tested block by block with the first-form
-    reduction. A
+    reduction; on a block of more than 8 vertices where none holds a K_4
+    subdivision, the same from the least vertex the first-form reduction
+    of the block leaves. A
     block that holds a K_4 subdivision is the subdivision plus ears,
     each with one more edge than inner vertices, so it is a subdivision
     exactly when it has two more edges than vertices."""
     if block.m == block.n + 2:
         return block
-    order, queue = [m], deque([m])
-    while queue:
-        for w in block.sorted_neighbors(queue.popleft()):
-            if w not in order:
-                order.append(w)
-                queue.append(w)
-    size = 4
-    while size < block.n:
-        region = block.induced(order[:size])
-        if reference_contains_k4(region):
-            return region
-        size *= 2
+    starts = [m] + ([min(reference_residue(block))] if block.n > 8 else [])
+    for start in starts:
+        order, queue = [start], deque([start])
+        while queue:
+            for w in block.sorted_neighbors(queue.popleft()):
+                if w not in order:
+                    order.append(w)
+                    queue.append(w)
+        size = 4
+        while size < block.n:
+            region = block.induced(order[:size])
+            if reference_contains_k4(region):
+                return region
+            size *= 2
     return block
 
 
@@ -1569,6 +1576,21 @@ def test_a_large_k4_block_is_minimised_in_a_small_region(monkeypatch):
     assert g.n <= touched[0] <= g.n + g.n // 100, touched[0]
 
 
+def test_a_k4_far_from_the_least_vertex_is_minimised_near_it(monkeypatch):
+    # grid:2,2000 with both diagonals of the square v1990, v1991, v3990,
+    # v3991: no prefix from v0 reaches that K_4, so the region starts
+    # again from the least vertex the block's reduction leaves. With the
+    # whole block minimised instead, the witness is the same, but it took
+    # 85 reductions over 157,062 vertices
+    g = generate("grid:2,2000")
+    g = Graph.from_edges([*g.edges(), ("v1990", "v3991"), ("v1991", "v3990")])
+    want = gsp_module._extract_k4(g).to_record()
+    calls = count_reductions(monkeypatch)
+    c = classify_topological_3(g)
+    assert c.verdict == "NO" and c.witness.to_record() == want
+    assert len(calls) <= 30, len(calls)
+
+
 # ---------------------------------------------------------------------------
 # the peel loop against its first form
 
@@ -1796,6 +1818,29 @@ def test_reanchors_match_their_first_form(rng, monkeypatch):
     assert sum(anchored) >= 40, (sum(anchored), len(anchored))
 
 
+def test_a_rendered_tree_is_scanned_for_cores_once(rng, monkeypatch):
+    """Each tree the classifier renders is scanned for its minimal complex
+    nodes at most once: the re-anchoring takes the core its caller found.
+    On the bench classify corpus (seeds 0-2) and on graphs that re-anchor
+    a block or join cores in two pendant blocks."""
+    scanned = []
+    real = gsp_module._minimal_complex_nodes
+
+    def spy(tree):
+        scanned.append(tree)  # kept alive, so no two trees share an id
+        return real(tree)
+
+    graphs = bench_corpus("classify", (0, 1, 2))
+    graphs += [reanchor_graph(rng) for _ in range(100)]
+    graphs += [cross_block_graph(rng) for _ in range(50)]
+    monkeypatch.setattr(gsp_module, "_minimal_complex_nodes", spy)
+    for g in graphs:
+        classify_topological_3(g)
+    ids = [id(t) for t in scanned]
+    assert len(set(ids)) == len(ids)
+    assert len(ids) > 200, len(ids)
+
+
 # ---------------------------------------------------------------------------
 # F3 connectors against their first form
 
@@ -1859,8 +1904,10 @@ def reference_pendant(g, built, crossed):
     reach the cross-block witness. The first form passed the graph the
     peel had left to that witness; g gives the same paths, since a
     simple path between two vertices of one block never leaves it. The
-    first form rendered every tree it was given."""
-    built = [(blk, cut, rooting.tree) for blk, cut, rooting in built]
+    first form rendered every tree it was given, and took each block's
+    vertices, here read off its tree's leaves."""
+    trees = [(gsp_module._render(sp, cut, other), cut) for sp, cut, other in built]
+    built = [(set().union(*_leaf_edges(t)), cut, t) for t, cut in trees]
     for i, (_, _, tree) in enumerate(built):
         if tree.simple:
             return i, tree
@@ -2064,6 +2111,40 @@ def test_gsp_decompose_matches_its_first_form_on_long_graphs(name):
     assert recompose(got) == g and got.terminals == (a, b)
     assert tree_depth(got) <= 64
     json.dumps(tree_to_record(got))
+
+
+def test_gsp_decompose_reduces_each_block_once(atlas_2_7, monkeypatch):
+    """gsp_decompose reduces each block of 3+ vertices once, for its K_4
+    test, and the terminals' block once more, keeping the terminals; it
+    makes no reduction of the whole graph. Counted in vertices reduced,
+    on graphs with pendant blocks and every terminal pair they accept."""
+    graphs = [
+        g for g in atlas_2_7
+        if len(block_cut_forest(g).blocks) > 1 and has_k4_subdivision(g) is None
+    ]
+    graphs += [sun(12), six_cycle_chain(4), flower("a", 5)]
+    entries = [0]
+    real = gsp_module._reduce
+
+    def reduce(adj, keep=()):
+        entries[0] += sum(1 for _ in adj)  # a Graph or a dict
+        return real(adj, keep)
+
+    monkeypatch.setattr(gsp_module, "_reduce", reduce)
+    checked = 0
+    for g in graphs:
+        blocks = block_cut_forest(g).blocks
+        each = sum(len(blk) for blk in blocks if len(blk) >= 3)
+        for a, b in itertools.permutations(sorted(g.vertices), 2):
+            entries[0] = 0
+            try:
+                gsp_decompose(g, a, b)
+            except InputError:
+                continue
+            (home,) = [blk for blk in blocks if a in blk and b in blk]
+            assert entries[0] == each + len(home), (sorted(g.edges()), a, b)
+            checked += 1
+    assert checked > 3000, checked
 
 
 def test_gsp_decompose_builds_one_forest(monkeypatch):
