@@ -36,23 +36,26 @@ it splits at off the tree.
 
 One series-parallel reduction does two jobs: it decides K_4-freeness,
 and replayed, its steps build the block's unrooted S/P tree, which
-roots every SP tree of the block. The classifier reduces each block of
-three or more vertices once, its least edge kept, replays that
-reduction once, and roots the result wherever a tree of the block is
-asked for: a pendant from its cut, the last block from its least edge,
-a re-anchoring's split and each rooting synth weighs. Whether a rooting
-is simple is read off the S/P tree, so only the trees the classifier
-keeps or takes cores from are rendered. The classifier's trees
-are series spines: it peels pendant blocks off one block-cut forest,
-runs each block in series into its largest limb, counted in vertices,
-and hangs the other limbs on with branch nodes in one pass over the
-block's tree (a heavy-path layout). Every series run is folded into a
-balanced tree. How deep limbs hang inside limbs sets the size of a
-synthesized host, each level multiplying the subdivision its ball
-sweep demands; on a tree a limb hangs inside at most log2(n) others,
-and a path is one series run. `gsp_decompose` builds its limbs the same
-way, from the same block reductions, and hangs them all on its
-terminals' block with branch nodes.
+roots every SP tree of the block: from an edge, a P-node's poles or two
+stops of one series run, exactly the pairs that are adjacent or
+separate the block. The classifier reduces each block of three or more
+vertices once, its least edge kept, replays that reduction once, and
+roots the result wherever a tree of the block is asked for: a pendant
+from its cut, the last block from its least edge, a re-anchoring's new
+root (and its split, only to refute) and each rooting synth weighs.
+Whether a rooting is simple is read off the S/P tree, so only the trees
+the classifier keeps or takes cores from are rendered. The
+classifier's trees are series spines: it peels pendant blocks off one
+block-cut forest, runs each block in series into its largest limb,
+counted in vertices, and hangs the other limbs on with branch nodes in
+one pass over the block's tree (a heavy-path layout). Every series run
+is folded into a balanced tree. How deep limbs hang inside limbs sets
+the size of a synthesized host, each level multiplying the subdivision
+its ball sweep demands; on a tree a limb hangs inside at most log2(n)
+others, and a path is one series run. `gsp_decompose` builds its limbs
+the same way, from the same block reductions, and hangs them all with
+branch nodes on its terminals' block, rooted at the terminals in that
+block's S/P tree; `sp_decompose` roots its one block's S/P tree there.
 """
 
 import heapq
@@ -678,12 +681,12 @@ def _join(run, other, v):
     return run
 
 
-def _sp_tree(g, a, b, reduction=None):
-    """The unrooted S/P tree of a block (see _SPTree) from one
-    series-parallel reduction keeping a and b; None when the reduction
-    stops short of the edge ab or deletes a vertex. A reduction made
-    already can be passed in; g then only tells which pairs are edges,
-    so it may be any graph that holds this one as a block.
+def _sp_tree(g, a, b, reduction):
+    """The unrooted S/P tree of a K_4-free block (see _SPTree) from its
+    series-parallel reduction keeping the edge ab, as _reduce_blocks
+    keeps it: one that reduces the block to that edge, each step
+    splicing out a vertex of degree two. g only tells which pairs are
+    edges, so it may be any graph that holds this one as a block.
 
     Replayed in order, the steps group the routes between two vertices
     by the edge they reduced to: a direct edge of g and series runs,
@@ -692,9 +695,6 @@ def _sp_tree(g, a, b, reduction=None):
     it, a direct edge alone is a leaf segment, and any other group is
     closed: a parallel segment between two stops.
     """
-    left, steps = _reduce(g, (a, b)) if reduction is None else reduction
-    if len(left) > 2 or b not in left[a] or any(len(ns) < 2 for _, ns in steps):
-        return None
     runs, closed = {}, {}  # edge key -> the runs reduced to that edge
 
     def take(x, v):
@@ -706,7 +706,7 @@ def _sp_tree(g, a, b, reduction=None):
             closed[key] = got
         return deque((x, v))
 
-    for v, ns in steps:
+    for v, ns in reduction[1]:
         x, y = ns
         runs.setdefault(edge_key(x, y), []).append(_join(take(x, v), take(v, y), v))
     return _SPTree(g, a, b, runs.pop(edge_key(a, b), []), closed)
@@ -723,12 +723,14 @@ class _SPTree:
     are the closed groups and the kept pair (a, b), each two poles with
     its member runs, plus the real edge between them if there is one;
     a kept pair holding its own edge and a single run is no P-node, but
-    that run's cycle. rooted(u, v) renders the tree that a reduction of
-    the block keeping u and v, replayed, would root at (u, v), and
-    simple_from(u, v) reads whether it is simple without rendering it.
-    The kept pair renders straight from the replay; any other root,
-    which needs the kept pair adjacent, as the classifier keeps it,
-    walks out over an index made on first use.
+    that run's cycle. Every vertex but the kept pair is an inner stop of
+    exactly one run, the one made when it was spliced out. rooted(u, v)
+    renders the tree that a reduction of the block keeping u and v,
+    replayed, would root at (u, v), for every pair an SP tree of the
+    block can have, and simple_from(u, v) reads whether it is simple
+    without rendering it, for the pairs its callers root at. The kept
+    pair, adjacent as _reduce_blocks keeps it, renders straight from the
+    replay; any other root walks out over an index made on first use.
     """
 
     def __init__(self, graph, a, b, top, closed):
@@ -741,8 +743,8 @@ class _SPTree:
         # The runs, numbered top-down (the order of their groups,
         # reversed, as children close before their parents); where each
         # P-node other than the kept pair and each edge of a run sits, as
-        # (run, segment); each run's count of real-edge segments; and
-        # each P-node's member runs.
+        # the arc (run, i, i + 1) of the stops it spans; each run's count
+        # of real-edge segments; and each P-node's member runs.
         if self.runs is not None:
             return
         groups = list(reversed(self.closed.items()))
@@ -758,7 +760,7 @@ class _SPTree:
                 count = 0
                 for i, (s, t) in enumerate(pairwise(run)):
                     k = edge_key(s, t)
-                    self.at[k] = (j, i)
+                    self.at[k] = (j, i, i + 1)
                     count += k not in self.closed
                 self.real.append(count)
 
@@ -770,34 +772,46 @@ class _SPTree:
 
     def rooted(self, u, v):
         """The SP tree from (u, v), with maximal series and parallel
-        nodes: the kept pair, an edge of the block or a P-node's poles;
-        None for any other pair. The parallel node at a pair puts its
-        direct edge first, then its runs by least interior vertex,
-        folded left; each run is a balanced series."""
+        nodes: the kept pair, an edge of the block, a P-node's poles or
+        an S-node split, two stops of one run that are not consecutive
+        on its cycle; None for any other pair. In a K_4-free block those
+        are exactly the pairs that are adjacent or separate the block. A
+        split is the parallel of the run's two arcs between its stops.
+        The parallel node at a pair puts its direct edge first, then its
+        runs by least interior vertex, folded left; each run is a
+        balanced series."""
         closed, has_edge = self.closed, self.graph.has_edge
         key = edge_key(u, v)
         if key == self.key:
             root = ("parallel", u, v, self.top)
         else:
             self._index()
-            if key not in self.at:
+            where = self.at.get(key) or next((
+                (j, *sorted(map(run.index, (u, v))))
+                for j, run in enumerate(self.runs) if u in run and v in run
+            ), None)
+            if where is None:
                 return None
-            root = ("parallel", u, v, closed.get(key, ()), None, self.at[key])
+            j, p, q = where
+            members = closed.get(key, ()) if q == p + 1 else [list(self.runs[j])[p:q + 1]]
+            root = ("parallel", u, v, members, None, where)
         # An item (op, x, y, runs) is a node as the replay built it: a
         # P-node's member runs, or one run. Walking out from another
         # root, a parallel item adds skip, its member run toward the
-        # root, and where, the (run, segment) it sits at when that run
-        # lies away from the root. That run's cycle is then a series item
-        # whose last part, (up, run), names the P-node closing it.
+        # root, and where, the arc (run, p, q) of stops p to q it spans
+        # when that run lies away from the root. The rest of that run's
+        # cycle is then a series item whose last part, (up, run), names
+        # the P-node closing it.
 
         def around(where, x, y):
-            # the cycle of run j less its segment i, from x to y
-            j, i = where
+            # the cycle of run j less its arc from stop p to stop q,
+            # from x to y
+            j, p, q = where
             run = list(self.runs[j])
-            if run[i] == x:
-                stops = run[i::-1] + run[:i:-1]
+            if run[p] == x:
+                stops = run[p::-1] + run[:q - 1:-1]
             else:
-                stops = run[i + 1:] + run[:i + 1]
+                stops = run[q:] + run[:p + 1]
             return ("series", x, y, stops, (edge_key(run[0], run[-1]), self.runs[j]))
 
         def segments(x, run):
@@ -844,8 +858,10 @@ class _SPTree:
         return _bottom_up(root, kids, combine)[0]
 
     def simple_from(self, u, v):
-        """Whether rooted(u, v) is simple, without rendering it; False
-        for a pair that rooted refuses.
+        """Whether rooted(u, v) is simple, without rendering it, for an
+        edge of the block, the kept pair or a P-node's poles, the only
+        roots its callers ask about; False for any other pair, S-node
+        splits included.
 
         A run is bridged exactly when it has a real-edge segment, a
         parallel node counts its children's complexity and a series node
@@ -893,15 +909,6 @@ class _SPTree:
         self.good = good
 
 
-def _sp(g, a, b):
-    """SP tree of (g, a, b) from one series-parallel reduction keeping a
-    and b: _sp_tree(g, a, b) rooted at (a, b), or None where that is
-    None. On a biconnected g that is the SP tree with maximal series and
-    parallel nodes (see _SPTree.rooted)."""
-    sp = _sp_tree(g, a, b)
-    return None if sp is None else sp.rooted(a, b)
-
-
 def _components(g, bcf):
     """The number of connected components of g, read off its forest bcf.
     The blocks and cut vertices of one component form a tree, so its
@@ -910,20 +917,22 @@ def _components(g, bcf):
     return len(bcf.blocks) + g.n - sum(map(len, bcf.blocks))
 
 
-def _two_connected(g):
-    return g.n >= 2 and len(block_cut_forest(g).blocks) == 1
-
-
 def sp_decompose(g, a, b):
     """Series-parallel tree of a biconnected K_4-free graph.
 
     The terminals must be adjacent or disconnect the graph; those are
-    exactly the pairs for which such a tree exists.
+    exactly the pairs for which such a tree exists. The K_4 test reduces
+    the graph once, as the classifier reduces a block, and the tree is
+    rooted at (a, b) in that reduction's S/P tree; a one-edge graph's is
+    a leaf. The answer is checked here, once, and a wrong one raises
+    AssertionError, an internal error, also under `python -O`.
     """
     _check_terminals(g, a, b)
-    if not _two_connected(g):
+    bcf = block_cut_forest(g)
+    if len(bcf.blocks) != 1:
         raise InputError("series-parallel decomposition needs a biconnected graph")
-    if not _sp_reducible(g):
+    kept = _reduce_blocks(g, bcf)
+    if isinstance(kept, ForbiddenWitness):
         raise InputError("the graph contains a K_4 subdivision")
     if not g.has_edge(a, b):
         rest = g.without_vertices({a, b})
@@ -931,10 +940,8 @@ def sp_decompose(g, a, b):
             raise InputError(
                 "terminals must be adjacent or separate the graph"
             )
-    t = _sp(g, a, b)
-    if t is None:
-        raise AssertionError("the series-parallel engine found no tree of a valid input")
-    return t
+    sp = _Leaves(g, bcf, kept).sp(0)
+    return _checked_decomposition(_render(sp, a, b), g, a, b)
 
 
 def _check_terminals(g, a, b):
@@ -957,7 +964,7 @@ class _Leaves:
     from m, and a forest lists them in the order its DFS leaves m. kept
     maps each block of 3+ vertices to its graph and its reduction keeping
     its key, as _reduce_blocks makes them, and each block's S/P tree is
-    built from it once, on first use (see sp).
+    built from it once, on first use (see sp); a bridge has none.
     """
 
     def __init__(self, g, bcf, kept):
@@ -992,31 +999,29 @@ class _Leaves:
             self.push(j)
 
     def sp(self, i):
-        """Block i's S/P tree, for a block of 3+ vertices, built once from
-        its kept reduction."""
-        if i not in self.sps:
+        """Block i's S/P tree, built once from its kept reduction; None
+        for a bridge."""
+        if i in self.kept and i not in self.sps:
             sub, reduction = self.kept[i]
             self.sps[i] = _sp_tree(sub, *self.keys[i], reduction)
-        return self.sps[i]
+        return self.sps.get(i)
 
     def rooting(self, g, i, cut):
         """(sp, cut, other): block i's S/P tree, None for a bridge, and
         the pair its tree from cut is rooted at, cut and cut's least
         neighbour in the block. Whether that tree is simple is read off
         sp, and _render builds it only where it is needed."""
-        blk = self.blocks[i]
-        if len(blk) == 2:
-            (other,) = blk - {cut}
-            return None, cut, other
         m, other = self.keys[i]
         if cut != m:
-            other = min(g.neighbors(cut) & blk)
+            other = min(g.neighbors(cut) & self.blocks[i])
         return self.sp(i), cut, other
 
 
 def _render(sp, a, b):
     """A block's SP tree from (a, b), rooted in its S/P tree sp; a
-    bridge's, sp None, is the leaf ab."""
+    bridge's, sp None, is the leaf ab. Every caller asks for a pair that
+    is adjacent or separates the block, so a refused pair raises
+    AssertionError, an internal error, also under `python -O`."""
     if sp is None:
         return leaf(a, b)
     tree = sp.rooted(a, b)
@@ -1027,14 +1032,15 @@ def _render(sp, a, b):
 
 def _gsp(g, bcf, kept, a, b):
     """GSP tree for a connected K_4-free (g, a, b), given g's block-cut
-    forest and the reductions _reduce_blocks keeps; None on obstruction.
+    forest and the reductions _reduce_blocks keeps.
 
     Leaf blocks whose interior holds no terminal are peeled off, each
     decomposed from its cut vertex, until the block holding both
     terminals is left; a leaf whose interior holds one stays a leaf, so
     it leaves the heap for good. The classifier's _assemble builds the
-    limbs as series spines; the terminals' block's tree keeps (a, b),
-    every limb hanging on it with a branch node.
+    limbs as series spines; the terminals' block's tree is rooted at
+    (a, b) in its S/P tree, a bridge's is a leaf, and every limb hangs
+    on it with a branch node.
     """
     leaves = _Leaves(g, bcf, kept)
     peeled = []
@@ -1046,8 +1052,7 @@ def _gsp(g, bcf, kept, a, b):
         peeled.append((blk, cut, _render(*leaves.rooting(g, i, cut))))
         leaves.peel(i, cut)
     (i,) = leaves.alive
-    out = _sp(_block_graph(g, leaves.blocks[i]), a, b)
-    return None if out is None else _assemble(peeled, out, ())
+    return _assemble(peeled, _render(leaves.sp(i), a, b), ())
 
 
 def gsp_decompose(g, a, b):
@@ -1055,9 +1060,10 @@ def gsp_decompose(g, a, b):
 
     Requires a connected K_4-free graph whose terminals are adjacent or
     form a two-element separator of one biconnected block. The K_4 test
-    reduces each block once, and the peel roots its pendants in those
-    reductions. The answer is checked here, once, and a wrong one raises
-    AssertionError, an internal error, also under `python -O`.
+    reduces each block once, and every tree of a block, the terminals'
+    block's included, is rooted in the S/P tree of that reduction. The
+    answer is checked here, once, and a wrong one raises AssertionError,
+    an internal error, also under `python -O`.
     """
     _check_terminals(g, a, b)
     bcf = block_cut_forest(g)
@@ -1072,9 +1078,12 @@ def gsp_decompose(g, a, b):
         for blk in bcf.blocks
     ):
         raise InputError("terminals must be adjacent or separate one biconnected block")
-    t = _gsp(g, bcf, kept, a, b)
-    if t is None:
-        raise AssertionError("the generalized engine found no tree of a valid input")
+    return _checked_decomposition(_gsp(g, bcf, kept, a, b), g, a, b)
+
+
+def _checked_decomposition(t, g, a, b):
+    # t, if it is a tree of g over the terminals (a, b); the check folds
+    # its vertex sets and builds its graph once (see recompose)
     try:
         ok = recompose(t) == g and t.terminals == (a, b)
     except InputError:
@@ -1235,22 +1244,29 @@ def _rebuild_block(sp, m, target):
     unique minimal complex node is m, into a simple one with `target` as
     first terminal, or extract a forbidden pattern.
 
-    target must be a terminal of m = (M, s, t), a P-node of sp. Rooted
-    at (s, t), sp splits the block into parallel pieces that lie
-    entirely inside or outside M; a non-bridged outside piece hands a
-    third bipath to M's two, and a complex node inside a piece makes a
-    pair with M; either refutes the graph. Otherwise sp is rooted at the
-    first edge (target, w), w in sorted order, from which it is simple.
-    One exists: M's two children and the outside pieces are then simple
-    and the pieces bridged, and unwinding one side into the other
-    (series factors join inverted, parallel nodes shed a complexity-0
-    child, a last leaf joins in parallel) gives a simple tree
-    parallel(leaf(target, w), ...). The maximal SP tree from that edge
-    has the same P-nodes and member runs, so it is simple too. The checks raise AssertionError, also
-    under python -O.
+    target must be a terminal of m = (M, s, t), a P-node of sp. The
+    answer is sp rooted at the first edge (target, w), w in sorted
+    order, from which sp rates it simple, and only that tree is
+    rendered. Where there is none, sp is rendered at (s, t), where it
+    splits the block into parallel pieces that lie entirely inside or
+    outside M; a non-bridged outside piece hands a third bipath to M's
+    two, and a complex node inside a piece makes a pair with M; either
+    refutes the graph. A refutation is a pattern inside the block, so
+    then no root of the block is simple, and where nothing refutes, an
+    edge at the target roots a simple tree: M's two children and the
+    outside pieces are then simple and the pieces bridged, and
+    unwinding one side into the other (series factors join inverted,
+    parallel nodes shed a complexity-0 child, a last leaf joins in
+    parallel) gives a simple tree parallel(leaf(target, w), ...). The
+    maximal SP tree from that edge has the same P-nodes and member runs,
+    so it is simple too. The checks raise AssertionError, also under
+    python -O.
     """
     if m.op != "parallel" or target not in m.terminals:
         raise AssertionError("the target is not a terminal of the complex core")
+    for w in sp.graph.sorted_neighbors(target):
+        if sp.simple_from(target, w):
+            return sp.rooted(target, w)
     s, t = m.terminals
     fresh = sp.rooted(s, t)
     if fresh is None:
@@ -1270,9 +1286,6 @@ def _rebuild_block(sp, m, target):
         inner = _minimal_complex_nodes(piece)
         if inner:
             return _witness_pair(sp.graph, m, inner[0])
-    for w in sp.graph.sorted_neighbors(target):
-        if sp.simple_from(target, w):
-            return sp.rooted(target, w)
     raise AssertionError("the re-anchoring found no edge at the target to root a simple tree")
 
 

@@ -705,17 +705,15 @@ def _certifier(g, top, mask_cap):
     return certify, least
 
 
-def _largest_certificate(g, top, mask_cap, certify=None):
+def _largest_certificate(g, top, mask_cap, certify):
     """The boundary-gap certificate of the largest width k <= top that
     has one, on a connected graph, or None when top < 1. The widths are
     tried from top down, each by certify, a _certifier of g for top or
-    more; one is made when none is given. A smaller width costs fewer
-    separator steps, so a width their budget refuses does not end the
-    walk, and k = 1 always has a certificate."""
+    more. A smaller width costs fewer separator steps, so a width their
+    budget refuses does not end the walk, and k = 1 always has a
+    certificate."""
     if top < 1:
         return None
-    if certify is None:
-        certify, _ = _certifier(g, top, mask_cap)
     for k in range(top, 1, -1):
         cert = certify(k)
         if cert is not None:

@@ -766,7 +766,7 @@ class _Walk:
         return search
 
 
-def _plan(tree, floors, room=_HOST_CAP, steps_cap=_HOST_CAP, flip=False):
+def _plan(tree, floors, room, steps_cap=_HOST_CAP, flip=False):
     """The size of the bundle synthesize builds from tree, or from
     invert(tree) when flip, under floors, a checked floor map, without
     building it: (interior count per base edge, search length). It

@@ -5,6 +5,7 @@ import itertools
 import json
 from collections import deque
 import os
+import random
 import subprocess
 import sys
 from unittest import mock
@@ -45,7 +46,6 @@ from zvsearch.gsp import (
     _invert,
     _leaf_edges,
     _merge,
-    _sp,
     _sp_reducible,
     classify_topological_3,
     complexity,
@@ -357,9 +357,7 @@ def k4_free_block_trees(g):
         if len(blk) < 2 or not _sp_reducible(sub):
             continue
         for a, b in sub.edges():
-            tree = _sp(sub, a, b)
-            assert tree is not None
-            yield tree
+            yield sp_decompose(sub, a, b)
 
 
 ORACLE_SPECS = ["cycle:7", "path:9", "tree:4", "grid:2,6", "f1", "f2", "f3"]
@@ -1082,31 +1080,6 @@ def sp_pairs(g):
             yield a, b
 
 
-def random_sp_block(rng):
-    while True:
-        g = random_biconnected(rng)
-        if _sp_reducible(g):
-            return g
-
-
-def block_chain(rng):
-    """Random K_4-free blocks and bridges glued end to end, each block
-    entered and left at one of its SP terminal pairs; returns the chain
-    and its two ends."""
-    edges, stops = [], []
-    for i in range(rng.randint(2, 5)):
-        blk = random_sp_block(rng) if rng.random() < 0.7 else Graph.from_edges([("0", "1")])
-        u, v = rng.choice(list(sp_pairs(blk)))
-        names = {x: f"b{i}.{x}" for x in blk.vertices}
-        if stops:
-            names[u] = stops[-1]
-        else:
-            stops.append(names[u])
-        stops.append(names[v])
-        edges += [(names[x], names[y]) for x, y in blk.edges()]
-    return Graph.from_edges(edges), stops[0], stops[-1]
-
-
 def record(tree):
     return None if tree is None else json.dumps(tree_to_record(tree))
 
@@ -1148,16 +1121,9 @@ def test_sp_matches_its_first_form(atlas_2_7, rng):
         cases += [(g, a, b) for ab in pairs for a, b in (ab, ab[::-1])]
     trees = []
     for g, a, b in cases:
-        got = _sp(g, a, b)
+        got = sp_decompose(g, a, b)
         assert record(got) == record(reference_sp(g, a, b)), (sorted(g.edges()), a, b)
         assert recompose(got) == reference_recompose(got) == g, (sorted(g.edges()), a, b)
-        trees.append(got)
-    # on a chain of blocks the engine gives the chain's series tree,
-    # where the first form needed its chain step
-    for _ in range(100):
-        g, a, b = block_chain(rng)
-        got = _sp(g, a, b)
-        assert got is not None and record(got) == record(reference_sp_chain(g, a, b))
         trees.append(got)
     compared = sum(check_extract(t) for t in trees)
     complex_trees = sum(not t.simple for t in trees)
@@ -1189,15 +1155,22 @@ def test_extract_on_classifier_trees_matches_its_first_form(atlas_2_7_classified
 
 def test_sp_refuses_what_it_cannot_reduce():
     # the first form recursed without end on a K_4 and on terminals that
-    # are neither adjacent nor a separating pair; then the reduction
-    # deletes a pendant vertex, and one of another component
-    assert _sp(complete_graph(4), "0", "1") is None
+    # are neither adjacent nor a separating pair: sp_decompose refuses
+    # both with InputError, as it does a graph with a pendant vertex or
+    # of two components, and the S/P tree roots no tree at such a pair
     theta = Graph.from_edges([("p", "x1"), ("x1", "x2"), ("x2", "q"), ("p", "y1"),
                               ("y1", "y2"), ("y2", "q"), ("p", "z"), ("z", "q")])
-    assert _sp(theta, "x1", "y1") is None
     pendant = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
-    assert _sp(pendant, "a", "b") is None
-    assert _sp(Graph.from_edges([("a", "b"), ("c", "d")]), "a", "b") is None
+    for g, a, b, why in [
+        (complete_graph(4), "0", "1", "K_4"),
+        (theta, "x1", "y1", "separate"),
+        (pendant, "a", "b", "biconnected"),
+        (Graph.from_edges([("a", "b"), ("c", "d")]), "a", "b", "biconnected"),
+    ]:
+        with pytest.raises(InputError, match=why):
+            sp_decompose(g, a, b)
+    sp = gsp_module._sp_tree(theta, "p", "z", gsp_module._reduce(theta, ("p", "z")))
+    assert sp.rooted("x1", "y1") is None and not sp.simple_from("x1", "y1")
 
 
 def sp_blocks(graphs):
@@ -1213,50 +1186,57 @@ def sp_blocks(graphs):
 
 def test_rooted_matches_sp(atlas_2_7, rng):
     """One S/P tree per block, built from its least edge as the
-    classifier keeps it, renders from both ends of an edge (or of a
-    P-node's poles) the tree a fresh reduction replayed there builds,
-    and reads its simplicity without rendering it: at every edge of a
-    block of up to 40 edges, and for time at 12 edges drawn from a
-    larger one (the classify corpus's blocks have up to 200). Any other
-    pair is refused, and rated not simple."""
+    classifier keeps it, renders at every pair an SP tree of the block
+    can have, adjacent or separating, the tree a fresh reduction
+    replayed there builds, and at an edge or a P-node's poles reads its
+    simplicity without rendering it: at every such ordered pair of a
+    block of up to 40 edges, S-node splits included, and for time at 12
+    edges and 12 other pairs drawn from a larger one (the classify
+    corpus's blocks have up to 200). Any other pair is refused, and
+    rated not simple."""
     graphs = list(atlas_2_7)
     graphs += bench_corpus("classify", (0, 1, 2)) + bench_corpus("synth", (0, 1, 2))
     graphs += [random_biconnected(rng) for _ in range(300)]
     graphs += [random_block_tree(rng) for _ in range(100)]
     graphs += [reanchor_graph(rng) for _ in range(100)]
-    rootings = complex_rootings = mixed = refused = 0
+    rootings = complex_rootings = splits = mixed = refused = 0
     for sub in sp_blocks(graphs):
         m = min(sub.vertices)
-        sp = gsp_module._sp_tree(sub, m, min(sub[m]))
+        sp = gsp_module._sp_tree(sub, m, min(sub[m]), gsp_module._reduce(sub, (m, min(sub[m]))))
         assert sp.edges() == list(sub.edges())
-        edges = list(sub.edges()) if sub.m <= 40 else rng.sample(sub.edges(), 12)
-        pairs = edges + [k for k in sp.closed if not sub.has_edge(*k)]
+        if sub.m <= 40:
+            pairs = list(itertools.permutations(sub.vertices, 2))
+            good = set(sp_pairs(sub))
+        else:
+            pairs = [uv[::d] for uv in rng.sample(sub.edges(), 12) for d in (1, -1)]
+            pairs += rng.sample(list(itertools.permutations(sub.vertices, 2)), 12)
+            good = {(u, v) for u, v in pairs if sub.has_edge(u, v)
+                    or not sub.without_vertices({u, v}).is_connected()}
         verdicts = set()
-        for uv in pairs:
-            for u, v in (uv, uv[::-1]):
-                want = replay_sp(sub, u, v)
-                where = (sorted(sub.edges()), u, v)
-                assert record(sp.rooted(u, v)) == record(want), where
+        for u, v in [*pairs, (m, "not a vertex")]:
+            where = (sorted(sub.edges()), u, v)
+            if (u, v) not in good:
+                assert sp.rooted(u, v) is None and not sp.simple_from(u, v), where
+                refused += 1
+                continue
+            want = replay_sp(sub, u, v)
+            assert record(sp.rooted(u, v)) == record(want), where
+            rootings += 1
+            if sub.has_edge(u, v) or edge_key(u, v) in sp.closed:
                 assert sp.simple_from(u, v) == want.simple, where
                 verdicts.add(want.simple)
-                rootings += 1
                 complex_rootings += not want.simple
+            else:
+                splits += 1
         mixed += len(verdicts) == 2
-        # neither an edge nor a P-node's poles, nor in the block at all
-        poles = {*sub.edges(), *sp.closed}
-        pairs = itertools.combinations(sorted(sub.vertices), 2)
-        others = itertools.islice((k for k in pairs if k not in poles), 3)
-        for u, v in [*others, (m, "not a vertex")]:
-            assert sp.rooted(u, v) is None and not sp.simple_from(u, v), (u, v)
-            refused += 1
     assert rootings > 20000 and complex_rootings > 5000 and mixed > 100, (
         rootings, complex_rootings, mixed)
-    assert refused > 1000, refused
+    assert splits > 5000 and refused > 1000, (splits, refused)
     # two a-b bipaths, through m and through q, and the edge ab
     g = Graph.from_edges([("a", "b")] + [
         e for mid in "mq" for end, x, y in (("a", "x", "y"), ("b", "z", "w"))
         for inner in (x + mid, y + mid) for e in ((end, inner), (inner, mid))])
-    sp = gsp_module._sp_tree(g, "a", "b")
+    sp = gsp_module._sp_tree(g, "a", "b", gsp_module._reduce(g, ("a", "b")))
     for u, v in (("xm", "ym"), ("m", "q")):
         assert sp.rooted(u, v) is None and not sp.simple_from(u, v)
 
@@ -1841,6 +1821,36 @@ def test_a_rendered_tree_is_scanned_for_cores_once(rng, monkeypatch):
     assert len(ids) > 200, len(ids)
 
 
+def test_a_reanchoring_renders_only_its_new_root(monkeypatch):
+    """A re-anchoring that succeeds renders one tree, the block's from the
+    target's first simple edge: it reads the rootings at the target off
+    the S/P tree first, and renders the split at the complex core's
+    terminals only to refute. On reanchor_graph, seeds 0-4; the
+    refutations render the split and, if none applies, no root."""
+    renders, anchored, refuted = [], [], []
+    rooted, rebuild = gsp_module._SPTree.rooted, gsp_module._rebuild_block
+
+    def render(sp, u, v):
+        if renders:
+            renders[-1] += 1
+        return rooted(sp, u, v)
+
+    def spy(*args):
+        renders.append(0)
+        got = rebuild(*args)
+        (anchored if isinstance(got, GspTree) else refuted).append(renders.pop())
+        return got
+
+    monkeypatch.setattr(gsp_module._SPTree, "rooted", render)
+    monkeypatch.setattr(gsp_module, "_rebuild_block", spy)
+    for seed in range(5):
+        rng = random.Random(seed)
+        for _ in range(100):
+            classify_topological_3(reanchor_graph(rng))
+    assert set(anchored) == {1} and len(anchored) >= 40, (len(anchored), set(anchored))
+    assert set(refuted) <= {1}, set(refuted)
+
+
 # ---------------------------------------------------------------------------
 # F3 connectors against their first form
 
@@ -2115,36 +2125,49 @@ def test_gsp_decompose_matches_its_first_form_on_long_graphs(name):
 
 def test_gsp_decompose_reduces_each_block_once(atlas_2_7, monkeypatch):
     """gsp_decompose reduces each block of 3+ vertices once, for its K_4
-    test, and the terminals' block once more, keeping the terminals; it
+    test, and roots the terminals' block in that reduction too; it
     makes no reduction of the whole graph. Counted in vertices reduced,
-    on graphs with pendant blocks and every terminal pair they accept."""
+    on graphs with pendant blocks and every terminal pair they accept.
+    sp_decompose makes one reduction of its biconnected graph."""
     graphs = [
         g for g in atlas_2_7
         if len(block_cut_forest(g).blocks) > 1 and has_k4_subdivision(g) is None
     ]
     graphs += [sun(12), six_cycle_chain(4), flower("a", 5)]
-    entries = [0]
+    calls = []
     real = gsp_module._reduce
 
     def reduce(adj, keep=()):
-        entries[0] += sum(1 for _ in adj)  # a Graph or a dict
+        calls.append(sum(1 for _ in adj))  # a Graph or a dict
         return real(adj, keep)
 
     monkeypatch.setattr(gsp_module, "_reduce", reduce)
     checked = 0
     for g in graphs:
-        blocks = block_cut_forest(g).blocks
-        each = sum(len(blk) for blk in blocks if len(blk) >= 3)
+        each = sum(len(blk) for blk in block_cut_forest(g).blocks if len(blk) >= 3)
         for a, b in itertools.permutations(sorted(g.vertices), 2):
-            entries[0] = 0
+            calls.clear()
             try:
                 gsp_decompose(g, a, b)
             except InputError:
                 continue
-            (home,) = [blk for blk in blocks if a in blk and b in blk]
-            assert entries[0] == each + len(home), (sorted(g.edges()), a, b)
+            assert sum(calls) == each, (sorted(g.edges()), a, b)
             checked += 1
     assert checked > 3000, checked
+    blocks = [
+        g for g in atlas_2_7
+        if g.n >= 3 and len(block_cut_forest(g).blocks) == 1 and has_k4_subdivision(g) is None
+    ]
+    for g in blocks + [generate("grid:2,8"), cycle_graph(12)]:
+        for a, b in itertools.permutations(sorted(g.vertices), 2):
+            calls.clear()
+            try:
+                sp_decompose(g, a, b)
+            except InputError:
+                continue
+            assert calls == [g.n], (sorted(g.edges()), a, b)
+            checked += 1
+    assert checked > 6000, checked
 
 
 def test_gsp_decompose_builds_one_forest(monkeypatch):
@@ -2162,11 +2185,11 @@ def test_gsp_decompose_builds_one_forest(monkeypatch):
 # gsp_decompose, whose own check must refuse it; "merge" grafts nothing,
 # so the tree misses every limb off a spine; "witness" makes every
 # witness look foreign to the graph. "sp" makes the S/P tree root no
-# tree, and sp_decompose must refuse to return None; "gsp" makes the
-# series-parallel engine find none for gsp_decompose, and "peel" makes
-# the S/P tree root none for the classifier's peel, on a pendant block
-# of the paw (a triangle with a pendant edge) and on the last block of
-# a cycle. "split" roots no tree anywhere but at a block's kept pair, so
+# tree, and sp_decompose must refuse to return None; "leaf" makes it
+# root a bare leaf, which sp_decompose's own check must refuse; "gsp"
+# makes it root none for gsp_decompose's terminals' block, and "peel"
+# none for the classifier's peel, on a pendant block of the paw (a triangle with a
+# pendant edge) and on the last block of a cycle. "split" roots no tree anywhere but at a block's kept pair, so
 # the re-anchoring of an F2 graph's block finds no split at its complex
 # core's terminals. "reanchor" rates no rooting simple, so the
 # re-anchoring of a block of two a-b bipaths and the edge ab, complex
@@ -2197,13 +2220,13 @@ if how in ("spine", "limbs"):
         run = lambda g: gsp.gsp_decompose(g, *g.edges()[0])
 elif how == "merge":
     gsp._merge = lambda tree, limbs: tree
-elif how in ("sp", "peel"):
-    gsp._SPTree.rooted = lambda *args: None
-    if how == "sp":
+elif how in ("sp", "leaf", "gsp", "peel"):
+    gsp._SPTree.rooted = (
+        lambda sp, u, v: gsp.leaf(u, v)) if how == "leaf" else lambda *args: None
+    if how in ("sp", "leaf"):
         run = lambda g: gsp.sp_decompose(g, *g.edges()[0])
-elif how == "gsp":
-    gsp._sp = lambda *args: None
-    run = lambda g: gsp.gsp_decompose(g, *g.edges()[0])
+    elif how == "gsp":
+        run = lambda g: gsp.gsp_decompose(g, *g.edges()[0])
 elif how == "split":
     gsp._SPTree.rooted = lambda sp, u, v: (
         rooted(sp, u, v) if edge_key(u, v) == sp.key else None)
@@ -2229,8 +2252,8 @@ else:
         ("f2", "witness", "witness"),
         ("f3", "witness", "witness"),
         ("cycle:5", "sp", "series-parallel engine"),
-        ("cycle:5", "gsp", "generalized engine"),
-        ("tree:2", "gsp", "generalized engine"),
+        ("cycle:5", "leaf", "decomposition"),
+        ("cycle:5", "gsp", "series-parallel engine"),
         ("paw", "peel", "series-parallel engine"),
         ("cycle:5", "peel", "series-parallel engine"),
         ("f2", "split", "split"),

@@ -67,3 +67,53 @@ def test_every_private_definition_is_used():
         )
     ]
     assert not unused, unused
+
+
+def defaults(node, method):
+    """(name, positional index or None) of each parameter of the function
+    node that has a default; a method's index leaves out its first
+    parameter, which a call through an attribute does not pass."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args][1 if method else 0:]
+    for i, arg in enumerate(positional):
+        if i >= len(positional) - len(args.defaults):
+            yield arg.arg, i
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def omitted(call):
+    """The test a call makes of a parameter (name, positional index or
+    None): true when the call leaves it to its default. A call with
+    *args passes only its plain positionals; a keyword passes its
+    parameter."""
+    plain = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                 len(call.args))
+    named = {k.arg for k in call.keywords}
+    return lambda name, i: name not in named and (i is None or i >= plain)
+
+
+def test_every_private_default_is_used():
+    # A default that every call overrides is a dead option: the code
+    # reads as if some caller relied on it. Calls match by name, through
+    # a bare name or an attribute.
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    calls = {}  # name -> the omitted test of each call
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                f = n.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(omitted(n))
+    checked, dead = 0, []
+    for tree in trees:
+        for name, method, node in definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for param, i in defaults(node, method):
+                checked += 1
+                if not any(leaves(param, i) for leaves in calls.get(name, ())):
+                    dead.append(f"{name}({param}) at line {node.lineno}")
+    assert checked > 5, checked
+    assert not dead, dead

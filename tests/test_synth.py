@@ -723,7 +723,7 @@ def test_synthesize_makes_one_host(monkeypatch, spec, floors):
 
 def planned(g, tree, floors=None, flip=False):
     """(host vertices, search length, nonzero counts) as _plan has them."""
-    counts, length = synth_module._plan(tree, floors or {}, flip=flip)
+    counts, length = synth_module._plan(tree, floors or {}, synth_module._HOST_CAP, flip=flip)
     return g.n + sum(counts.values()), length, {e: c for e, c in counts.items() if c}
 
 
@@ -786,10 +786,11 @@ def test_plan_equals_build_under_floors(spec):
 def test_a_plan_stops_at_the_cap():
     g = generate("cycle:4")
     tree = classify_topological_3(g).tree
-    assert synth_module._plan(tree, {("0", "1"): 10**8}) is None
-    assert synth_module._plan(tree, {}, steps_cap=20) is None
+    cap = synth_module._HOST_CAP
+    assert synth_module._plan(tree, {("0", "1"): 10**8}, cap) is None
+    assert synth_module._plan(tree, {}, cap, steps_cap=20) is None
     assert synth_module._plan(tree, {}, room=10) is None
-    assert synth_module._plan(tree, {})[1] == 26
+    assert synth_module._plan(tree, {}, cap)[1] == 26
 
 
 def chosen_size(g):
