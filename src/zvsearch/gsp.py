@@ -779,11 +779,13 @@ class _SPTree:
         split is the parallel of the run's two arcs between its stops.
         The parallel node at a pair puts its direct edge first, then its
         runs by least interior vertex, folded left; each run is a
-        balanced series."""
+        balanced series. The render is one bottom-up walk without
+        recursion over items of one shape, a P-node or a run each, so a
+        pair with thousands of runs renders as deep a tree as it must."""
         closed, has_edge = self.closed, self.graph.has_edge
         key = edge_key(u, v)
         if key == self.key:
-            root = ("parallel", u, v, self.top)
+            root = ("parallel", u, v, self.top, None, None)
         else:
             self._index()
             where = self.at.get(key) or next((
@@ -795,13 +797,14 @@ class _SPTree:
             j, p, q = where
             members = closed.get(key, ()) if q == p + 1 else [list(self.runs[j])[p:q + 1]]
             root = ("parallel", u, v, members, None, where)
-        # An item (op, x, y, runs) is a node as the replay built it: a
-        # P-node's member runs, or one run. Walking out from another
-        # root, a parallel item adds skip, its member run toward the
-        # root, and where, the arc (run, p, q) of stops p to q it spans
-        # when that run lies away from the root. The rest of that run's
-        # cycle is then a series item whose last part, (up, run), names
-        # the P-node closing it.
+        # An item (op, x, y, parts, skip, where) is a node as the replay
+        # built it: a P-node's member runs, or one run's stops. Walking
+        # out from another root, a parallel item leaves out skip, its
+        # member run toward the root, and where is the arc (run, p, q) of
+        # stops p to q it spans when that run lies away from the root.
+        # The rest of that run's cycle is then a series item around it,
+        # whose skip and where are the key and the run of the P-node
+        # closing the cycle; both are None elsewhere.
 
         def around(where, x, y):
             # the cycle of run j less its arc from stop p to stop q,
@@ -812,48 +815,39 @@ class _SPTree:
                 stops = run[p::-1] + run[:q - 1:-1]
             else:
                 stops = run[q:] + run[:p + 1]
-            return ("series", x, y, stops, (edge_key(run[0], run[-1]), self.runs[j]))
+            return ("series", x, y, stops, edge_key(run[0], run[-1]), self.runs[j])
 
         def segments(x, run):
             return pairwise(run if run[0] == x else reversed(run))
 
         def kids(item):
-            if len(item) == 4:
-                op, x, y, members = item
-                if op == "parallel":
-                    return [("series", x, y, run) for run in members]
-                return [
-                    ("parallel", s, t, closed[k])
-                    for s, t in segments(x, members) if (k := edge_key(s, t)) in closed
-                ]
-            if item[0] == "parallel":
-                _, x, y, members, skip, where = item
-                out = [("series", x, y, run) for run in members if run is not skip]
+            op, x, y, parts, skip, where = item
+            if op == "parallel":
+                out = [("series", x, y, run, None, None) for run in parts if run is not skip]
                 if where is not None:
                     out.append(around(where, x, y))
                 return out
-            _, x, _, stops, (up, run) = item
             return [
-                ("parallel", s, t, closed[k], run, self.at.get(k))
-                if k == up else ("parallel", s, t, closed[k])
-                for s, t in segments(x, stops) if (k := edge_key(s, t)) in closed
+                ("parallel", s, t, closed[k], where, self.at.get(k)) if k == skip
+                else ("parallel", s, t, closed[k], None, None)
+                for s, t in segments(x, parts) if (k := edge_key(s, t)) in closed
             ]
 
         def combine(item, values):
             # values: (tree, least interior vertex) of each kid
-            op, x, y, run = item[:4]
+            op, x, y, parts = item[:4]
             if op == "parallel":
                 values.sort(key=lambda tv: tv[1])
-                parts = [leaf(x, y)] if has_edge(x, y) else []
-                parts += [t for t, _ in values]
-                return _fold("parallel", parts), values[0][1] if values else None
+                trees = [leaf(x, y)] if has_edge(x, y) else []
+                trees += [t for t, _ in values]
+                return _fold("parallel", trees), values[0][1] if values else None
             inner = iter(values)
-            parts, lows = [], [low for _, low in values]
-            for s, t in segments(x, run):
-                parts.append(next(inner)[0] if edge_key(s, t) in closed else leaf(s, t))
+            trees, lows = [], [low for _, low in values]
+            for s, t in segments(x, parts):
+                trees.append(next(inner)[0] if edge_key(s, t) in closed else leaf(s, t))
                 lows.append(t)
             lows.pop()
-            return _series(parts), min(lows)
+            return _series(trees), min(lows)
 
         return _bottom_up(root, kids, combine)[0]
 
@@ -1166,24 +1160,25 @@ def _route(tree):
 
 
 def _extract(tree):
-    if tree.is_leaf or tree.bridged:
-        return []
-    if tree.op == "parallel":
-        return _extract(tree.children[0]) + _extract(tree.children[1])
-    if tree.op in ("branch", "branch_alt"):
-        return _extract(tree.children[0])
-    # a non-bridged series node: its factors, read through series nodes
-    # and branch spines, are parallel nodes, one per block of its chain.
-    # A factor's two children run between its terminals and share only
+    # One bipath per non-bridged piece below tree's parallel nodes and
+    # branch spines, left to right; a leaf is bridged, so each is a
+    # series node. Its factors, read through series nodes and branch
+    # spines, are parallel nodes, one per block of its chain. A
+    # factor's two children run between its terminals and share only
     # them, so a route through each is a pair of internally disjoint
-    # routes through the block
-    factors = _flatten(tree, ("series",))
-    path1, path2 = [tree.a], [tree.a]
-    for f in factors:
-        path1.extend(_route(f.children[0])[1:])
-        path2.extend(_route(f.children[1])[1:])
-    stops = [f.a for f in factors] + [tree.b]
-    return [Bipath(tuple(path1), tuple(path2), tuple(stops))]
+    # routes through the block.
+    out = []
+    for t in _flatten(tree, ("parallel",)):
+        if t.bridged:
+            continue
+        factors = _flatten(t, ("series",))
+        path1, path2 = [t.a], [t.a]
+        for f in factors:
+            path1.extend(_route(f.children[0])[1:])
+            path2.extend(_route(f.children[1])[1:])
+        stops = [f.a for f in factors] + [t.b]
+        out.append(Bipath(tuple(path1), tuple(path2), tuple(stops)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -625,8 +625,7 @@ def inspection_number(
             exact = False
     if cert is None and certify is not None:
         # no width from the pathwidth to greedy - 1 has one
-        cert = _largest_certificate(g, min(width, greedy - 1), mask_cap,
-                                    certify)
+        cert = _largest_certificate(min(width, greedy - 1), certify)
     source = "pathwidth+1" if exact else "a greedy layout's width+1"
     cap = width + 1
     top = cap - 1 if k_max is None else min(cap - 1, k_max)
@@ -705,12 +704,12 @@ def _certifier(g, top, mask_cap):
     return certify, least
 
 
-def _largest_certificate(g, top, mask_cap, certify):
+def _largest_certificate(top, certify):
     """The boundary-gap certificate of the largest width k <= top that
     has one, on a connected graph, or None when top < 1. The widths are
-    tried from top down, each by certify, a _certifier of g for top or
-    more. A smaller width costs fewer separator steps, so a width their
-    budget refuses does not end the walk, and k = 1 always has a
+    tried from top down, each by certify, a _certifier of the graph for
+    top or more. A smaller width costs fewer separator steps, so a width
+    their budget refuses does not end the walk, and k = 1 always has a
     certificate."""
     if top < 1:
         return None

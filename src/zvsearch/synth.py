@@ -41,7 +41,6 @@ from .graphs import (
 from .gsp import (
     GspTree,
     TerminalGraph,
-    _fold,
     _invert,
     _leaf_edges,
     _rootings,
@@ -549,20 +548,33 @@ def _check_floors(floors, graph):
 
 
 def _pieces(tree):
-    """Flatten a parallel composition into its parallel-free pieces.
+    """Flatten a parallel composition into its parallel-free pieces, left
+    to right, without recursion.
 
     A branch whose spine is itself parallel is rewritten on the fly,
     hoisting the pendant onto the spine's first piece; the piece list
     therefore consists of trees whose own top is not a parallel node, and
-    every piece of complexity 0 is honestly bridged.
+    every piece of complexity 0 is honestly bridged. The walk follows
+    each branch chain down to its spine. A parallel spine hands its
+    first child the chain's branches, innermost first, then those handed
+    down from above; any other spine ends a piece, the chain's top
+    re-hung under the branches handed down.
     """
-    if tree.op == "parallel":
-        return _pieces(tree.children[0]) + _pieces(tree.children[1])
-    if tree.op in ("branch", "branch_alt"):
-        inner = _pieces(tree.children[0])
-        if len(inner) > 1:
-            return [node(tree.op, inner[0], tree.children[1])] + inner[1:]
-    return [tree]
+    out, stack = [], [(tree, ())]
+    while stack:
+        top, hung = stack.pop()
+        spine, chain = top, []
+        while spine.op in ("branch", "branch_alt"):
+            chain.append(spine)
+            spine = spine.children[0]
+        if spine.op == "parallel":
+            first, second = spine.children
+            stack += [(second, ()), (first, (*reversed(chain), *hung))]
+            continue
+        for b in hung:
+            top = node(b.op, top, b.children[1])
+        out.append(top)
+    return out
 
 
 def _ends(tree, end):
@@ -655,7 +667,7 @@ class _Walk:
             if self.build:
                 self.stats = {"op": "series"}
         elif op == "parallel":
-            search = self.parallel(t, floors, flip)
+            search = self.parallel(t, floors, flip, _pieces(t))
         else:
             search = self.branch(t, floors, flip)
         if not self.build and search > self.steps_cap:
@@ -705,17 +717,19 @@ class _Walk:
         tied = [p for p in bridged if p.n == least]
         return tied[0] if len(tied) == 1 else min(tied, key=_labels)
 
-    def parallel(self, t, floors, flip):
-        """The parallel amalgamation of t, or of invert(t) when flip. The
-        chosen piece is split at a bridge into the pendants S_1 at a and
-        S_2 at b; the other pieces form the core S_0, walked under the
-        demands at both terminals. Inverting inverts every piece, and the
-        split of an inverted piece at its first bridge is the inversion
-        of the split at its last, with the halves swapped."""
-        pieces = _pieces(t)
+    def parallel(self, t, floors, flip, pieces):
+        """The parallel amalgamation of t, or of invert(t) when flip, given
+        t's pieces (see _pieces). The chosen piece is split at a bridge
+        into the pendants S_1 at a and S_2 at b; the other pieces form
+        the core S_0, walked under the demands at both terminals: a lone
+        piece as a node, and more as the parallel amalgamation of just
+        those pieces, which share t's terminals, so t is flattened once.
+        The core's length is part of t's, which node checks against the
+        plan's cap. Inverting inverts every piece, and the split of an
+        inverted piece at its first bridge is the inversion of the split
+        at its last, with the halves swapped."""
         chosen = self.chosen(pieces)
         rest = [p for p in pieces if p is not chosen]
-        core = rest[0] if len(rest) == 1 else _fold("parallel", rest)
         at_a = 1 if flip else 0  # the end of t that is the first terminal
         a, b = t.terminals[at_a], t.terminals[1 - at_a]
         left, (c, d), right, origin = _split_impl(chosen, last=flip)
@@ -730,10 +744,12 @@ class _Walk:
             e = edge_key(c2, b)
             rf = {**floors, e: max(floors.get(e, 0), 1)}
         s2 = self.node(h2, rf, flip)
-        a_ends, b_ends = _ends(core, at_a), _ends(core, 1 - at_a)
+        a_ends, b_ends = ([u for p in rest for u in _ends(p, end)] for end in (at_a, 1 - at_a))
         r1, r2 = _size(s1), _size(s2)
         demand, summed = _parallel_demand(a, b, a_ends, b_ends, r1, r2)
-        s0 = self.node(core, self.demanded(floors, demand), flip)
+        inner = self.demanded(floors, demand)
+        s0 = (self.node(rest[0], inner, flip) if len(rest) == 1
+              else self.parallel(t, inner, flip, rest))
         # the split edge's floor is carried by the connector, whose
         # interior count is |S_0| + 4: a short S_0 is padded with steps
         # that pin a

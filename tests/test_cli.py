@@ -193,6 +193,46 @@ def test_classify_a_wide_parallel_fold(capsys, tmp_path):
     check_yes_document(out, g)
 
 
+def wide_parallel_no(runs):
+    """A NO graph on one P-node (s, t): runs two-edge runs s-b-t, and
+    three runs s-z-t whose two edges are each doubled by two 2-paths.
+    The three are not bridged, so the P-node is an F2 core."""
+    edges = [(x, f"b{i}") for i in range(runs) for x in "st"]
+    for k in range(3):
+        for x, y in (("s", f"z{k}"), (f"z{k}", "t")):
+            edges.append((x, y))
+            for j in range(2):
+                edges += [(x, f"{x}{y}{j}"), (f"{x}{y}{j}", y)]
+    return Graph.from_edges(edges)
+
+
+def test_classify_a_wide_parallel_no(capsys, tmp_path):
+    """The P-node's 1,003 runs fold into a parallel chain about 1,000
+    nodes deep, and the F2 bipaths are read off it without recursion."""
+    g = wide_parallel_no(1000)
+    f = tmp_path / "wide_no.txt"
+    f.write_text(format_edge_list(g))
+    code, out, err = run(capsys, "classify", str(f))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["verdict"] == "NO" and doc["family"] == "F2"
+    w = ForbiddenWitness.from_record(doc["witness"])
+    assert pattern_check(w) and embedded(w, g)
+
+
+def test_synth_a_wide_parallel_is_a_resource_limit(capsys, tmp_path):
+    """K_{2,1000} plus the edge between its hubs: the classifier's tree
+    is a parallel chain about 1,000 nodes deep, whose pieces the plan
+    reads off without recursion before the cap refuses it."""
+    hubs = ("a0", "a1")
+    g = Graph.from_edges([(h, f"m{i}") for h in hubs for i in range(1000)] + [hubs])
+    f = tmp_path / "k2_1000_hub.txt"
+    f.write_text(format_edge_list(g))
+    code, out, err = run(capsys, "synth", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("resource limit: the planned bundle passes the cap"), err[-2000:]
+
+
 @pytest.mark.parametrize(
     "verb, spec", [("synth", "cycle:1500"), ("synth", "path:600"), ("classify", "path:1200")]
 )

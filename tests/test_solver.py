@@ -729,7 +729,7 @@ def test_separators_certify_the_largest_width_below_the_top():
     for g, top in ((tree4, 3), (tree5, 4)):
         for mask_cap in (22, 10):
             certify = solver._certifier(g, top, mask_cap)[0]
-            cert = solver._largest_certificate(g, top, mask_cap, certify)
+            cert = solver._largest_certificate(top, certify)
             assert (cert.k, cert.i) == (2, 6)
     with pytest.raises(ResourceLimitError):
         boundary_gap_certificate(tree5, 3, mask_cap=10)
@@ -1035,7 +1035,7 @@ def first_form_solve(g, per_width):
     closure at each width from k = 1 up to the value
     (reference_inspection_number)."""
     cap = pathwidth(g)[0] + 1
-    cert = solver._largest_certificate(g, cap - 1, 22, solver._certifier(g, cap - 1, 22)[0])
+    cert = solver._largest_certificate(cap - 1, solver._certifier(g, cap - 1, 22)[0])
     value = len(per_width)
     out = {}
     for k_max in [None, *range(1, value + 1)]:
@@ -1069,7 +1069,7 @@ def test_certificates_are_sound_on_the_atlas_and_the_solve_corpus(atlas_2_7):
         value, _, per_width = reference_inspection_number(g)
         cap = pathwidth(g)[0] + 1
         certify = solver._certifier(g, cap - 1, 22)[0]
-        assert solver._largest_certificate(g, cap - 1, 22, certify).k < value
+        assert solver._largest_certificate(cap - 1, certify).k < value
         for k in range(value, g.n + 1):
             assert boundary_gap_certificate(g, k) is None, (sorted(g.edges()), k)
         for k_max, want in first_form_solve(g, per_width).items():

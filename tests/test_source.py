@@ -1,5 +1,6 @@
-"""Checks on the package's source text: no private name is left behind
-unused."""
+"""Checks on the package's source text: no private name or default is
+left behind unused, no parameter goes unread, and no function recurses
+but where its depth is bounded."""
 
 import ast
 from pathlib import Path
@@ -117,3 +118,76 @@ def test_every_private_default_is_used():
                     dead.append(f"{name}({param}) at line {node.lineno}")
     assert checked > 5, checked
     assert not dead, dead
+
+
+def functions(tree):
+    """(qualified name, is a method, node) of every function in tree,
+    nested ones too; a class's name qualifies its methods."""
+    stack = [(tree, "", False)]
+    while stack:
+        parent, prefix, in_class = stack.pop()
+        for n in ast.iter_child_nodes(parent):
+            if isinstance(n, ast.FunctionDef):
+                yield prefix + n.name, in_class, n
+                stack.append((n, f"{prefix}{n.name}.", False))
+            elif isinstance(n, ast.ClassDef):
+                stack.append((n, f"{prefix}{n.name}.", True))
+            else:
+                stack.append((n, prefix, in_class))
+
+
+# Functions and classes whose methods may call themselves, as recursion
+# that a valid input cannot drive past the interpreter's limit.
+BOUNDED_RECURSION = {
+    "solver.inspection_number": "one level per connected component",
+    "synth._Walk": "the plan stops at the host cap before it descends: "
+                   "a parallel core's first demand is 2^(d-1) r on each of its d edges",
+}
+
+
+def test_no_function_calls_itself():
+    # Decomposition trees nest as deep as a graph is long or wide, so
+    # walks over them keep explicit stacks. A module-level function
+    # calls itself by its bare name, a method through its first
+    # parameter; nested helpers are left out (_brute_f1's `place` nests
+    # six levels, one per edge of a K_4).
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, method, node in functions(ast.parse(path.read_text())):
+            if name.count(".") > int(method):
+                continue
+            me = node.args.args[0].arg if method else None
+            for n in ast.walk(node):
+                f = getattr(n, "func", None)
+                if (isinstance(f, ast.Name) and not method and f.id == node.name
+                        or isinstance(f, ast.Attribute) and f.attr == node.name
+                        and isinstance(f.value, ast.Name) and f.value.id == me):
+                    found.add(f"{path.stem}.{name}")
+    owner = {q: next((e for e in BOUNDED_RECURSION if q == e or q.startswith(e + ".")), None)
+             for q in found}
+    assert all(owner.values()), sorted(q for q, e in owner.items() if e is None)
+    # an exemption that nothing uses any more is stale
+    assert set(owner.values()) == set(BOUNDED_RECURSION), owner
+
+
+def test_every_parameter_is_read():
+    # A parameter the body never reads is a dead input that every
+    # caller still has to pass. A method's first parameter, its instance
+    # or class, is left out.
+    checked, unread = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, method, node in functions(ast.parse(path.read_text())):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            read = {
+                n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            for p in params[int(method and not static):]:
+                if p is not None:
+                    checked += 1
+                    if p.arg not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}({p.arg})")
+    assert checked > 500, checked
+    assert not unread, unread
