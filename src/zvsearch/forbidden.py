@@ -23,6 +23,10 @@ from .graphs import Graph, edge_key
 
 FAMILIES = ("F1", "F2", "F3")
 
+# Most simple a-b paths the brute-force search collects for one pair of
+# endpoints before it pairs them into bipaths.
+_PATH_CAP = 3000
+
 
 # ---------------------------------------------------------------------------
 # witness data
@@ -343,8 +347,8 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def tick(self, n=1):
-        self.used += n
+    def tick(self):
+        self.used += 1
         if self.used > self.limit:
             raise ResourceLimitError(
                 "forbidden-pattern search budget exhausted",
@@ -398,15 +402,7 @@ def _brute_f1(g, budget):
             return False
 
         if place(0, set()):
-            verts, edges = _span(chosen)
-            return ForbiddenWitness(
-                "F1",
-                Graph.from_edges(edges, vertices=verts),
-                {
-                    "branch_vertices": list(quad),
-                    "paths": [list(p) for p in chosen],
-                },
-            )
+            return _witness_f1(quad, chosen)
     return None
 
 
@@ -422,11 +418,11 @@ def _ordered_common(p, q):
     return tuple(common)
 
 
-def _bipaths_between(g, a, b, budget, path_cap=3000):
+def _bipaths_between(g, a, b, budget):
     paths = []
     for p in _simple_paths(g, a, b, (), budget):
         paths.append((p, {edge_key(u, v) for u, v in zip(p, p[1:])}))
-        if len(paths) >= path_cap:
+        if len(paths) >= _PATH_CAP:
             break
     found = {}
     for (p, pe), (q, qe) in combinations(paths, 2):
@@ -445,6 +441,15 @@ def _bipaths_between(g, a, b, budget, path_cap=3000):
 # The packers build a witness from its roles, unchecked: the public call
 # that returns it (brute_force_forbidden, classify_topological_3 and
 # build_simple_gsp, or has_k4_subdivision) checks it once, via _checked.
+def _witness_f1(branch, paths):
+    verts, edges = _span(paths)
+    return ForbiddenWitness(
+        "F1",
+        Graph.from_edges(edges, vertices=verts),
+        {"branch_vertices": list(branch), "paths": [list(p) for p in paths]},
+    )
+
+
 def _witness_f2(bips):
     a, b = sorted(bips[0].endpoints)
     verts, edges = _span(_halves(bips))

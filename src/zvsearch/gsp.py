@@ -68,6 +68,7 @@ from .forbidden import (
     Bipath,
     ForbiddenWitness,
     _checked,
+    _witness_f1,
     _witness_f2,
     _witness_f3,
     embedded,
@@ -561,7 +562,8 @@ def _extract_k4(g):
     # would keep every edge left. A vertex the drops leave without
     # neighbours leaves h, so each reduction copies only the live part.
     # The public call that returns the witness checks it: its F1 pattern
-    # holds exactly when h is a subdivision with six chains.
+    # holds exactly when h is a subdivision with six chains, and then h
+    # is the span of those chains, the graph _witness_f1 packs.
     h = {v: set(g.neighbors(v)) for v in g.vertices}
     edges = g.edges()
     i, size = 0, 1
@@ -602,12 +604,7 @@ def _extract_k4(g):
             key = frozenset(edge_key(x, y) for x, y in zip(path, path[1:]))
             if key not in chains:
                 chains[key] = path if path[0] < path[-1] else path[::-1]
-    paths = sorted(chains.values())
-    return ForbiddenWitness(
-        "F1",
-        h,
-        {"branch_vertices": branch, "paths": [list(p) for p in paths]},
-    )
+    return _witness_f1(branch, sorted(chains.values()))
 
 
 def has_k4_subdivision(g):

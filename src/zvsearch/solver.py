@@ -31,22 +31,26 @@ The first two engines are one breadth-first closure (_closure) over one
 batched round map, which maps a batch of frontier states at a time.
 Their picks are read off one cached table per (n, j), the masks of
 itertools.combinations(range(n), j): a state's own are the entries
-disjoint from it, in the order combinations gives its dirty vertices.
-A batch holds at most a fixed number of table rows, and a state whose
-picks outgrow one batch streams them from combinations alone, a chunk
-at a time. Masks are numpy arrays: N(outside) comes from neighbourhood
-tables, one gather per chunk of up to 11 bits of the mask (two chunks
-up to 22 vertices) instead of a loop over vertices. Each batch then
-does in numpy what the pick-by-pick search does row by row. Rows whose
-clean set is a parent already go first (a byte per vertex set up to 16
-vertices, a sorted array above), then every row of a set but its first
-(row numbers scattered over the 2^n sets, np.unique above 16
-vertices), then the sets inside a member of the antichain archive, a
-uint64 array tested in one broadcast; one more broadcast orders the
-few that are left. Parents hold pick masks, and only the witness's
-steps become vertex sets. That keeps the BFS order, the witnesses, the
-explored-state counts and the state at which a budget runs out of the
-pick-by-pick loop, which the tests keep as the reference.
+disjoint from it, in the order combinations gives its dirty vertices. A
+batch holds at most a fixed number of table rows, and where the table
+would outgrow one batch, each state streams its picks from combinations
+alone, a chunk at a time. The search ends where its goal is made: only a
+pick of a state's whole dirty set reaches the full set, so the first
+state made with at most k dirty vertices is the one the search finishes
+from, and it is never mapped. Masks are numpy arrays: N(outside) comes
+from neighbourhood tables, one gather per chunk of up to 11 bits of the
+mask (two chunks up to 22 vertices) instead of a loop over vertices.
+Each batch then does in numpy what the pick-by-pick search does row by
+row. Rows whose clean set is a parent already go first (a byte per
+vertex set up to 16 vertices, a sorted array above), then every row of a
+set but its first (row numbers scattered over the 2^n sets, np.unique
+above 16 vertices), then the sets inside a member of the antichain
+archive, a uint64 array tested in one broadcast; one more broadcast
+orders the few that are left. Parents hold pick masks, and only the
+witness's steps become vertex sets. That keeps the BFS order, the
+witnesses, the explored-state counts and the state at which a budget
+runs out of the pick-by-pick loop, which the tests keep as the
+reference.
 
 The vertex-separation DP keeps one uint8 entry per vertex set, but
 visits only the sets that can start a layout no wider than a bound its
@@ -293,10 +297,10 @@ def _batch_rows(states, table, full, tables):
 
 
 def _streamed_rows(state, sizes, bits, full, tables, chunk):
-    """(pos, clean sets, pick masks) of the picks of one state that the
-    pick table does not serve, chunk rows at a time: the j-subsets of its
-    dirty vertices for each j in sizes, in combinations order. pos is 0,
-    the state's place in its batch of one."""
+    """(pos, clean sets, pick masks) of the picks of one state, when the
+    pick table would be longer than a chunk, chunk rows at a time: the
+    j-subsets of its dirty vertices for each j in sizes, in combinations
+    order. pos is 0, the state's place in its batch of one."""
     import numpy as np
     dirty = [i for i in range(len(bits)) if not state >> i & 1]
     for j in sizes:
@@ -421,15 +425,27 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
     (padding can overshoot into a state with no monotonic continuation)
     and must keep every visited state instead of a maximal antichain.
 
+    The search ends where its goal state is made, not where it is
+    popped. One round keeps only protected vertices clean, so a pick
+    reaches the full set exactly when it is the state's whole dirty set
+    D; a pick has at most k vertices, so only a state with |D| <= k
+    finishes, and it finishes with D: its one pick in plain mode, its
+    largest in monotone mode. States are popped in the order they are
+    made, so the pick-by-pick search returns at the first state made
+    (the start first) whose D has at most k vertices, once it has
+    expanded every state made before it: the count is that state's
+    index plus one, and the witness is its path plus D. Such a state is
+    never popped, so a popped state's picks are exactly the entries of
+    the pick table disjoint from it.
+
     Picks are taken from the table of every pick of the graph, the masks
     of combinations(range(n), j) for the step sizes j (j-major in
     monotone mode, see _pick_table), when it has at most _CHUNK rows.
     Frontier states are then popped into a batch while it holds at most
     _CHUNK table rows, and the batch is mapped in one go: OR each
     state's picks into it, and take N(outside) from the neighbourhood
-    tables, one gather per chunk of the mask. A larger table, or a
-    plain-mode state with fewer than k dirty vertices, whose one pick is
-    all of them, has its picks streamed from itertools.combinations
+    tables, one gather per chunk of the mask. Past a table of _CHUNK
+    rows, each state has its picks streamed from itertools.combinations
     alone, _CHUNK rows at a time.
 
     Each batch of rows then does in numpy what the pick-by-pick search
@@ -438,19 +454,18 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
     it does not grow its state. So is every later row of a set met in
     the batch, from any of its states: the first one made the set a
     parent or left it inside the antichain, and an archive member only
-    ever leaves for a superset. The first row left that reaches the full
-    set ends the search once the states up to its own are counted; the
-    rows before it add no state the witness passes through. Otherwise,
-    in prune mode, _antichain keeps the rows the antichain test would.
-    What is left are the states the search adds, in its order, each
-    with its parent and the mask of its pick; steps become vertex sets
-    only when the witness is replayed. States are counted against the
-    budget up to the last one a batch expands, so the BFS order, the
-    witnesses, the count of expanded states and the state at which the
-    budget runs out are those of the pick-by-pick search. Masks are
-    uint64 up to _WORD_BITS vertices and Python ints in object arrays
-    above that, which take the same numpy operations on the sorted
-    parents' path.
+    ever leaves for a superset. Then, in prune mode, _antichain keeps
+    the rows the antichain test would. What is left are the states the
+    search makes, in its order, each with its parent and the mask of its
+    pick, and the first of them with at most k dirty vertices is the
+    goal; steps become vertex sets only when the witness is replayed.
+    Every state a batch pops was made before the goal, so the budget is
+    checked when a batch is popped and once at the goal's index, and
+    the BFS order, the witnesses, the count of expanded states and the
+    state at which the budget runs out are those of the pick-by-pick
+    search. Masks are uint64 up to _WORD_BITS vertices and Python ints
+    in object arrays above that, which take the same numpy operations on
+    the sorted parents' path.
 
     Returns (steps or None, states expanded).
     """
@@ -465,39 +480,48 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
     if k >= n:
         return [frozenset(g.vertices)], 1
 
+    def spend(used):
+        if used > state_budget:
+            raise ResourceLimitError(
+                f"solver state budget exhausted at k={k}",
+                budget=state_budget,
+                used=state_budget + 1,
+            )
+
+    parents = {start: None}
+
+    def finish(state, explored):
+        spend(explored)
+        parents[full] = state, full ^ state
+        return _replay(parents, full, g.vertices), explored
+
+    if n - start.bit_count() <= k:
+        return finish(start, 1)
+
     chunk = _CHUNK
     dtype = np.uint64 if n <= _WORD_BITS else object
     bits = np.array([1 << i for i in range(n)], dtype=dtype)
     tables = _round_tables(tuple(nbr), n, dtype)
     sizes = range(1, k + 1) if monotone else (k,)
     rows = sum(math.comb(n, j) for j in sizes)
-    table = None
+    table, per_batch = None, 1
     if rows <= chunk:
         table = np.concatenate([_pick_table(n, j, dtype) for j in sizes])
         per_batch = chunk // rows
 
-    def batched(state):
-        """Whether the table holds exactly the state's picks."""
-        return table is not None and (monotone or n - state.bit_count() >= k)
-
-    parents = {start: None}
     met = _Parents(n, start, dtype)
     archive = np.array([start], dtype=dtype)
     frontier = deque([start])
     expanded = 0
     while frontier:
-        batch = [frontier.popleft()]
-        if batched(batch[0]):
-            while frontier and len(batch) < per_batch and batched(frontier[0]):
-                batch.append(frontier.popleft())
-            states = np.array(batch, dtype=dtype)
-            mapped = [_batch_rows(states, table, full, tables)]
+        batch = [frontier.popleft() for _ in range(min(per_batch, len(frontier)))]
+        expanded += len(batch)
+        spend(expanded)
+        states = np.array(batch, dtype=dtype)
+        if table is None:
+            mapped = _streamed_rows(batch[0], sizes, bits, full, tables, chunk)
         else:
-            state = batch[0]
-            states = np.array(batch, dtype=dtype)
-            steps = sizes if monotone else (min(k, n - state.bit_count()),)
-            mapped = _streamed_rows(state, steps, bits, full, tables, chunk)
-        counted = 0
+            mapped = [_batch_rows(states, table, full, tables)]
         for pos, nxts, picks in mapped:
             keep = met.absent(nxts)
             if monotone:
@@ -506,31 +530,20 @@ def _closure(g, k, clean_start, state_budget, prune, monotone):
             at = keep.nonzero()[0]
             if at.size > 1:
                 at = at[met.first(nxts[at])]
-            new = nxts[at]
-            # the full set is never a parent: its first row is in at
-            goal = at[new == full][:1]
-            reached = int(pos[goal[0]]) + 1 if goal.size else len(batch)
-            if reached > counted:
-                expanded += reached - counted
-                counted = reached
-                if expanded > state_budget:
-                    raise ResourceLimitError(
-                        f"solver state budget exhausted at k={k}",
-                        budget=state_budget,
-                        used=state_budget + 1,
-                    )
-            if goal.size:
-                parents[full] = batch[reached - 1], int(picks[goal[0]])
-                return _replay(parents, full, g.vertices), expanded
             if not at.size:
                 continue
+            new = nxts[at]
             if prune and not monotone:
                 accepted, archive = _antichain(new, archive)
                 at, new = at[accepted], new[accepted]
             met.add(new)
             new = new.tolist()
+            made = len(parents)
             parents.update(zip(new, zip(states[pos[at]].tolist(),
                                         picks[at].tolist())))
+            for i, state in enumerate(new):
+                if n - state.bit_count() <= k:
+                    return finish(state, made + i + 1)
             frontier.extend(new)
     return None, expanded
 

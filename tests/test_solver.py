@@ -546,13 +546,14 @@ def test_small_chunks_match_reference(rng, monkeypatch):
 
 
 def test_goal_inside_a_batch_matches_reference(monkeypatch):
-    """path:9 at k = 2 reaches the full set at the first state of a
-    batch of six: the five after it are mapped but never expanded."""
+    """path:9 at k = 2 makes its goal, the first state with at most two
+    dirty vertices, while it maps a batch of five. That state is never
+    popped: 21 states are mapped, and the count of 22 takes in every
+    state made up to the goal, the goal too."""
     sizes = recorded_batches(monkeypatch)
     steps, explored = assert_matches_reference(path_graph(9), 2)
     assert steps is not None and explored == 22
-    assert sizes[-1][0] == 6
-    assert sum(states for states, _ in sizes) == explored + 5
+    assert [states for states, _ in sizes] == [1, 2, 2, 3, 4, 4, 5]
 
 
 @pytest.mark.parametrize("mode", ["prune", "exhaustive", "monotone"])
@@ -681,6 +682,22 @@ def test_closure_matches_reference_on_the_bench_corpus(
     # most rows map to a parent; few reach the antichain
     assert counts["parent"] > 10 * (counts["archive"] + counts["batch"]
                                     + counts["accepted"])
+
+
+def test_no_closure_maps_more_states_than_it_expands(
+        bench_closures, monkeypatch):
+    """On the bench solve corpus (seed 0) every state a closure maps is
+    one it expands, and no pick table there outgrows a chunk, so no
+    state streams its picks."""
+    mapped = recorded_batches(monkeypatch)
+    streamed = []
+    monkeypatch.setattr(solver, "_streamed_rows",
+                        lambda *args: streamed.append(args) or iter(()))
+    for g, k, clean_start, budget, prune, monotone in bench_closures:
+        mapped.clear()
+        explored = _closure(g, k, clean_start, budget, prune, monotone)[1]
+        assert sum(states for states, _ in mapped) <= explored, (g, k)
+    assert not streamed
 
 
 @pytest.mark.parametrize("path", ["scatter", "unique", "object"])

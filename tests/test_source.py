@@ -1,6 +1,7 @@
 """Checks on the package's source text: no private name or default is
-left behind unused, no parameter goes unread, and no function recurses
-but where its depth is bounded."""
+left behind unused, no private default goes without a caller that sets
+it, no parameter goes unread, and no function recurses but where its
+depth is bounded."""
 
 import ast
 from pathlib import Path
@@ -95,10 +96,10 @@ def omitted(call):
     return lambda name, i: name not in named and (i is None or i >= plain)
 
 
-def test_every_private_default_is_used():
-    # A default that every call overrides is a dead option: the code
-    # reads as if some caller relied on it. Calls match by name, through
-    # a bare name or an attribute.
+def private_defaults():
+    """(label, omitted tests of its calls) of each parameter with a
+    default of a private function or method. Calls match by name,
+    through a bare name or an attribute."""
     trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
     calls = {}  # name -> the omitted test of each call
     for tree in trees:
@@ -107,17 +108,28 @@ def test_every_private_default_is_used():
                 f = n.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(omitted(n))
-    checked, dead = 0, []
     for tree in trees:
         for name, method, node in definitions(tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            for param, i in defaults(node, method):
-                checked += 1
-                if not any(leaves(param, i) for leaves in calls.get(name, ())):
-                    dead.append(f"{name}({param}) at line {node.lineno}")
-    assert checked > 5, checked
+            if isinstance(node, ast.FunctionDef):
+                for param, i in defaults(node, method):
+                    yield (f"{name}({param}) at line {node.lineno}",
+                           [leaves(param, i) for leaves in calls.get(name, ())])
+
+
+def test_every_private_default_is_used():
+    # A default that every call overrides is a dead option: the code
+    # reads as if some caller relied on it.
+    found = list(private_defaults())
+    assert len(found) >= 5, found
+    dead = [label for label, left in found if not any(left)]
     assert not dead, dead
+
+
+def test_every_private_default_is_overridden():
+    # A default that no call overrides is a constant dressed up as an
+    # option: the code reads as if some caller tuned it.
+    fixed = [label for label, left in private_defaults() if all(left)]
+    assert not fixed, fixed
 
 
 def functions(tree):
